@@ -25,7 +25,7 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
-from .symexpr import Expr, Poly, Rational, normalize, parse_expr
+from .symexpr import Expr, Poly, Rational, parse_expr
 from .geometry import (
     Chart,
     OneForm,
@@ -60,7 +60,6 @@ from .tangent import (
     make_tangent_chart,
     pi_sharp,
     sasaki_J,
-    sasaki_nabla,
     schouten_jacobi,
 )
 from .structures import (

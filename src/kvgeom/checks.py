@@ -1,0 +1,392 @@
+"""The check kinds: one ``CheckSpec`` per kind, in the table ``CHECKS``.
+
+A spec says which declared objects a check takes, which chart rule ties
+them together, which options it cannot do without, and how it runs.  The
+parser (arity), the binder (argument kinds, reserved words, chart rules,
+required options) and the engine (``run``) read this table, and a test holds
+the README's list to it, so a new kind is added here and nowhere else.
+
+``run(env, check, seed, samples)`` returns ``(status, details,
+witness_or_expr, zero_claims)``: ``witness_or_expr`` is a ready
+``Witness``, a nonzero residual the engine searches a witness point for,
+or None; ``zero_claims`` are the residuals declared zero, which the
+numeric oracle re-evaluates.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra, validate_subspace
+from .errors import EngineInconsistency, InvalidSubspace, PoleAtPoint
+from .geometry import (
+    codazzi_tensor,
+    in_E_residuals,
+    kv_bracket_form,
+    lie_derivative_h,
+    lie_derivative_residual,
+    rank_at,
+    special_class_check,
+)
+from .structures import (
+    POINTWISE_TRUE,
+    SYMBOLIC_TRUE,
+    coisotropy_residuals,
+    conormal_algebroid,
+    graph_check,
+    is_kv_submanifold,
+    is_transversal,
+    kv_map_residuals,
+    preimage_transversal,
+    theorem1_equivalences,
+)
+from .symexpr import Expr
+from .tangent import build_pi, lift_propositions_check, schouten_jacobi
+
+PASS = "pass"
+FAIL = "fail"
+POINTWISE_PASS = "pointwise-pass"
+UNSUPPORTED = "unsupported"
+
+
+@dataclass(frozen=True)
+class Witness:
+    point: tuple[str, ...]  # rationals as "p/q" strings
+    residual: str  # expression in the surface syntax
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    args: tuple[str, ...]  # declaration kinds of the arguments, in order
+    run: Callable
+    chart_rule: Callable | None = None  # (env, check) -> error message or None
+    needs: tuple[str, ...] = ()  # option keywords the check requires
+
+
+# --- helpers --------------------------------------------------------------------
+
+
+def _matrix_str(entries) -> str:
+    return "[" + "; ".join(", ".join(str(e) for e in row) for row in entries) + "]"
+
+
+def _indexed(entries, at: tuple[int, ...] = ()):
+    """(index, entry) pairs of a nested tuple of Expr, in row-major order."""
+    for i, e in enumerate(entries):
+        if isinstance(e, Expr):
+            yield at + (i,), e
+        else:
+            yield from _indexed(e, at + (i,))
+
+
+def _residual_verdict(residuals, passed: str, failed: str):
+    """PASS claiming every residual zero, or FAIL at the first nonzero one.
+
+    ``failed`` may contain ``{at}``, which becomes the 1-based index of the
+    failing entry, e.g. ``(1,2,3)``.
+    """
+    flat = list(_indexed(residuals))
+    for idx, e in flat:
+        if not e.is_zero():
+            at = "(" + ",".join(str(i + 1) for i in idx) + ")"
+            return FAIL, failed.replace("{at}", at), e, []
+    return PASS, passed, None, [e for _, e in flat]
+
+
+# --- chart rules ------------------------------------------------------------------
+
+
+def _map_charts(env, check):
+    a = check.args
+    f = env.maps[a[0]]
+    if env.bivectors[a[1]].chart != f.source or env.bivectors[a[2]].chart != f.target:
+        return f"check {check.kind}: bivectors must live on the map's source and target charts"
+    if len(a) > 3 and env.submanifolds[a[3]].ambient != f.target:
+        return f"check {check.kind}: submanifold must live on the target chart"
+    return None
+
+
+def _submanifold_chart(env, check):
+    if env.submanifolds[check.args[0]].ambient != env.bivectors[check.args[1]].chart:
+        return f"check {check.kind}: submanifold and bivector must share a chart"
+    return None
+
+
+def _scalar_chart(env, check):
+    chart = env.bivectors[check.args[0]].chart
+    if any(env.scalars[s].chart != chart for s in check.args[1:]):
+        if len(check.args) > 2:
+            return f"check {check.kind}: scalars must live on the bivector's chart"
+        return f"check {check.kind}: bivector and scalar must share a chart"
+    return None
+
+
+def _basis_dim(env, check):
+    dim = env.algebras[check.args[0]].dim
+    basis = check.options.basis
+    if basis is not None and any(len(row) != dim for row in basis):
+        return "annihilator basis vectors must match the algebra dimension"
+    return None
+
+
+# --- runs -----------------------------------------------------------------------
+
+
+def _run_codazzi(env, check, seed, samples):
+    tri = codazzi_tensor(env.bivectors[check.args[0]])
+    return _residual_verdict(tri.entries, "contravariant Codazzi identity holds", "defect at indices {at}")
+
+
+def _run_kv_bracket(env, check, seed, samples):
+    h = env.bivectors[check.args[0]]
+    tri = kv_bracket_form(h)
+    cod = codazzi_tensor(h)
+    n = h.chart.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if tri.entry(i, j, k) != -cod.entry(i, j, k):
+                    raise EngineInconsistency("bracket table does not match the Codazzi defect up to sign")
+    return _residual_verdict(tri.entries, "self-bracket of the bivector vanishes", "bracket nonzero at {at}")
+
+
+def _run_jacobi_tangent(env, check, seed, samples):
+    h = env.bivectors[check.args[0]]
+    tri = schouten_jacobi(build_pi(h))
+    if tri.is_zero() != codazzi_tensor(h).is_zero():
+        raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
+    return _residual_verdict(
+        tri.entries, "tangent-lift bivector satisfies the Jacobi identity", "Jacobiator nonzero at {at}"
+    )
+
+
+def _run_kv_map(env, check, seed, samples):
+    a = check.args
+    res = kv_map_residuals(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    return _residual_verdict(res, "map preserves the bivector pairing", "pairing mismatch at {at}")
+
+
+def _run_theorem1(env, check, seed, samples):
+    a = check.args
+    rep = theorem1_equivalences(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    verdicts = (
+        f"direct={rep.direct} tangent={rep.tangent_poisson} "
+        f"sharp={rep.sharp_related} hamiltonian={rep.hamiltonian_related}"
+    )
+    if rep.agree:
+        common = "K-V map" if rep.direct else "not a K-V map"
+        return PASS, f"all four characterizations agree: {common}", None, []
+    return FAIL, f"characterizations disagree: {verdicts}", None, []
+
+
+def _run_submanifold(env, check, seed, samples):
+    res = is_kv_submanifold(env.submanifolds[check.args[0]], env.bivectors[check.args[1]])
+    note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
+    induced = "induced structure on a point" if res.induced is None else _matrix_str(res.induced.entries)
+    return _residual_verdict(
+        res.residuals,
+        f"conormal rows vanish on the submanifold; induced {induced}{note}",
+        f"a conormal row of the bivector survives restriction{note}",
+    )
+
+
+def _run_transversal(env, check, seed, samples):
+    res = is_transversal(
+        env.submanifolds[check.args[0]], env.bivectors[check.args[1]],
+        sample_points=check.options.points, samples=samples, seed=seed,
+    )
+    note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
+    if res.verdict == SYMBOLIC_TRUE:
+        induced = "point structure" if res.induced is None or not res.induced.entries else _matrix_str(res.induced.entries)
+        return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None, []
+    if res.verdict == POINTWISE_TRUE:
+        pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p, _ in res.samples)
+        return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None, []
+    singular = [p for p, ok in res.samples if not ok]
+    pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p in singular)
+    first = singular[0] if singular else ()
+    witness = Witness(tuple(str(q) for q in first), str(res.determinant))
+    return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness, []
+
+
+def _run_coisotropic(env, check, seed, samples):
+    res = coisotropy_residuals(env.submanifolds[check.args[0]], env.bivectors[check.args[1]])
+    return _residual_verdict(
+        res, "sharp of the conormal stays tangent", "conormal-conormal block does not vanish on the submanifold"
+    )
+
+
+def _run_conormal(env, check, seed, samples):
+    alg = conormal_algebroid(env.submanifolds[check.args[0]], env.bivectors[check.args[1]], point=check.options.point)
+    details = [f"conormal rank {alg.conormal_dim}"]
+    ok = alg.left_symmetric_ok
+    details.append("left-symmetric identity holds" if ok else "left-symmetric identity FAILS")
+    if alg.anchor_vanishes_at_point:
+        details.append(
+            "fiber algebra at the designated point is "
+            + ("commutative and associative" if alg.fiber_commutative and alg.fiber_associative else "NOT an algebra")
+        )
+        ok = ok and alg.fiber_commutative and alg.fiber_associative
+    elif alg.anchor_vanishes_at_point is False:
+        details.append("anchor does not vanish at the designated point; fiber algebra not examined")
+    return (PASS if ok else FAIL), "; ".join(details), None, []
+
+
+def _run_graph(env, check, seed, samples):
+    a = check.args
+    rep = graph_check(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    details = f"graph coisotropic={rep.coisotropic}, kv_map={rep.kv_map}"
+    if rep.agree:
+        return PASS, f"graph characterization agrees: {details}", None, []
+    return FAIL, f"graph characterization disagrees: {details}", None, []
+
+
+def _run_preimage_transversal(env, check, seed, samples):
+    a = check.args
+    rep = preimage_transversal(
+        env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]], env.submanifolds[a[3]],
+        samples=samples, seed=seed,
+    )
+    dims = f"preimage dimension {rep.preimage.dim}"
+    if rep.ok:
+        return PASS, f"{dims}; induced structures related by the restricted map at all samples", None, []
+    return FAIL, f"{dims}; a pullback check failed", None, []
+
+
+def _run_in_E(env, check, seed, samples):
+    res = in_E_residuals(env.bivectors[check.args[0]], env.scalars[check.args[1]])
+    return _residual_verdict(res, "function is affine along the leaves", "leafwise-affine residual nonzero at {at}")
+
+
+def _run_special_class(env, check, seed, samples):
+    a = check.args
+    if special_class_check(env.bivectors[a[0]], env.scalars[a[1]], env.scalars[a[2]]):
+        return PASS, "pairing of the two functions stays affine along the leaves", None, []
+    return FAIL, "pairing leaves the leafwise-affine space", None, []
+
+
+def _run_lie_derivative(env, check, seed, samples):
+    h, f = env.bivectors[check.args[0]], env.scalars[check.args[1]]
+    lie = lie_derivative_h(h, f)
+    claims = []
+    kv_note = ""
+    if codazzi_tensor(h).is_zero():
+        res = lie_derivative_residual(h, f)
+        claims = [e for row in res for e in row]
+        if any(not e.is_zero() for e in claims):
+            raise EngineInconsistency("Hamiltonian Lie-derivative identity residual is nonzero")
+    else:
+        kv_note = " (bivector is not K-V; identity residual not asserted)"
+    problems = []
+    for i, j, expected in check.options.entries:
+        got = lie.entries[i - 1][j - 1]
+        if got != expected:
+            problems.append(f"entry ({i},{j}) is {got}, expected {expected}")
+        else:
+            claims.append(got - expected)
+    if problems:
+        return FAIL, "; ".join(problems), None, []
+    return PASS, f"Lie derivative {_matrix_str(lie.entries)}{kv_note}", None, claims
+
+
+def _run_lift_props(env, check, seed, samples):
+    rep = lift_propositions_check(env.bivectors[check.args[0]], env.scalars[check.args[1]])
+    claims = [e for row in rep.mixed_residuals for e in row] if rep.ambient_kv else []
+    if not rep.hamiltonian_lift_ok:
+        raise EngineInconsistency("vertical lift of the Hamiltonian field is not the lifted Hamiltonian")
+    details = [
+        "vertical lift is Hamiltonian for the lifted function",
+        f"horizontal lift preserves the lifted bivector: {rep.lie_pi_vanishes}",
+        f"leafwise-affine: {rep.f_in_E}",
+    ]
+    if rep.ambient_kv:
+        if rep.agree is False:
+            raise EngineInconsistency("lift invariance disagrees with the leafwise-affine test")
+    else:
+        details.append("ambient bivector is not K-V; equivalence not asserted")
+    return (PASS if rep.lie_pi_vanishes else FAIL), "; ".join(details), None, claims
+
+
+def _run_algebra(env, check, seed, samples):
+    spec = env.algebras[check.args[0]]
+    rep = validate_algebra(spec)
+    if not rep.valid:
+        law = (
+            "commutativity" if not rep.commutative
+            else "associativity" if not rep.associative
+            else "cocycle symmetry" if not rep.cocycle_symmetric
+            else "cocycle law"
+        )
+        return FAIL, f"{law} fails at basis indices {rep.witness}", None, []
+    tri = codazzi_tensor(algebra_to_kv(spec))
+    if not tri.is_zero():
+        raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
+    return PASS, "algebra laws hold; dual bivector is K-V", None, [e for _, e in _indexed(tri.entries)]
+
+
+def _run_annihilator(env, check, seed, samples):
+    spec = env.algebras[check.args[0]]
+    opts = check.options
+    sub = SubspaceSpec(spec, opts.basis, opts.subspace_kind)
+    if not validate_subspace(sub):
+        raise InvalidSubspace(f"basis does not span a {opts.subspace_kind}")
+    h = algebra_to_kv(spec)
+    n_sub = annihilator_submanifold(sub, h.chart)
+    if opts.subspace_kind == "ideal":
+        return _residual_verdict(
+            is_kv_submanifold(n_sub, h).residuals,
+            "ideal annihilator is a K-V submanifold of the dual",
+            "ideal annihilator fails the K-V submanifold criterion",
+        )
+    return _residual_verdict(
+        coisotropy_residuals(n_sub, h),
+        "subalgebra annihilator is coisotropic in the dual",
+        "subalgebra annihilator is not coisotropic",
+    )
+
+
+def _run_rank(env, check, seed, samples):
+    h = env.bivectors[check.args[0]]
+    rng = random.Random(seed)
+    if check.options.points is not None:
+        pts = [tuple(p) for p in check.options.points]
+    else:
+        pts = [
+            tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(h.chart.dim))
+            for _ in range(samples)
+        ]
+    parts = []
+    for p in pts:
+        try:
+            parts.append(f"({', '.join(str(q) for q in p)}) -> {rank_at(h, p)}")
+        except PoleAtPoint:
+            parts.append(f"({', '.join(str(q) for q in p)}) -> pole")
+    return PASS, "sharp rank at sample points: " + "; ".join(parts), None, []
+
+
+_MAP_PAIR = ("map", "bivector", "bivector")
+_SUB = ("submanifold", "bivector")
+
+CHECKS: dict[str, CheckSpec] = {
+    "codazzi": CheckSpec(("bivector",), _run_codazzi),
+    "kv_bracket": CheckSpec(("bivector",), _run_kv_bracket),
+    "jacobi_tangent": CheckSpec(("bivector",), _run_jacobi_tangent),
+    "kv_map": CheckSpec(_MAP_PAIR, _run_kv_map, _map_charts),
+    "theorem1": CheckSpec(_MAP_PAIR, _run_theorem1, _map_charts),
+    "submanifold": CheckSpec(_SUB, _run_submanifold, _submanifold_chart),
+    "transversal": CheckSpec(_SUB, _run_transversal, _submanifold_chart),
+    "coisotropic": CheckSpec(_SUB, _run_coisotropic, _submanifold_chart),
+    "conormal": CheckSpec(_SUB, _run_conormal, _submanifold_chart),
+    "graph": CheckSpec(_MAP_PAIR, _run_graph, _map_charts),
+    "preimage_transversal": CheckSpec(_MAP_PAIR + ("submanifold",), _run_preimage_transversal, _map_charts),
+    "in_E": CheckSpec(("bivector", "scalar"), _run_in_E, _scalar_chart),
+    "special_class": CheckSpec(("bivector", "scalar", "scalar"), _run_special_class, _scalar_chart),
+    "lie_derivative": CheckSpec(("bivector", "scalar"), _run_lie_derivative, _scalar_chart),
+    "lift_props": CheckSpec(("bivector", "scalar"), _run_lift_props, _scalar_chart),
+    "algebra": CheckSpec(("algebra",), _run_algebra),
+    "annihilator": CheckSpec(("algebra",), _run_annihilator, _basis_dim, needs=("kind", "basis")),
+    "rank": CheckSpec(("bivector",), _run_rank),
+}

@@ -15,32 +15,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraSpec
+from .checks import CHECKS, Witness
 from .errors import ParseError, SemanticError, ZeroDenominator
 from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
 from .symexpr import Expr, parse_expression
-
-CHECK_KINDS = {
-    "codazzi": 1,
-    "kv_bracket": 1,
-    "jacobi_tangent": 1,
-    "kv_map": 3,
-    "theorem1": 3,
-    "submanifold": 2,
-    "transversal": 2,
-    "coisotropic": 2,
-    "conormal": 2,
-    "graph": 3,
-    "preimage_transversal": 4,
-    "in_E": 2,
-    "special_class": 3,
-    "lie_derivative": 2,
-    "lift_props": 2,
-    "algebra": 1,
-    "annihilator": 1,
-    "rank": 1,
-}
 
 _KEYWORDS = {
     "manifold",
@@ -62,14 +42,15 @@ _KEYWORDS = {
     "cocycle",
 }
 
-_OPTION_KEYS = {
-    "samples",
-    "points",
-    "expect",
-    "entry",
-    "kind",
-    "basis",
-    "point",
+# option keyword -> CheckOptions field
+_OPTION_FIELDS = {
+    "samples": "samples",
+    "points": "points",
+    "expect": "expect",
+    "entry": "entries",
+    "kind": "subspace_kind",
+    "basis": "basis",
+    "point": "point",
 }
 
 
@@ -406,9 +387,9 @@ class _Parser:
         t0 = self.expect_keyword("check")
         kt = self.expect_name("check kind")
         kind = kt.text
-        if kind not in CHECK_KINDS:
+        if kind not in CHECKS:
             raise ParseError(kt.line, kt.col, f"unknown check kind {kind!r}", kind)
-        args = tuple(self.expect_name("object name").text for _ in range(CHECK_KINDS[kind]))
+        args = tuple(self.expect_name("object name").text for _ in CHECKS[kind].args)
         options = CheckOptions()
         if self.at_punct("{"):
             options = self.options(kind)
@@ -425,7 +406,7 @@ class _Parser:
         point = None
         while not self.at_punct("}"):
             t = self.peek()
-            if t.kind != "name" or t.text not in _OPTION_KEYS:
+            if t.kind != "name" or t.text not in _OPTION_FIELDS:
                 raise ParseError(t.line, t.col, "expected a check option", t.text)
             key = self.next().text
             if key == "samples":
@@ -547,7 +528,7 @@ def bind_scenario(scenario: Scenario) -> Environment:
     def register(name: str, decl) -> None:
         if name in names:
             raise SemanticError(decl.line, decl.col, f"duplicate name {name!r}", name)
-        if name in _KEYWORDS or name in CHECK_KINDS:
+        if name in _KEYWORDS or name in CHECKS:
             raise SemanticError(decl.line, decl.col, f"{name!r} is a reserved word", name)
         names.add(name)
 
@@ -597,30 +578,9 @@ def bind_scenario(scenario: Scenario) -> Environment:
         except Exception as exc:
             raise SemanticError(decl.line, decl.col, str(exc), decl.name) from None
 
-    _ARG_KINDS = {
-        "codazzi": ("bivector",),
-        "kv_bracket": ("bivector",),
-        "jacobi_tangent": ("bivector",),
-        "kv_map": ("map", "bivector", "bivector"),
-        "theorem1": ("map", "bivector", "bivector"),
-        "submanifold": ("submanifold", "bivector"),
-        "transversal": ("submanifold", "bivector"),
-        "coisotropic": ("submanifold", "bivector"),
-        "conormal": ("submanifold", "bivector"),
-        "graph": ("map", "bivector", "bivector"),
-        "preimage_transversal": ("map", "bivector", "bivector", "submanifold"),
-        "in_E": ("bivector", "scalar"),
-        "special_class": ("bivector", "scalar", "scalar"),
-        "lie_derivative": ("bivector", "scalar"),
-        "lift_props": ("bivector", "scalar"),
-        "algebra": ("algebra",),
-        "annihilator": ("algebra",),
-        "rank": ("bivector",),
-    }
-
     for check in scenario.checks:
-        expected = _ARG_KINDS[check.kind]
-        for arg, want in zip(check.args, expected):
+        spec = CHECKS[check.kind]
+        for arg, want in zip(check.args, spec.args):
             got = env.kind_of(arg)
             if got is None:
                 raise SemanticError(check.line, check.col, f"unresolved reference {arg!r}", arg)
@@ -628,42 +588,13 @@ def bind_scenario(scenario: Scenario) -> Environment:
                 raise SemanticError(
                     check.line, check.col, f"check {check.kind}: {arg!r} is a {got}, expected a {want}", arg
                 )
-        _check_charts_compatible(env, check)
-        if check.kind == "annihilator":
-            if check.options.subspace_kind is None or check.options.basis is None:
-                raise SemanticError(
-                    check.line, check.col, "annihilator check needs 'kind' and 'basis' options", check.kind
-                )
+        message = spec.chart_rule(env, check) if spec.chart_rule else None
+        if message is not None:
+            raise SemanticError(check.line, check.col, message, check.kind)
+        if any(getattr(check.options, _OPTION_FIELDS[key]) is None for key in spec.needs):
+            needed = " and ".join(f"'{key}'" for key in spec.needs)
+            raise SemanticError(check.line, check.col, f"{check.kind} check needs {needed} options", check.kind)
     return env
-
-
-def _check_charts_compatible(env: Environment, check: CheckDirective) -> None:
-    def err(msg: str):
-        return SemanticError(check.line, check.col, msg, check.kind)
-
-    a = check.args
-    k = check.kind
-    if k in ("kv_map", "theorem1", "graph", "preimage_transversal"):
-        f = env.maps[a[0]]
-        h1, h2 = env.bivectors[a[1]], env.bivectors[a[2]]
-        if h1.chart != f.source or h2.chart != f.target:
-            raise err(f"check {k}: bivectors must live on the map's source and target charts")
-        if k == "preimage_transversal" and env.submanifolds[a[3]].ambient != f.target:
-            raise err("check preimage_transversal: submanifold must live on the target chart")
-    elif k in ("submanifold", "transversal", "coisotropic", "conormal"):
-        if env.submanifolds[a[0]].ambient != env.bivectors[a[1]].chart:
-            raise err(f"check {k}: submanifold and bivector must share a chart")
-    elif k in ("in_E", "lie_derivative", "lift_props"):
-        if env.bivectors[a[0]].chart != env.scalars[a[1]].chart:
-            raise err(f"check {k}: bivector and scalar must share a chart")
-    elif k == "special_class":
-        h = env.bivectors[a[0]]
-        if env.scalars[a[1]].chart != h.chart or env.scalars[a[2]].chart != h.chart:
-            raise err("check special_class: scalars must live on the bivector's chart")
-    elif k == "annihilator":
-        alg = env.algebras[a[0]]
-        if check.options.basis is not None and any(len(row) != alg.dim for row in check.options.basis):
-            raise err("annihilator basis vectors must match the algebra dimension")
 
 
 # --- serialization --------------------------------------------------------------
@@ -732,12 +663,6 @@ def serialize(scenario: Scenario) -> str:
 
 
 # --- reports --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Witness:
-    point: tuple[str, ...]  # rationals as "p/q" strings
-    residual: str  # expression in the surface syntax
 
 
 @dataclass(frozen=True)

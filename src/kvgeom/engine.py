@@ -14,46 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra, validate_subspace
-from .dsl import CheckDirective, CheckOutcome, Environment, Scenario, Witness, bind_scenario
+from .checks import CHECKS, FAIL, PASS, POINTWISE_PASS, UNSUPPORTED, Witness
+from .dsl import CheckDirective, CheckOutcome, Environment, Scenario, bind_scenario
 from .errors import (
-    EngineInconsistency,
     InvalidSubspace,
-    KVError,
     NotCoisotropic,
     NotTransverseAtSample,
     PoleAtPoint,
     PreconditionViolated,
-)
-from .geometry import (
-    codazzi_tensor,
-    in_E,
-    in_E_residuals,
-    kv_bracket_form,
-    lie_derivative_h,
-    lie_derivative_residual,
-    rank_at,
-    special_class_check,
-)
-from .structures import (
-    POINTWISE_TRUE,
-    SYMBOLIC_TRUE,
-    coisotropy_residuals,
-    conormal_algebroid,
-    graph_check,
-    is_kv_submanifold,
-    is_transversal,
-    kv_map_residuals,
-    preimage_transversal,
-    theorem1_equivalences,
+    ZeroDenominator,
 )
 from .symexpr import Expr
-from .tangent import build_pi, lift_propositions_check, schouten_jacobi
-
-PASS = "pass"
-FAIL = "fail"
-POINTWISE_PASS = "pointwise-pass"
-UNSUPPORTED = "unsupported"
 
 
 @dataclass
@@ -103,14 +74,6 @@ def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
                 break
 
 
-def _matrix_claims(rows) -> list[Expr]:
-    return [e for row in rows for e in row]
-
-
-def _table_claims(tri) -> list[Expr]:
-    return [e for plane in tri.entries for row in plane for e in row]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple[str, ...] = ()  # paths or built-in corpus names
@@ -137,9 +100,12 @@ class CheckRunner:
         name = ",".join(check.args)
         kind = check.kind
         seed = self.seed * 1000003 + index
+        samples = check.options.samples or self.samples
         try:
-            status, details, witness_expr, claims = self._dispatch(check, seed)
-        except (PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample) as exc:
+            status, details, witness_expr, claims = CHECKS[kind].run(self.env, check, seed, samples)
+        except (
+            PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint
+        ) as exc:
             outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
             return CheckRecord(outcome)
 
@@ -163,257 +129,6 @@ class CheckRunner:
 
         outcome = CheckOutcome(name, kind, status, witness, details)
         return CheckRecord(outcome, claims)
-
-    # returns (status, details, witness_expr_or_None, zero_claims)
-    def _dispatch(self, check: CheckDirective, seed: int):
-        env = self.env
-        opts = check.options
-        a = check.args
-        samples = opts.samples or self.samples
-
-        if check.kind == "codazzi":
-            tri = codazzi_tensor(env.bivectors[a[0]])
-            bad = tri.nonzero_entries()
-            if not bad:
-                return PASS, "contravariant Codazzi identity holds", None, _table_claims(tri)
-            i, j, k, e = bad[0]
-            return FAIL, f"defect at indices ({i + 1},{j + 1},{k + 1})", e, []
-
-        if check.kind == "kv_bracket":
-            h = env.bivectors[a[0]]
-            tri = kv_bracket_form(h)
-            cod = codazzi_tensor(h)
-            n = h.chart.dim
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        if tri.entry(i, j, k) != -cod.entry(i, j, k):
-                            raise EngineInconsistency(
-                                "bracket table does not match the Codazzi defect up to sign"
-                            )
-            bad = tri.nonzero_entries()
-            if not bad:
-                return PASS, "self-bracket of the bivector vanishes", None, _table_claims(tri)
-            i, j, k, e = bad[0]
-            return FAIL, f"bracket nonzero at ({i + 1},{j + 1},{k + 1})", e, []
-
-        if check.kind == "jacobi_tangent":
-            h = env.bivectors[a[0]]
-            tri = schouten_jacobi(build_pi(h))
-            kv = codazzi_tensor(h).is_zero()
-            if tri.is_zero() != kv:
-                raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
-            bad = tri.nonzero_entries()
-            if not bad:
-                return PASS, "tangent-lift bivector satisfies the Jacobi identity", None, _table_claims(tri)
-            i, j, k, e = bad[0]
-            return FAIL, f"Jacobiator nonzero at ({i + 1},{j + 1},{k + 1})", e, []
-
-        if check.kind == "kv_map":
-            res = kv_map_residuals(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
-            bad = [(i, j, e) for i, row in enumerate(res) for j, e in enumerate(row) if not e.is_zero()]
-            if not bad:
-                return PASS, "map preserves the bivector pairing", None, _matrix_claims(res)
-            i, j, e = bad[0]
-            return FAIL, f"pairing mismatch at ({i + 1},{j + 1})", e, []
-
-        if check.kind == "theorem1":
-            rep = theorem1_equivalences(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
-            verdicts = (
-                f"direct={rep.direct} tangent={rep.tangent_poisson} "
-                f"sharp={rep.sharp_related} hamiltonian={rep.hamiltonian_related}"
-            )
-            if rep.agree:
-                common = "K-V map" if rep.direct else "not a K-V map"
-                return PASS, f"all four characterizations agree: {common}", None, []
-            return FAIL, f"characterizations disagree: {verdicts}", None, []
-
-        if check.kind == "submanifold":
-            res = is_kv_submanifold(env.submanifolds[a[0]], env.bivectors[a[1]])
-            note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
-            if res.ok:
-                induced = "induced structure on a point" if res.induced is None else _matrix_str(res.induced.entries)
-                return PASS, f"conormal rows vanish on the submanifold; induced {induced}{note}", None, list(res.residuals)
-            bad = next(e for e in res.residuals if not e.is_zero())
-            return FAIL, f"a conormal row of the bivector survives restriction{note}", bad, []
-
-        if check.kind == "transversal":
-            points = opts.points
-            res = is_transversal(
-                env.submanifolds[a[0]], env.bivectors[a[1]], sample_points=points, samples=samples, seed=seed
-            )
-            note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
-            if res.verdict == SYMBOLIC_TRUE:
-                induced = "point structure" if res.induced is None or not res.induced.entries else _matrix_str(res.induced.entries)
-                return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None, []
-            if res.verdict == POINTWISE_TRUE:
-                pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p, _ in res.samples)
-                return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None, []
-            singular = [p for p, ok in res.samples if not ok]
-            pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p in singular)
-            first = singular[0] if singular else ()
-            witness = Witness(tuple(str(q) for q in first), str(res.determinant))
-            return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness, []
-
-        if check.kind == "coisotropic":
-            res = coisotropy_residuals(env.submanifolds[a[0]], env.bivectors[a[1]])
-            bad = [e for e in res if not e.is_zero()]
-            if not bad:
-                return PASS, "sharp of the conormal stays tangent", None, list(res)
-            return FAIL, "conormal-conormal block does not vanish on the submanifold", bad[0], []
-
-        if check.kind == "conormal":
-            alg = conormal_algebroid(env.submanifolds[a[0]], env.bivectors[a[1]], point=opts.point)
-            claims: list[Expr] = []
-            details = [f"conormal rank {alg.conormal_dim}"]
-            ok = alg.left_symmetric_ok
-            details.append("left-symmetric identity holds" if ok else "left-symmetric identity FAILS")
-            if alg.anchor_vanishes_at_point:
-                details.append(
-                    "fiber algebra at the designated point is "
-                    + ("commutative and associative" if alg.fiber_commutative and alg.fiber_associative else "NOT an algebra")
-                )
-                ok = ok and alg.fiber_commutative and alg.fiber_associative
-            elif alg.anchor_vanishes_at_point is False:
-                details.append("anchor does not vanish at the designated point; fiber algebra not examined")
-            return (PASS if ok else FAIL), "; ".join(details), None, claims
-
-        if check.kind == "graph":
-            rep = graph_check(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
-            details = f"graph coisotropic={rep.coisotropic}, kv_map={rep.kv_map}"
-            if rep.agree:
-                return PASS, f"graph characterization agrees: {details}", None, []
-            return FAIL, f"graph characterization disagrees: {details}", None, []
-
-        if check.kind == "preimage_transversal":
-            rep = preimage_transversal(
-                env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]], env.submanifolds[a[3]],
-                samples=samples, seed=seed,
-            )
-            dims = f"preimage dimension {rep.preimage.dim}"
-            if rep.ok:
-                return PASS, f"{dims}; induced structures related by the restricted map at all samples", None, []
-            return FAIL, f"{dims}; a pullback check failed", None, []
-
-        if check.kind == "in_E":
-            h, f = env.bivectors[a[0]], env.scalars[a[1]]
-            res = in_E_residuals(h, f)
-            bad = [(i, j, e) for i, row in enumerate(res) for j, e in enumerate(row) if not e.is_zero()]
-            if not bad:
-                return PASS, "function is affine along the leaves", None, _matrix_claims(res)
-            i, j, e = bad[0]
-            return FAIL, f"leafwise-affine residual nonzero at ({i + 1},{j + 1})", e, []
-
-        if check.kind == "special_class":
-            h = env.bivectors[a[0]]
-            ok = special_class_check(h, env.scalars[a[1]], env.scalars[a[2]])
-            if ok:
-                return PASS, "pairing of the two functions stays affine along the leaves", None, []
-            return FAIL, "pairing leaves the leafwise-affine space", None, []
-
-        if check.kind == "lie_derivative":
-            h, f = env.bivectors[a[0]], env.scalars[a[1]]
-            lie = lie_derivative_h(h, f)
-            claims = []
-            kv_note = ""
-            if codazzi_tensor(h).is_zero():
-                res = lie_derivative_residual(h, f)
-                claims = _matrix_claims(res)
-                if any(not e.is_zero() for row in res for e in row):
-                    raise EngineInconsistency("Hamiltonian Lie-derivative identity residual is nonzero")
-            else:
-                kv_note = " (bivector is not K-V; identity residual not asserted)"
-            problems = []
-            for i, j, expected in opts.entries:
-                got = lie.entries[i - 1][j - 1]
-                if got != expected:
-                    problems.append(f"entry ({i},{j}) is {got}, expected {expected}")
-                else:
-                    claims.append(got - expected)
-            details = f"Lie derivative {_matrix_str(lie.entries)}{kv_note}"
-            if problems:
-                return FAIL, "; ".join(problems), None, []
-            return PASS, details, None, claims
-
-        if check.kind == "lift_props":
-            h, f = env.bivectors[a[0]], env.scalars[a[1]]
-            rep = lift_propositions_check(h, f)
-            claims = [e for row in rep.mixed_residuals for e in row] if rep.ambient_kv else []
-            if not rep.hamiltonian_lift_ok:
-                raise EngineInconsistency("vertical lift of the Hamiltonian field is not the lifted Hamiltonian")
-            details = [
-                "vertical lift is Hamiltonian for the lifted function",
-                f"horizontal lift preserves the lifted bivector: {rep.lie_pi_vanishes}",
-                f"leafwise-affine: {rep.f_in_E}",
-            ]
-            if rep.ambient_kv:
-                if rep.agree is False:
-                    raise EngineInconsistency("lift invariance disagrees with the leafwise-affine test")
-                ok = rep.lie_pi_vanishes
-            else:
-                details.append("ambient bivector is not K-V; equivalence not asserted")
-                ok = rep.lie_pi_vanishes
-            return (PASS if ok else FAIL), "; ".join(details), None, claims
-
-        if check.kind == "algebra":
-            spec = env.algebras[a[0]]
-            rep = validate_algebra(spec)
-            if not rep.valid:
-                law = (
-                    "commutativity" if not rep.commutative
-                    else "associativity" if not rep.associative
-                    else "cocycle symmetry" if not rep.cocycle_symmetric
-                    else "cocycle law"
-                )
-                return FAIL, f"{law} fails at basis indices {rep.witness}", None, []
-            h = algebra_to_kv(spec)
-            tri = codazzi_tensor(h)
-            if not tri.is_zero():
-                raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
-            return PASS, "algebra laws hold; dual bivector is K-V", None, _table_claims(tri)
-
-        if check.kind == "annihilator":
-            spec = env.algebras[a[0]]
-            sub = SubspaceSpec(spec, opts.basis, opts.subspace_kind)
-            if not validate_subspace(sub):
-                raise InvalidSubspace(f"basis does not span a {opts.subspace_kind}")
-            h = algebra_to_kv(spec)
-            n_sub = annihilator_submanifold(sub, h.chart)
-            if opts.subspace_kind == "ideal":
-                res = is_kv_submanifold(n_sub, h)
-                if res.ok:
-                    return PASS, "ideal annihilator is a K-V submanifold of the dual", None, list(res.residuals)
-                bad = next(e for e in res.residuals if not e.is_zero())
-                return FAIL, "ideal annihilator fails the K-V submanifold criterion", bad, []
-            res2 = coisotropy_residuals(n_sub, h)
-            bad2 = [e for e in res2 if not e.is_zero()]
-            if not bad2:
-                return PASS, "subalgebra annihilator is coisotropic in the dual", None, list(res2)
-            return FAIL, "subalgebra annihilator is not coisotropic", bad2[0], []
-
-        if check.kind == "rank":
-            h = env.bivectors[a[0]]
-            rng = random.Random(seed)
-            if opts.points is not None:
-                pts = [tuple(p) for p in opts.points]
-            else:
-                pts = [
-                    tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(h.chart.dim))
-                    for _ in range(samples)
-                ]
-            parts = []
-            for p in pts:
-                try:
-                    parts.append(f"({', '.join(str(q) for q in p)}) -> {rank_at(h, p)}")
-                except PoleAtPoint:
-                    parts.append(f"({', '.join(str(q) for q in p)}) -> pole")
-            return PASS, "sharp rank at sample points: " + "; ".join(parts), None, []
-
-        raise KVError(f"unhandled check kind {check.kind!r}")
-
-
-def _matrix_str(entries) -> str:
-    return "[" + "; ".join(", ".join(str(e) for e in row) for row in entries) + "]"
 
 
 @dataclass

@@ -136,17 +136,6 @@ class TrilinearForm:
     def is_zero(self) -> bool:
         return all(e.is_zero() for plane in self.entries for row in plane for e in row)
 
-    def nonzero_entries(self) -> list[tuple[int, int, int, Expr]]:
-        out = []
-        n = self.chart.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    e = self.entries[i][j][k]
-                    if not e.is_zero():
-                        out.append((i, j, k, e))
-        return out
-
 
 def coordinate_form(chart: Chart, i: int) -> OneForm:
     return OneForm(chart, tuple(ONE if j == i else ZERO for j in range(chart.dim)))

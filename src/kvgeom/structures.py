@@ -21,6 +21,7 @@ from .errors import (
     DegenerateBasis,
     NotCoisotropic,
     NotTransverseAtSample,
+    PoleAtPoint,
     PreconditionViolated,
 )
 from .geometry import (
@@ -129,13 +130,11 @@ def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple
     return tuple(out)
 
 
-def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tuple[Expr, ...], ...]:
-    """Entries of M H1(x) M^T - H2(F(x)); F is a K-V map iff all vanish."""
-    if h1.chart != f.source or h2.chart != f.target:
-        raise ChartMismatch("K-V map check needs bivectors on the map's charts")
+def _congruence_residuals(f: AffineMap, T1, T2) -> tuple[tuple[Expr, ...], ...]:
+    """Entries of M T1(z) M^T - T2(F(z)) for square entry matrices on the map's charts."""
     m, n = f.target.dim, f.source.dim
     sub = f.substitution()
-    H2F = [[h2.entries[i][j].substitute(sub) for j in range(m)] for i in range(m)]
+    T2F = [[T2[i][j].substitute(sub) for j in range(m)] for i in range(m)]
     out = []
     for a in range(m):
         row = []
@@ -147,10 +146,17 @@ def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tu
                 for j in range(n):
                     if not f.matrix[b][j]:
                         continue
-                    s = s + Expr.const(f.matrix[a][i] * f.matrix[b][j]) * h1.entries[i][j]
-            row.append(s - H2F[a][b])
+                    s = s + Expr.const(f.matrix[a][i] * f.matrix[b][j]) * T1[i][j]
+            row.append(s - T2F[a][b])
         out.append(tuple(row))
     return tuple(out)
+
+
+def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tuple[Expr, ...], ...]:
+    """Entries of M H1(x) M^T - H2(F(x)); F is a K-V map iff all vanish."""
+    if h1.chart != f.source or h2.chart != f.target:
+        raise ChartMismatch("K-V map check needs bivectors on the map's charts")
+    return _congruence_residuals(f, h1.entries, h2.entries)
 
 
 def is_kv_map(f: AffineMap, h1: SymBivector, h2: SymBivector) -> bool:
@@ -210,7 +216,7 @@ def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> The
     pi1 = build_pi(h1)
     pi2 = build_pi(h2)
     tf = tangent_map(f)
-    poisson = all(e.is_zero() for row in kv_map_style_residuals_skew(tf, pi1.entries, pi2.entries) for e in row)
+    poisson = all(e.is_zero() for row in _congruence_residuals(tf, pi1.entries, pi2.entries) for e in row)
 
     related = True
     for j in range(f.target.dim):
@@ -230,28 +236,6 @@ def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> The
             break
 
     return Theorem1Report(direct, poisson, related, ham)
-
-
-def kv_map_style_residuals_skew(f: AffineMap, T1, T2) -> tuple[tuple[Expr, ...], ...]:
-    """Entries of M T1(z) M^T - T2(F(z)) for arbitrary square tensors on the charts."""
-    m, n = f.target.dim, f.source.dim
-    sub = f.substitution()
-    T2F = [[T2[i][j].substitute(sub) for j in range(m)] for i in range(m)]
-    out = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            s = ZERO
-            for i in range(n):
-                if not f.matrix[a][i]:
-                    continue
-                for j in range(n):
-                    if not f.matrix[b][j]:
-                        continue
-                    s = s + Expr.const(f.matrix[a][i] * f.matrix[b][j]) * T1[i][j]
-            row.append(s - T2F[a][b])
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # --- products ----------------------------------------------------------------
@@ -921,7 +905,7 @@ def preimage_transversal(
                 try:
                     if e.eval_at(env) != 0:
                         ok = False
-                except Exception:
+                except PoleAtPoint:
                     pass  # pole of an induced rational entry; skip this term
         checks.append((p, ok))
     return PreimageReport(n1, t1, t2, restriction, t1.induced, t2.induced, tuple(checks))

@@ -513,11 +513,6 @@ ZERO = Expr.const(0)
 ONE = Expr.const(1)
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form; the identity here because Expr normalizes on construction."""
-    return e
-
-
 def _term_str(m: Monomial, c: Fraction) -> str:
     mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
     a = abs(c)
@@ -541,10 +536,6 @@ def _poly_str(p: Poly) -> str:
         else:
             out.append(f" - {body}" if c < 0 else f" + {body}")
     return "".join(out)
-
-
-def to_string(e: Expr) -> str:
-    return str(e)
 
 
 # --- surface-syntax parser -------------------------------------------------

@@ -23,7 +23,6 @@ from .geometry import (
     hamiltonian,
     hessian_contraction,
     in_E,
-    left_sym_product,
     lie_derivative_contravariant,
 )
 from .symexpr import ZERO, Expr
@@ -120,13 +119,6 @@ def sasaki_J(tc: TangentChart, V: VectorField) -> VectorField:
     base_part = V.components[:n]
     fiber_part = V.components[n:]
     return VectorField(tc.chart, tuple(-c for c in fiber_part) + base_part)
-
-
-def sasaki_nabla(tc: TangentChart, W: VectorField, V: VectorField) -> VectorField:
-    """Sasaki connection; in these coordinates it is the flat chart connection."""
-    if W.chart != tc.chart or V.chart != tc.chart:
-        raise ChartMismatch("expected fields on the tangent chart")
-    return left_sym_product(W, V)
 
 
 def build_pi(h: SymBivector, tc: TangentChart | None = None) -> SkewBivector:
@@ -233,9 +225,3 @@ def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsR
     )
     return LiftPropositionsReport(part1, lie_pi, vanishes, f_in, kv, agree, mixed)
 
-
-def lie_bracket_tangent(tc: TangentChart, V: VectorField, W: VectorField) -> VectorField:
-    """Lie bracket of fields on the tangent chart (flat coordinates)."""
-    a = left_sym_product(V, W)
-    b = left_sym_product(W, V)
-    return VectorField(tc.chart, tuple(p - q for p, q in zip(a.components, b.components)))

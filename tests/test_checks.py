@@ -1,0 +1,99 @@
+"""The check table: every kind's arguments, chart rule and required options are enforced."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from kvgeom.checks import CHECKS
+from kvgeom.dsl import parse_scenario
+from kvgeom.errors import ParseError, SemanticError
+
+# one object of every declaration kind on M, and a second copy on the chart P
+DECLS = """manifold M { dim 2 coords [x y] }
+manifold P { dim 1 coords [t] }
+bivector h on M { [x, 0; 0, y] }
+bivector hP on P { [t] }
+scalar f on M = x
+scalar fP on P = t
+map F : M -> M { matrix [1, 0; 0, 1] offset [0, 0] }
+submanifold N in M { origin [0, 0] basis [1, 0] }
+submanifold NP in P { origin [0] basis [1] }
+algebra A { dim 2 product { 1 1 1 : 1 } }
+"""
+CHECK_LINE = DECLS.count("\n") + 1
+NAME = {"manifold": "M", "bivector": "h", "scalar": "f", "map": "F", "submanifold": "N", "algebra": "A"}
+ON_P = {"bivector": "hP", "scalar": "fP", "submanifold": "NP"}
+
+
+def _options(kind, basis="[1, 0]"):
+    return f" {{ kind ideal basis {basis} }}" if CHECKS[kind].needs else ""
+
+
+def _scenario(kind, args, options=None):
+    opts = _options(kind) if options is None else options
+    return DECLS + f"check {kind} {' '.join(args)}{opts}\n"
+
+
+def _good_args(kind):
+    return [NAME[k] for k in CHECKS[kind].args]
+
+
+@pytest.mark.parametrize("kind", list(CHECKS))
+def test_well_kinded_arguments_bind(kind):
+    assert parse_scenario(_scenario(kind, _good_args(kind))).checks[0].kind == kind
+
+
+@pytest.mark.parametrize("kind", list(CHECKS))
+def test_wrong_kind_argument_is_a_positioned_semantic_error(kind):
+    for pos, want in enumerate(CHECKS[kind].args):
+        args = _good_args(kind)
+        args[pos] = "f" if want != "scalar" else "h"
+        with pytest.raises(SemanticError) as exc:
+            parse_scenario(_scenario(kind, args))
+        assert exc.value.line == CHECK_LINE and exc.value.column == 1
+        assert f"expected a {want}" in exc.value.message
+
+
+@pytest.mark.parametrize("kind", list(CHECKS))
+def test_missing_argument_is_a_parse_error(kind):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(_scenario(kind, _good_args(kind)[:-1], options=""))
+    assert exc.value.line >= CHECK_LINE
+
+
+# every kind that ties two objects together, or takes a basis, has a chart rule
+@pytest.mark.parametrize("kind", [k for k, spec in CHECKS.items() if len(spec.args) > 1 or spec.needs])
+def test_chart_rule_rejects_wrong_chart(kind):
+    args = _good_args(kind)
+    options = None
+    if CHECKS[kind].args[-1] in ON_P:
+        args[-1] = ON_P[CHECKS[kind].args[-1]]
+    else:  # the annihilator's rule is on its basis vectors
+        options = _options(kind, basis="[1, 0, 0]")
+    with pytest.raises(SemanticError) as exc:
+        parse_scenario(_scenario(kind, args, options))
+    assert exc.value.line == CHECK_LINE and exc.value.column == 1
+    assert "chart" in exc.value.message or "dimension" in exc.value.message
+
+
+@pytest.mark.parametrize("kind", [k for k, spec in CHECKS.items() if spec.needs])
+def test_needed_options_are_required(kind):
+    for dropped in (" kind ideal", " basis [1, 0]", " kind ideal basis [1, 0]"):
+        options = _options(kind).replace(dropped, "")
+        with pytest.raises(SemanticError) as exc:
+            parse_scenario(_scenario(kind, _good_args(kind), options))
+        assert exc.value.line == CHECK_LINE and "needs" in exc.value.message
+
+
+def test_check_names_are_reserved_words():
+    for kind in CHECKS:
+        with pytest.raises(SemanticError):
+            parse_scenario(f"manifold {kind} {{ dim 1 coords [t] }}")
+
+
+def test_readme_lists_every_check_kind_in_table_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Check kinds:(.*?)\.\n", readme, re.DOTALL)
+    assert listing is not None
+    assert re.findall(r"`([^`]+)`", listing.group(1)) == list(CHECKS)

@@ -63,6 +63,20 @@ def test_unsupported_status_for_precondition_violations():
     assert res.exit_code == 1
 
 
+def test_pole_along_submanifold_is_unsupported_and_later_checks_run():
+    text = (
+        "manifold M { dim 2 coords [x y] } "
+        "bivector h on M { [1/x, 0; 0, y] } "
+        "submanifold N in M { origin [0, 0] basis [0, 1] } "
+        "check submanifold N h check transversal N h check coisotropic N h check codazzi h"
+    )
+    res = run_text(text)
+    assert [o.kind for o in res.outcomes] == ["submanifold", "transversal", "coisotropic", "codazzi"]
+    assert [o.status for o in res.outcomes] == ["unsupported"] * 3 + ["pass"]
+    assert all("denominator" in o.details for o in res.outcomes[:3])
+    assert res.exit_code == 1
+
+
 def test_fail_fast_stops_after_first_failure():
     text = (
         "manifold M { dim 2 coords [x y] } "

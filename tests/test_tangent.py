@@ -17,7 +17,6 @@ from kvgeom.geometry import (
 from kvgeom.symexpr import Expr
 from kvgeom.tangent import (
     build_pi,
-    lie_bracket_tangent,
     lift_oneform,
     lift_propositions_check,
     lift_scalar,
@@ -25,7 +24,6 @@ from kvgeom.tangent import (
     make_tangent_chart,
     pi_sharp,
     sasaki_J,
-    sasaki_nabla,
     schouten_jacobi,
 )
 
@@ -57,9 +55,9 @@ def test_bracket_table_on_lifts():
         Yh = lift_vector(TC, Y, "horizontal")
         Xv = lift_vector(TC, X, "vertical")
         Yv = lift_vector(TC, Y, "vertical")
-        assert lie_bracket_tangent(TC, Xh, Yh) == lift_vector(TC, lie_bracket(X, Y), "horizontal")
-        assert lie_bracket_tangent(TC, Xh, Yv) == lift_vector(TC, left_sym_product(X, Y), "vertical")
-        assert all(c.is_zero() for c in lie_bracket_tangent(TC, Xv, Yv).components)
+        assert lie_bracket(Xh, Yh) == lift_vector(TC, lie_bracket(X, Y), "horizontal")
+        assert lie_bracket(Xh, Yv) == lift_vector(TC, left_sym_product(X, Y), "vertical")
+        assert all(c.is_zero() for c in lie_bracket(Xv, Yv).components)
 
 
 def test_lifted_pairings():
@@ -98,24 +96,24 @@ def test_sasaki_nabla_defining_cases_torsion_and_curvature():
         Yh = lift_vector(TC, Y, "horizontal")
         Xv = lift_vector(TC, X, "vertical")
         Yv = lift_vector(TC, Y, "vertical")
-        assert sasaki_nabla(TC, Xh, Yh) == lift_vector(TC, left_sym_product(X, Y), "horizontal")
-        assert sasaki_nabla(TC, Xh, Yv) == lift_vector(TC, left_sym_product(X, Y), "vertical")
-        assert all(c.is_zero() for c in sasaki_nabla(TC, Xv, Yh).components)
-        assert all(c.is_zero() for c in sasaki_nabla(TC, Xv, Yv).components)
+        assert left_sym_product(Xh, Yh) == lift_vector(TC, left_sym_product(X, Y), "horizontal")
+        assert left_sym_product(Xh, Yv) == lift_vector(TC, left_sym_product(X, Y), "vertical")
+        assert all(c.is_zero() for c in left_sym_product(Xv, Yh).components)
+        assert all(c.is_zero() for c in left_sym_product(Xv, Yv).components)
         # torsion and curvature on lifted generators
         for W, V in ((Xh, Yh), (Xh, Yv), (Xv, Yh), (Xv, Yv)):
             torsion = tuple(
                 a - b - c
                 for a, b, c in zip(
-                    sasaki_nabla(TC, W, V).components,
-                    sasaki_nabla(TC, V, W).components,
-                    lie_bracket_tangent(TC, W, V).components,
+                    left_sym_product(W, V).components,
+                    left_sym_product(V, W).components,
+                    lie_bracket(W, V).components,
                 )
             )
             assert all(e.is_zero() for e in torsion)
-            r1 = sasaki_nabla(TC, W, sasaki_nabla(TC, V, Xh))
-            r2 = sasaki_nabla(TC, V, sasaki_nabla(TC, W, Xh))
-            r3 = sasaki_nabla(TC, lie_bracket_tangent(TC, W, V), Xh)
+            r1 = left_sym_product(W, left_sym_product(V, Xh))
+            r2 = left_sym_product(V, left_sym_product(W, Xh))
+            r3 = left_sym_product(lie_bracket(W, V), Xh)
             curv = tuple(a - b - c for a, b, c in zip(r1.components, r2.components, r3.components))
             assert all(e.is_zero() for e in curv)
 
@@ -125,8 +123,8 @@ def test_sasaki_J_is_parallel():
     for _ in range(5):
         W = random_field(rng, TC.chart)
         V = random_field(rng, TC.chart)
-        lhs = sasaki_nabla(TC, W, sasaki_J(TC, V))
-        rhs = sasaki_J(TC, sasaki_nabla(TC, W, V))
+        lhs = left_sym_product(W, sasaki_J(TC, V))
+        rhs = sasaki_J(TC, left_sym_product(W, V))
         assert lhs == rhs
 
 
