@@ -109,10 +109,22 @@ def _map_charts(env, check):
     return None
 
 
-def _submanifold_chart(env, check):
-    if env.submanifolds[check.args[0]].ambient != env.bivectors[check.args[1]].chart:
-        return f"check {check.kind}: submanifold and bivector must share a chart"
+def _options_fit(check, dim: int):
+    """Points and entry indices of the options against a chart of dimension ``dim``."""
+    o = check.options
+    rows = (o.points or ()) + ((o.point,) if o.point is not None else ())
+    if any(len(row) != dim for row in rows):
+        return f"check {check.kind}: points must have {dim} coordinates, one per chart coordinate"
+    if any(not (1 <= i <= dim and 1 <= j <= dim) for i, j, _ in o.entries):
+        return f"check {check.kind}: entry indices must lie between 1 and the chart dimension {dim}"
     return None
+
+
+def _submanifold_chart(env, check):
+    chart = env.submanifolds[check.args[0]].ambient
+    if chart != env.bivectors[check.args[1]].chart:
+        return f"check {check.kind}: submanifold and bivector must share a chart"
+    return _options_fit(check, chart.dim)
 
 
 def _scalar_chart(env, check):
@@ -121,7 +133,11 @@ def _scalar_chart(env, check):
         if len(check.args) > 2:
             return f"check {check.kind}: scalars must live on the bivector's chart"
         return f"check {check.kind}: bivector and scalar must share a chart"
-    return None
+    return _options_fit(check, chart.dim)
+
+
+def _bivector_chart(env, check):
+    return _options_fit(check, env.bivectors[check.args[0]].chart.dim)
 
 
 def _basis_dim(env, check):
@@ -388,5 +404,5 @@ CHECKS: dict[str, CheckSpec] = {
     "lift_props": CheckSpec(("bivector", "scalar"), _run_lift_props, _scalar_chart),
     "algebra": CheckSpec(("algebra",), _run_algebra),
     "annihilator": CheckSpec(("algebra",), _run_annihilator, _basis_dim, needs=("kind", "basis")),
-    "rank": CheckSpec(("bivector",), _run_rank),
+    "rank": CheckSpec(("bivector",), _run_rank, _bivector_chart),
 }

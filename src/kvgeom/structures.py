@@ -318,13 +318,11 @@ class AffineSubmanifold:
         return tuple(p)
 
     def contains(self, point: Sequence[Rational]) -> bool:
-        rhs = [Fraction(q) - o for q, o in zip(point, self.origin)]
-        if not self.basis:
-            return all(x == 0 for x in rhs)
-        cols = linalg.transpose(self.basis)
-        return linalg.solve(cols, rhs) is not None
+        return self.parameters_of(point) is not None
 
     def parameters_of(self, point: Sequence[Rational]) -> tuple[Fraction, ...] | None:
+        if len(point) != len(self.origin):
+            raise ValueError(f"point {list(point)} must have length {len(self.origin)}")
         rhs = [Fraction(q) - o for q, o in zip(point, self.origin)]
         if not self.basis:
             return () if all(x == 0 for x in rhs) else None
@@ -465,47 +463,26 @@ class TransversalResult:
 
 
 def expr_det(mat: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a matrix of expressions by fraction-producing elimination."""
+    """Determinant of a matrix of expressions by Bareiss fraction-free elimination.
+
+    Each step divides by the previous pivot, which is exact by Sylvester's
+    identity, so polynomial entries stay polynomial throughout.
+    """
     m = len(mat)
-    if m == 0:
-        return ONE
     rows = [list(r) for r in mat]
-    det = ONE
+    prev, negate = ONE, False
     for c in range(m):
         piv = next((r for r in range(c, m) if not rows[r][c].is_zero()), None)
         if piv is None:
             return ZERO
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = ONE / rows[c][c]
+            negate = not negate
+        p = rows[c][c]
         for r in range(c + 1, m):
-            if rows[r][c].is_zero():
-                continue
-            factor = rows[r][c] * inv
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    return det
-
-
-def expr_inverse(mat: Sequence[Sequence[Expr]]) -> list[list[Expr]] | None:
-    """Inverse of a matrix of expressions, or None when singular as a rational-function matrix."""
-    m = len(mat)
-    if m == 0:
-        return []
-    rows = [list(r) + [ONE if i == j else ZERO for j in range(m)] for i, r in enumerate(mat)]
-    for c in range(m):
-        piv = next((r for r in range(c, m) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = ONE / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
-        for r in range(m):
-            if r != c and not rows[r][c].is_zero():
-                factor = rows[r][c]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    return [row[m:] for row in rows]
+            rows[r][c + 1:] = [(p * rows[r][j] - rows[r][c] * rows[c][j]) / prev for j in range(c + 1, m)]
+        prev = p
+    return -prev if negate else prev
 
 
 def _sample_parameters(k: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -536,7 +513,8 @@ def is_transversal(
     """Transversal iff the conormal-conormal block is invertible along N.
 
     The induced structure is the Schur complement A - B D^{-1} B^T restricted
-    to N, with rational-function entries.
+    to N, with rational-function entries.  By Sylvester's identity its (i, j)
+    entry is det [[D, B_j^T], [B_i, A_ij]] / det D, one division per entry.
     """
     frame = adapted_frame(n_sub)
     k = n_sub.dim
@@ -576,22 +554,11 @@ def is_transversal(
 
     induced = None
     if verdict != FALSE:
-        Dinv = expr_inverse(D)
-        assert Dinv is not None
-        m = len(D)
-        schur = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                s = A[i][j]
-                for a in range(m):
-                    for b in range(m):
-                        s = s - B[i][a] * Dinv[a][b] * B[j][b]
-                row.append(s)
-            schur.append(tuple(row))
-        induced = SymBivector(induced_chart(frame), tuple(schur)) if k > 0 else None
-        if k == 0:
-            induced = SymBivector(induced_chart(frame), ())
+        schur = tuple(
+            tuple(expr_det([d + [b] for d, b in zip(D, B[j])] + [B[i] + [A[i][j]]]) / det for j in range(k))
+            for i in range(k)
+        )
+        induced = SymBivector(induced_chart(frame), schur)
     return TransversalResult(verdict, det, induced, sample_report, ambient_kv)
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from kvgeom.checks import CHECKS
+from kvgeom.cli import run
 from kvgeom.dsl import parse_scenario
+from kvgeom.engine import RunConfig
 from kvgeom.errors import ParseError, SemanticError
 
 # one object of every declaration kind on M, and a second copy on the chart P
@@ -84,6 +86,26 @@ def test_needed_options_are_required(kind):
         with pytest.raises(SemanticError) as exc:
             parse_scenario(_scenario(kind, _good_args(kind), options))
         assert exc.value.line == CHECK_LINE and "needs" in exc.value.message
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        "check lie_derivative h f { entry 3 3 x }",  # past the chart: an IndexError at run time
+        "check lie_derivative h f { entry 0 0 x }",  # a negative index would read entry (2,2)
+        "check rank h { points [1] }",  # a missing coordinate: UnknownVariable at run time
+        "check transversal N h { points [1, 0; 2] }",  # a short row would be cut by zip
+        "check conormal N h { point [1] }",
+    ],
+)
+def test_options_are_checked_against_the_chart(check, tmp_path):
+    with pytest.raises(SemanticError) as exc:
+        parse_scenario(DECLS + check + "\n")
+    assert exc.value.line == CHECK_LINE and exc.value.column == 1
+    path = tmp_path / "options.kvs"
+    path.write_text(DECLS + check + "\n", encoding="utf-8")
+    code, report = run(RunConfig(scenarios=(str(path),)))
+    assert code == 2 and f"{CHECK_LINE}:1:" in report
 
 
 def test_check_names_are_reserved_words():

@@ -35,7 +35,6 @@ from kvgeom.structures import (
     compose,
     conormal_algebroid,
     expr_det,
-    expr_inverse,
     graph_check,
     is_coisotropic,
     is_kv_map,
@@ -187,6 +186,11 @@ def test_adapted_frame_examples():
         ]
         assert adapted == [t, 0]
     assert diag.parameters_of(diag.parametrize((Fr(3),))) == (Fr(3),)
+    for wrong in ((1,), (1, 1, 1)):  # zip would cut a wrong-length point to fit
+        with pytest.raises(ValueError):
+            diag.contains(wrong)
+        with pytest.raises(ValueError):
+            diag.parameters_of(wrong)
     hy = to_adapted_bivector(fr2, SymBivector.standard(P))
     assert hy.chart.coords == ("y1", "y2")
     with pytest.raises(DegenerateBasis):
@@ -526,12 +530,10 @@ def test_leaf_openness_and_transverse_intersection():
 def test_expr_matrix_helpers():
     m = [[X_, Expr.const(1)], [Expr.const(1), Y_]]
     assert expr_det(m) == X_ * Y_ - 1
-    inv = expr_inverse(m)
-    det = X_ * Y_ - 1
-    assert inv[0][0] == Y_ / det
+    # a zero leading pivot forces a row swap, which flips the sign
+    assert expr_det([[Expr.const(0), Expr.const(1)], [Expr.const(1), X_]]) == Expr.const(-1)
     singular = [[X_, X_], [X_, X_]]
     assert expr_det(singular).is_zero()
-    assert expr_inverse(singular) is None
     assert expr_det([]) == Expr.const(1)
 
 
