@@ -242,32 +242,52 @@ def is_kv(h: SymBivector) -> bool:
     return codazzi_tensor(h).is_zero()
 
 
+def _dot(u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
+    """sum_l u_l v_l, leaving out the products with a zero factor."""
+    s = ZERO
+    for a, b in zip(u, v):
+        if not (a.is_zero() or b.is_zero()):
+            s = s + a * b
+    return s
+
+
 def kv_bracket_form(h: SymBivector) -> TrilinearForm:
     """Five-term trilinear bracket of h with itself on the coordinate coframe.
 
-    With the tangent-bundle left-symmetric structure (identity anchor,
-    X•Y = nabla_X Y) the entry at (i,j,k) expands to minus the Codazzi
-    defect, so both tables vanish together.  The two routes are kept
-    independent so they can cross-check each other.
+    With X_a = (dx_a)^# and the tangent-bundle left-symmetric structure
+    (identity anchor, X•Y = nabla_X Y, [X, Y] = X•Y - Y•X) the entry at
+    (i,j,k) is
+
+        X_i(h_jk) - X_j(h_ik) + (X_j•X_k)_i - (X_i•X_k)_j - [X_i, X_j]_k.
+
+    Each term is read from one of two tables, built once from the sharps:
+    D[a][b][c] = X_a(h_bc), from the derivatives of h, and
+    P[a][b][c] = (X_a•X_b)_c, from the derivatives of the sharps'
+    components.  That is O(n^4) products, where rebuilding the vector
+    fields for every entry took O(n^5).  Swapping i and j negates the five
+    terms, so only i < j is computed and the diagonal is zero.
+
+    The entry expands to minus the Codazzi defect, so both tables vanish
+    together.  The route stays independent of codazzi_tensor, which sums
+    h_il d_l h_jk directly: this one goes through the sharp map and the
+    five bracket terms, so each table cross-checks the other.
     """
     chart = h.chart
     n = chart.dim
-    Xs = [sharp(h, coordinate_form(chart, i)) for i in range(n)]
-    table = []
+    coords = chart.coords
+    X = [sharp(h, coordinate_form(chart, a)).components for a in range(n)]
+    dh = [[[h.entries[b][c].diff(v) for v in coords] for c in range(n)] for b in range(n)]
+    dX = [[[X[b][c].diff(v) for v in coords] for c in range(n)] for b in range(n)]
+    D = [[[_dot(X[a], dh[b][c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    P = [[[_dot(X[a], dX[b][c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
+        for j in range(i + 1, n):
             for k in range(n):
-                t1 = apply_field(Xs[i], h.entries[j][k])
-                t2 = apply_field(Xs[j], h.entries[i][k])
-                t3 = left_sym_product(Xs[j], Xs[k]).components[i]
-                t4 = left_sym_product(Xs[i], Xs[k]).components[j]
-                t5 = lie_bracket(Xs[i], Xs[j]).components[k]
-                row.append(t1 - t2 + t3 - t4 - t5)
-            plane.append(tuple(row))
-        table.append(tuple(plane))
-    return TrilinearForm(chart, tuple(table))
+                t = D[i][j][k] - D[j][i][k] + P[j][k][i] - P[i][k][j] - (P[i][j][k] - P[j][i][k])
+                table[i][j][k] = t
+                table[j][i][k] = -t
+    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
 
 
 def bracket_h(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:

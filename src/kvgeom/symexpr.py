@@ -348,7 +348,7 @@ class Expr:
             return
         if den.is_const():
             c = den.const_value()
-            self.num = num.scale(1 / c)
+            self.num = num if c == 1 else num.scale(1 / c)
             self.den = _P_ONE
             return
         g = poly_gcd(num, den)

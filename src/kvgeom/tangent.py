@@ -159,7 +159,9 @@ def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
     """Jacobiator J(i,j,k) = sum_l (P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij).
 
     Totally antisymmetric, so only i < j < k is computed; the bivector is
-    Poisson iff the table is zero.
+    Poisson iff the table is zero.  Products with a zero factor are left
+    out: on a lift the base-base and fiber-fiber blocks vanish, and so does
+    every derivative along a fiber coordinate.
     """
     chart = pi.chart
     n2 = chart.dim
@@ -171,13 +173,10 @@ def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
         for j in range(i + 1, n2):
             for k in range(j + 1, n2):
                 s = ZERO
-                for l in range(n2):
-                    s = (
-                        s
-                        + P[l][i] * dP[j][k][l]
-                        + P[l][j] * dP[k][i][l]
-                        + P[l][k] * dP[i][j][l]
-                    )
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(n2):
+                        if not (P[l][a].is_zero() or dP[b][c][l].is_zero()):
+                            s = s + P[l][a] * dP[b][c][l]
                 table[i][j][k] = s
                 table[j][k][i] = s
                 table[k][i][j] = s

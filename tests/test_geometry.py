@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bivector, random_oneform, random_point, random_scalar
+from conftest import random_bivector, random_oneform, random_point, random_poly, random_scalar
 from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
 from kvgeom.geometry import (
     Chart,
@@ -13,6 +13,7 @@ from kvgeom.geometry import (
     ScalarField,
     SymBivector,
     VectorField,
+    apply_field,
     associator,
     bivector_pair,
     bracket_h,
@@ -97,6 +98,57 @@ def test_kv_bracket_is_minus_codazzi_and_vanishes_together():
     assert kv_bracket_form(H_DIAG).is_zero()
     assert not kv_bracket_form(H_OFF).is_zero()
     assert kv_bracket_form(SymBivector.zero(M)).is_zero()
+
+
+def kv_bracket_reference(h):
+    """The five bracket terms rebuilt from whole vector fields for every (i, j, k)."""
+    chart = h.chart
+    n = chart.dim
+    Xs = [sharp(h, coordinate_form(chart, a)) for a in range(n)]
+    return [
+        [
+            [
+                apply_field(Xs[i], h.entries[j][k])
+                - apply_field(Xs[j], h.entries[i][k])
+                + left_sym_product(Xs[j], Xs[k]).components[i]
+                - left_sym_product(Xs[i], Xs[k]).components[j]
+                - lie_bracket(Xs[i], Xs[j]).components[k]
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def bivector_with_a_rational_entry(rng, chart):
+    """Random affine bivector with one entry pair replaced by (linear) / (v^2 + c).
+
+    The denominator has no rational zero; one such entry over affine ones
+    keeps the gcds small.
+    """
+    h = random_bivector(rng, chart, 1)
+    rows = [list(row) for row in h.entries]
+    i, j = rng.randrange(chart.dim), rng.randrange(chart.dim)
+    e = random_poly(rng, chart.coords, 1, terms=2) / (Expr.var(rng.choice(chart.coords)) ** 2 + rng.randint(1, 3))
+    rows[i][j] = rows[j][i] = e
+    return SymBivector(chart, tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kv_bracket_form_equals_the_per_entry_formula(n):
+    rng = random.Random(100 + n)
+    chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+    cases = [SymBivector.zero(chart), random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
+    if n <= 2:
+        cases += [random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
+    for h in cases:
+        ref = kv_bracket_reference(h)
+        table = kv_bracket_form(h)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
 
 
 def test_bracket_h_one_dim_example():

@@ -2,7 +2,7 @@
 
 import random
 
-from conftest import random_bivector, random_field, random_oneform
+from conftest import random_bivector, random_field, random_oneform, random_poly
 from kvgeom.geometry import (
     Chart,
     ScalarField,
@@ -16,6 +16,7 @@ from kvgeom.geometry import (
 )
 from kvgeom.symexpr import Expr
 from kvgeom.tangent import (
+    SkewBivector,
     build_pi,
     lift_oneform,
     lift_propositions_check,
@@ -167,6 +168,54 @@ def test_schouten_jacobi_examples():
     assert not schouten_jacobi(build_pi(h_bad)).is_zero()
     h_const = SymBivector(M, ((Expr.const(1), Expr.const(2)), (Expr.const(2), Expr.const(-1))))
     assert schouten_jacobi(build_pi(h_const)).is_zero()
+
+
+def jacobiator_reference(pi):
+    """J(i,j,k) summed over every l for every (i, j, k), zero factors included."""
+    P = pi.entries
+    coords = pi.chart.coords
+    n2 = len(coords)
+
+    def term(l, a, b, c):
+        return P[l][a] * P[b][c].diff(coords[l])
+
+    return [
+        [
+            [
+                sum((term(l, i, j, k) + term(l, j, k, i) + term(l, k, i, j) for l in range(n2)), Expr.const(0))
+                for k in range(n2)
+            ]
+            for j in range(n2)
+        ]
+        for i in range(n2)
+    ]
+
+
+def random_skew(rng, tc):
+    """Skew bivector on a tangent chart with every block filled and fiber dependence."""
+    n2 = tc.dim
+    rows = [[Expr.const(0)] * n2 for _ in range(n2)]
+    for i in range(n2):
+        for j in range(i + 1, n2):
+            if rng.random() < 0.7:
+                e = random_poly(rng, tc.chart.coords, 2, terms=2)
+                rows[i][j], rows[j][i] = e, -e
+    return SkewBivector(tc, tuple(tuple(row) for row in rows))
+
+
+def test_schouten_jacobi_equals_the_unskipped_sum():
+    rng = random.Random(38)
+    for n in (1, 2, 3):
+        chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+        tc = make_tangent_chart(chart)
+        lifts = [build_pi(h) for h in (SymBivector.zero(chart), random_bivector(rng, chart, 2), random_bivector(rng, chart, 2))]
+        for pi in lifts + [random_skew(rng, tc)]:
+            ref = jacobiator_reference(pi)
+            table = schouten_jacobi(pi)
+            for i in range(tc.dim):
+                for j in range(tc.dim):
+                    for k in range(tc.dim):
+                        assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
 
 
 def test_poisson_equivalence_on_random_bivectors():
