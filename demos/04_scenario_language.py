@@ -18,7 +18,7 @@ check rank h { points [1, 1; 0, 0] }
 """
 
 scenario = parse_scenario(SCENARIO)
-result = run_scenario(scenario, seed=42, samples=20, oracle=True)
+result = run_scenario(scenario, seed=42, samples=20)
 
 print(render_report(result.outcomes, "text"))
 print("exit code:", result.exit_code)

@@ -4,8 +4,9 @@ The package decides structural conditions (Codazzi identity, K-V maps and
 submanifolds, transversality, coisotropy) by exact polynomial identity
 testing over the rationals, constructs the derived objects (brackets,
 contravariant connection, Hamiltonian fields, tangent-bundle Poisson lift,
-induced structures, conormal algebroids), and cross-checks every symbolic
-verdict with a deterministic numeric sampling oracle.
+induced structures, conormal algebroids).  The few residuals that no
+symbolic test decides (the mixed lift residuals of ``lift_props``) are
+evaluated by a deterministic numeric sampling oracle.
 """
 
 from .errors import (

@@ -9,22 +9,23 @@ the README's list to it, so a new kind is added here and nowhere else.
 ``run(env, check, seed, samples)`` returns ``(status, details,
 witness_or_expr, zero_claims)``: ``witness_or_expr`` is a ready
 ``Witness``, a nonzero residual the engine searches a witness point for,
-or None; ``zero_claims`` are the residuals declared zero, which the
-numeric oracle re-evaluates.
+or None; ``zero_claims`` are residuals that must vanish but that no
+symbolic test decided, which the numeric oracle evaluates.  A residual a
+check has already found zero by ``is_zero()`` is a canonical zero and
+evaluates to 0 everywhere, so it is never handed over: today only
+``lift_props`` has claims, its mixed lift residuals.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra, validate_subspace
 from .errors import EngineInconsistency, InvalidSubspace, PoleAtPoint
 from .geometry import (
     codazzi_tensor,
-    in_E_residuals,
+    hessian_contraction,
     kv_bracket_form,
     lie_derivative_h,
     lie_derivative_residual,
@@ -34,6 +35,7 @@ from .geometry import (
 from .structures import (
     POINTWISE_TRUE,
     SYMBOLIC_TRUE,
+    _sample_parameters,
     coisotropy_residuals,
     conormal_algebroid,
     graph_check,
@@ -83,17 +85,16 @@ def _indexed(entries, at: tuple[int, ...] = ()):
 
 
 def _residual_verdict(residuals, passed: str, failed: str):
-    """PASS claiming every residual zero, or FAIL at the first nonzero one.
+    """PASS when every residual is zero, or FAIL at the first nonzero one.
 
     ``failed`` may contain ``{at}``, which becomes the 1-based index of the
     failing entry, e.g. ``(1,2,3)``.
     """
-    flat = list(_indexed(residuals))
-    for idx, e in flat:
+    for idx, e in _indexed(residuals):
         if not e.is_zero():
             at = "(" + ",".join(str(i + 1) for i in idx) + ")"
             return FAIL, failed.replace("{at}", at), e, []
-    return PASS, passed, None, [e for _, e in flat]
+    return PASS, passed, None, []
 
 
 # --- chart rules ------------------------------------------------------------------
@@ -273,7 +274,7 @@ def _run_preimage_transversal(env, check, seed, samples):
 
 
 def _run_in_E(env, check, seed, samples):
-    res = in_E_residuals(env.bivectors[check.args[0]], env.scalars[check.args[1]])
+    res = hessian_contraction(env.bivectors[check.args[0]], env.scalars[check.args[1]])
     return _residual_verdict(res, "function is affine along the leaves", "leafwise-affine residual nonzero at {at}")
 
 
@@ -287,12 +288,9 @@ def _run_special_class(env, check, seed, samples):
 def _run_lie_derivative(env, check, seed, samples):
     h, f = env.bivectors[check.args[0]], env.scalars[check.args[1]]
     lie = lie_derivative_h(h, f)
-    claims = []
     kv_note = ""
     if codazzi_tensor(h).is_zero():
-        res = lie_derivative_residual(h, f)
-        claims = [e for row in res for e in row]
-        if any(not e.is_zero() for e in claims):
+        if not all(e.is_zero() for row in lie_derivative_residual(h, f) for e in row):
             raise EngineInconsistency("Hamiltonian Lie-derivative identity residual is nonzero")
     else:
         kv_note = " (bivector is not K-V; identity residual not asserted)"
@@ -301,11 +299,9 @@ def _run_lie_derivative(env, check, seed, samples):
         got = lie.entries[i - 1][j - 1]
         if got != expected:
             problems.append(f"entry ({i},{j}) is {got}, expected {expected}")
-        else:
-            claims.append(got - expected)
     if problems:
         return FAIL, "; ".join(problems), None, []
-    return PASS, f"Lie derivative {_matrix_str(lie.entries)}{kv_note}", None, claims
+    return PASS, f"Lie derivative {_matrix_str(lie.entries)}{kv_note}", None, []
 
 
 def _run_lift_props(env, check, seed, samples):
@@ -340,7 +336,7 @@ def _run_algebra(env, check, seed, samples):
     tri = codazzi_tensor(algebra_to_kv(spec))
     if not tri.is_zero():
         raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
-    return PASS, "algebra laws hold; dual bivector is K-V", None, [e for _, e in _indexed(tri.entries)]
+    return PASS, "algebra laws hold; dual bivector is K-V", None, []
 
 
 def _run_annihilator(env, check, seed, samples):
@@ -366,14 +362,10 @@ def _run_annihilator(env, check, seed, samples):
 
 def _run_rank(env, check, seed, samples):
     h = env.bivectors[check.args[0]]
-    rng = random.Random(seed)
     if check.options.points is not None:
         pts = [tuple(p) for p in check.options.points]
     else:
-        pts = [
-            tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(h.chart.dim))
-            for _ in range(samples)
-        ]
+        pts = _sample_parameters(h.chart.dim, samples, seed)
     parts = []
     for p in pts:
         try:

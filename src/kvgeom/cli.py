@@ -1,8 +1,10 @@
 """Command-line entry point: run scenario files and emit deterministic reports.
 
 Exit status: 0 all checks pass (pointwise passes count), 1 on a check
-failure, 2 on a parse or semantic error, 3 when the numeric oracle
-disagrees with a symbolic verdict.
+failure, 2 on a parse or semantic error, 3 on an internal inconsistency:
+the numeric oracle found a zero claim nonzero at a sample point, or two
+routes to one verdict disagreed (``EngineInconsistency``,
+``ClosureFailure``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--no-oracle", action="store_true", help="skip the numeric cross-check")
     p.add_argument("--fail-fast", action="store_true", help="stop after the first failing check")
     p.add_argument("--list-corpus", action="store_true", help="list built-in scenarios and exit")
     return p
@@ -66,7 +67,6 @@ def run(config: RunConfig) -> tuple[int, str]:
             scenario,
             seed=config.seed,
             samples=config.samples,
-            oracle=config.oracle,
             fail_fast=config.fail_fast,
             check_offset=offset,
         )
@@ -93,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
             format=args.format,
             seed=args.seed,
             samples=args.samples,
-            oracle=not args.no_oracle,
             fail_fast=args.fail_fast,
         )
     except ValueError as exc:

@@ -1,10 +1,12 @@
 """Check execution: symbolic verdicts, deterministic numeric cross-checks, reports.
 
-Every check produces, besides its verdict, the residual expressions the
-symbolic layer declared to be zero.  With the oracle enabled these are
-re-evaluated at deterministic pseudo-random rational points in [-1, 1]^n
-(fixed seed, configurable count); a nonzero value at a non-pole point is an
-internal inconsistency and poisons the run's exit status.
+Besides its verdict, a check may hand over zero claims: residuals that must
+vanish but that no symbolic test decided (today the mixed lift residuals of
+``lift_props``).  The oracle evaluates each claim at deterministic
+pseudo-random rational points p/q with p in [-8, 8] and q in [1, 8], so in
+[-8, 8]^n (fixed seed, configurable count).  A nonzero value at a non-pole
+point, like an ``EngineInconsistency`` or ``ClosureFailure`` raised inside a
+check, is an internal inconsistency: the check fails and the run exits 3.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from typing import Sequence
 from .checks import CHECKS, FAIL, PASS, POINTWISE_PASS, UNSUPPORTED, Witness
 from .dsl import CheckDirective, CheckOutcome, Environment, Scenario, bind_scenario
 from .errors import (
+    ClosureFailure,
+    EngineInconsistency,
     InvalidSubspace,
     NotCoisotropic,
     NotTransverseAtSample,
@@ -29,11 +33,11 @@ from .symexpr import Expr
 
 @dataclass
 class CheckRecord:
-    """A rendered outcome plus the residual claims the oracle can re-check."""
+    """A rendered outcome, the claims left to the oracle, and any internal inconsistency."""
 
     outcome: CheckOutcome
     zero_claims: list[Expr] = field(default_factory=list)
-    oracle_disagreements: list[str] = field(default_factory=list)
+    inconsistencies: list[str] = field(default_factory=list)
 
 
 def _rational_point(rng: random.Random, variables: Sequence[str]) -> dict[str, Fraction]:
@@ -56,8 +60,9 @@ def _find_witness(residual: Expr, seed: int, tries: int = 200) -> Witness:
 
 
 def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
-    """Evaluate every declared-zero residual at sample points; record disagreements."""
+    """Evaluate every zero claim at sample points; a nonzero value fails the check."""
     rng = random.Random(seed)
+    disagreements = []
     for idx, claim in enumerate(record.zero_claims):
         variables = sorted(claim.variables())
         for _ in range(samples):
@@ -67,11 +72,16 @@ def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
             except PoleAtPoint:
                 continue
             if value != 0:
-                record.oracle_disagreements.append(
-                    f"claim {idx}: symbolically zero but {value} at "
+                disagreements.append(
+                    f"claim {idx}: must vanish but is {value} at "
                     f"({', '.join(str(point[v]) for v in variables)})"
                 )
                 break
+    if disagreements:
+        record.inconsistencies.extend(disagreements)
+        o = record.outcome
+        details = o.details + " | ORACLE DISAGREEMENT: " + "; ".join(disagreements)
+        record.outcome = CheckOutcome(o.name, o.kind, FAIL, o.witness, details)
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,6 @@ class RunConfig:
     format: str = "json"
     seed: int = 42
     samples: int = 20
-    oracle: bool = True
     fail_fast: bool = False
 
     def __post_init__(self):
@@ -108,6 +117,10 @@ class CheckRunner:
         ) as exc:
             outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
             return CheckRecord(outcome)
+        except (EngineInconsistency, ClosureFailure) as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            outcome = CheckOutcome(name, kind, FAIL, None, f"ENGINE INCONSISTENCY: {message}")
+            return CheckRecord(outcome, inconsistencies=[message])
 
         expected = check.options.expect or "pass"
         passed = status in (PASS, POINTWISE_PASS)
@@ -134,7 +147,6 @@ class CheckRunner:
 @dataclass
 class RunResult:
     records: list[CheckRecord]
-    parse_error: str | None = None
 
     @property
     def outcomes(self) -> list[CheckOutcome]:
@@ -145,14 +157,12 @@ class RunResult:
         return any(r.outcome.status in (FAIL, UNSUPPORTED) for r in self.records)
 
     @property
-    def any_oracle_disagreement(self) -> bool:
-        return any(r.oracle_disagreements for r in self.records)
+    def any_inconsistency(self) -> bool:
+        return any(r.inconsistencies for r in self.records)
 
     @property
     def exit_code(self) -> int:
-        if self.parse_error is not None:
-            return 2
-        if self.any_oracle_disagreement:
+        if self.any_inconsistency:
             return 3
         if self.any_failure:
             return 1
@@ -163,7 +173,6 @@ def run_scenario(
     scenario: Scenario,
     seed: int = 42,
     samples: int = 20,
-    oracle: bool = True,
     fail_fast: bool = False,
     check_offset: int = 0,
 ) -> RunResult:
@@ -173,15 +182,7 @@ def run_scenario(
     records: list[CheckRecord] = []
     for idx, check in enumerate(scenario.checks):
         record = runner.run_check(check, check_offset + idx)
-        if oracle:
-            _oracle_verify(record, seed * 7 + check_offset + idx, samples)
-            if record.oracle_disagreements:
-                details = record.outcome.details + " | ORACLE DISAGREEMENT: " + "; ".join(
-                    record.oracle_disagreements
-                )
-                record.outcome = CheckOutcome(
-                    record.outcome.name, record.outcome.kind, FAIL, record.outcome.witness, details
-                )
+        _oracle_verify(record, seed * 7 + check_offset + idx, samples)
         records.append(record)
         if fail_fast and record.outcome.status in (FAIL, UNSUPPORTED):
             break

@@ -386,10 +386,6 @@ def lie_derivative_residual(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr,
     )
 
 
-def in_E_residuals(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...], ...]:
-    return hessian_contraction(h, f)
-
-
 def in_E(h: SymBivector, f: ScalarField) -> bool:
     """Whether f is affine along the leaves: all n^2 coframe residuals vanish."""
     return all(e.is_zero() for row in hessian_contraction(h, f) for e in row)

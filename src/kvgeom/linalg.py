@@ -17,10 +17,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def zeros(m: int, n: int) -> Mat:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(m))
-
-
 def transpose(a: Mat) -> Mat:
     if not a:
         return ()

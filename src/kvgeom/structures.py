@@ -340,10 +340,6 @@ class AdaptedFrame:
     adapted_chart: Chart
     is_identity: bool
 
-    @property
-    def offset(self) -> tuple[Fraction, ...]:
-        return tuple(-x for x in linalg.matvec(self.change, self.submanifold.origin))
-
 
 def adapted_frame(n_sub: AffineSubmanifold) -> AdaptedFrame:
     """Complete the basis with standard vectors and invert exactly."""

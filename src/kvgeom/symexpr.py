@@ -113,11 +113,6 @@ class Poly:
     def variables(self) -> set[str]:
         return {v for m in self.terms for v, _ in m}
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def leading_term(self) -> tuple[Monomial, Fraction]:
         m = max(self.terms, key=_GRLEX_KEY)
         return m, self.terms[m]
@@ -380,9 +375,6 @@ class Expr:
         if not self.is_const():
             raise ValueError(f"{self} is not constant")
         return self.num.const_value()
-
-    def is_polynomial(self) -> bool:
-        return self.den == _P_ONE
 
     def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()

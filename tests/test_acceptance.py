@@ -260,10 +260,10 @@ def test_criterion_09_leafwise_affine_space_and_special_class():
 
 
 def test_criterion_10_oracle_coherence_across_corpus():
-    with criterion(10, 60.0, "numeric oracle agrees with every symbolic zero across the corpus"):
+    with criterion(10, 60.0, "numeric oracle agrees with every zero claim across the corpus"):
         for name, entry in BUILTIN_SCENARIOS.items():
-            res = run_scenario(parse_scenario(entry.text), seed=42, samples=20, oracle=True)
-            assert not res.any_oracle_disagreement, name
+            res = run_scenario(parse_scenario(entry.text), seed=42, samples=20)
+            assert not res.any_inconsistency, name
             assert res.exit_code == 0, name
 
 

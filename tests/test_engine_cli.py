@@ -1,15 +1,24 @@
 """Engine orchestration and the command-line interface: verdicts, oracle, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import kvgeom.checks
+import kvgeom.tangent
 from kvgeom.cli import build_parser, main, run
 from kvgeom.corpus import BUILTIN_SCENARIOS, get_scenario, list_corpus
 from kvgeom.dsl import parse_scenario
 from kvgeom.engine import CheckRecord, RunConfig, RunResult, _oracle_verify, run_scenario
 from kvgeom.dsl import CheckOutcome
+from kvgeom.errors import ClosureFailure
+from kvgeom.geometry import TrilinearForm
 from kvgeom.symexpr import Expr
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_text(text: str, **kw):
@@ -96,18 +105,77 @@ def test_oracle_flags_wrong_zero_claims():
         zero_claims=[Expr.var("x") + 1],
     )
     _oracle_verify(record, seed=42, samples=20)
-    assert record.oracle_disagreements
+    assert record.inconsistencies
+    assert record.outcome.status == "fail" and "ORACLE DISAGREEMENT" in record.outcome.details
     result = RunResult([record])
     assert result.exit_code == 3
 
 
 def test_oracle_runs_clean_on_true_claims():
     res = run_text(
-        "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] } check codazzi h",
-        oracle=True,
+        "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] } "
+        "scalar f on M = x check lift_props h f",
         samples=20,
     )
-    assert not res.any_oracle_disagreement
+    assert res.records[0].zero_claims
+    assert not res.any_inconsistency and res.exit_code == 0
+
+
+def test_only_lift_props_hands_claims_to_the_oracle():
+    res = run_scenario(parse_scenario(get_scenario("worked_examples").text))
+    kinds = {r.outcome.kind for r in res.records if r.zero_claims}
+    assert kinds == {"lift_props"}
+
+
+def test_oracle_catches_wrong_mixed_lift_residuals(monkeypatch, capsys):
+    true_contraction = kvgeom.tangent.hessian_contraction
+
+    def off_by_one(h, f):
+        hc = true_contraction(h, f)
+        return ((hc[0][0] + 1,) + hc[0][1:],) + hc[1:]
+
+    monkeypatch.setattr(kvgeom.tangent, "hessian_contraction", off_by_one)
+    rc = main(["--scenario", "linear_dual_pair"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 3
+    lifts = [c for c in checks if c["kind"] == "lift_props"]
+    assert lifts and any("ORACLE DISAGREEMENT" in c["details"] for c in lifts)
+    assert all(c["status"] == "fail" for c in lifts if "ORACLE DISAGREEMENT" in c["details"])
+
+
+def _wrong_bracket_table(h):
+    one = Expr.const(1)
+    n = h.chart.dim
+    return TrilinearForm(h.chart, tuple(tuple((one,) * n for _ in range(n)) for _ in range(n)))
+
+
+def _closure_failure(*args, **kwargs):
+    raise ClosureFailure("conormal product left the conormal module")
+
+
+@pytest.mark.parametrize(
+    "attr, patch, kind, error",
+    [
+        ("kv_bracket_form", _wrong_bracket_table, "kv_bracket", "EngineInconsistency"),
+        ("conormal_algebroid", _closure_failure, "conormal", "ClosureFailure"),
+    ],
+)
+def test_engine_inconsistency_exits_3_and_later_checks_run(monkeypatch, capsys, attr, patch, kind, error):
+    rc = main(["--scenario", "worked_examples"])
+    expected = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 0
+    monkeypatch.setattr(kvgeom.checks, attr, patch)
+    rc = main(["--scenario", "worked_examples"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert rc == 3
+    assert len(checks) == len(expected)
+    hit = [i for i, c in enumerate(checks) if c["kind"] == kind]
+    assert hit and hit[0] < len(checks) - 1  # checks after the inconsistent one still ran
+    for i, (got, want) in enumerate(zip(checks, expected)):
+        if i in hit:
+            assert got["status"] == "fail" and got["details"].startswith(f"ENGINE INCONSISTENCY: {error}: ")
+        else:
+            assert got == want
 
 
 def test_run_config_validation():
@@ -160,13 +228,22 @@ def test_reports_are_deterministic_across_runs():
     assert a == b
 
 
-def test_no_oracle_flag_still_produces_same_verdicts():
-    cfg = RunConfig(scenarios=("linear_dual_pair",), oracle=False)
-    code, report = run(cfg)
+def test_fail_fast_and_seed_flags_parse():
+    code, _ = run(RunConfig(scenarios=("linear_dual_pair",), fail_fast=True))
     assert code == 0
     parser = build_parser()
-    ns = parser.parse_args(["--scenario", "x.kvs", "--no-oracle", "--fail-fast", "--seed", "7"])
-    assert ns.no_oracle and ns.fail_fast and ns.seed == 7
+    ns = parser.parse_args(["--scenario", "x.kvs", "--fail-fast", "--seed", "7"])
+    assert ns.fail_fast and ns.seed == 7
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--scenario", "x.kvs", "--no-oracle"])
+
+
+def test_readme_command_lines_parse():
+    lines = re.findall(r"^kvgeom (.*)$", README.read_text(encoding="utf-8"), re.M)
+    assert len(lines) >= 4
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line))
 
 
 def test_every_builtin_scenario_parses_and_runs_green():

@@ -1,4 +1,5 @@
-"""Property tests for the symexpr kernel: ring axioms, canonical forms, calculus rules.
+"""Property tests for the symexpr kernel: ring axioms, canonical forms, calculus rules,
+gcds and substitution.
 
 Examples are derandomized and few, so the suite stays deterministic and quick.
 Polynomials have at most four terms of degree at most two in x and y, and
@@ -8,7 +9,8 @@ denominators at most two terms of degree at most one, which keeps every gcd smal
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kvgeom.symexpr import Expr, Poly
+from kvgeom.errors import PoleAtPoint, ZeroDenominator
+from kvgeom.symexpr import Expr, Poly, divexact, poly_gcd
 
 kernel = settings(
     derandomize=True,
@@ -38,6 +40,7 @@ numerators = polys(2, 4)
 denominators = polys(1, 2).filter(lambda p: not p.is_zero())
 exprs = st.one_of(numerators.map(Expr), st.builds(Expr, numerators, denominators))
 nonzero_exprs = exprs.filter(lambda e: not e.is_zero())
+points = st.fixed_dictionaries({"x": coefficients, "y": coefficients})
 
 
 @kernel
@@ -88,3 +91,26 @@ def test_product_rule(a, b, v):
 @given(exprs, nonzero_exprs, st.sampled_from(["x", "y"]))
 def test_quotient_rule(a, b, v):
     assert (a / b).diff(v) == (a.diff(v) * b - a * b.diff(v)) / (b * b)
+
+
+@kernel
+@given(numerators, numerators)
+def test_gcd_divides_both_inputs_and_is_monic(a, b):
+    if a.is_zero() and b.is_zero():
+        return
+    g = poly_gcd(a, b)
+    assert divexact(a, g) is not None
+    assert divexact(b, g) is not None
+    assert g.leading_term()[1] == 1
+
+
+@kernel
+@given(exprs, st.fixed_dictionaries({"x": exprs, "y": exprs}), points)
+def test_substitute_then_evaluate_is_evaluate_at_the_image(e, bindings, point):
+    try:
+        image = {v: b.eval_at(point) for v, b in bindings.items()}
+        expected = e.eval_at(image)
+        got = e.substitute(bindings).eval_at(point)
+    except (PoleAtPoint, ZeroDenominator):
+        return
+    assert got == expected
