@@ -5,6 +5,13 @@ affine subspaces of a chart, so every structural condition reduces to a
 polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
 determinant restricts to a nonzero constant, pointwise otherwise.
+
+Each construction is written once: ``_matvec`` is the product M v of a
+rational matrix with a vector of expressions (map components, pullbacks,
+relatedness), ``_congruence`` is M T M^T (K-V maps and the change to adapted
+coordinates), and ``expr_det`` is the one exact elimination, which yields a
+determinant and, in the same pass, the bordered determinants of a Schur
+complement.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .geometry import (
     SymBivector,
     VectorField,
     codazzi_tensor,
+    coordinate_form,
     hamiltonian,
     sharp,
 )
@@ -40,6 +48,26 @@ from .tangent import build_pi, make_tangent_chart
 
 def _frac_row(row: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in row)
+
+
+def _sum(terms) -> Expr:
+    """Sum of the terms, folded from the first one rather than from ZERO."""
+    it = iter(terms)
+    s = next(it, ZERO)
+    for t in it:
+        s = s + t
+    return s
+
+
+def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
+    """M v for a rational matrix M and a vector v of Expr, skipping the zero entries of M."""
+    return [_sum(Expr.const(c) * e for c, e in zip(row, v) if c) for row in M]
+
+
+def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M."""
+    nz = [[(i, c) for i, c in enumerate(row) if c] for row in M]
+    return [[_sum(Expr.const(c * d) * T[i][j] for i, c in ra for j, d in rb) for rb in nz] for ra in nz]
 
 
 # --- affine maps -------------------------------------------------------------
@@ -72,15 +100,8 @@ class AffineMap:
 
     def component_exprs(self) -> tuple[Expr, ...]:
         """Target coordinates as expressions in the source coordinates."""
-        xs = [Expr.var(v) for v in self.source.coords]
-        out = []
-        for i in range(self.target.dim):
-            e = Expr.const(self.offset[i])
-            for j, x in enumerate(xs):
-                if self.matrix[i][j]:
-                    e = e + Expr.const(self.matrix[i][j]) * x
-            out.append(e)
-        return tuple(out)
+        mx = _matvec(self.matrix, [Expr.var(v) for v in self.source.coords])
+        return tuple(e + c if c else e for e, c in zip(mx, self.offset))
 
     def substitution(self) -> dict[str, Expr]:
         """target coordinate name -> expression in source coordinates."""
@@ -101,14 +122,8 @@ def pullback(f: AffineMap, alpha: OneForm) -> OneForm:
         raise ChartMismatch("pullback needs a one-form on the target chart")
     sub = f.substitution()
     pulled = [a.substitute(sub) for a in alpha.components]
-    comps = []
-    for i in range(f.source.dim):
-        s = ZERO
-        for j in range(f.target.dim):
-            if f.matrix[j][i]:
-                s = s + Expr.const(f.matrix[j][i]) * pulled[j]
-        comps.append(s)
-    return OneForm(f.source, tuple(comps))
+    Mt = [[row[i] for row in f.matrix] for i in range(f.source.dim)]
+    return OneForm(f.source, tuple(_matvec(Mt, pulled)))
 
 
 def are_F_related(f: AffineMap, X: VectorField, Y: VectorField) -> bool:
@@ -120,36 +135,15 @@ def are_F_related(f: AffineMap, X: VectorField, Y: VectorField) -> bool:
 
 def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple[Expr, ...]:
     sub = f.substitution()
-    out = []
-    for i in range(f.target.dim):
-        s = ZERO
-        for j in range(f.source.dim):
-            if f.matrix[i][j]:
-                s = s + Expr.const(f.matrix[i][j]) * X.components[j]
-        out.append(s - Y.components[i].substitute(sub))
-    return tuple(out)
+    return tuple(s - y.substitute(sub) for s, y in zip(_matvec(f.matrix, X.components), Y.components))
 
 
 def _congruence_residuals(f: AffineMap, T1, T2) -> tuple[tuple[Expr, ...], ...]:
     """Entries of M T1(z) M^T - T2(F(z)) for square entry matrices on the map's charts."""
-    m, n = f.target.dim, f.source.dim
     sub = f.substitution()
-    T2F = [[T2[i][j].substitute(sub) for j in range(m)] for i in range(m)]
-    out = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            s = ZERO
-            for i in range(n):
-                if not f.matrix[a][i]:
-                    continue
-                for j in range(n):
-                    if not f.matrix[b][j]:
-                        continue
-                    s = s + Expr.const(f.matrix[a][i] * f.matrix[b][j]) * T1[i][j]
-            row.append(s - T2F[a][b])
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(s - t.substitute(sub) for s, t in zip(srow, trow)) for srow, trow in zip(_congruence(f.matrix, T1), T2)
+    )
 
 
 def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tuple[Expr, ...], ...]:
@@ -220,7 +214,7 @@ def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> The
 
     related = True
     for j in range(f.target.dim):
-        alpha = OneForm(f.target, tuple(ONE if i == j else ZERO for i in range(f.target.dim)))
+        alpha = coordinate_form(f.target, j)
         X = sharp(h1, pullback(f, alpha))
         Y = sharp(h2, alpha)
         if not are_F_related(f, X, Y):
@@ -365,33 +359,9 @@ def to_adapted_bivector(frame: AdaptedFrame, h: SymBivector) -> SymBivector:
     """Push h forward along y = P(x - o): entries P H(x(y)) P^T with x(y) = C y + o."""
     if h.chart != frame.submanifold.ambient:
         raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    amb = h.chart
-    n = amb.dim
-    ys = [Expr.var(v) for v in frame.adapted_chart.coords]
-    sub = {}
-    for i, xname in enumerate(amb.coords):
-        e = Expr.const(frame.submanifold.origin[i])
-        for j in range(n):
-            if frame.inverse[i][j]:
-                e = e + Expr.const(frame.inverse[i][j]) * ys[j]
-        sub[xname] = e
-    Hs = [[h.entries[i][j].substitute(sub) for j in range(n)] for i in range(n)]
-    P = frame.change
-    entries = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            s = ZERO
-            for i in range(n):
-                if not P[a][i]:
-                    continue
-                for j in range(n):
-                    if not P[b][j]:
-                        continue
-                    s = s + Expr.const(P[a][i] * P[b][j]) * Hs[i][j]
-            row.append(s)
-        entries.append(tuple(row))
-    return SymBivector(frame.adapted_chart, tuple(entries))
+    sub = AffineMap(frame.adapted_chart, h.chart, frame.inverse, frame.submanifold.origin).substitution()
+    Hs = [[e.substitute(sub) for e in row] for row in h.entries]
+    return SymBivector(frame.adapted_chart, tuple(map(tuple, _congruence(frame.change, Hs))))
 
 
 def _restrict(frame: AdaptedFrame, e: Expr) -> Expr:
@@ -458,27 +428,34 @@ class TransversalResult:
         return self.verdict in (SYMBOLIC_TRUE, POINTWISE_TRUE)
 
 
-def expr_det(mat: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a matrix of expressions by Bareiss fraction-free elimination.
+def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Expr]] | None]:
+    """Bareiss fraction-free elimination of the first m columns of a square matrix of Expr.
 
-    Each step divides by the previous pivot, which is exact by Sylvester's
-    identity, so polynomial entries stay polynomial throughout.
+    Pivots are taken from the first m rows only.  Returns det L, where L is
+    the leading m x m block, and the trailing block whose (i, j) entry is the
+    bordered determinant of L with row m + i and column m + j appended.  Both
+    are sign-corrected for row swaps.  Each step divides by the previous
+    pivot, which is exact by Sylvester's identity (Bareiss 1968), so
+    polynomial entries stay polynomial throughout.  When L is singular the
+    result is (ZERO, None).  A plain determinant is ``expr_det(mat, len(mat))[0]``.
     """
-    m = len(mat)
     rows = [list(r) for r in mat]
+    size = len(rows)
     prev, negate = ONE, False
     for c in range(m):
         piv = next((r for r in range(c, m) if not rows[r][c].is_zero()), None)
         if piv is None:
-            return ZERO
+            return ZERO, None
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             negate = not negate
         p = rows[c][c]
-        for r in range(c + 1, m):
-            rows[r][c + 1:] = [(p * rows[r][j] - rows[r][c] * rows[c][j]) / prev for j in range(c + 1, m)]
+        for r in range(c + 1, size):
+            rows[r][c + 1:] = [(p * rows[r][j] - rows[r][c] * rows[c][j]) / prev for j in range(c + 1, size)]
         prev = p
-    return -prev if negate else prev
+    if negate:
+        return -prev, [[-e for e in row[m:]] for row in rows[m:]]
+    return prev, [row[m:] for row in rows[m:]]
 
 
 def _sample_parameters(k: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -489,16 +466,6 @@ def _sample_parameters(k: int, count: int, seed: int) -> list[tuple[Fraction, ..
     return out
 
 
-def _adapted_blocks(frame: AdaptedFrame, h: SymBivector):
-    """Tangent-tangent, tangent-conormal and conormal-conormal blocks restricted to N."""
-    k, n = frame.submanifold.dim, frame.submanifold.ambient.dim
-    hy = to_adapted_bivector(frame, h)
-    A = [[_restrict(frame, hy.entries[i][j]) for j in range(k)] for i in range(k)]
-    B = [[_restrict(frame, hy.entries[i][j]) for j in range(k, n)] for i in range(k)]
-    D = [[_restrict(frame, hy.entries[i][j]) for j in range(k, n)] for i in range(k, n)]
-    return A, B, D
-
-
 def is_transversal(
     n_sub: AffineSubmanifold,
     h: SymBivector,
@@ -506,19 +473,29 @@ def is_transversal(
     samples: int = 8,
     seed: int = 42,
 ) -> TransversalResult:
-    """Transversal iff the conormal-conormal block is invertible along N.
+    """Transversal iff the conormal-conormal block D is invertible along N.
 
     The induced structure is the Schur complement A - B D^{-1} B^T restricted
     to N, with rational-function entries.  By Sylvester's identity its (i, j)
-    entry is det [[D, B_j^T], [B_i, A_ij]] / det D, one division per entry.
+    entry is det [[D, B_j^T], [B_i, A_ij]] / det D, and one Bareiss pass over
+    [[D, B^T], [B, A]] yields det D and all these bordered determinants.
     """
     frame = adapted_frame(n_sub)
-    k = n_sub.dim
+    k, n = n_sub.dim, n_sub.ambient.dim
+    given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
+    if given is not None and None in given:
+        at = ", ".join(str(Fraction(q)) for q in sample_points[given.index(None)])
+        raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
     ambient_kv = codazzi_tensor(h).is_zero()
-    if k == n_sub.ambient.dim and frame.is_identity:
+    if k == n and frame.is_identity:
         return TransversalResult(SYMBOLIC_TRUE, ONE, h, (), ambient_kv)
-    A, B, D = _adapted_blocks(frame, h)
-    det = expr_det(D)
+    hy = to_adapted_bivector(frame, h).entries
+    # h is symmetric, so the block B^T is read off the restricted B
+    D = [[_restrict(frame, e) for e in row[k:]] for row in hy[k:]]
+    B = [[_restrict(frame, e) for e in row[k:]] for row in hy[:k]]
+    A = [[_restrict(frame, e) for e in row[:k]] for row in hy[:k]]
+    bordered = [D[a] + [b[a] for b in B] for a in range(n - k)] + [bi + ai for bi, ai in zip(B, A)]
+    det, trailing = expr_det(bordered, n - k)
 
     if det.is_zero():
         pts = [tuple(Fraction(0) for _ in range(k))]
@@ -528,15 +505,7 @@ def is_transversal(
         verdict = SYMBOLIC_TRUE
         sample_report: tuple = ()
     else:
-        if sample_points is not None:
-            pts = []
-            for p in sample_points:
-                params = n_sub.parameters_of(p)
-                if params is None:
-                    raise PreconditionViolated(f"sample point {list(p)} does not lie on the submanifold")
-                pts.append(params)
-        else:
-            pts = _sample_parameters(k, samples, seed)
+        pts = given if given is not None else _sample_parameters(k, samples, seed)
         results = []
         all_ok = True
         for params in pts:
@@ -550,11 +519,7 @@ def is_transversal(
 
     induced = None
     if verdict != FALSE:
-        schur = tuple(
-            tuple(expr_det([d + [b] for d, b in zip(D, B[j])] + [B[i] + [A[i][j]]]) / det for j in range(k))
-            for i in range(k)
-        )
-        induced = SymBivector(induced_chart(frame), schur)
+        induced = SymBivector(induced_chart(frame), tuple(tuple(e / det for e in row) for row in trailing))
     return TransversalResult(verdict, det, induced, sample_report, ambient_kv)
 
 
@@ -562,9 +527,11 @@ def is_transversal(
 
 
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
+    """The conormal-conormal block of h in adapted coordinates, restricted to N."""
     frame = adapted_frame(n_sub)
-    _, _, D = _adapted_blocks(frame, h)
-    return tuple(e for row in D for e in row)
+    k = n_sub.dim
+    hy = to_adapted_bivector(frame, h).entries
+    return tuple(_restrict(frame, e) for row in hy[k:] for e in row[k:])
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:

@@ -537,27 +537,42 @@ def _poly_str(p: Poly) -> str:
 # unary  := ('-'|'+') unary | power
 # power  := atom ['^' ['-'] INT]
 # atom   := INT | NAME | '(' expr ')'
+#
+# Each parenthesis and each unary sign nests one level deeper.  The cap is
+# fixed, and far below what the interpreter's recursion limit allows, so
+# whether an expression parses depends on its text alone.
+
+_MAX_NESTING = 100
+
+
+class _TooDeep(Exception):
+    pass
 
 
 def parse_expression(tokens: list[Token], i: int) -> tuple[Expr, int]:
     """Parse an expression from a token stream; returns (Expr, next index)."""
-    return _parse_sum(tokens, i)
+    try:
+        return _parse_sum(tokens, i, 0)
+    except _TooDeep:
+        t = tokens[i]
+        message = f"expression nested too deeply (more than {_MAX_NESTING} levels)"
+        raise ParseError(t.line, t.col, message, t.text) from None
 
 
-def _parse_sum(tokens, i):
-    e, i = _parse_term(tokens, i)
+def _parse_sum(tokens, i, depth):
+    e, i = _parse_term(tokens, i, depth)
     while tokens[i].kind == "punct" and tokens[i].text in "+-":
         op = tokens[i]
-        rhs, i = _parse_term(tokens, i + 1)
+        rhs, i = _parse_term(tokens, i + 1, depth)
         e = e + rhs if op.text == "+" else e - rhs
     return e, i
 
 
-def _parse_term(tokens, i):
-    e, i = _parse_unary(tokens, i)
+def _parse_term(tokens, i, depth):
+    e, i = _parse_unary(tokens, i, depth)
     while tokens[i].kind == "punct" and tokens[i].text in "*/":
         op = tokens[i]
-        rhs, i = _parse_unary(tokens, i + 1)
+        rhs, i = _parse_unary(tokens, i + 1, depth)
         if op.text == "*":
             e = e * rhs
         else:
@@ -567,16 +582,22 @@ def _parse_term(tokens, i):
     return e, i
 
 
-def _parse_unary(tokens, i):
+def _deeper(depth):
+    if depth >= _MAX_NESTING:
+        raise _TooDeep
+    return depth + 1
+
+
+def _parse_unary(tokens, i, depth):
     t = tokens[i]
     if t.kind == "punct" and t.text in "+-":
-        e, i = _parse_unary(tokens, i + 1)
+        e, i = _parse_unary(tokens, i + 1, _deeper(depth))
         return (-e if t.text == "-" else e), i
-    return _parse_power(tokens, i)
+    return _parse_power(tokens, i, depth)
 
 
-def _parse_power(tokens, i):
-    e, i = _parse_atom(tokens, i)
+def _parse_power(tokens, i, depth):
+    e, i = _parse_atom(tokens, i, depth)
     t = tokens[i]
     if t.kind == "punct" and t.text == "^":
         i += 1
@@ -594,14 +615,14 @@ def _parse_power(tokens, i):
     return e, i
 
 
-def _parse_atom(tokens, i):
+def _parse_atom(tokens, i, depth):
     t = tokens[i]
     if t.kind == "int":
         return Expr.const(int(t.text)), i + 1
     if t.kind == "name":
         return Expr.var(t.text), i + 1
     if t.kind == "punct" and t.text == "(":
-        e, i = _parse_sum(tokens, i + 1)
+        e, i = _parse_sum(tokens, i + 1, _deeper(depth))
         t2 = tokens[i]
         if not (t2.kind == "punct" and t2.text == ")"):
             raise ParseError(t2.line, t2.col, "expected ')'", t2.text)

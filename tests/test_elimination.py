@@ -1,8 +1,9 @@
 """Exact elimination against an independent Fraction route, at fixed seeds.
 
-``expr_det`` is compared at random rational points with the Leibniz
-determinant of the evaluated matrix, and the induced structure of
-``is_transversal`` with ``A - B D^{-1} B^T`` built from ``linalg.inverse``
+``expr_det`` is compared at random rational points with Leibniz
+determinants of the evaluated matrix: the leading block's, and every
+bordered one of its trailing block.  The induced structure of
+``is_transversal`` is compared with ``A - B D^{-1} B^T`` built from ``linalg.inverse``
 at the same point.  The inputs mix polynomial and rational-function
 entries, and zero entries, so leading pivots vanish and rows are swapped.
 """
@@ -56,22 +57,35 @@ def evaluated(rows, env):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_expr_det_matches_fraction_determinant(seed):
+    """expr_det(mat, m): det of the leading m x m block L, and the trailing k x k
+    block whose (i, j) entry is det [[L, column m + j], [row m + i, entry]]."""
     rng = random.Random(seed)
     coords = ("x", "y")
-    swaps = 0
+    swaps = singular = 0
     for m in range(4):
-        for _ in range(4):
-            # rational entries up to m = 2: poly_gcd in two variables can run for minutes at m = 3
-            mat = [[random_entry(rng, coords, rational=m <= 2) for _ in range(m)] for _ in range(m)]
-            if m >= 2 and rng.random() < 0.25:  # a multiple of another row: singular
-                a, b = rng.sample(range(m), 2)
-                mat[a] = [e * rng.choice((2, -1, Fraction(1, 3))) for e in mat[b]]
-            swaps += m > 0 and mat[0][0].is_zero()
-            det = expr_det(mat)
+        for k in range(3):
             for _ in range(3):
-                env = dict(zip(coords, random_point(rng, len(coords))))
-                assert det.eval_at(env) == leibniz_det(evaluated(mat, env))
-    assert swaps > 0
+                size = m + k
+                # rational entries up to size 2: poly_gcd in two variables can run for minutes at size 3
+                mat = [[random_entry(rng, coords, rational=size <= 2) for _ in range(size)] for _ in range(size)]
+                if m >= 2 and rng.random() < 0.3:  # a multiple of another leading row: L is singular
+                    a, b = rng.sample(range(m), 2)
+                    mat[a] = [e * rng.choice((2, -1, Fraction(1, 3))) for e in mat[b]]
+                swaps += m > 1 and mat[0][0].is_zero()
+                det, trailing = expr_det(mat, m)
+                assert (trailing is None) == det.is_zero()
+                singular += trailing is None
+                assert trailing is None or [len(row) for row in trailing] == [k] * k
+                for _ in range(3):
+                    env = dict(zip(coords, random_point(rng, len(coords))))
+                    F = evaluated(mat, env)
+                    assert det.eval_at(env) == leibniz_det([row[:m] for row in F[:m]])
+                    if trailing is None:
+                        continue
+                    for i, j in itertools.product(range(k), repeat=2):
+                        bordered = [row[:m] + [row[m + j]] for row in F[:m]] + [F[m + i][:m] + [F[m + i][m + j]]]
+                        assert trailing[i][j].eval_at(env) == leibniz_det(bordered)
+    assert swaps > 0 and singular > 0
 
 
 def adapted_blocks_at(frame, h: SymBivector, params):

@@ -205,6 +205,15 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == 2 and "error" in report
 
 
+@pytest.mark.parametrize("scalar", ["(" * 1500 + "x" + ")" * 1500, "-" * 5000 + "x"])
+def test_deeply_nested_expression_exits_2(tmp_path, scalar):
+    path = tmp_path / "deep.kvs"
+    path.write_text(f"manifold M {{ dim 1 coords [x] }}\nscalar f on M = {scalar}\n")
+    code, report = run(RunConfig(scenarios=(str(path),)))
+    assert code == 2
+    assert "2:17: expression nested too deeply" in report
+
+
 def test_cli_main_and_flags(capsys):
     rc = main(["--list-corpus"])
     out1 = capsys.readouterr().out

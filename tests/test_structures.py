@@ -5,7 +5,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_point
+from conftest import random_bivector, random_field, random_oneform, random_point
+from kvgeom import linalg
 from kvgeom.errors import (
     ChartMismatch,
     DegenerateBasis,
@@ -45,6 +46,7 @@ from kvgeom.structures import (
     preimage_transversal,
     product_kv,
     pullback,
+    relatedness_residuals,
     theorem1_equivalences,
     to_adapted_bivector,
 )
@@ -71,6 +73,70 @@ def test_pullback_and_relatedness_basics():
     incl = AffineMap(L, P, ((Fr(1),), (Fr(0),)), (Fr(0), Fr(0)))
     dy = coordinate_form(P, 1)
     assert all(c.is_zero() for c in pullback(incl, dy).components)
+
+
+def _matmul(a, b, rows: int, cols: int):
+    """linalg.matmul, or the rows x cols zero matrix when a dimension is 0 and it returns ()."""
+    return linalg.matmul(a, b) or tuple((Fr(0),) * cols for _ in range(rows))
+
+
+def _column(v):
+    return tuple((x,) for x in v)
+
+
+def _at(rows, env):
+    return tuple(tuple(e.eval_at(env) for e in row) for row in rows)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)])
+def test_products_and_congruences_match_linalg(n, m):
+    """pullback, relatedness and K-V map residuals of a random m x n map, at points, by linalg."""
+    rng = random.Random(10 * n + m)
+    S = Chart("S", tuple(f"s{i + 1}" for i in range(n)))
+    T = Chart("T", tuple(f"t{i + 1}" for i in range(m)))
+    for _ in range(3):
+        M = linalg.to_mat([[rng.choice((0, 0, 1, -2, Fr(1, 3), Fr(5, 2))) for _ in range(n)] for _ in range(m)])
+        f = AffineMap(S, T, M, random_point(rng, m))
+        alpha, X, Y = random_oneform(rng, T), random_field(rng, S), random_field(rng, T)
+        h1, h2 = random_bivector(rng, S), random_bivector(rng, T)
+        pulled = pullback(f, alpha).components
+        related = relatedness_residuals(f, X, Y)
+        kv = kv_map_residuals(f, h1, h2)
+        Mt = tuple(tuple(row[i] for row in M) for i in range(n))
+        for _ in range(3):
+            p = random_point(rng, n)
+            env, env_t = dict(zip(S.coords, p)), dict(zip(T.coords, f.apply(p)))
+            a_F = _column(e.eval_at(env_t) for e in alpha.components)
+            assert _column(e.eval_at(env) for e in pulled) == _matmul(Mt, a_F, n, 1)
+            MX = _matmul(M, _column(e.eval_at(env) for e in X.components), m, 1)
+            assert tuple(e.eval_at(env) for e in related) == tuple(
+                a[0] - e.eval_at(env_t) for a, e in zip(MX, Y.components)
+            )
+            MHMt = _matmul(_matmul(M, _at(h1.entries, env), m, n), Mt, m, m)
+            H2F = _at(h2.entries, env_t)
+            assert _at(kv, env) == tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(MHMt, H2F))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_to_adapted_bivector_matches_linalg(n):
+    """P H(C y + o) P^T at points, for random affine submanifolds of every dimension."""
+    rng = random.Random(n)
+    chart = Chart("R", tuple(f"x{i + 1}" for i in range(n)))
+    for k in range(n + 1):
+        while True:
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            if linalg.rank(basis) == k:
+                break
+        frame = adapted_frame(AffineSubmanifold(chart, random_point(rng, n), basis))
+        h = random_bivector(rng, chart)
+        hy = to_adapted_bivector(frame, h)
+        C, P_ = frame.inverse, frame.change
+        for _ in range(3):
+            y = random_point(rng, n)
+            x = tuple(a + o for a, o in zip(linalg.matvec(C, y), frame.submanifold.origin))
+            H = _at(h.entries, dict(zip(chart.coords, x)))
+            want = linalg.matmul(linalg.matmul(P_, H), linalg.transpose(P_))
+            assert _at(hy.entries, dict(zip(frame.adapted_chart.coords, y))) == want
 
 
 def test_relatedness_of_hamiltonian_fields_on_kv_maps():
@@ -317,8 +383,13 @@ def test_transversal_with_explicit_sample_points():
     assert tr.verdict == POINTWISE_TRUE
     tr2 = is_transversal(axis, hx, sample_points=((0, 0),))
     assert tr2.verdict == FALSE
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=r"sample point \(1, 5\) does not lie"):
         is_transversal(axis, hx, sample_points=((1, 5),))
+    # with a constant determinant the points are not needed, but are still checked
+    std = SymBivector.standard(P)
+    assert is_transversal(axis, std, sample_points=((1, 0),)).verdict == SYMBOLIC_TRUE
+    with pytest.raises(PreconditionViolated, match=r"sample point \(5, 5\) does not lie"):
+        is_transversal(axis, std, sample_points=((Fr(5), Fr(5)),))
 
 
 def test_schur_complement_with_rational_entries():
@@ -529,12 +600,12 @@ def test_leaf_openness_and_transverse_intersection():
 
 def test_expr_matrix_helpers():
     m = [[X_, Expr.const(1)], [Expr.const(1), Y_]]
-    assert expr_det(m) == X_ * Y_ - 1
+    assert expr_det(m, 2)[0] == X_ * Y_ - 1
     # a zero leading pivot forces a row swap, which flips the sign
-    assert expr_det([[Expr.const(0), Expr.const(1)], [Expr.const(1), X_]]) == Expr.const(-1)
+    assert expr_det([[Expr.const(0), Expr.const(1)], [Expr.const(1), X_]], 2)[0] == Expr.const(-1)
     singular = [[X_, X_], [X_, X_]]
-    assert expr_det(singular).is_zero()
-    assert expr_det([]) == Expr.const(1)
+    assert expr_det(singular, 2) == (Expr.const(0), None)
+    assert expr_det([], 0) == (Expr.const(1), [])
 
 
 def test_chart_mismatch_errors():

@@ -198,6 +198,28 @@ def test_parse_errors_are_positioned():
         parse_expr("x y")
 
 
+def _parse_at_depth(frames: int, text: str):
+    """parse_expr called from ``frames`` extra Python stack frames."""
+    return parse_expr(text) if frames == 0 else _parse_at_depth(frames - 1, text)
+
+
+def test_deep_nesting_is_a_positioned_parse_error():
+    for text, col in (
+        ("(" * 1500 + "x" + ")" * 1500, 1),
+        ("-" * 5000 + "x", 1),
+        ("  x + " + "-(" * 60 + "y" + ")" * 60, 3),  # 120 levels, mixed; the error is at the first token, x
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert "nested too deeply" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (1, col)
+    # 100 levels parse, also when the caller is already deep in the stack
+    x = Expr.var("x")
+    assert _parse_at_depth(300, "(" * 100 + "x" + ")" * 100) == x
+    assert _parse_at_depth(300, "-" * 100 + "x") == x
+    assert parse_expr("-" * 99 + "x") == -x
+
+
 def test_canonical_monomial_order_in_strings():
     # graded lex, alphabetical variable names, descending
     e = Expr.var("y") + Expr.var("x") + Expr.var("x") * Expr.var("y") + Expr.const(1)
