@@ -20,6 +20,7 @@ from .checks import CHECKS, FAIL, PASS, POINTWISE_PASS, UNSUPPORTED, Witness
 from .dsl import CheckDirective, CheckOutcome, Environment, Scenario, bind_scenario
 from .errors import (
     ClosureFailure,
+    DegreeOverflow,
     EngineInconsistency,
     InvalidSubspace,
     NotCoisotropic,
@@ -113,7 +114,8 @@ class CheckRunner:
         try:
             status, details, witness_expr, claims = CHECKS[kind].run(self.env, check, seed, samples)
         except (
-            PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint
+            PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint,
+            DegreeOverflow,
         ) as exc:
             outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
             return CheckRecord(outcome)

@@ -9,6 +9,10 @@ class ZeroDenominator(KVError):
     """A rational-function denominator normalized to the zero polynomial."""
 
 
+class DegreeOverflow(KVError):
+    """A polynomial degree reached the width of a packed exponent field."""
+
+
 class UnknownVariable(KVError):
     """A variable is not a coordinate of the relevant chart."""
 

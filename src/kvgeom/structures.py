@@ -26,6 +26,7 @@ from .errors import (
     ChartMismatch,
     ClosureFailure,
     DegenerateBasis,
+    EngineInconsistency,
     NotCoisotropic,
     NotTransverseAtSample,
     PoleAtPoint,
@@ -42,7 +43,7 @@ from .geometry import (
     hamiltonian,
     sharp,
 )
-from .symexpr import ONE, ZERO, Expr, Rational
+from .symexpr import ONE, ZERO, Expr, Rational, divexact
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -371,6 +372,12 @@ def _restrict(frame: AdaptedFrame, e: Expr) -> Expr:
     return e.substitute(sub) if sub else e
 
 
+def _conormal_block(frame: AdaptedFrame, hy: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """The conormal-conormal block of adapted entries, restricted to N."""
+    k = frame.submanifold.dim
+    return [[_restrict(frame, e) for e in row[k:]] for row in hy[k:]]
+
+
 def induced_chart(frame: AdaptedFrame) -> Chart:
     k = frame.submanifold.dim
     return Chart(f"{frame.submanifold.ambient.name}_ind", frame.adapted_chart.coords[:k])
@@ -436,11 +443,15 @@ def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Exp
     bordered determinant of L with row m + i and column m + j appended.  Both
     are sign-corrected for row swaps.  Each step divides by the previous
     pivot, which is exact by Sylvester's identity (Bareiss 1968), so
-    polynomial entries stay polynomial throughout.  When L is singular the
+    polynomial entries stay polynomial throughout: when every entry is a
+    polynomial the quotient is ``divexact`` of the numerators, with no gcd,
+    and rational entries divide as expressions.  When L is singular the
     result is (ZERO, None).  A plain determinant is ``expr_det(mat, len(mat))[0]``.
     """
     rows = [list(r) for r in mat]
     size = len(rows)
+    polynomial = all(e.den.is_const() for row in rows for e in row)
+    quotient = _exact_quotient if polynomial else Expr.__truediv__
     prev, negate = ONE, False
     for c in range(m):
         piv = next((r for r in range(c, m) if not rows[r][c].is_zero()), None)
@@ -451,11 +462,19 @@ def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Exp
             negate = not negate
         p = rows[c][c]
         for r in range(c + 1, size):
-            rows[r][c + 1:] = [(p * rows[r][j] - rows[r][c] * rows[c][j]) / prev for j in range(c + 1, size)]
+            rows[r][c + 1:] = [quotient(p * rows[r][j] - rows[r][c] * rows[c][j], prev) for j in range(c + 1, size)]
         prev = p
     if negate:
         return -prev, [[-e for e in row[m:]] for row in rows[m:]]
     return prev, [row[m:] for row in rows[m:]]
+
+
+def _exact_quotient(x: Expr, d: Expr) -> Expr:
+    """x / d for polynomials that Sylvester's identity says d divides."""
+    q = divexact(x.num, d.num)
+    if q is None:
+        raise EngineInconsistency(f"Bareiss step {x} is not divisible by the previous pivot {d}")
+    return Expr(q)
 
 
 def _sample_parameters(k: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -491,15 +510,15 @@ def is_transversal(
         return TransversalResult(SYMBOLIC_TRUE, ONE, h, (), ambient_kv)
     hy = to_adapted_bivector(frame, h).entries
     # h is symmetric, so the block B^T is read off the restricted B
-    D = [[_restrict(frame, e) for e in row[k:]] for row in hy[k:]]
+    D = _conormal_block(frame, hy)
     B = [[_restrict(frame, e) for e in row[k:]] for row in hy[:k]]
     A = [[_restrict(frame, e) for e in row[:k]] for row in hy[:k]]
     bordered = [D[a] + [b[a] for b in B] for a in range(n - k)] + [bi + ai for bi, ai in zip(B, A)]
     det, trailing = expr_det(bordered, n - k)
 
     if det.is_zero():
-        pts = [tuple(Fraction(0) for _ in range(k))]
-        return TransversalResult(FALSE, det, None, tuple((p, False) for p in pts), ambient_kv)
+        pts = given if given is not None else [tuple(Fraction(0) for _ in range(k))]
+        return TransversalResult(FALSE, det, None, tuple((tuple(p), False) for p in pts), ambient_kv)
 
     if det.is_const():
         verdict = SYMBOLIC_TRUE
@@ -529,9 +548,7 @@ def is_transversal(
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
     """The conormal-conormal block of h in adapted coordinates, restricted to N."""
     frame = adapted_frame(n_sub)
-    k = n_sub.dim
-    hy = to_adapted_bivector(frame, h).entries
-    return tuple(_restrict(frame, e) for row in hy[k:] for e in row[k:])
+    return tuple(e for row in _conormal_block(frame, to_adapted_bivector(frame, h).entries) for e in row)
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -626,12 +643,12 @@ def conormal_algebroid(
     sum_j (d h_ab / d y_j) dy_j; coisotropy makes the tangential part vanish
     on N, so the table collects the conormal coefficients.
     """
-    if not is_coisotropic(n_sub, h):
-        raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
     hy = to_adapted_bivector(frame, h)
+    if not all(e.is_zero() for row in _conormal_block(frame, hy.entries) for e in row):
+        raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = induced_chart(frame)
     coords = frame.adapted_chart.coords
 

@@ -1,20 +1,31 @@
 """Exact multivariate rational-function arithmetic over the rationals.
 
-All scalar data in the engine lives here: an ``Expr`` is a quotient of two
-multivariate polynomials with ``fractions.Fraction`` coefficients, kept in a
-canonical form (numerator and denominator coprime, denominator monic,
-monomials ordered graded-lexicographically over alphabetically ordered
-variable names).  Equality of canonical forms therefore decides equality of
-rational functions, which is the zero-test every identity check relies on.
+All scalar data in the engine lives here.  A ``Poly`` is a polynomial over Q
+held as integers: ``vars`` is the sorted tuple of exactly the variables that
+occur, ``terms`` maps a packed monomial key to a nonzero integer coefficient,
+and ``den`` is one positive integer denominator, coprime to the coefficients.
+A key packs the total degree and then the exponents of ``vars``, each into a
+fixed-width field (the layout of Monagan and Pearce 2007), so integer order on
+keys is graded-lexicographic order over alphabetically ordered variable names,
+a monomial product is a sum of keys and divisibility is one subtraction and a
+guard-bit mask.  Every degree stays below the guard bit; a product or power
+that would reach it raises ``DegreeOverflow``, so fields never wrap.
+
+An ``Expr`` is a quotient of two ``Poly`` in canonical form: numerator and
+denominator coprime, denominator monic.  Both representations are unique, so
+equality of canonical forms decides equality of rational functions, which is
+the zero-test every identity check relies on.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import lru_cache, reduce
+from math import gcd
 from typing import Iterable, Mapping, Union
 
-from .errors import ParseError, PoleAtPoint, UnknownVariable, ZeroDenominator
+from .errors import DegreeOverflow, ParseError, PoleAtPoint, UnknownVariable, ZeroDenominator
 from .lex import Token, tokenize
 
 Rational = Fraction
@@ -22,253 +33,397 @@ Monomial = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by var, exp >
 
 Scalar = Union[int, Fraction]
 
-
-def _cmp_grlex(a: Monomial, b: Monomial) -> int:
-    """Graded lex: total degree first, then earlier variable with larger exponent wins."""
-    da = sum(e for _, e in a)
-    db = sum(e for _, e in b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = 0, 0
-    while ia < len(a) or ib < len(b):
-        va = a[ia][0] if ia < len(a) else None
-        vb = b[ib][0] if ib < len(b) else None
-        if vb is None or (va is not None and va < vb):
-            return 1  # a has a positive exponent on an earlier variable
-        if va is None or vb < va:
-            return -1
-        ea, eb = a[ia][1], b[ib][1]
-        if ea != eb:
-            return 1 if ea > eb else -1
-        ia += 1
-        ib += 1
-    return 0
+_W = 32  # bits per field of a packed key
+_HALF = 1 << (_W - 1)  # the guard bit of a field; degrees stay below it
+_FIELD = (1 << _W) - 1
+_UNIT = {0: 1}  # the terms of the constant 1
 
 
-_GRLEX_KEY = cmp_to_key(_cmp_grlex)
+def _guard(n: int) -> int:
+    """The guard bits of the n + 1 fields of a key over n variables."""
+    return ((1 << ((n + 1) * _W)) - 1) // _FIELD * _HALF
 
 
-def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _check_degree(top_key: int, n: int) -> None:
+    deg = top_key >> (n * _W)
+    if deg >= _HALF:
+        raise DegreeOverflow(f"polynomial degree {deg} exceeds the largest supported degree {_HALF - 1}")
 
 
-def _div_mono(a: Monomial, b: Monomial) -> Monomial | None:
-    """a / b, or None when b does not divide a."""
-    d = dict(a)
-    for v, e in b:
-        r = d.get(v, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            d.pop(v, None)
+def _exponents(k: int, n: int) -> list[int]:
+    es = []
+    for _ in range(n):
+        es.append(k & _FIELD)
+        k >>= _W
+    es.reverse()
+    return es
+
+
+@lru_cache(maxsize=1024)
+def _plan(src: tuple[str, ...], dst: tuple[str, ...]) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """How keys over ``src`` move to ``dst``: the shifts of the leading run of
+    shared fields (the degree first), then (mask, shift, shift) per later run."""
+    pos = {v: j for j, v in enumerate(dst)}
+    runs = [[-1, -1, 1]]  # [src index, dst index, length]; index -1 is the degree
+    for i, v in enumerate(src):
+        j = pos.get(v)
+        if j is None:
+            continue
+        run = runs[-1]
+        if run[0] + run[2] == i and run[1] + run[2] == j:
+            run[2] += 1
         else:
-            d[v] = r
-    return tuple(sorted(d.items()))
+            runs.append([i, j, 1])
+    ns, nd = len(src), len(dst)
+    # field index i of a key over n variables sits at shift (n - 1 - i) * W
+    (i, j, r), rest = runs[0], runs[1:]
+    moves = tuple(((1 << (r * _W)) - 1, (ns - i - r) * _W, (nd - j - r) * _W) for i, j, r in rest)
+    return (ns - i - r) * _W, (nd - j - r) * _W, moves
+
+
+def _repack(terms: dict[int, int], src: tuple[str, ...], dst: tuple[str, ...]) -> dict[int, int]:
+    """Keys over ``src`` re-packed over ``dst``; variables of ``src`` missing
+    from ``dst`` must have exponent 0 in every key."""
+    if src == dst or not src:  # over no variables the only key is 0
+        return terms
+    s0, d0, moves = _plan(src, dst)
+    if not moves:
+        return {k >> s0 << d0: c for k, c in terms.items()}
+    out = {}
+    for k, c in terms.items():
+        kk = k >> s0 << d0
+        for m, s, d in moves:
+            kk |= (k >> s & m) << d
+        out[kk] = c
+    return out
+
+
+def _mul_terms(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
+    """Product of two term dicts over the same n variables."""
+    if not a or not b:
+        return {}
+    top = max(a) + max(b)
+    if top >> (n * _W) >= _HALF:
+        _check_degree(top, n)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((k1, c1),) = a.items()
+        return {k1 + k: c1 * c for k, c in b.items()}
+    t: dict[int, int] = {}
+    get = t.get
+    bi = list(b.items())
+    for k1, c1 in a.items():
+        for k2, c2 in bi:
+            k = k1 + k2
+            t[k] = get(k, 0) + c1 * c2
+    if 0 in t.values():
+        t = {k: c for k, c in t.items() if c}
+    return t
+
+
+def _new(vars: tuple[str, ...], terms: dict[int, int], den: int) -> "Poly":
+    p = Poly.__new__(Poly)
+    p.vars = vars
+    p.terms = terms
+    p.den = den
+    return p
+
+
+def _make(vars: tuple[str, ...], terms: dict[int, int], den: int = 1, shrink: bool = True) -> "Poly":
+    """A canonical Poly from nonzero integer terms over ``den`` > 0: the
+    content shared with ``den`` cancelled and, with ``shrink``, ``vars`` cut
+    to the variables that occur."""
+    if not terms:
+        return _P_ZERO
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    if shrink and vars:
+        occ = reduce(operator.or_, terms)
+        n = len(vars)
+        used = tuple(v for i, v in enumerate(vars) if occ >> ((n - 1 - i) * _W) & _FIELD)
+        if len(used) != n:
+            terms = _repack(terms, vars, used)
+            vars = used
+    return _new(vars, terms, den)
+
+
+@lru_cache(maxsize=1024)
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(sorted(set(a).union(b)))
+
+
+def _align(a: "Poly", b: "Poly") -> tuple[tuple[str, ...], dict[int, int], dict[int, int]]:
+    """The terms of a and b over the union of their variables."""
+    if a.vars == b.vars:
+        return a.vars, a.terms, b.terms
+    vs = _union(a.vars, b.vars)
+    return vs, _repack(a.terms, a.vars, vs), _repack(b.terms, b.vars, vs)
 
 
 class Poly:
-    """Sparse multivariate polynomial over the rationals."""
+    """Sparse multivariate polynomial over the rationals, with integer
+    coefficients over one denominator and packed monomial keys."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        t: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[m] = c
-        self.terms = t
+        p = _P_ZERO
+        for m, c in (terms or {}).items():
+            t = Poly.const(c)
+            for v, e in m:
+                t = t * Poly.var(v) ** e
+            p = p + t
+        self.vars, self.terms, self.den = p.vars, p.terms, p.den
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return _P_ZERO
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
-        return cls({(): Fraction(c)})
+        c = Fraction(c)
+        return _new((), {0: c.numerator}, c.denominator) if c else _P_ZERO
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return _new((name,), {(1 << _W) | 1: 1}, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not self.vars
 
     def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return self.terms[()]
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def variables(self) -> set[str]:
-        return {v for m in self.terms for v, _ in m}
+        return set(self.vars)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
-        m = max(self.terms, key=_GRLEX_KEY)
-        return m, self.terms[m]
+        k = max(self.terms)
+        mono = tuple((v, e) for v, e in zip(self.vars, _exponents(k, len(self.vars))) if e)
+        return mono, Fraction(self.terms[k], self.den)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        vs, a, b = _align(self, other)
+        da, db = self.den, other.den
+        den = da // gcd(da, db) * db
+        fa, fb = den // da, sign * (den // db)
+        t = dict(a) if fa == 1 else {k: c * fa for k, c in a.items()}
+        get = t.get
+        cancelled = False
+        for k, c in b.items():
+            s = get(k, 0) + c * fb
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+                cancelled = True
+        return _make(vs, t, den, shrink=cancelled)
 
     def __add__(self, other: "Poly") -> "Poly":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = t
-        return p
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) - c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = t
-        return p
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        t: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mul_mono(m1, m2)
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    t[m] = s
-                else:
-                    t.pop(m, None)
-        p = Poly.__new__(Poly)
-        p.terms = t
-        return p
+        if not self.terms or not other.terms:
+            return _P_ZERO
+        vs, a, b = _align(self, other)
+        da, db = self.den, other.den
+        if da != 1 or db != 1:
+            # each factor's content may share a prime with the other's denominator
+            ga = gcd(db, *a.values())
+            gb = gcd(da, *b.values())
+            if ga != 1:
+                a = {k: c // ga for k, c in a.items()}
+            if gb != 1:
+                b = {k: c // gb for k, c in b.items()}
+            da, db = da // gb, db // ga
+        return _new(vs, _mul_terms(a, b, len(vs)), da * db)
 
     def scale(self, c: Scalar) -> "Poly":
         c = Fraction(c)
-        if not c:
-            return Poly.zero()
-        p = Poly.__new__(Poly)
-        p.terms = {m: cc * c for m, cc in self.terms.items()}
-        return p
+        if c == 1:
+            return self
+        if not c or not self.terms:
+            return _P_ZERO
+        num, d = c.numerator, c.denominator
+        g1 = gcd(num, self.den)
+        g2 = gcd(d, *self.terms.values()) if d != 1 else 1
+        m = num // g1
+        terms = {k: cc // g2 * m for k, cc in self.terms.items()}
+        return _new(self.vars, terms, self.den // g1 * (d // g2))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("Poly exponent must be non-negative")
-        out = Poly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return _P_ONE
+        if not self.terms:
+            return _P_ZERO
+        n = len(self.vars)
+        _check_degree((max(self.terms) >> (n * _W)) * k << (n * _W), n)
+        return _new(self.vars, _power(self.terms, k, n, {0: _UNIT, 1: self.terms}), self.den ** k)
 
     def diff(self, v: str) -> "Poly":
-        t: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(v, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            mm = tuple(sorted(d.items()))
-            s = t.get(mm, Fraction(0)) + c * e
-            if s:
-                t[mm] = s
-            else:
-                t.pop(mm, None)
-        p = Poly.__new__(Poly)
-        p.terms = t
-        return p
+        if v not in self.vars:
+            return _P_ZERO
+        n = len(self.vars)
+        s = (n - 1 - self.vars.index(v)) * _W
+        step = (1 << s) + (1 << (n * _W))
+        t = {}
+        for k, c in self.terms.items():
+            e = k >> s & _FIELD
+            if e:
+                t[k - step] = c * e
+        return _make(self.vars, t, self.den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            acc = c
-            for v, e in m:
-                if v not in point:
-                    raise UnknownVariable(f"no value for variable {v!r}")
-                acc *= Fraction(point[v]) ** e
-            total += acc
-        return total
+        """Value at ``point``: one integer sum over a common denominator."""
+        if not self.vars:
+            return self.const_value()
+        for v in self.vars:
+            if v not in point:
+                raise UnknownVariable(f"no value for variable {v!r}")
+        # x_v = a_v / b_v of degree d_v: a term c x^e is c prod a_v^e b_v^(d_v - e)
+        # over den * prod b_v^d_v; powers are cached per exponent
+        cols = []
+        scale = self.den
+        for i, v in enumerate(reversed(self.vars)):  # lowest field first
+            x = Fraction(point[v])
+            s = i * _W
+            d = max(k >> s & _FIELD for k in self.terms)
+            cols.append((x.numerator, x.denominator, d, {}))
+            scale *= x.denominator ** d
+        total = 0
+        for k, c in self.terms.items():
+            for a, b, d, cache in cols:
+                e = k & _FIELD
+                k >>= _W
+                f = cache.get(e)
+                if f is None:
+                    f = cache[e] = a ** e * b ** (d - e)
+                c *= f
+            total += c
+        return Fraction(total, scale)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return (
+            isinstance(other, Poly)
+            and self.den == other.den
+            and self.vars == other.vars
+            and self.terms == other.terms
+        )
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
 
 
+_P_ZERO = _new((), {}, 1)
+_P_ONE = _new((), {0: 1}, 1)
+
+
 def _monic(p: Poly) -> Poly:
     if p.is_zero():
         return p
-    _, lc = p.leading_term()
-    if lc == 1:
+    lc = p.terms[max(p.terms)]
+    if lc == p.den:
         return p
-    return p.scale(1 / lc)
+    return p.scale(Fraction(p.den, lc))
 
 
 def divexact(a: Poly, b: Poly) -> Poly | None:
-    """Quotient a/b when b divides a exactly, else None."""
+    """Quotient a/b when b divides a exactly, else None.
+
+    With b = cont(b) * B' and B' primitive, a quotient of the integer terms of
+    a by B' has integer coefficients (Gauss's lemma), so the division runs
+    over the integers and stops at the first inexact coefficient.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
-        return Poly.zero()
-    bm, bc = b.leading_term()
-    q: dict[Monomial, Fraction] = {}
-    rem = a
-    while not rem.is_zero():
-        rm, rc = rem.leading_term()
-        mm = _div_mono(rm, bm)
-        if mm is None:
+        return _P_ZERO
+    if not b.vars:
+        return a.scale(Fraction(b.den, b.terms[0]))
+    if not set(b.vars) <= set(a.vars):
+        return None
+    vs = a.vars
+    B = _repack(b.terms, b.vars, vs)
+    cb = gcd(*B.values())
+    if cb != 1:
+        B = {k: c // cb for k, c in B.items()}
+    bk = max(B)
+    bc = B[bk]
+    rest = [(k, c) for k, c in B.items() if k != bk]
+    guard = _guard(len(vs))
+    rem = dict(a.terms)
+    q = {}
+    while rem:
+        rk = max(rem)
+        m = rk - bk
+        if m & guard:
             return None
-        coeff = rc / bc
-        q[mm] = q.get(mm, Fraction(0)) + coeff
-        rem = rem - Poly({mm: coeff}) * b
-    return Poly(q)
+        c, r = divmod(rem.pop(rk), bc)
+        if r:
+            return None
+        q[m] = c
+        for k, cc in rest:
+            k += m
+            s = rem.get(k, 0) - c * cc
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    # a / b = (A / B') * b.den / (a.den * cb)
+    f = Fraction(b.den, a.den * cb)
+    num = f.numerator
+    return _make(vs, {k: c * num for k, c in q.items()}, f.denominator)
 
 
 def _univar(p: Poly, v: str) -> dict[int, Poly]:
     """View p as a univariate polynomial in v with Poly coefficients."""
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for var, ee in m:
-            if var == v:
-                e = ee
-            else:
-                rest.append((var, ee))
-        buckets.setdefault(e, {})[tuple(rest)] = c
-    return {e: Poly(t) for e, t in buckets.items()}
+    if v not in p.vars:
+        return {0: p}
+    n = len(p.vars)
+    i = p.vars.index(v)
+    rest = p.vars[:i] + p.vars[i + 1:]
+    s = (n - 1 - i) * _W
+    low = (1 << s) - 1
+    top = (n - 1) * _W
+    buckets: dict[int, dict[int, int]] = {}
+    for k, c in p.terms.items():
+        e = k >> s & _FIELD
+        buckets.setdefault(e, {})[(k >> (s + _W) << s | k & low) - (e << top)] = c
+    return {e: _make(rest, t, p.den) for e, t in buckets.items()}
 
 
 def _from_univar(d: Mapping[int, Poly], v: str) -> Poly:
-    terms: dict[Monomial, Fraction] = {}
+    x = Poly.var(v)
+    out = _P_ZERO
     for e, p in d.items():
-        for m, c in p.terms.items():
-            mm = _mul_mono(m, ((v, e),)) if e else m
-            terms[mm] = terms.get(mm, Fraction(0)) + c
-    return Poly(terms)
+        out = out + p * x ** e
+    return out
 
 
 def _pseudo_rem(A: dict[int, Poly], B: dict[int, Poly]) -> dict[int, Poly]:
@@ -282,14 +437,14 @@ def _pseudo_rem(A: dict[int, Poly], B: dict[int, Poly]) -> dict[int, Poly]:
         newR: dict[int, Poly] = {e: p * lb for e, p in R.items()}
         for e, p in B.items():
             ee = e + dr - db
-            acc = newR.get(ee, Poly.zero()) - p * lr
+            acc = newR.get(ee, _P_ZERO) - p * lr
             newR[ee] = acc
         R = {e: p for e, p in newR.items() if not p.is_zero()}
     return R
 
 
 def _content(polys: Iterable[Poly]) -> Poly:
-    g = Poly.zero()
+    g = _P_ZERO
     for p in polys:
         g = poly_gcd(g, p)
     return g
@@ -303,7 +458,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monic(a)
     vs = a.variables() | b.variables()
     if not vs:
-        return Poly.const(1)
+        return _P_ONE
     v = max(vs)
     A = _univar(a, v)
     B = _univar(b, v)
@@ -324,36 +479,114 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _monic(cont * _from_univar(g_pp, v))
 
 
-_P_ZERO = Poly.zero()
-_P_ONE = Poly.const(1)
+def _power(t: dict[int, int], e: int, n: int, cache: dict[int, dict[int, int]]) -> dict[int, int]:
+    """t^e for terms t over n variables, by squaring; ``cache`` holds t^0 and
+    t^1 and keeps every power it computes."""
+    p = cache.get(e)
+    if p is None:
+        half = _power(t, e // 2, n, cache)
+        p = _mul_terms(half, half, n)
+        if e & 1:
+            p = _mul_terms(p, t, n)
+        cache[e] = p
+    return p
+
+
+def _substitute(p: Poly, binds: Mapping[str, "Expr"]) -> tuple[Poly, Poly]:
+    """p at the bindings v -> N_v / D_v, as (P, Q) with p(b) = P / Q.
+
+    With d_v the degree of p in v, Q = prod D_v^(d_v) and
+    P = sum c X^f prod N_v^e D_v^(d_v - e), X^f the unbound part of a term.
+    Terms are grouped by their bound exponents; the powers are built once.
+    """
+    vs = p.vars
+    n = len(vs)
+    shifts = [(n - 1 - i) * _W for i, v in enumerate(vs) if v in binds]
+    if not shifts:
+        return p, _P_ONE
+    bound_fields = sum(_FIELD << s for s in shifts)
+    groups: dict[int, dict[int, int]] = {}
+    for k, c in p.terms.items():
+        b = k & bound_fields
+        groups.setdefault(b, {})[k - b] = c
+    exps = {b: [b >> s & _FIELD for s in shifts] for b in groups}
+    bound = [v for v in vs if v in binds]
+    out_vars = tuple(sorted({v for v in vs if v not in binds}.union(
+        *(binds[v].num.vars + binds[v].den.vars for v in bound))))
+    m = len(out_vars)
+    # with N = A / a and D = B / b: N^e D^(d-e) = (b A)^e (a B)^(d-e) / (a b)^d
+    powers = []
+    scale = p.den
+    Q = _P_ONE
+    for j, v in enumerate(bound):
+        used = {es[j] for es in exps.values()}
+        d = max(used)
+        N, D = binds[v].num, binds[v].den
+        A = {k: c * D.den for k, c in _repack(N.terms, N.vars, out_vars).items()}
+        B = {k: c * N.den for k, c in _repack(D.terms, D.vars, out_vars).items()}
+        pa, pb = {0: _UNIT, 1: A}, {0: _UNIT, 1: B}
+        table = {}
+        for e in used:
+            t, u = _power(A, e, m, pa), _power(B, d - e, m, pb)
+            table[e] = t if u == _UNIT else _mul_terms(t, u, m)
+        powers.append(table)
+        scale *= (N.den * D.den) ** d
+        if D.vars:
+            Q = Q * D ** d
+    top = n * _W
+    acc: dict[int, int] = {}
+    get = acc.get
+    for b, f in groups.items():
+        es = exps[b]
+        factors = [tbl[e] for tbl, e in zip(powers, es)]
+        if {} in factors:
+            continue
+        off = sum(es) << top
+        t = _repack({k - off: c for k, c in f.items()}, vs, out_vars)
+        for u in factors:
+            if u != _UNIT:
+                t = _mul_terms(t, u, m)
+        for k, c in t.items():
+            acc[k] = get(k, 0) + c
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    return _make(out_vars, acc, scale), Q
 
 
 class Expr:
-    """Canonical rational function; immutable, safe to share and hash."""
+    """Canonical rational function; immutable, safe to share and hash.
+
+    ``den`` is the shared ``_P_ONE`` exactly when the expression is a polynomial.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        den = _P_ONE if den is None else den
+        if den is None or den is _P_ONE:
+            self.num = num if num.terms else _P_ZERO
+            self.den = _P_ONE
+            return
         if den.is_zero():
             raise ZeroDenominator("denominator is the zero polynomial")
         if num.is_zero():
             self.num = _P_ZERO
             self.den = _P_ONE
             return
+        if not den.is_const():
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num = divexact(num, g)
+                den = divexact(den, g)
         if den.is_const():
             c = den.const_value()
             self.num = num if c == 1 else num.scale(1 / c)
             self.den = _P_ONE
             return
-        g = poly_gcd(num, den)
-        if not (g.is_const() and g.const_value() == 1):
-            num = divexact(num, g)
-            den = divexact(den, g)
-        _, lc = den.leading_term()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+        lc = den.terms[max(den.terms)]
+        if lc != den.den:
+            f = Fraction(den.den, lc)
+            num = num.scale(f)
+            den = den.scale(f)
         self.num = num
         self.den = den
 
@@ -366,7 +599,7 @@ class Expr:
         return cls(Poly.var(name))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
@@ -391,7 +624,11 @@ class Expr:
         o = Expr._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den == _P_ONE and o.den == _P_ONE:
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return o
+        if self.den is _P_ONE and o.den is _P_ONE:
             return Expr(self.num + o.num)
         return Expr(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -401,7 +638,11 @@ class Expr:
         o = Expr._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den == _P_ONE and o.den == _P_ONE:
+        if not o.num.terms:
+            return self
+        if not self.num.terms:
+            return -o
+        if self.den is _P_ONE and o.den is _P_ONE:
             return Expr(self.num - o.num)
         return Expr(self.num * o.den - o.num * self.den, self.den * o.den)
 
@@ -418,7 +659,9 @@ class Expr:
         o = Expr._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den == _P_ONE and o.den == _P_ONE:
+        if not self.num.terms or not o.num.terms:
+            return ZERO
+        if self.den is _P_ONE and o.den is _P_ONE:
             return Expr(self.num * o.num)
         return Expr(self.num * o.num, self.den * o.den)
 
@@ -445,7 +688,7 @@ class Expr:
         return Expr(self.den ** (-k), self.num ** (-k))
 
     def diff(self, v: str) -> "Expr":
-        if self.den == _P_ONE:
+        if self.den is _P_ONE:
             return Expr(self.num.diff(v))
         # quotient rule
         return Expr(
@@ -454,29 +697,19 @@ class Expr:
         )
 
     def substitute(self, bindings: Mapping[str, "Expr | Scalar"]) -> "Expr":
-        """Replace bound variables by expressions; unbound variables stay."""
+        """Replace bound variables by expressions; unbound variables stay.
+
+        Numerator and denominator are substituted as polynomials and one Expr
+        is built from them, so polynomial bindings of a polynomial need no gcd.
+        """
         binds = {v: Expr._coerce(e) for v, e in bindings.items()}
-
-        def eval_poly(p: Poly) -> Expr:
-            out = Expr.const(0)
-            for m, c in p.terms.items():
-                acc = Expr.const(c)
-                for v, e in m:
-                    base = binds.get(v)
-                    if base is None:
-                        acc = acc * Expr(Poly({((v, e),): Fraction(1)}))
-                    else:
-                        acc = acc * base ** e
-                out = out + acc
-            return out
-
-        num_e = eval_poly(self.num)
-        if self.den == _P_ONE:
-            return num_e
-        den_e = eval_poly(self.den)
-        if den_e.is_zero():
+        num, num_den = _substitute(self.num, binds)
+        if self.den is _P_ONE:
+            return Expr(num, num_den)
+        den, den_den = _substitute(self.den, binds)
+        if den.is_zero():
             raise ZeroDenominator("substitution makes the denominator identically zero")
-        return num_e / den_e
+        return Expr(num * den_den, den * num_den)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(point)
@@ -493,7 +726,7 @@ class Expr:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.den == _P_ONE:
+        if self.den is _P_ONE:
             return _poly_str(self.num)
         return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
 
@@ -505,8 +738,8 @@ ZERO = Expr.const(0)
 ONE = Expr.const(1)
 
 
-def _term_str(m: Monomial, c: Fraction) -> str:
-    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
+    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, len(vars))) if e)
     a = abs(c)
     if not mono:
         return str(a)
@@ -518,11 +751,10 @@ def _term_str(m: Monomial, c: Fraction) -> str:
 def _poly_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
-    monos = sorted(p.terms, key=_GRLEX_KEY, reverse=True)
     out = []
-    for i, m in enumerate(monos):
-        c = p.terms[m]
-        body = _term_str(m, c)
+    for i, k in enumerate(sorted(p.terms, reverse=True)):
+        c = Fraction(p.terms[k], p.den)
+        body = _term_str(p.vars, k, c)
         if i == 0:
             out.append(f"-{body}" if c < 0 else body)
         else:
@@ -564,7 +796,7 @@ def _parse_sum(tokens, i, depth):
     while tokens[i].kind == "punct" and tokens[i].text in "+-":
         op = tokens[i]
         rhs, i = _parse_term(tokens, i + 1, depth)
-        e = e + rhs if op.text == "+" else e - rhs
+        e = _apply(op, e, rhs)
     return e, i
 
 
@@ -573,13 +805,20 @@ def _parse_term(tokens, i, depth):
     while tokens[i].kind == "punct" and tokens[i].text in "*/":
         op = tokens[i]
         rhs, i = _parse_unary(tokens, i + 1, depth)
-        if op.text == "*":
-            e = e * rhs
-        else:
-            if rhs.is_zero():
-                raise ParseError(op.line, op.col, "division by zero expression", op.text)
-            e = e / rhs
+        if op.text == "/" and rhs.is_zero():
+            raise ParseError(op.line, op.col, "division by zero expression", op.text)
+        e = _apply(op, e, rhs)
     return e, i
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+def _apply(op: Token, a, b):
+    try:
+        return _OPS[op.text](a, b)
+    except DegreeOverflow as exc:
+        raise ParseError(op.line, op.col, str(exc), op.text) from None
 
 
 def _deeper(depth):
@@ -611,7 +850,7 @@ def _parse_power(tokens, i, depth):
         i += 1
         if k < 0 and e.is_zero():
             raise ParseError(t.line, t.col, "negative power of zero", t.text)
-        e = e ** k
+        e = _apply(t, e, k)
     return e, i
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kvgeom.checks
+import kvgeom.structures
 import kvgeom.tangent
 from kvgeom.cli import build_parser, main, run
 from kvgeom.corpus import BUILTIN_SCENARIOS, get_scenario, list_corpus
@@ -84,6 +85,30 @@ def test_pole_along_submanifold_is_unsupported_and_later_checks_run():
     assert [o.status for o in res.outcomes] == ["unsupported"] * 3 + ["pass"]
     assert all("denominator" in o.details for o in res.outcomes[:3])
     assert res.exit_code == 1
+
+
+def test_identically_singular_transversal_names_the_given_points():
+    head = (
+        "manifold M { dim 2 coords [x y] } bivector h on M { [1, 0; 0, 0] } "
+        "submanifold N in M { origin [0, 0] basis [1, 0] } "
+    )
+    given = run_text(head + "check transversal N h { points [2, 0; -1/3, 0] }").outcomes[0]
+    assert given.status == "fail"
+    assert given.details == "conormal block determinant vanishes on the submanifold (at (2); (-1/3))"
+    assert given.witness.point == ("2",) and given.witness.residual == "0"
+    default = run_text(head + "check transversal N h").outcomes[0]
+    assert default.details == "conormal block determinant vanishes on the submanifold (at (0))"
+    assert default.witness.point == ("0",)
+
+
+def test_degree_overflow_during_a_check_is_unsupported():
+    text = (
+        "manifold M { dim 1 coords [x] } bivector h on M { [x^2000000000] } "
+        "check kv_bracket h check codazzi h"
+    )
+    res = run_text(text)
+    assert [o.status for o in res.outcomes] == ["unsupported", "pass"]
+    assert "exceeds the largest supported degree 2147483647" in res.outcomes[0].details
 
 
 def test_fail_fast_stops_after_first_failure():
@@ -176,6 +201,23 @@ def test_engine_inconsistency_exits_3_and_later_checks_run(monkeypatch, capsys, 
             assert got["status"] == "fail" and got["details"].startswith(f"ENGINE INCONSISTENCY: {error}: ")
         else:
             assert got == want
+
+
+def test_inexact_bareiss_step_is_an_engine_inconsistency(monkeypatch):
+    head = "manifold M { dim 3 coords [x y z] } submanifold N in M { origin [0, 0, 0] basis [1, 0, 0] } "
+    polynomial = head + "bivector h on M { [x, 1, 0; y^2 + 1, z; 1 + x^2] } check transversal N h check codazzi h"
+    rational = head + "bivector g on M { [x, 1, 0; 1/(x^2 + 1), 0; 1] } check transversal N g"
+    before = run_text(polynomial).outcomes
+    assert before[0].status == "pointwise-pass"
+    rational_before = run_text(rational).outcomes[0]
+    monkeypatch.setattr(kvgeom.structures, "divexact", lambda a, b: None)
+    res = run_text(polynomial)
+    assert res.exit_code == 3
+    assert res.outcomes[0].status == "fail"
+    assert res.outcomes[0].details.startswith("ENGINE INCONSISTENCY: EngineInconsistency: Bareiss step ")
+    assert res.outcomes[1] == before[1]  # the later check still ran
+    # rational entries divide as expressions and never reach divexact
+    assert run_text(rational).outcomes[0] == rational_before
 
 
 def test_run_config_validation():

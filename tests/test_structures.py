@@ -392,6 +392,17 @@ def test_transversal_with_explicit_sample_points():
         is_transversal(axis, std, sample_points=((Fr(5), Fr(5)),))
 
 
+def test_identically_singular_transversal_reports_the_given_points():
+    # the conormal block of h along the x-axis is h22 = 0, so det D is identically zero
+    h = SymBivector(P, ((Expr.const(1), Expr.const(0)), (Expr.const(0), Expr.const(0))))
+    axis = AffineSubmanifold(P, (0, 0), ((1, 0),))
+    tr = is_transversal(axis, h, sample_points=((2, 0), (Fr(-1, 3), 0)))
+    assert tr.verdict == FALSE and tr.determinant.is_zero()
+    assert tr.samples == (((Fr(2),), False), ((Fr(-1, 3),), False))
+    # without points the report keeps its single parameter point at the origin
+    assert is_transversal(axis, h).samples == (((Fr(0),), False),)
+
+
 def test_schur_complement_with_rational_entries():
     # coupled block forces a genuine rational-function Schur complement
     h = SymBivector(P, ((X_ + 2, Expr.const(1)), (Expr.const(1), X_ ** 2 + 1)))
@@ -424,6 +435,27 @@ def test_conormal_algebroid_subalgebra_annihilator():
     assert alg.fiber_commutative and alg.fiber_associative
     with pytest.raises(NotCoisotropic):
         conormal_algebroid(AffineSubmanifold(P, (1, 0), ((0, 1),)), h_line)
+
+
+def test_conormal_algebroid_builds_the_adapted_bivector_once(monkeypatch):
+    import kvgeom.structures as structures
+
+    calls = []
+    original = structures.to_adapted_bivector
+
+    def counted(frame, h):
+        calls.append(h)
+        return original(frame, h)
+
+    monkeypatch.setattr(structures, "to_adapted_bivector", counted)
+    h_line = SymBivector(P, ((X_, Expr.const(0)), (Expr.const(0), Expr.const(0))))
+    alg = conormal_algebroid(AffineSubmanifold(P, (0, 0), ((0, 1),)), h_line)
+    assert alg.left_symmetric_ok
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(NotCoisotropic):
+        conormal_algebroid(AffineSubmanifold(P, (1, 0), ((0, 1),)), h_line)
+    assert len(calls) == 1
 
 
 def test_conormal_algebroid_kv_submanifold_has_zero_anchor():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly, random_rational_function, rational
-from kvgeom.errors import ParseError, PoleAtPoint, ZeroDenominator
+from kvgeom.errors import DegreeOverflow, ParseError, PoleAtPoint, ZeroDenominator
 from kvgeom.symexpr import Expr, Poly, parse_expr, poly_gcd
 
 X = Expr.var("x")
@@ -226,3 +226,33 @@ def test_canonical_monomial_order_in_strings():
     assert str(e) == "x*y + x + y + 1"
     e2 = X ** 2 + X * Y ** 2
     assert str(e2) == "x*y^2 + x^2"
+
+
+def test_exponents_wider_than_sixteen_bits_stay_exact():
+    assert parse_expr("x^65535*x") == parse_expr("x^65536")
+    assert str(parse_expr("x^65535*x")) == "x^65536"
+    assert str(parse_expr("x^70000*y")) == "x^70000*y"
+    assert parse_expr("x^65536*y - y*x^65536").is_zero()
+    assert str(parse_expr("(x^40000*y + 1)^2")) == "x^80000*y^2 + 2*x^40000*y + 1"
+    e = parse_expr("x^70000*y + 3")
+    assert e.eval_at({"x": Fraction(1, 2), "y": 3}) == Fraction(3, 2 ** 70000) + 3
+    assert e.substitute({"y": X ** 5}) == parse_expr("x^70005 + 3")
+    assert str(e.diff("x")) == "70000*x^69999*y"
+
+
+def test_a_degree_past_the_field_width_is_an_error_not_a_wrap():
+    top = 2 ** 31 - 1  # the largest degree a packed field holds
+    assert str(parse_expr(f"x^{top}*y^0")) == f"x^{top}"
+    for text, col in ((f"y + x^{top}*x", 17), (f"x^{top + 1}", 2), (f"(x*y)^{2 ** 30}", 6), (f"1/x^{top} - 1/x", 16)):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert "exceeds the largest supported degree" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (1, col)
+    x = Poly.var("x")
+    big = x ** top
+    with pytest.raises(DegreeOverflow):
+        big * Poly.var("y")
+    with pytest.raises(DegreeOverflow):
+        (x + Poly.const(1)) ** (top + 1)  # refused before any product is formed
+    with pytest.raises(DegreeOverflow):
+        Expr(big).substitute({"x": X * Y})

@@ -1,10 +1,12 @@
 """Property tests for the symexpr kernel: ring axioms, canonical forms, calculus rules,
-gcds and substitution.
+gcds, substitution, and the packed monomial order against a reference comparison.
 
 Examples are derandomized and few, so the suite stays deterministic and quick.
 Polynomials have at most four terms of degree at most two in x and y, and
 denominators at most two terms of degree at most one, which keeps every gcd small.
 """
+
+from functools import cmp_to_key
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -114,3 +116,126 @@ def test_substitute_then_evaluate_is_evaluate_at_the_image(e, bindings, point):
     except (PoleAtPoint, ZeroDenominator):
         return
     assert got == expected
+
+
+# --- the packed monomial order against a reference comparison ----------------
+#
+# Monomials are ((var, exp), ...) tuples here.  The names sort as strings, not
+# as numbers: "a" < "x10" < "x2" < "y1".
+
+NAMES = ("a", "x10", "x2", "y1")
+
+
+def _cmp_grlex(a, b) -> int:
+    """Graded lex: total degree first, then earlier variable with larger exponent wins."""
+    da = sum(e for _, e in a)
+    db = sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia, ib = 0, 0
+    while ia < len(a) or ib < len(b):
+        va = a[ia][0] if ia < len(a) else None
+        vb = b[ib][0] if ib < len(b) else None
+        if vb is None or (va is not None and va < vb):
+            return 1  # a has a positive exponent on an earlier variable
+        if va is None or vb < va:
+            return -1
+        ea, eb = a[ia][1], b[ib][1]
+        if ea != eb:
+            return 1 if ea > eb else -1
+        ia += 1
+        ib += 1
+    return 0
+
+
+_GRLEX = cmp_to_key(_cmp_grlex)
+
+
+def _mono(exps, names=NAMES):
+    return tuple((v, e) for v, e in zip(names, exps) if e)
+
+
+def term_dicts(names=NAMES):
+    """{monomial: nonzero coefficient} over the given names, as a reference polynomial."""
+    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    terms = st.dictionaries(exponents, nonzero_coefficients, max_size=5)
+    return terms.map(lambda d: {_mono(e, names): c for e, c in d.items()})
+
+
+def _ref_combine(p, q, sign=1):
+    r = dict(p)
+    for m, c in q.items():
+        r[m] = r.get(m, 0) + sign * c
+    return {m: c for m, c in r.items() if c}
+
+
+def _ref_mul(p, q):
+    r = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            e = dict(m1)
+            for v, k in m2:
+                e[v] = e.get(v, 0) + k
+            m = tuple(sorted(e.items()))
+            r[m] = r.get(m, 0) + c1 * c2
+    return {m: c for m, c in r.items() if c}
+
+
+def _ref_str(terms):
+    out = []
+    for i, m in enumerate(sorted(terms, key=_GRLEX, reverse=True)):
+        c = terms[m]
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        out.append((f"-{body}" if c < 0 else body) if i == 0 else (f" - {body}" if c < 0 else f" + {body}"))
+    return "".join(out) or "0"
+
+
+def _assert_matches(poly, ref):
+    assert str(Expr(poly)) == _ref_str(ref)
+    assert poly.variables() == {v for m in ref for v, _ in m}
+    if ref:
+        lead = max(ref, key=_GRLEX)
+        assert poly.leading_term() == (lead, ref[lead])
+
+
+@kernel
+@given(term_dicts(), term_dicts(), term_dicts(("a", "x10")), term_dicts(("x2", "y1")))
+def test_packed_order_matches_the_reference(p, q, left, right):
+    for a, b in ((p, q), (left, right), (p, right)):  # same, disjoint and overlapping variable sets
+        A, B = Poly(a), Poly(b)
+        _assert_matches(A, a)
+        _assert_matches(A + B, _ref_combine(a, b))
+        _assert_matches(A - B, _ref_combine(a, b, -1))
+        _assert_matches(A * B, _ref_mul(a, b))
+
+
+@kernel
+@given(term_dicts(), term_dicts(("x2", "y1")))
+def test_equality_and_hash_follow_the_terms(p, q):
+    A, B = Poly(p), Poly(q)
+    same = Poly(dict(reversed(list(p.items()))))
+    assert A == same and hash(A) == hash(same)
+    assert (A + B) - B == A and hash((A + B) - B) == hash(A)  # cancellation drops B's variables
+    assert A * B == B * A and hash(A * B) == hash(B * A)
+    assert (A == B) == (p == q)
+    assert (Expr(A) == Expr(B)) == (p == q)
+
+
+@kernel
+@given(st.tuples(*[st.integers(0, 3)] * 4), st.tuples(*[st.integers(0, 3)] * 4))
+def test_monomial_divisibility_matches_the_exponents(ea, eb):
+    q = divexact(Poly({_mono(ea): 1}), Poly({_mono(eb): 1}))
+    if all(x >= y for x, y in zip(ea, eb)):
+        assert q == Poly({_mono(tuple(x - y for x, y in zip(ea, eb))): 1})
+    else:
+        assert q is None
+
+
+def test_a_cancelled_variable_leaves_the_representation():
+    x, y, z = (Expr.var(v) for v in "xyz")
+    e = x * y - y * x + z
+    assert e == z and hash(e) == hash(z)
+    assert e.num.vars == ("z",) and str(e) == "z"
+    p = Poly({(("x10", 1), ("y1", 2)): 3, (("x2", 1),): 1}) - Poly({(("x10", 1), ("y1", 2)): 3})
+    assert p == Poly({(("x2", 1),): 1}) and p.vars == ("x2",)
