@@ -45,8 +45,11 @@ def _rational_point(rng: random.Random, variables: Sequence[str]) -> dict[str, F
     return {v: Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for v in variables}
 
 
-def _find_witness(residual: Expr, seed: int, tries: int = 200) -> Witness:
-    """Deterministic search for a point where a nonzero residual does not vanish."""
+WITNESS_TRIES = 200
+
+
+def _find_witness(residual: Expr, seed: int, tries: int = WITNESS_TRIES) -> Witness | None:
+    """Deterministic search for a point where a nonzero residual does not vanish; None when no try finds one."""
     rng = random.Random(seed)
     variables = sorted(residual.variables())
     for _ in range(tries):
@@ -57,7 +60,7 @@ def _find_witness(residual: Expr, seed: int, tries: int = 200) -> Witness:
             continue
         if value != 0:
             return Witness(tuple(str(point[v]) for v in variables), str(residual))
-    return Witness((), str(residual))
+    return None
 
 
 def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
@@ -141,6 +144,8 @@ class CheckRunner:
                 witness = witness_expr
             else:
                 witness = _find_witness(witness_expr, seed)
+                if witness is None:
+                    details = f"{details}; no witness found in {WITNESS_TRIES} tries"
 
         outcome = CheckOutcome(name, kind, status, witness, details)
         return CheckRecord(outcome, claims)

@@ -12,6 +12,14 @@ relatedness), ``_congruence`` is M T M^T (K-V maps and the change to adapted
 coordinates), and ``expr_det`` is the one exact elimination, which yields a
 determinant and, in the same pass, the bordered determinants of a Schur
 complement.
+
+A submanifold N is read in adapted coordinates y = P(x - o), where N is
+{y_{k+1} = ... = y_n = 0}.  Restriction to N is the pullback along N's
+parametrization x = C (y_1..y_k, 0) + o (``_along_n``), so the adapted
+bivector of ``to_adapted_bivector`` holds N's coordinates only, and the K-V
+submanifold, transversal and coisotropy tests read its blocks.  The conormal
+algebroid differentiates H along the frame vectors c_j, the columns of C,
+which is d/dy_j, and pulls those derivatives back along N the same way.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from . import linalg
@@ -356,26 +365,32 @@ def adapted_frame(n_sub: AffineSubmanifold) -> AdaptedFrame:
     return AdaptedFrame(n_sub, P, C, chart, ident)
 
 
+def _symmetric(n: int, entry) -> list[list]:
+    """The symmetric n x n matrix whose entry (i, j), i <= j, is entry(i, j), each computed once."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
+def _along_n(frame: AdaptedFrame, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """T(x(y)) for a symmetric T on the ambient chart, x(y) = C (y_1..y_k, 0) + o the parametrization of N."""
+    k = frame.submanifold.dim
+    C = tuple(row[:k] for row in frame.inverse)
+    sub = AffineMap(induced_chart(frame), frame.submanifold.ambient, C, frame.submanifold.origin).substitution()
+    return _symmetric(len(T), lambda i, j: T[i][j].substitute(sub))
+
+
 def to_adapted_bivector(frame: AdaptedFrame, h: SymBivector) -> SymBivector:
-    """Push h forward along y = P(x - o): entries P H(x(y)) P^T with x(y) = C y + o."""
+    """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
+
+    Restriction to N is the pullback along this parametrization, so the
+    entries depend on y_1..y_k only.
+    """
     if h.chart != frame.submanifold.ambient:
         raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    sub = AffineMap(frame.adapted_chart, h.chart, frame.inverse, frame.submanifold.origin).substitution()
-    Hs = [[e.substitute(sub) for e in row] for row in h.entries]
-    return SymBivector(frame.adapted_chart, tuple(map(tuple, _congruence(frame.change, Hs))))
-
-
-def _restrict(frame: AdaptedFrame, e: Expr) -> Expr:
-    """Set the conormal-dual coordinates y_{k+1}..y_n to zero."""
-    k = frame.submanifold.dim
-    sub = {v: ZERO for v in frame.adapted_chart.coords[k:]}
-    return e.substitute(sub) if sub else e
-
-
-def _conormal_block(frame: AdaptedFrame, hy: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """The conormal-conormal block of adapted entries, restricted to N."""
-    k = frame.submanifold.dim
-    return [[_restrict(frame, e) for e in row[k:]] for row in hy[k:]]
+    return SymBivector(frame.adapted_chart, tuple(map(tuple, _congruence(frame.change, _along_n(frame, h.entries)))))
 
 
 def induced_chart(frame: AdaptedFrame) -> Chart:
@@ -401,16 +416,12 @@ def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldRe
     ambient_kv = codazzi_tensor(h).is_zero()
     if k == n and frame.is_identity:
         return SubmanifoldResult(True, h, (), ambient_kv)
-    hy = to_adapted_bivector(frame, h)
-    residuals = tuple(_restrict(frame, hy.entries[a][i]) for a in range(k, n) for i in range(n))
+    hy = to_adapted_bivector(frame, h).entries
+    residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
     if ok and k > 0:
-        chart = induced_chart(frame)
-        induced = SymBivector(
-            chart,
-            tuple(tuple(_restrict(frame, hy.entries[i][j]) for j in range(k)) for i in range(k)),
-        )
+        induced = SymBivector(induced_chart(frame), tuple(row[:k] for row in hy[:k]))
     return SubmanifoldResult(ok, induced, residuals, ambient_kv)
 
 
@@ -509,11 +520,8 @@ def is_transversal(
     if k == n and frame.is_identity:
         return TransversalResult(SYMBOLIC_TRUE, ONE, h, (), ambient_kv)
     hy = to_adapted_bivector(frame, h).entries
-    # h is symmetric, so the block B^T is read off the restricted B
-    D = _conormal_block(frame, hy)
-    B = [[_restrict(frame, e) for e in row[k:]] for row in hy[:k]]
-    A = [[_restrict(frame, e) for e in row[:k]] for row in hy[:k]]
-    bordered = [D[a] + [b[a] for b in B] for a in range(n - k)] + [bi + ai for bi, ai in zip(B, A)]
+    # conormal rows and columns first: [[D, B^T], [B, A]]
+    bordered = [row[k:] + row[:k] for row in hy[k:] + hy[:k]]
     det, trailing = expr_det(bordered, n - k)
 
     if det.is_zero():
@@ -521,20 +529,12 @@ def is_transversal(
         return TransversalResult(FALSE, det, None, tuple((tuple(p), False) for p in pts), ambient_kv)
 
     if det.is_const():
-        verdict = SYMBOLIC_TRUE
-        sample_report: tuple = ()
+        verdict, sample_report = SYMBOLIC_TRUE, ()
     else:
         pts = given if given is not None else _sample_parameters(k, samples, seed)
-        results = []
-        all_ok = True
-        for params in pts:
-            env = dict(zip(frame.adapted_chart.coords[:k], params))
-            val = det.eval_at(env)
-            ok = val != 0
-            all_ok = all_ok and ok
-            results.append((tuple(params), ok))
-        verdict = POINTWISE_TRUE if all_ok else FALSE
-        sample_report = tuple(results)
+        coords = frame.adapted_chart.coords[:k]
+        sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
+        verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
 
     induced = None
     if verdict != FALSE:
@@ -548,7 +548,8 @@ def is_transversal(
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
     """The conormal-conormal block of h in adapted coordinates, restricted to N."""
     frame = adapted_frame(n_sub)
-    return tuple(e for row in _conormal_block(frame, to_adapted_bivector(frame, h).entries) for e in row)
+    k = n_sub.dim
+    return tuple(e for row in to_adapted_bivector(frame, h).entries[k:] for e in row[k:])
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -640,38 +641,30 @@ def conormal_algebroid(
     """Product dy_a • dy_b = D_{dy_a} dy_b restricted to the conormal frame.
 
     In adapted coordinates the product of constant conormal coordinate forms is
-    sum_j (d h_ab / d y_j) dy_j; coisotropy makes the tangential part vanish
-    on N, so the table collects the conormal coefficients.
+    sum_j (d h_ab / d y_j) dy_j.  Since x = C y + o, d/dy_j is the derivative
+    along the frame vector c_j (column j of C), so along N the derivative of
+    the conormal block is P[k:] ((c_j . d)H)(x(y)) P[k:]^T.  Coisotropy makes
+    the tangential part (j <= k) vanish on N, so the table collects the
+    conormal coefficients (j > k).
     """
     frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
-    hy = to_adapted_bivector(frame, h)
-    if not all(e.is_zero() for row in _conormal_block(frame, hy.entries) for e in row):
+    hy = to_adapted_bivector(frame, h).entries
+    if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = induced_chart(frame)
-    coords = frame.adapted_chart.coords
 
-    table = []
-    for a in range(m):
-        plane = []
-        for b in range(m):
-            row = []
-            for j in range(k):
-                tangential = _restrict(frame, hy.entries[k + a][k + b].diff(coords[j]))
-                if not tangential.is_zero():
-                    raise ClosureFailure(
-                        f"conormal product left the conormal module at ({a + 1},{b + 1}) along y{j + 1}"
-                    )
-            for c in range(m):
-                row.append(_restrict(frame, hy.entries[k + a][k + b].diff(coords[k + c])))
-            plane.append(tuple(row))
-        table.append(tuple(plane))
-    table = tuple(table)
+    # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii'
+    Ct, x = linalg.transpose(frame.inverse), n_sub.ambient.coords
+    along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
+    blocks = [_congruence(frame.change[k:], _along_n(frame, [[e[j] for e in r] for r in along])) for j in range(n)]
 
-    anchor = tuple(
-        tuple(_restrict(frame, hy.entries[k + a][j]) for j in range(k)) for a in range(m)
-    )
+    for a, b, j in product(range(m), range(m), range(k)):
+        if not blocks[j][a][b].is_zero():
+            raise ClosureFailure(f"conormal product left the conormal module at ({a + 1},{b + 1}) along y{j + 1}")
+    table = tuple(tuple(tuple(blocks[k + c][a][b] for c in range(m)) for b in range(m)) for a in range(m))
+    anchor = tuple(row[:k] for row in hy[k:])
 
     left_ok = all(e.is_zero() for e in _algebroid_associator_residuals(chart, table, anchor))
 
@@ -690,21 +683,12 @@ def conormal_algebroid(
         env = dict(zip(chart.coords, fiber_params))
         anchor_zero = all(e.eval_at(env) == 0 for row in anchor for e in row)
         if anchor_zero:
-            F = tuple(
-                tuple(tuple(table[a][b][c].eval_at(env) for c in range(m)) for b in range(m))
-                for a in range(m)
-            )
-            fiber_product = F
-            fiber_comm = all(
-                F[a][b][c] == F[b][a][c] for a in range(m) for b in range(m) for c in range(m)
-            )
+            F = fiber_product = tuple(tuple(tuple(e.eval_at(env) for e in row) for row in plane) for plane in table)
+            idx = range(m)
+            fiber_comm = all(F[a][b][c] == F[b][a][c] for a, b, c in product(idx, repeat=3))
             fiber_assoc = all(
-                sum((F[a][b][e] * F[e][c][d] for e in range(m)), Fraction(0))
-                == sum((F[b][c][e] * F[a][e][d] for e in range(m)), Fraction(0))
-                for a in range(m)
-                for b in range(m)
-                for c in range(m)
-                for d in range(m)
+                sum(F[a][b][e] * F[e][c][d] for e in idx) == sum(F[b][c][e] * F[a][e][d] for e in idx)
+                for a, b, c, d in product(idx, repeat=4)
             )
     return ConormalAlgebroid(
         n_sub,
@@ -786,6 +770,7 @@ class PreimageReport:
     induced_source: SymBivector | None
     induced_target: SymBivector | None
     sample_checks: tuple[tuple[tuple[Fraction, ...], bool], ...]
+    poles_skipped: int  # (point, entry) evaluations of the sample checks that met a pole
 
     @property
     def ok(self) -> bool:
@@ -823,7 +808,7 @@ def preimage_transversal(
         raise NotTransverseAtSample("preimage is empty")
     t1 = is_transversal(n1, h1, samples=samples, seed=seed)
     if not t1.ok:
-        return PreimageReport(n1, t1, t2, None, None, t2.induced, ())
+        return PreimageReport(n1, t1, t2, None, None, t2.induced, (), 0)
 
     # restriction of F in the parameter coordinates of the two submanifolds
     k1, k2 = n1.dim, n2.dim
@@ -841,21 +826,18 @@ def preimage_transversal(
     restriction = AffineMap(t1.induced.chart, t2.induced.chart, mat, t_off)
 
     # exact pointwise check of the K-V map identity between the induced structures
-    residuals = kv_map_residuals(restriction, t1.induced, t2.induced)
-    pts = _sample_parameters(k1, samples, seed + 1)
-    checks = []
-    for p in pts:
+    residuals = [e for row in kv_map_residuals(restriction, t1.induced, t2.induced) for e in row]
+    checks, skipped = [], 0
+    for p in _sample_parameters(k1, samples, seed + 1):
         env = dict(zip(t1.induced.chart.coords, p))
-        ok = True
-        for row in residuals:
-            for e in row:
-                try:
-                    if e.eval_at(env) != 0:
-                        ok = False
-                except PoleAtPoint:
-                    pass  # pole of an induced rational entry; skip this term
-        checks.append((p, ok))
-    return PreimageReport(n1, t1, t2, restriction, t1.induced, t2.induced, tuple(checks))
+        values = []
+        for e in residuals:
+            try:
+                values.append(e.eval_at(env))
+            except PoleAtPoint:  # pole of an induced rational entry: counted, not evaluated
+                skipped += 1
+        checks.append((p, all(v == 0 for v in values)))
+    return PreimageReport(n1, t1, t2, restriction, t1.induced, t2.induced, tuple(checks), skipped)
 
 
 # --- supporting pointwise checks -----------------------------------------------

@@ -60,3 +60,11 @@ def random_scalar(rng: random.Random, chart: Chart, degree: int = 3) -> ScalarFi
 
 def random_point(rng: random.Random, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(n))
+
+
+def vanishing_on_sample_box(variable: str) -> Expr:
+    """Product of (v - r) over every rational r = p/q, p in [-8, 8], q in [1, 8]: zero at every sampled value."""
+    v, out = Expr.var(variable), Expr.const(1)
+    for r in sorted({Fraction(p, q) for p in range(-8, 9) for q in range(1, 9)}):
+        out = out * (v - Expr.const(r))
+    return out

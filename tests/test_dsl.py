@@ -23,6 +23,7 @@ from kvgeom.dsl import (
     render_report,
     serialize,
 )
+from kvgeom.corpus import BUILTIN_SCENARIOS
 from kvgeom.errors import ParseError, SemanticError
 from kvgeom.symexpr import Expr, parse_expr
 
@@ -112,6 +113,53 @@ def test_malformed_fixtures_all_raise_positioned_errors():
         with pytest.raises((ParseError, SemanticError)) as exc:
             parse_scenario(text)
         assert exc.value.line >= 1 and exc.value.column >= 1
+
+
+_FRAGMENTS = (
+    "{", "}", "[", "]", ";", ",", ":", "->", "/", "^", "*", "-", "+", "(", ")", "=", "0", "1/0", "7", "x", "q",
+    " ", "\n", "#", "check", "dim", "coords", "basis", "origin", "matrix", "offset", "expect", "points", "on", "in",
+)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to three random edits: delete, insert a fragment, duplicate or move a span, or truncate."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        op = rng.randrange(9)
+        if op < 2:
+            text = text[:i] + text[j:]
+        elif op < 5:
+            text = text[:i] + rng.choice(_FRAGMENTS) + text[i:]
+        elif op < 7:
+            text = text[:j] + text[i:j] + text[j:]
+        elif op < 8:
+            rest = text[:i] + text[j:]
+            k = rng.randrange(len(rest) + 1)
+            text = rest[:k] + text[i:j] + rest[k:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_mutated_corpus_texts_give_a_scenario_or_a_positioned_error():
+    """No mutation of a corpus text escapes as anything but a Scenario or a positioned ParseError/SemanticError."""
+    rng = random.Random(8)
+    texts = [e.text for name, e in BUILTIN_SCENARIOS.items() if name != "worked_examples"]
+    assert len(texts) == 8
+    outcomes = {"scenario": 0, "error": 0}
+    for text in texts:
+        for _ in range(150):
+            mutant = _mutate(rng, text)
+            try:
+                result = parse_scenario(mutant)
+            except (ParseError, SemanticError) as exc:
+                assert exc.line >= 1 and exc.column >= 1, mutant
+                outcomes["error"] += 1
+            else:
+                assert isinstance(result, Scenario), mutant
+                outcomes["scenario"] += 1
+    assert outcomes["scenario"] > 0 and outcomes["error"] > 0
 
 
 def _random_scenario(rng: random.Random) -> Scenario:

@@ -7,16 +7,20 @@ from pathlib import Path
 
 import pytest
 
+from conftest import vanishing_on_sample_box
 import kvgeom.checks
 import kvgeom.structures
 import kvgeom.tangent
 from kvgeom.cli import build_parser, main, run
 from kvgeom.corpus import BUILTIN_SCENARIOS, get_scenario, list_corpus
-from kvgeom.dsl import parse_scenario
-from kvgeom.engine import CheckRecord, RunConfig, RunResult, _oracle_verify, run_scenario
+from kvgeom.dsl import bind_scenario, parse_scenario, render_report
+from kvgeom.engine import (
+    WITNESS_TRIES, CheckRecord, RunConfig, RunResult, _find_witness, _oracle_verify, run_scenario,
+)
 from kvgeom.dsl import CheckOutcome
 from kvgeom.errors import ClosureFailure
 from kvgeom.geometry import TrilinearForm
+from kvgeom.structures import preimage_transversal
 from kvgeom.symexpr import Expr
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -109,6 +113,57 @@ def test_degree_overflow_during_a_check_is_unsupported():
     res = run_text(text)
     assert [o.status for o in res.outcomes] == ["unsupported", "pass"]
     assert "exceeds the largest supported degree 2147483647" in res.outcomes[0].details
+
+
+def test_a_residual_that_vanishes_at_every_try_has_no_witness():
+    q = vanishing_on_sample_box("x")
+    assert _find_witness(q, seed=5) is None
+    assert _find_witness(Expr.const(1), seed=5).point == ()  # a constant residual is witnessed everywhere
+    text = (
+        "manifold M { dim 1 coords [x] } map F : M -> M { matrix [1] offset [0] } "
+        f"bivector a on M {{ [{q}] }} bivector b on M {{ [0] }} check kv_map F a b check kv_map F b b"
+    )
+    res = run_text(text)
+    assert [o.status for o in res.outcomes] == ["fail", "pass"]
+    assert res.outcomes[0].witness is None
+    assert res.outcomes[0].details == f"pairing mismatch at (1,1); no witness found in {WITNESS_TRIES} tries"
+    assert WITNESS_TRIES == 200
+    assert " | witness at" not in render_report(res.outcomes, "text")
+
+
+def test_preimage_transversal_names_the_evaluations_skipped_at_a_pole(monkeypatch):
+    # F(x, y, z) = (u, v) = (x, y) is a K-V map; the preimage of the u-axis is the plane y = 0,
+    # whose conormal block det D = x^2 + 1 is not constant, so the induced entries are rational
+    head = (
+        "manifold M { dim 3 coords [x y z] } manifold T { dim 2 coords [u v] } "
+        "map F : M -> T { matrix [1, 0, 0; 0, 1, 0] offset [0, 0] } "
+        "bivector h on M { [x, 1, 0; 1, x^2 + 1, 0; 0, 0, 1] } bivector g on T { [u, 1; 1, u^2 + 1] } "
+        "submanifold A in T { origin [0, 0] basis [1, 0] } check preimage_transversal F h g A"
+    )
+    plain = run_text(head).outcomes[0]
+    assert plain.status == "pass"
+    assert plain.details == "preimage dimension 2; induced structures related by the restricted map at all samples"
+    env = bind_scenario(parse_scenario(head))
+    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    assert not rep.transversal_source.determinant.is_const()
+    assert rep.ok and rep.sample_checks and rep.poles_skipped == 0  # the residuals are canonical zeros
+
+    # a residual whose denominator vanishes at every sampled point: nothing is evaluated
+    real = kvgeom.structures.kv_map_residuals
+    pole = 1 / vanishing_on_sample_box("y1")
+
+    def with_pole(f, h1, h2):
+        res = real(f, h1, h2)
+        return res if f.source.name == "M" else tuple(tuple(e + pole for e in row) for row in res)
+
+    monkeypatch.setattr(kvgeom.structures, "kv_map_residuals", with_pole)
+    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    assert rep.poles_skipped == len(rep.sample_checks) == 6
+    poled = run_text(head).outcomes[0]
+    assert poled.details == (
+        "preimage dimension 2; induced structures related by the restricted map at all samples; "
+        "20 of 20 (point, entry) evaluations skipped at a pole"
+    )
 
 
 def test_fail_fast_stops_after_first_failure():

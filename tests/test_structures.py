@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_bivector, random_field, random_oneform, random_point
+from conftest import random_bivector, random_field, random_oneform, random_point, random_poly
 from kvgeom import linalg
 from kvgeom.errors import (
     ChartMismatch,
@@ -119,7 +119,7 @@ def test_products_and_congruences_match_linalg(n, m):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_to_adapted_bivector_matches_linalg(n):
-    """P H(C y + o) P^T at points, for random affine submanifolds of every dimension."""
+    """P H(C y + o) P^T at points y of N (y_{k+1} = ... = y_n = 0), for random affine submanifolds of all dimensions."""
     rng = random.Random(n)
     chart = Chart("R", tuple(f"x{i + 1}" for i in range(n)))
     for k in range(n + 1):
@@ -132,7 +132,7 @@ def test_to_adapted_bivector_matches_linalg(n):
         hy = to_adapted_bivector(frame, h)
         C, P_ = frame.inverse, frame.change
         for _ in range(3):
-            y = random_point(rng, n)
+            y = random_point(rng, k) + (Fr(0),) * (n - k)
             x = tuple(a + o for a, o in zip(linalg.matvec(C, y), frame.submanifold.origin))
             H = _at(h.entries, dict(zip(chart.coords, x)))
             want = linalg.matmul(linalg.matmul(P_, H), linalg.transpose(P_))
@@ -497,6 +497,83 @@ def test_conormal_algebroid_with_nonzero_anchor_and_nonconstant_table():
     assert alg.table[0][0][0] == 2 * y1
     assert alg.left_symmetric_ok
     assert alg.anchor_vanishes_at_point is False  # fiber algebra not examined here
+
+
+def _differentiate_then_restrict(n_sub, h):
+    """Conormal table and anchor by the first-principles route: build P H(C y + o) P^T over
+    all n adapted variables, differentiate along y_{k+c}, then set y_{k+1}..y_n to 0."""
+    frame = adapted_frame(n_sub)
+    k, n = n_sub.dim, n_sub.ambient.dim
+    C, P_, ys = frame.inverse, frame.change, frame.adapted_chart.coords
+    sub = {
+        x: sum((Expr.const(C[i][j]) * Expr.var(ys[j]) for j in range(n)), Expr.const(n_sub.origin[i]))
+        for i, x in enumerate(n_sub.ambient.coords)
+    }
+    H = [[e.substitute(sub) for e in row] for row in h.entries]
+    hy = [
+        [sum((Expr.const(P_[a][i] * P_[b][l]) * H[i][l] for i in range(n) for l in range(n)), Expr.const(0))
+         for b in range(n)]
+        for a in range(n)
+    ]
+    on_n = {v: Expr.const(0) for v in ys[k:]}
+    table = tuple(
+        tuple(tuple(hy[k + a][k + b].diff(ys[k + c]).substitute(on_n) for c in range(n - k)) for b in range(n - k))
+        for a in range(n - k)
+    )
+    anchor = tuple(tuple(hy[k + a][j].substitute(on_n) for j in range(k)) for a in range(n - k))
+    return table, anchor
+
+
+def _random_coisotropic(rng, n, k):
+    """A random affine k-plane N of R^n and a bivector h whose conormal block vanishes on N.
+
+    h is C K(P(x - o)) C^T for a random adapted bivector K whose conormal-conormal
+    entries lie in the ideal of y_{k+1}, ..., y_n, so N is coisotropic for h.
+    """
+    chart = Chart("R", tuple(f"x{i + 1}" for i in range(n)))
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(basis) == k:
+            break
+    n_sub = AffineSubmanifold(chart, random_point(rng, n), basis)
+    frame = adapted_frame(n_sub)
+    ys = frame.adapted_chart.coords
+    K = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            e = random_poly(rng, ys, 2, terms=3)
+            if a >= k:
+                e = sum((Expr.var(ys[c]) * random_poly(rng, ys, 1, terms=2) for c in range(k, n)), Expr.const(0))
+            K[a][b] = K[b][a] = e
+    x_minus_o = [Expr.var(x) - Expr.const(o) for x, o in zip(chart.coords, n_sub.origin)]
+    to_y = {
+        y: sum((Expr.const(c) * d for c, d in zip(row, x_minus_o)), Expr.const(0)) for y, row in zip(ys, frame.change)
+    }
+    Kx = [[e.substitute(to_y) for e in row] for row in K]
+    C = frame.inverse
+    h = [
+        [sum((Expr.const(C[i][a] * C[j][b]) * Kx[a][b] for a in range(n) for b in range(n)), Expr.const(0))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return n_sub, SymBivector(chart, tuple(map(tuple, h)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conormal_algebroid_matches_differentiate_then_restrict(n):
+    """The table from derivatives of H along the frame vectors equals the derivative of the full
+    adapted bivector restricted to N, entry by entry, for every 0 <= k < n."""
+    rng = random.Random(90 + n)
+    for k in range(n):
+        for _ in range(2):
+            n_sub, h = _random_coisotropic(rng, n, k)
+            assert is_coisotropic(n_sub, h)
+            alg = conormal_algebroid(n_sub, h)
+            table, anchor = _differentiate_then_restrict(n_sub, h)
+            assert alg.table == table
+            assert alg.anchor == anchor
+            assert any(not e.is_zero() for plane in table for row in plane for e in row)
+            assert k == 0 or any(not e.is_zero() for row in anchor for e in row)
 
 
 def test_algebroid_associator_detects_non_left_symmetric_tables():
