@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import InvalidAlgebra, InvalidSubspace
-from .geometry import Chart, SymBivector
+from .geometry import Chart, SymBivector, _dot
 from .structures import AffineSubmanifold
-from .symexpr import Expr, Rational
+from .symexpr import ZERO, Expr, Rational
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,11 @@ def algebra_to_kv(a: AlgebraSpec, chart: Chart | None = None) -> SymBivector:
     chart = chart if chart is not None else dual_chart(a)
     if chart.dim != a.dim:
         raise InvalidAlgebra("chart dimension does not match the algebra")
-    n = a.dim
     xs = [Expr.var(v) for v in chart.coords]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = Expr.const(a.cocycle[i][j])
-            for k in range(n):
-                if a.product[i][j][k]:
-                    e = e + Expr.const(a.product[i][j][k]) * xs[k]
-            row.append(e)
-        entries.append(tuple(row))
-    return SymBivector(chart, tuple(entries))
+    return SymBivector(chart, tuple(
+        tuple(Expr.const(b) + _dot([Expr.const(c) if c else ZERO for c in C], xs) for b, C in zip(brow, Crow))
+        for brow, Crow in zip(a.cocycle, a.product)
+    ))
 
 
 @dataclass(frozen=True)

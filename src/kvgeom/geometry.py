@@ -149,46 +149,35 @@ def differential(f: ScalarField) -> OneForm:
     return OneForm(f.chart, tuple(f.value.diff(v) for v in f.chart.coords))
 
 
+def _dot(u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
+    """sum_l u_l v_l, leaving out the products with a zero factor.
+
+    The one contraction of the tensor operators; canonical forms are unique,
+    so the order of the terms never shows in the result.
+    """
+    return sum((a * b for a, b in zip(u, v) if not (a.is_zero() or b.is_zero())), ZERO)
+
+
 def apply_field(X: VectorField, e: Expr) -> Expr:
     """Directional derivative X(e) in chart coordinates."""
-    out = ZERO
-    for xi, v in zip(X.components, X.chart.coords):
-        out = out + xi * e.diff(v)
-    return out
+    return _dot(X.components, [e.diff(v) for v in X.chart.coords])
 
 
 def pair(alpha: OneForm, X: VectorField) -> Expr:
     _same_chart(alpha, X)
-    out = ZERO
-    for a, x in zip(alpha.components, X.components):
-        out = out + a * x
-    return out
+    return _dot(alpha.components, X.components)
 
 
 def bivector_pair(h: SymBivector, alpha: OneForm, beta: OneForm) -> Expr:
     """h(alpha, beta) = sum_ij alpha_i beta_j h_ij."""
     _same_chart(h, alpha, beta)
-    out = ZERO
-    n = h.chart.dim
-    for i in range(n):
-        if alpha.components[i].is_zero():
-            continue
-        for j in range(n):
-            out = out + alpha.components[i] * beta.components[j] * h.entries[i][j]
-    return out
+    return _dot(alpha.components, [_dot(beta.components, row) for row in h.entries])
 
 
 def sharp(h: SymBivector, alpha: OneForm) -> VectorField:
     """alpha^# with components (alpha^#)_j = sum_i alpha_i h_ij."""
     _same_chart(h, alpha)
-    n = h.chart.dim
-    comps = []
-    for j in range(n):
-        s = ZERO
-        for i in range(n):
-            s = s + alpha.components[i] * h.entries[i][j]
-        comps.append(s)
-    return VectorField(h.chart, tuple(comps))
+    return VectorField(h.chart, tuple(_dot(alpha.components, col) for col in zip(*h.entries)))
 
 
 def nabla_form(X: VectorField, beta: OneForm) -> OneForm:
@@ -230,9 +219,7 @@ def codazzi_tensor(h: SymBivector) -> TrilinearForm:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                s = ZERO
-                for l in range(n):
-                    s = s + H[i][l] * dH[j][k][l] - H[j][l] * dH[i][k][l]
+                s = _dot(H[i], dH[j][k]) - _dot(H[j], dH[i][k])
                 table[i][j][k] = s
                 table[j][i][k] = -s
     return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
@@ -240,15 +227,6 @@ def codazzi_tensor(h: SymBivector) -> TrilinearForm:
 
 def is_kv(h: SymBivector) -> bool:
     return codazzi_tensor(h).is_zero()
-
-
-def _dot(u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
-    """sum_l u_l v_l, leaving out the products with a zero factor."""
-    s = ZERO
-    for a, b in zip(u, v):
-        if not (a.is_zero() or b.is_zero()):
-            s = s + a * b
-    return s
 
 
 def kv_bracket_form(h: SymBivector) -> TrilinearForm:
@@ -268,9 +246,10 @@ def kv_bracket_form(h: SymBivector) -> TrilinearForm:
     terms, so only i < j is computed and the diagonal is zero.
 
     The entry expands to minus the Codazzi defect, so both tables vanish
-    together.  The route stays independent of codazzi_tensor, which sums
-    h_il d_l h_jk directly: this one goes through the sharp map and the
-    five bracket terms, so each table cross-checks the other.
+    together.  Both operators contract through ``_dot``, so the cross-check
+    compares two formulas, not two summation codes: codazzi_tensor
+    contracts h with its own derivatives, and this route goes through the
+    sharp map and the five bracket terms.
     """
     chart = h.chart
     n = chart.dim
@@ -301,19 +280,10 @@ def bracket_h(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:
 def contravariant_D(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:
     """D_alpha beta, with <D_alpha beta, X> = (nabla_X h)(alpha, beta) + <nabla_{alpha^#} beta, X>."""
     _same_chart(h, alpha, beta)
-    chart = h.chart
-    n = chart.dim
     nab = nabla_form(sharp(h, alpha), beta)
-    comps = []
-    for j, v in enumerate(chart.coords):
-        s = ZERO
-        for k in range(n):
-            if alpha.components[k].is_zero():
-                continue
-            for l in range(n):
-                s = s + alpha.components[k] * beta.components[l] * h.entries[k][l].diff(v)
-        comps.append(s + nab.components[j])
-    return OneForm(chart, tuple(comps))
+    a, b = alpha.components, beta.components
+    dh = [_dot(a, [_dot(b, [e.diff(v) for e in row]) for row in h.entries]) for v in h.chart.coords]
+    return OneForm(h.chart, tuple(d + c for d, c in zip(dh, nab.components)))
 
 
 def hamiltonian(h: SymBivector, f: ScalarField) -> VectorField:
@@ -328,18 +298,14 @@ def lie_derivative_contravariant(
     """(L_X T)^ij = X(T^ij) - T^kj d_k X^i - T^ik d_k X^j for any 2-contravariant tensor."""
     n = chart.dim
     dX = [[X[i].diff(v) for v in chart.coords] for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = ZERO
-            for k, v in enumerate(chart.coords):
-                s = s + X[k] * T[i][j].diff(v)
-            for k in range(n):
-                s = s - T[k][j] * dX[i][k] - T[i][k] * dX[j][k]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = list(zip(*T))
+    return tuple(
+        tuple(
+            _dot(X, [T[i][j].diff(v) for v in chart.coords]) - _dot(cols[j], dX[i]) - _dot(T[i], dX[j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def lie_derivative_h(h: SymBivector, f: ScalarField) -> SymBivector:
@@ -352,22 +318,12 @@ def lie_derivative_h(h: SymBivector, f: ScalarField) -> SymBivector:
 def hessian_contraction(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...], ...]:
     """Matrix <nabla_{X_i} df, X_j> = sum_{l,m} h_il h_jm d2f/dx_l dx_m on the coordinate coframe."""
     _same_chart(h, f)
-    chart = h.chart
-    n = chart.dim
-    hess = [[f.value.diff(u).diff(v) for v in chart.coords] for u in chart.coords]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = ZERO
-            for l in range(n):
-                if h.entries[i][l].is_zero():
-                    continue
-                for m in range(n):
-                    s = s + h.entries[i][l] * h.entries[j][m] * hess[l][m]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    coords = h.chart.coords
+    H = h.entries
+    hess = [[f.value.diff(u).diff(v) for v in coords] for u in coords]
+    # Hd[j][l] = sum_m h_jm d2f/dx_l dx_m, the components of nabla_{X_j} df
+    Hd = [[_dot(row, d) for d in hess] for row in H]
+    return tuple(tuple(_dot(row, hd) for hd in Hd) for row in H)
 
 
 def lie_derivative_residual(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...], ...]:

@@ -6,12 +6,13 @@ polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
 determinant restricts to a nonzero constant, pointwise otherwise.
 
-Each construction is written once: ``_matvec`` is the product M v of a
-rational matrix with a vector of expressions (map components, pullbacks,
-relatedness), ``_congruence`` is M T M^T (K-V maps and the change to adapted
-coordinates), and ``expr_det`` is the one exact elimination, which yields a
-determinant and, in the same pass, the bordered determinants of a Schur
-complement.
+Each construction is written once: every sum of products goes through
+``geometry._dot``, the one contraction of the tensor layer; ``_matvec`` is
+the product M v of a rational matrix with a vector of expressions (map
+components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
+the change to adapted coordinates), and ``expr_det`` is the one exact
+elimination, which yields a determinant and, in the same pass, the bordered
+determinants of a Schur complement.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
 {y_{k+1} = ... = y_n = 0}.  Restriction to N is the pullback along N's
@@ -47,6 +48,7 @@ from .geometry import (
     ScalarField,
     SymBivector,
     VectorField,
+    _dot,
     codazzi_tensor,
     coordinate_form,
     hamiltonian,
@@ -60,24 +62,18 @@ def _frac_row(row: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in row)
 
 
-def _sum(terms) -> Expr:
-    """Sum of the terms, folded from the first one rather than from ZERO."""
-    it = iter(terms)
-    s = next(it, ZERO)
-    for t in it:
-        s = s + t
-    return s
-
-
 def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
     """M v for a rational matrix M and a vector v of Expr, skipping the zero entries of M."""
-    return [_sum(Expr.const(c) * e for c, e in zip(row, v) if c) for row in M]
+    return [_dot([Expr.const(c) if c else ZERO for c in row], v) for row in M]
 
 
 def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
     """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M."""
     nz = [[(i, c) for i, c in enumerate(row) if c] for row in M]
-    return [[_sum(Expr.const(c * d) * T[i][j] for i, c in ra for j, d in rb) for rb in nz] for ra in nz]
+    return [
+        [_dot([Expr.const(c * d) for _, c in ra for _, d in rb], [T[i][j] for i, _ in ra for j, _ in rb]) for rb in nz]
+        for ra in nz
+    ]
 
 
 # --- affine maps -------------------------------------------------------------
@@ -189,10 +185,7 @@ def _sample_target_scalars(chart: Chart) -> list[ScalarField]:
     fields += ys
     fields += [ys[a] * ys[b] for a in range(len(ys)) for b in range(a, len(ys))]
     if ys:
-        cubic = ys[0] ** 3
-        for y in ys[1:]:
-            cubic = cubic + y ** 3
-        fields.append(cubic)
+        fields.append(sum((y ** 3 for y in ys[1:]), ys[0] ** 3))
     return [ScalarField(chart, e) for e in fields]
 
 
@@ -588,40 +581,17 @@ def _algebroid_associator_residuals(
 ) -> list[Expr]:
     """ass(a,b,g) - ass(b,a,g) componentwise for all basis triples."""
     m = len(table)
-    k = chart.dim
-
-    def anchor_apply(a: int, e: Expr) -> Expr:
-        out = ZERO
-        for j in range(k):
-            out = out + anchor[a][j] * e.diff(chart.coords[j])
-        return out
-
-    def product_section(coeffs: Sequence[Expr], g: int) -> list[Expr]:
-        # (sum_c coeffs_c dy_c) • dy_g, linear over functions in the first slot
-        out = [ZERO] * m
-        for c in range(m):
-            if coeffs[c].is_zero():
-                continue
-            for e in range(m):
-                out[e] = out[e] + coeffs[c] * table[c][g][e]
-        return out
-
-    def section_product(a: int, coeffs: Sequence[Expr]) -> list[Expr]:
-        # dy_a • (sum_c coeffs_c dy_c) with the Leibniz anchor term
-        out = [ZERO] * m
-        for c in range(m):
-            if not coeffs[c].is_zero():
-                for e in range(m):
-                    out[e] = out[e] + coeffs[c] * table[a][c][e]
-            out[c] = out[c] + anchor_apply(a, coeffs[c])
-        return out
 
     def ass(a: int, b: int, g: int) -> list[Expr]:
-        ab = [table[a][b][e] for e in range(m)]
-        first = product_section(ab, g)
-        bg = [table[b][g][e] for e in range(m)]
-        second = section_product(a, bg)
-        return [p - q for p, q in zip(first, second)]
+        # (dy_a • dy_b) • dy_g is linear over functions in the first slot; dy_a • (dy_b • dy_g)
+        # adds the anchor of dy_a applied to the coefficients of dy_b • dy_g (Leibniz rule)
+        ab, bg = table[a][b], table[b][g]
+        return [
+            _dot(ab, [table[c][g][e] for c in range(m)])
+            - _dot(bg, [table[a][c][e] for c in range(m)])
+            - _dot(anchor[a], [bg[e].diff(v) for v in chart.coords])
+            for e in range(m)
+        ]
 
     residuals = []
     for a in range(m):
@@ -837,6 +807,10 @@ def preimage_transversal(
             except PoleAtPoint:  # pole of an induced rational entry: counted, not evaluated
                 skipped += 1
         checks.append((p, all(v == 0 for v in values)))
+    if skipped and skipped == len(residuals) * len(checks):
+        raise PoleAtPoint(
+            f"nothing evaluated: all {skipped} (point, entry) evaluations of the sample checks met a pole"
+        )
     return PreimageReport(n1, t1, t2, restriction, t1.induced, t2.induced, tuple(checks), skipped)
 
 

@@ -18,11 +18,11 @@ from .geometry import (
     SymBivector,
     TrilinearForm,
     VectorField,
+    _dot,
     codazzi_tensor,
     differential,
     hamiltonian,
     hessian_contraction,
-    in_E,
     lie_derivative_contravariant,
 )
 from .symexpr import ZERO, Expr
@@ -145,14 +145,7 @@ def pi_sharp(pi: SkewBivector, alpha: OneForm) -> VectorField:
     """Pi_#(alpha) defined by beta(Pi_#(alpha)) = Pi(alpha, beta)."""
     if alpha.chart != pi.chart:
         raise ChartMismatch("expected a one-form on the tangent chart")
-    n2 = pi.tangent.dim
-    comps = []
-    for j in range(n2):
-        s = ZERO
-        for i in range(n2):
-            s = s + alpha.components[i] * pi.entries[i][j]
-        comps.append(s)
-    return VectorField(pi.chart, tuple(comps))
+    return VectorField(pi.chart, tuple(_dot(alpha.components, col) for col in zip(*pi.entries)))
 
 
 def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
@@ -168,15 +161,12 @@ def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
     P = pi.entries
     coords = chart.coords
     dP = [[[P[i][j].diff(v) for v in coords] for j in range(n2)] for i in range(n2)]
+    cols = list(zip(*P))
     table = [[[ZERO for _ in range(n2)] for _ in range(n2)] for _ in range(n2)]
     for i in range(n2):
         for j in range(i + 1, n2):
             for k in range(j + 1, n2):
-                s = ZERO
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l in range(n2):
-                        if not (P[l][a].is_zero() or dP[b][c][l].is_zero()):
-                            s = s + P[l][a] * dP[b][c][l]
+                s = _dot(cols[i], dP[j][k]) + _dot(cols[j], dP[k][i]) + _dot(cols[k], dP[i][j])
                 table[i][j][k] = s
                 table[j][k][i] = s
                 table[k][i][j] = s
@@ -214,11 +204,11 @@ def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsR
     lie_pi = SkewBivector(tc, lie_entries)
     vanishes = all(e.is_zero() for row in lie_entries for e in row)
 
-    f_in = in_E(h, f)
+    hc = hessian_contraction(h, f)
+    f_in = all(e.is_zero() for row in hc for e in row)  # in_E, from the contraction computed once
     kv = codazzi_tensor(h).is_zero()
     agree = (vanishes == f_in) if kv else None
 
-    hc = hessian_contraction(h, f)
     mixed = tuple(
         tuple(lie_entries[n + i][j] - hc[i][j] for j in range(n)) for i in range(n)
     )

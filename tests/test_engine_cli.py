@@ -1,5 +1,6 @@
 """Engine orchestration and the command-line interface: verdicts, oracle, exit codes."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -10,7 +11,6 @@ import pytest
 from conftest import vanishing_on_sample_box
 import kvgeom.checks
 import kvgeom.structures
-import kvgeom.tangent
 from kvgeom.cli import build_parser, main, run
 from kvgeom.corpus import BUILTIN_SCENARIOS, get_scenario, list_corpus
 from kvgeom.dsl import bind_scenario, parse_scenario, render_report
@@ -18,7 +18,7 @@ from kvgeom.engine import (
     WITNESS_TRIES, CheckRecord, RunConfig, RunResult, _find_witness, _oracle_verify, run_scenario,
 )
 from kvgeom.dsl import CheckOutcome
-from kvgeom.errors import ClosureFailure
+from kvgeom.errors import ClosureFailure, PoleAtPoint
 from kvgeom.geometry import TrilinearForm
 from kvgeom.structures import preimage_transversal
 from kvgeom.symexpr import Expr
@@ -148,7 +148,7 @@ def test_preimage_transversal_names_the_evaluations_skipped_at_a_pole(monkeypatc
     assert not rep.transversal_source.determinant.is_const()
     assert rep.ok and rep.sample_checks and rep.poles_skipped == 0  # the residuals are canonical zeros
 
-    # a residual whose denominator vanishes at every sampled point: nothing is evaluated
+    # a residual whose denominator vanishes at every sampled point: nothing is evaluated, so no verdict
     real = kvgeom.structures.kv_map_residuals
     pole = 1 / vanishing_on_sample_box("y1")
 
@@ -157,12 +157,13 @@ def test_preimage_transversal_names_the_evaluations_skipped_at_a_pole(monkeypatc
         return res if f.source.name == "M" else tuple(tuple(e + pole for e in row) for row in res)
 
     monkeypatch.setattr(kvgeom.structures, "kv_map_residuals", with_pole)
-    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
-    assert rep.poles_skipped == len(rep.sample_checks) == 6
-    poled = run_text(head).outcomes[0]
-    assert poled.details == (
-        "preimage dimension 2; induced structures related by the restricted map at all samples; "
-        "20 of 20 (point, entry) evaluations skipped at a pole"
+    with pytest.raises(PoleAtPoint, match="all 6 "):
+        preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    poled = run_text(head)
+    assert poled.exit_code == 1
+    assert poled.outcomes[0].status == "unsupported"
+    assert poled.outcomes[0].details == (
+        "nothing evaluated: all 20 (point, entry) evaluations of the sample checks met a pole"
     )
 
 
@@ -208,13 +209,16 @@ def test_only_lift_props_hands_claims_to_the_oracle():
 
 
 def test_oracle_catches_wrong_mixed_lift_residuals(monkeypatch, capsys):
-    true_contraction = kvgeom.tangent.hessian_contraction
+    # only the mixed residuals are wrong: the leafwise-affine verdict, read from the same
+    # contraction, stays right, so the check hands the wrong residuals to the oracle
+    true_check = kvgeom.checks.lift_propositions_check
 
     def off_by_one(h, f):
-        hc = true_contraction(h, f)
-        return ((hc[0][0] + 1,) + hc[0][1:],) + hc[1:]
+        rep = true_check(h, f)
+        mixed = rep.mixed_residuals
+        return dataclasses.replace(rep, mixed_residuals=((mixed[0][0] + 1,) + mixed[0][1:],) + mixed[1:])
 
-    monkeypatch.setattr(kvgeom.tangent, "hessian_contraction", off_by_one)
+    monkeypatch.setattr(kvgeom.checks, "lift_propositions_check", off_by_one)
     rc = main(["--scenario", "linear_dual_pair"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert rc == 3
