@@ -64,11 +64,9 @@ from .tangent import (
     schouten_jacobi,
 )
 from .structures import (
-    AdaptedFrame,
     AffineMap,
     AffineSubmanifold,
     ConormalAlgebroid,
-    adapted_frame,
     are_F_related,
     conormal_algebroid,
     graph_check,

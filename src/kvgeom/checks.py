@@ -19,6 +19,7 @@ evaluates to 0 everywhere, so it is never handed over: today only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 from typing import Callable
 
 from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra, validate_subspace
@@ -35,7 +36,6 @@ from .geometry import (
 from .structures import (
     POINTWISE_TRUE,
     SYMBOLIC_TRUE,
-    _sample_parameters,
     coisotropy_residuals,
     conormal_algebroid,
     graph_check,
@@ -45,7 +45,7 @@ from .structures import (
     preimage_transversal,
     theorem1_equivalences,
 )
-from .symexpr import Expr
+from .symexpr import Expr, sample_point
 from .tangent import build_pi, lift_propositions_check, schouten_jacobi
 
 PASS = "pass"
@@ -369,7 +369,8 @@ def _run_rank(env, check, seed, samples):
     if check.options.points is not None:
         pts = [tuple(p) for p in check.options.points]
     else:
-        pts = _sample_parameters(h.chart.dim, samples, seed)
+        rng = Random(seed)
+        pts = [sample_point(rng, h.chart.dim) for _ in range(samples)]
     parts = []
     for p in pts:
         try:

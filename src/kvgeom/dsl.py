@@ -140,8 +140,14 @@ class CheckDirective:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Declarations and checks, bound once, when built, to the environment the checks run in."""
+
     declarations: tuple[Declaration, ...]
     checks: tuple[CheckDirective, ...]
+    env: Environment = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "env", bind_scenario(self))  # surfaces SemanticError with positions
 
 
 # --- parser -------------------------------------------------------------------
@@ -488,9 +494,7 @@ def _assemble_symmetric(rows: Sequence[Sequence[Expr]], t0: Token) -> tuple[tupl
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and semantically validate a scenario."""
-    scenario = _Parser(tokenize(text)).scenario()
-    bind_scenario(scenario)  # surfaces SemanticError with positions
-    return scenario
+    return _Parser(tokenize(text)).scenario()
 
 
 # --- semantic binding ----------------------------------------------------------

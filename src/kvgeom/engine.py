@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
 from .checks import CHECKS, FAIL, PASS, POINTWISE_PASS, UNSUPPORTED, Witness
-from .dsl import CheckDirective, CheckOutcome, Environment, Scenario, bind_scenario
+from .dsl import CheckDirective, CheckOutcome, Environment, Scenario
 from .errors import (
     ClosureFailure,
     DegreeOverflow,
@@ -29,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     ZeroDenominator,
 )
-from .symexpr import Expr
+from .symexpr import Expr, sample_point
 
 
 @dataclass
@@ -41,10 +39,6 @@ class CheckRecord:
     inconsistencies: list[str] = field(default_factory=list)
 
 
-def _rational_point(rng: random.Random, variables: Sequence[str]) -> dict[str, Fraction]:
-    return {v: Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for v in variables}
-
-
 WITNESS_TRIES = 200
 
 
@@ -53,7 +47,7 @@ def _find_witness(residual: Expr, seed: int, tries: int = WITNESS_TRIES) -> Witn
     rng = random.Random(seed)
     variables = sorted(residual.variables())
     for _ in range(tries):
-        point = _rational_point(rng, variables)
+        point = dict(zip(variables, sample_point(rng, len(variables))))
         try:
             value = residual.eval_at(point)
         except PoleAtPoint:
@@ -70,7 +64,7 @@ def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
     for idx, claim in enumerate(record.zero_claims):
         variables = sorted(claim.variables())
         for _ in range(samples):
-            point = _rational_point(rng, variables)
+            point = dict(zip(variables, sample_point(rng, len(variables))))
             try:
                 value = claim.eval_at(point)
             except PoleAtPoint:
@@ -101,54 +95,46 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
 
 
-class CheckRunner:
-    """Executes one scenario's checks in order."""
+def run_check(env: Environment, check: CheckDirective, seed: int, samples: int) -> CheckRecord:
+    """Run one check; ``samples`` is the run's default, which the check's own option overrides."""
+    name = ",".join(check.args)
+    kind = check.kind
+    samples = check.options.samples or samples
+    try:
+        status, details, witness_expr, claims = CHECKS[kind].run(env, check, seed, samples)
+    except (
+        PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint,
+        DegreeOverflow,
+    ) as exc:
+        outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
+        return CheckRecord(outcome)
+    except (EngineInconsistency, ClosureFailure) as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        outcome = CheckOutcome(name, kind, FAIL, None, f"ENGINE INCONSISTENCY: {message}")
+        return CheckRecord(outcome, inconsistencies=[message])
 
-    def __init__(self, env: Environment, seed: int = 42, samples: int = 20):
-        self.env = env
-        self.seed = seed
-        self.samples = samples
+    expected = check.options.expect or "pass"
+    passed = status in (PASS, POINTWISE_PASS)
+    if expected == "fail":
+        if passed:
+            status = FAIL
+            details = f"expected failure but the check passed; {details}"
+            witness_expr = None
+        else:
+            status = PASS
+            details = f"failed as expected; {details}"
 
-    def run_check(self, check: CheckDirective, index: int) -> CheckRecord:
-        name = ",".join(check.args)
-        kind = check.kind
-        seed = self.seed * 1000003 + index
-        samples = check.options.samples or self.samples
-        try:
-            status, details, witness_expr, claims = CHECKS[kind].run(self.env, check, seed, samples)
-        except (
-            PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint,
-            DegreeOverflow,
-        ) as exc:
-            outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
-            return CheckRecord(outcome)
-        except (EngineInconsistency, ClosureFailure) as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            outcome = CheckOutcome(name, kind, FAIL, None, f"ENGINE INCONSISTENCY: {message}")
-            return CheckRecord(outcome, inconsistencies=[message])
+    witness = None
+    if witness_expr is not None and (status == FAIL or (expected == "fail" and status == PASS)):
+        if isinstance(witness_expr, Witness):
+            witness = witness_expr
+        else:
+            witness = _find_witness(witness_expr, seed)
+            if witness is None:
+                details = f"{details}; no witness found in {WITNESS_TRIES} tries"
 
-        expected = check.options.expect or "pass"
-        passed = status in (PASS, POINTWISE_PASS)
-        if expected == "fail":
-            if passed:
-                status = FAIL
-                details = f"expected failure but the check passed; {details}"
-                witness_expr = None
-            else:
-                status = PASS
-                details = f"failed as expected; {details}"
-
-        witness = None
-        if witness_expr is not None and (status == FAIL or (expected == "fail" and status == PASS)):
-            if isinstance(witness_expr, Witness):
-                witness = witness_expr
-            else:
-                witness = _find_witness(witness_expr, seed)
-                if witness is None:
-                    details = f"{details}; no witness found in {WITNESS_TRIES} tries"
-
-        outcome = CheckOutcome(name, kind, status, witness, details)
-        return CheckRecord(outcome, claims)
+    outcome = CheckOutcome(name, kind, status, witness, details)
+    return CheckRecord(outcome, claims)
 
 
 @dataclass
@@ -183,12 +169,10 @@ def run_scenario(
     fail_fast: bool = False,
     check_offset: int = 0,
 ) -> RunResult:
-    """Execute a parsed scenario's checks in order."""
-    env = bind_scenario(scenario)
-    runner = CheckRunner(env, seed=seed, samples=samples)
+    """Execute a parsed scenario's checks in order, in the environment it was bound to."""
     records: list[CheckRecord] = []
     for idx, check in enumerate(scenario.checks):
-        record = runner.run_check(check, check_offset + idx)
+        record = run_check(scenario.env, check, seed * 1000003 + check_offset + idx, samples)
         _oracle_verify(record, seed * 7 + check_offset + idx, samples)
         records.append(record)
         if fail_fast and record.outcome.status in (FAIL, UNSUPPORTED):

@@ -100,12 +100,22 @@ def solve(a: Sequence[Sequence], b: Sequence) -> Vec | None:
     return tuple(x)
 
 
-def inverse(a: Sequence[Sequence]) -> Mat | None:
-    n = len(a)
-    if n == 0:
-        return ()
-    rows = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+def complete_frame(vectors: Sequence[Sequence], n: int) -> tuple[Mat, Mat] | None:
+    """(C, C^{-1}), where C has the vectors, then standard vectors taken greedily in index order, as columns.
+
+    None when the vectors are dependent.  One RREF of [V | I] gives both:
+    its pivot columns are the columns of C, and the row operations that
+    reduce them to I, read off its last n columns, are C^{-1}.
+    """
+    k = len(vectors)
+    rows = [[Fraction(v[i]) for v in vectors] + list(e) for i, e in enumerate(identity(n))]
     rows, pivots = _rref(rows)
-    if pivots != list(range(n)):
+    if pivots[:k] != list(range(k)):
         return None
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    C = tuple(tuple(Fraction(v[i]) for v in vectors) + tuple(Fraction(i == p - k) for p in pivots[k:]) for i in range(n))
+    return C, tuple(tuple(row[k:]) for row in rows)
+
+
+def inverse(a: Sequence[Sequence]) -> Mat | None:
+    frame = complete_frame(transpose(a), len(a))
+    return None if frame is None else frame[1]

@@ -15,20 +15,25 @@ elimination, which yields a determinant and, in the same pass, the bordered
 determinants of a Schur complement.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
-{y_{k+1} = ... = y_n = 0}.  Restriction to N is the pullback along N's
-parametrization x = C (y_1..y_k, 0) + o (``_along_n``), so the adapted
-bivector of ``to_adapted_bivector`` holds N's coordinates only, and the K-V
-submanifold, transversal and coisotropy tests read its blocks.  The conormal
-algebroid differentiates H along the frame vectors c_j, the columns of C,
-which is d/dy_j, and pulls those derivatives back along N the same way.
+{y_{k+1} = ... = y_n = 0}.  ``AffineSubmanifold`` builds its frame C (the
+basis completed by standard vectors) and P = C^{-1} once, in one RREF, and
+every chart change reads them: ``parameters_of`` is y = P(x - o), N's
+``parametrization`` is x = C (y_1..y_k, 0) + o, and a map F restricts to
+y_2 = P_2 (F(x_1(y_1)) - o_2) through ``compose``.  Restriction to N is the
+pullback along the parametrization (``_along_n``), so the adapted bivector
+of ``to_adapted_bivector`` holds N's coordinates only, and the K-V
+submanifold, transversal and coisotropy tests read its blocks.  The
+conormal algebroid differentiates H along the frame vectors c_j, the
+columns of C, which is d/dy_j, and pulls those derivatives back along N the
+same way.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from random import Random
 from typing import Sequence
 
 from . import linalg
@@ -54,7 +59,7 @@ from .geometry import (
     hamiltonian,
     sharp,
 )
-from .symexpr import ONE, ZERO, Expr, Rational, divexact
+from .symexpr import ONE, ZERO, Expr, Rational, divexact, sample_point
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -102,6 +107,8 @@ class AffineMap:
         return cls(chart, chart, linalg.identity(chart.dim), tuple(Fraction(0) for _ in range(chart.dim)))
 
     def apply(self, p: Sequence[Rational]) -> tuple[Fraction, ...]:
+        if len(p) != self.source.dim:
+            raise ValueError(f"point {list(p)} must have length {self.source.dim}")
         return tuple(a + b for a, b in zip(linalg.matvec(self.matrix, p), self.offset))
 
     def component_exprs(self) -> tuple[Expr, ...]:
@@ -286,11 +293,19 @@ def product_kv(h1: SymBivector, h2: SymBivector, sign: int = 1) -> ProductKV:
 
 @dataclass(frozen=True)
 class AffineSubmanifold:
-    """Affine subspace origin + span(basis) of an ambient chart; dim 0 is a point."""
+    """Affine subspace origin + span(basis) of an ambient chart; dim 0 is a point.
+
+    The adapted frame is built once, here: the frame C has the basis vectors,
+    then the standard vectors that complete them, as columns, and the change
+    P = C^{-1} gives the adapted coordinates y = P(x - origin), in which N is
+    {y_{k+1} = ... = y_n = 0}.
+    """
 
     ambient: Chart
     origin: tuple[Fraction, ...]
     basis: tuple[tuple[Fraction, ...], ...]
+    frame: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # C
+    change: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # P = C^{-1}
 
     def __post_init__(self):
         n = self.ambient.dim
@@ -300,62 +315,48 @@ class AffineSubmanifold:
         object.__setattr__(self, "basis", basis)
         if len(origin) != n or any(len(b) != n for b in basis):
             raise ValueError(f"origin and basis vectors must have length {n}")
-        if len(basis) > n or linalg.rank(basis) != len(basis):
+        frame = linalg.complete_frame(basis, n)
+        if frame is None:
             raise DegenerateBasis("basis vectors are linearly dependent")
+        object.__setattr__(self, "frame", frame[0])
+        object.__setattr__(self, "change", frame[1])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def adapted_chart(self) -> Chart:
+        """The ambient chart in adapted coordinates y1..yn."""
+        return Chart(f"{self.ambient.name}_ad", tuple(f"y{i + 1}" for i in range(self.ambient.dim)))
+
+    @property
+    def chart(self) -> Chart:
+        """N's own chart: the tangent adapted coordinates y1..yk."""
+        return Chart(f"{self.ambient.name}_ind", tuple(f"y{i + 1}" for i in range(self.dim)))
+
+    @property
+    def is_identity(self) -> bool:
+        """The adapted coordinates are the ambient ones: C = I and the origin is 0."""
+        return self.frame == linalg.identity(self.ambient.dim) and not any(self.origin)
+
+    def parametrization(self) -> AffineMap:
+        """x = C (y_1..y_k, 0) + origin, from N's chart to the ambient chart."""
+        k = self.dim
+        return AffineMap(self.chart, self.ambient, tuple(row[:k] for row in self.frame), self.origin)
+
     def parametrize(self, params: Sequence[Rational]) -> tuple[Fraction, ...]:
-        p = list(self.origin)
-        for t, b in zip(params, self.basis):
-            for i in range(len(p)):
-                p[i] += Fraction(t) * b[i]
-        return tuple(p)
+        return self.parametrization().apply(params)
 
     def contains(self, point: Sequence[Rational]) -> bool:
         return self.parameters_of(point) is not None
 
     def parameters_of(self, point: Sequence[Rational]) -> tuple[Fraction, ...] | None:
+        """y_1..y_k of y = P(x - origin), or None when the point is off N (some later y_i != 0)."""
         if len(point) != len(self.origin):
             raise ValueError(f"point {list(point)} must have length {len(self.origin)}")
-        rhs = [Fraction(q) - o for q, o in zip(point, self.origin)]
-        if not self.basis:
-            return () if all(x == 0 for x in rhs) else None
-        cols = linalg.transpose(self.basis)
-        return linalg.solve(cols, rhs)
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Invertible affine change y = P(x - origin) sending N to {y_{k+1} = ... = y_n = 0}."""
-
-    submanifold: AffineSubmanifold
-    change: tuple[tuple[Fraction, ...], ...]  # P = C^{-1}
-    inverse: tuple[tuple[Fraction, ...], ...]  # C, columns: basis then completion
-    adapted_chart: Chart
-    is_identity: bool
-
-
-def adapted_frame(n_sub: AffineSubmanifold) -> AdaptedFrame:
-    """Complete the basis with standard vectors and invert exactly."""
-    amb = n_sub.ambient
-    n = amb.dim
-    cols = [list(b) for b in n_sub.basis]
-    for j in range(n):
-        if len(cols) == n:
-            break
-        e = [Fraction(1 if i == j else 0) for i in range(n)]
-        if linalg.rank(cols + [e]) > len(cols):
-            cols.append(e)
-    C = linalg.transpose(linalg.to_mat(cols))  # columns are the frame vectors
-    P = linalg.inverse(C)
-    if P is None:
-        raise DegenerateBasis("failed to complete basis to a frame")
-    chart = Chart(f"{amb.name}_ad", tuple(f"y{i + 1}" for i in range(n)))
-    ident = C == linalg.identity(n) and all(x == 0 for x in n_sub.origin)
-    return AdaptedFrame(n_sub, P, C, chart, ident)
+        y = linalg.matvec(self.change, [Fraction(q) - o for q, o in zip(point, self.origin)])
+        return None if any(y[self.dim:]) else y[:self.dim]
 
 
 def _symmetric(n: int, entry) -> list[list]:
@@ -367,28 +368,21 @@ def _symmetric(n: int, entry) -> list[list]:
     return rows
 
 
-def _along_n(frame: AdaptedFrame, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+def _along_n(n_sub: AffineSubmanifold, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
     """T(x(y)) for a symmetric T on the ambient chart, x(y) = C (y_1..y_k, 0) + o the parametrization of N."""
-    k = frame.submanifold.dim
-    C = tuple(row[:k] for row in frame.inverse)
-    sub = AffineMap(induced_chart(frame), frame.submanifold.ambient, C, frame.submanifold.origin).substitution()
+    sub = n_sub.parametrization().substitution()
     return _symmetric(len(T), lambda i, j: T[i][j].substitute(sub))
 
 
-def to_adapted_bivector(frame: AdaptedFrame, h: SymBivector) -> SymBivector:
+def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
     """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
 
     Restriction to N is the pullback along this parametrization, so the
     entries depend on y_1..y_k only.
     """
-    if h.chart != frame.submanifold.ambient:
+    if h.chart != n_sub.ambient:
         raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    return SymBivector(frame.adapted_chart, tuple(map(tuple, _congruence(frame.change, _along_n(frame, h.entries)))))
-
-
-def induced_chart(frame: AdaptedFrame) -> Chart:
-    k = frame.submanifold.dim
-    return Chart(f"{frame.submanifold.ambient.name}_ind", frame.adapted_chart.coords[:k])
+    return SymBivector(n_sub.adapted_chart, tuple(map(tuple, _congruence(n_sub.change, _along_n(n_sub, h.entries)))))
 
 
 # --- K-V submanifolds ---------------------------------------------------------
@@ -404,17 +398,16 @@ class SubmanifoldResult:
 
 def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldResult:
     """N is K-V iff every conormal row of h vanishes on N (adapted coordinates)."""
-    frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
     ambient_kv = codazzi_tensor(h).is_zero()
-    if k == n and frame.is_identity:
+    if k == n and n_sub.is_identity:
         return SubmanifoldResult(True, h, (), ambient_kv)
-    hy = to_adapted_bivector(frame, h).entries
+    hy = to_adapted_bivector(n_sub, h).entries
     residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
     if ok and k > 0:
-        induced = SymBivector(induced_chart(frame), tuple(row[:k] for row in hy[:k]))
+        induced = SymBivector(n_sub.chart, tuple(row[:k] for row in hy[:k]))
     return SubmanifoldResult(ok, induced, residuals, ambient_kv)
 
 
@@ -481,14 +474,6 @@ def _exact_quotient(x: Expr, d: Expr) -> Expr:
     return Expr(q)
 
 
-def _sample_parameters(k: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k)))
-    return out
-
-
 def is_transversal(
     n_sub: AffineSubmanifold,
     h: SymBivector,
@@ -503,16 +488,15 @@ def is_transversal(
     entry is det [[D, B_j^T], [B_i, A_ij]] / det D, and one Bareiss pass over
     [[D, B^T], [B, A]] yields det D and all these bordered determinants.
     """
-    frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
     if given is not None and None in given:
         at = ", ".join(str(Fraction(q)) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
     ambient_kv = codazzi_tensor(h).is_zero()
-    if k == n and frame.is_identity:
+    if k == n and n_sub.is_identity:
         return TransversalResult(SYMBOLIC_TRUE, ONE, h, (), ambient_kv)
-    hy = to_adapted_bivector(frame, h).entries
+    hy = to_adapted_bivector(n_sub, h).entries
     # conormal rows and columns first: [[D, B^T], [B, A]]
     bordered = [row[k:] + row[:k] for row in hy[k:] + hy[:k]]
     det, trailing = expr_det(bordered, n - k)
@@ -524,14 +508,15 @@ def is_transversal(
     if det.is_const():
         verdict, sample_report = SYMBOLIC_TRUE, ()
     else:
-        pts = given if given is not None else _sample_parameters(k, samples, seed)
-        coords = frame.adapted_chart.coords[:k]
+        rng = Random(seed)
+        pts = given if given is not None else [sample_point(rng, k) for _ in range(samples)]
+        coords = n_sub.chart.coords
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
 
     induced = None
     if verdict != FALSE:
-        induced = SymBivector(induced_chart(frame), tuple(tuple(e / det for e in row) for row in trailing))
+        induced = SymBivector(n_sub.chart, tuple(tuple(e / det for e in row) for row in trailing))
     return TransversalResult(verdict, det, induced, sample_report, ambient_kv)
 
 
@@ -540,9 +525,8 @@ def is_transversal(
 
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
     """The conormal-conormal block of h in adapted coordinates, restricted to N."""
-    frame = adapted_frame(n_sub)
     k = n_sub.dim
-    return tuple(e for row in to_adapted_bivector(frame, h).entries[k:] for e in row[k:])
+    return tuple(e for row in to_adapted_bivector(n_sub, h).entries[k:] for e in row[k:])
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -617,18 +601,17 @@ def conormal_algebroid(
     the tangential part (j <= k) vanish on N, so the table collects the
     conormal coefficients (j > k).
     """
-    frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
-    hy = to_adapted_bivector(frame, h).entries
+    hy = to_adapted_bivector(n_sub, h).entries
     if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
-    chart = induced_chart(frame)
+    chart = n_sub.chart
 
     # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii'
-    Ct, x = linalg.transpose(frame.inverse), n_sub.ambient.coords
+    Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
     along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    blocks = [_congruence(frame.change[k:], _along_n(frame, [[e[j] for e in r] for r in along])) for j in range(n)]
+    blocks = [_congruence(n_sub.change[k:], _along_n(n_sub, [[e[j] for e in r] for r in along])) for j in range(n)]
 
     for a, b, j in product(range(m), range(m), range(k)):
         if not blocks[j][a][b].is_zero():
@@ -780,25 +763,20 @@ def preimage_transversal(
     if not t1.ok:
         return PreimageReport(n1, t1, t2, None, None, t2.induced, (), 0)
 
-    # restriction of F in the parameter coordinates of the two submanifolds
-    k1, k2 = n1.dim, n2.dim
-    cols2 = linalg.transpose(n2.basis) if n2.basis else ()
-    off_amb = f.apply(n1.origin)
-    t_off = linalg.solve(cols2, [a - b for a, b in zip(off_amb, n2.origin)]) if k2 else ()
-    assert t_off is not None
-    t_cols = []
-    for b in n1.basis:
-        img = linalg.matvec(f.matrix, b)
-        sol = linalg.solve(cols2, img) if k2 else ()
-        assert sol is not None
-        t_cols.append(sol)
-    mat = linalg.transpose(linalg.to_mat(t_cols)) if t_cols else tuple(tuple() for _ in range(k2))
-    restriction = AffineMap(t1.induced.chart, t2.induced.chart, mat, t_off)
+    # restriction of F to N's coordinates: y2 = P2 (F(x1(y1)) - o2); F(N1) lies in N2, so its rows past k2 vanish
+    k2 = n2.dim
+    to_y2 = AffineMap(n2.ambient, n2.adapted_chart, n2.change, tuple(-y for y in linalg.matvec(n2.change, n2.origin)))
+    g = compose(to_y2, compose(f, n1.parametrization()))
+    if any(g.offset[k2:]) or any(any(row) for row in g.matrix[k2:]):
+        raise EngineInconsistency("the map does not send the preimage into the target submanifold")
+    restriction = AffineMap(t1.induced.chart, t2.induced.chart, g.matrix[:k2], g.offset[:k2])
 
     # exact pointwise check of the K-V map identity between the induced structures
     residuals = [e for row in kv_map_residuals(restriction, t1.induced, t2.induced) for e in row]
     checks, skipped = [], 0
-    for p in _sample_parameters(k1, samples, seed + 1):
+    rng = Random(seed + 1)
+    for _ in range(samples):
+        p = sample_point(rng, n1.dim)
         env = dict(zip(t1.induced.chart.coords, p))
         values = []
         for e in residuals:

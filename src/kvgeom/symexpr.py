@@ -23,6 +23,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
+from random import Random
 from typing import Iterable, Mapping, Union
 
 from .errors import DegreeOverflow, ParseError, PoleAtPoint, UnknownVariable, ZeroDenominator
@@ -736,6 +737,11 @@ class Expr:
 
 ZERO = Expr.const(0)
 ONE = Expr.const(1)
+
+
+def sample_point(rng: Random, k: int) -> tuple[Fraction, ...]:
+    """k rationals p/q, p in [-8, 8] and q in [1, 8], drawn from rng in order: the engine's evaluation points."""
+    return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k))
 
 
 def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:

@@ -19,7 +19,7 @@ import pytest
 from conftest import random_point, random_poly
 from kvgeom import linalg
 from kvgeom.geometry import Chart, SymBivector
-from kvgeom.structures import FALSE, AffineSubmanifold, adapted_frame, expr_det, is_transversal
+from kvgeom.structures import FALSE, AffineSubmanifold, expr_det, is_transversal
 from kvgeom.symexpr import Expr
 
 ZERO = Expr.const(0)
@@ -88,12 +88,11 @@ def test_expr_det_matches_fraction_determinant(seed):
     assert swaps > 0 and singular > 0
 
 
-def adapted_blocks_at(frame, h: SymBivector, params):
+def adapted_blocks_at(sub: AffineSubmanifold, h: SymBivector, params):
     """A, B, D of P H(x) P^T at x = C (params, 0) + origin, in Fractions."""
-    sub = frame.submanifold
     k = sub.dim
-    x = [o + sum(t * frame.inverse[i][a] for a, t in enumerate(params)) for i, o in enumerate(sub.origin)]
-    P = frame.change
+    x = [o + sum(t * sub.frame[i][a] for a, t in enumerate(params)) for i, o in enumerate(sub.origin)]
+    P = sub.change
     M = linalg.matmul(linalg.matmul(P, evaluated(h.entries, dict(zip(h.chart.coords, x)))), linalg.transpose(P))
     return [r[:k] for r in M[:k]], [r[k:] for r in M[:k]], [r[k:] for r in M[k:]]
 
@@ -112,9 +111,8 @@ def random_submanifold(rng: random.Random, chart: Chart, k: int) -> AffineSubman
 def check_transversal(rng: random.Random, n_sub: AffineSubmanifold, h: SymBivector) -> str:
     res = is_transversal(n_sub, h)
     k = n_sub.dim
-    frame = adapted_frame(n_sub)
     # coordinates of the induced chart; when N is the whole chart in its own coordinates, h is returned as is
-    coords = res.induced.chart.coords if res.induced is not None else frame.adapted_chart.coords[:k]
+    coords = res.induced.chart.coords if res.induced is not None else n_sub.adapted_chart.coords[:k]
     if res.verdict == FALSE:
         assert res.induced is None
         assert res.determinant.is_zero() or not all(ok for _, ok in res.samples)
@@ -122,7 +120,7 @@ def check_transversal(rng: random.Random, n_sub: AffineSubmanifold, h: SymBivect
         assert len(res.induced.entries) == k and all(len(row) == k for row in res.induced.entries)
     for _ in range(3):
         params = random_point(rng, k)
-        A, B, D = adapted_blocks_at(frame, h, params)
+        A, B, D = adapted_blocks_at(n_sub, h, params)
         env = dict(zip(coords, params))
         det = res.determinant.eval_at(env)
         assert det == leibniz_det(D)

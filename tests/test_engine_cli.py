@@ -10,6 +10,8 @@ import pytest
 
 from conftest import vanishing_on_sample_box
 import kvgeom.checks
+import kvgeom.dsl
+import kvgeom.engine
 import kvgeom.structures
 from kvgeom.cli import build_parser, main, run
 from kvgeom.corpus import BUILTIN_SCENARIOS, get_scenario, list_corpus
@@ -297,6 +299,21 @@ def test_cli_run_on_builtin_corpus_and_files(tmp_path):
     # missing file
     code3, _ = run(RunConfig(scenarios=("nонexistent.kvs",)))
     assert code3 == 2
+
+
+def test_cli_run_binds_each_scenario_once(monkeypatch):
+    bound = []
+
+    def counting(scenario):
+        bound.append(scenario)
+        return bind_scenario(scenario)
+
+    for module in (kvgeom.dsl, kvgeom.engine):  # every module that may call it by name
+        if hasattr(module, "bind_scenario"):
+            monkeypatch.setattr(module, "bind_scenario", counting)
+    code, _ = run(RunConfig(scenarios=("worked_examples", "line_embeddings")))
+    assert code == 0
+    assert len(bound) == 2 and bound[0] != bound[1]
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -30,7 +30,6 @@ from kvgeom.structures import (
     SYMBOLIC_TRUE,
     AffineMap,
     AffineSubmanifold,
-    adapted_frame,
     affine_preimage,
     are_F_related,
     compose,
@@ -127,16 +126,16 @@ def test_to_adapted_bivector_matches_linalg(n):
             basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
             if linalg.rank(basis) == k:
                 break
-        frame = adapted_frame(AffineSubmanifold(chart, random_point(rng, n), basis))
+        n_sub = AffineSubmanifold(chart, random_point(rng, n), basis)
         h = random_bivector(rng, chart)
-        hy = to_adapted_bivector(frame, h)
-        C, P_ = frame.inverse, frame.change
+        hy = to_adapted_bivector(n_sub, h)
+        C, P_ = n_sub.frame, n_sub.change
         for _ in range(3):
             y = random_point(rng, k) + (Fr(0),) * (n - k)
-            x = tuple(a + o for a, o in zip(linalg.matvec(C, y), frame.submanifold.origin))
+            x = tuple(a + o for a, o in zip(linalg.matvec(C, y), n_sub.origin))
             H = _at(h.entries, dict(zip(chart.coords, x)))
             want = linalg.matmul(linalg.matmul(P_, H), linalg.transpose(P_))
-            assert _at(hy.entries, dict(zip(frame.adapted_chart.coords, y))) == want
+            assert _at(hy.entries, dict(zip(n_sub.adapted_chart.coords, y))) == want
 
 
 def test_relatedness_of_hamiltonian_fields_on_kv_maps():
@@ -239,16 +238,14 @@ def test_product_renames_colliding_coordinates():
 
 def test_adapted_frame_examples():
     axis = AffineSubmanifold(P, (0, 0), ((1, 0),))
-    fr = adapted_frame(axis)
-    assert fr.is_identity
+    assert axis.is_identity
     diag = AffineSubmanifold(P, (0, 0), ((1, 1),))
-    fr2 = adapted_frame(diag)
     # the diagonal maps exactly onto {y2 = 0}: points of N get adapted
     # coordinates (t, 0), and the basis vector lands on the first axis
     for t in (Fr(3), Fr(-1, 2)):
         pt = diag.parametrize((t,))
         adapted = [
-            sum(fr2.change[i][j] * (pt[j] - diag.origin[j]) for j in range(2)) for i in range(2)
+            sum(diag.change[i][j] * (pt[j] - diag.origin[j]) for j in range(2)) for i in range(2)
         ]
         assert adapted == [t, 0]
     assert diag.parameters_of(diag.parametrize((Fr(3),))) == (Fr(3),)
@@ -257,7 +254,7 @@ def test_adapted_frame_examples():
             diag.contains(wrong)
         with pytest.raises(ValueError):
             diag.parameters_of(wrong)
-    hy = to_adapted_bivector(fr2, SymBivector.standard(P))
+    hy = to_adapted_bivector(diag, SymBivector.standard(P))
     assert hy.chart.coords == ("y1", "y2")
     with pytest.raises(DegenerateBasis):
         AffineSubmanifold(P, (0, 0), ((1, 1), (2, 2)))
@@ -502,9 +499,8 @@ def test_conormal_algebroid_with_nonzero_anchor_and_nonconstant_table():
 def _differentiate_then_restrict(n_sub, h):
     """Conormal table and anchor by the first-principles route: build P H(C y + o) P^T over
     all n adapted variables, differentiate along y_{k+c}, then set y_{k+1}..y_n to 0."""
-    frame = adapted_frame(n_sub)
     k, n = n_sub.dim, n_sub.ambient.dim
-    C, P_, ys = frame.inverse, frame.change, frame.adapted_chart.coords
+    C, P_, ys = n_sub.frame, n_sub.change, n_sub.adapted_chart.coords
     sub = {
         x: sum((Expr.const(C[i][j]) * Expr.var(ys[j]) for j in range(n)), Expr.const(n_sub.origin[i]))
         for i, x in enumerate(n_sub.ambient.coords)
@@ -536,8 +532,7 @@ def _random_coisotropic(rng, n, k):
         if linalg.rank(basis) == k:
             break
     n_sub = AffineSubmanifold(chart, random_point(rng, n), basis)
-    frame = adapted_frame(n_sub)
-    ys = frame.adapted_chart.coords
+    ys = n_sub.adapted_chart.coords
     K = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
@@ -547,10 +542,10 @@ def _random_coisotropic(rng, n, k):
             K[a][b] = K[b][a] = e
     x_minus_o = [Expr.var(x) - Expr.const(o) for x, o in zip(chart.coords, n_sub.origin)]
     to_y = {
-        y: sum((Expr.const(c) * d for c, d in zip(row, x_minus_o)), Expr.const(0)) for y, row in zip(ys, frame.change)
+        y: sum((Expr.const(c) * d for c, d in zip(row, x_minus_o)), Expr.const(0)) for y, row in zip(ys, n_sub.change)
     }
     Kx = [[e.substitute(to_y) for e in row] for row in K]
-    C = frame.inverse
+    C = n_sub.frame
     h = [
         [sum((Expr.const(C[i][a] * C[j][b]) * Kx[a][b] for a in range(n) for b in range(n)), Expr.const(0))
          for j in range(n)]
