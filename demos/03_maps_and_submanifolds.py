@@ -31,7 +31,7 @@ h2 = SymBivector.diagonal(P, [x ** 2, y ** 2])
 for a, b in ((1, 0), (1, 1)):
     f = AffineMap(L, P, ((Fr(a),), (Fr(b),)), (Fr(0), Fr(0)))
     rep = theorem1_equivalences(f, h1, h2)
-    print(f"slope ({a},{b}): K-V map = {rep.verdict}, four characterizations agree = {rep.agree}")
+    print(f"slope ({a},{b}): K-V map = {rep.direct}, four characterizations agree = {rep.agree}")
     print("   graph coisotropic iff K-V:", graph_check(f, h1, h2).agree)
 
 # Coordinate planes of the rank-one quadratic structure are K-V submanifolds.

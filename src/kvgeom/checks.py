@@ -27,6 +27,7 @@ from .errors import EngineInconsistency, InvalidSubspace, PoleAtPoint
 from .geometry import (
     codazzi_tensor,
     hessian_contraction,
+    is_kv,
     kv_bracket_form,
     lie_derivative_h,
     lie_derivative_residual,
@@ -45,7 +46,7 @@ from .structures import (
     preimage_transversal,
     theorem1_equivalences,
 )
-from .symexpr import Expr, sample_point
+from .symexpr import Expr, distinct_sample_points
 from .tangent import build_pi, lift_propositions_check, schouten_jacobi
 
 PASS = "pass"
@@ -173,7 +174,7 @@ def _run_kv_bracket(env, check, seed, samples):
 def _run_jacobi_tangent(env, check, seed, samples):
     h = env.bivectors[check.args[0]]
     tri = schouten_jacobi(build_pi(h))
-    if tri.is_zero() != codazzi_tensor(h).is_zero():
+    if tri.is_zero() != is_kv(h):
         raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
     return _residual_verdict(
         tri.entries, "tangent-lift bivector satisfies the Jacobi identity", "Jacobiator nonzero at {at}"
@@ -199,9 +200,13 @@ def _run_theorem1(env, check, seed, samples):
     return FAIL, f"characterizations disagree: {verdicts}", None, []
 
 
+def _kv_note(h) -> str:
+    return "" if is_kv(h) else " (warning: ambient bivector is not K-V)"
+
+
 def _run_submanifold(env, check, seed, samples):
     res = is_kv_submanifold(env.submanifolds[check.args[0]], env.bivectors[check.args[1]])
-    note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
+    note = _kv_note(env.bivectors[check.args[1]])
     induced = "induced structure on a point" if res.induced is None else _matrix_str(res.induced.entries)
     return _residual_verdict(
         res.residuals,
@@ -211,13 +216,14 @@ def _run_submanifold(env, check, seed, samples):
 
 
 def _run_transversal(env, check, seed, samples):
+    h = env.bivectors[check.args[1]]
     res = is_transversal(
-        env.submanifolds[check.args[0]], env.bivectors[check.args[1]],
-        sample_points=check.options.points, samples=samples, seed=seed,
+        env.submanifolds[check.args[0]], h, sample_points=check.options.points, samples=samples, seed=seed,
     )
-    note = "" if res.ambient_kv else " (warning: ambient bivector is not K-V)"
+    note = _kv_note(h)
     if res.verdict == SYMBOLIC_TRUE:
-        induced = "point structure" if res.induced is None or not res.induced.entries else _matrix_str(res.induced.entries)
+        entries = res.induced.entries  # det D is a constant here, so this divides by a number
+        induced = _matrix_str(entries) if entries else "point structure"
         return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None, []
     if res.verdict == POINTWISE_TRUE:
         pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p, _ in res.samples)
@@ -270,7 +276,7 @@ def _run_preimage_transversal(env, check, seed, samples):
     dims = f"preimage dimension {rep.preimage.dim}"
     poles = ""
     if rep.poles_skipped:
-        evaluations = len(rep.sample_checks) * rep.induced_target.chart.dim ** 2
+        evaluations = len(rep.sample_checks) * rep.restriction.target.dim ** 2
         poles = f"; {rep.poles_skipped} of {evaluations} (point, entry) evaluations skipped at a pole"
     if rep.ok:
         return PASS, f"{dims}; induced structures related by the restricted map at all samples{poles}", None, []
@@ -293,7 +299,7 @@ def _run_lie_derivative(env, check, seed, samples):
     h, f = env.bivectors[check.args[0]], env.scalars[check.args[1]]
     lie = lie_derivative_h(h, f)
     kv_note = ""
-    if codazzi_tensor(h).is_zero():
+    if is_kv(h):
         if not all(e.is_zero() for row in lie_derivative_residual(h, f) for e in row):
             raise EngineInconsistency("Hamiltonian Lie-derivative identity residual is nonzero")
     else:
@@ -337,8 +343,7 @@ def _run_algebra(env, check, seed, samples):
             else "cocycle law"
         )
         return FAIL, f"{law} fails at basis indices {rep.witness}", None, []
-    tri = codazzi_tensor(algebra_to_kv(spec))
-    if not tri.is_zero():
+    if not is_kv(algebra_to_kv(spec)):
         raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
     return PASS, "algebra laws hold; dual bivector is K-V", None, []
 
@@ -369,8 +374,7 @@ def _run_rank(env, check, seed, samples):
     if check.options.points is not None:
         pts = [tuple(p) for p in check.options.points]
     else:
-        rng = Random(seed)
-        pts = [sample_point(rng, h.chart.dim) for _ in range(samples)]
+        pts = distinct_sample_points(Random(seed), h.chart.dim, samples)
     parts = []
     for p in pts:
         try:

@@ -59,22 +59,8 @@ def _find_witness(residual: Expr, seed: int, tries: int = WITNESS_TRIES) -> Witn
 
 def _oracle_verify(record: CheckRecord, seed: int, samples: int) -> None:
     """Evaluate every zero claim at sample points; a nonzero value fails the check."""
-    rng = random.Random(seed)
-    disagreements = []
-    for idx, claim in enumerate(record.zero_claims):
-        variables = sorted(claim.variables())
-        for _ in range(samples):
-            point = dict(zip(variables, sample_point(rng, len(variables))))
-            try:
-                value = claim.eval_at(point)
-            except PoleAtPoint:
-                continue
-            if value != 0:
-                disagreements.append(
-                    f"claim {idx}: must vanish but is {value} at "
-                    f"({', '.join(str(point[v]) for v in variables)})"
-                )
-                break
+    witnesses = [(idx, _find_witness(claim, seed, samples)) for idx, claim in enumerate(record.zero_claims)]
+    disagreements = [f"claim {i}: must vanish but is nonzero at ({', '.join(w.point)})" for i, w in witnesses if w]
     if disagreements:
         record.inconsistencies.extend(disagreements)
         o = record.outcome

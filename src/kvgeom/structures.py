@@ -4,7 +4,11 @@ Maps are exact affine maps (rational matrix + offset) and submanifolds are
 affine subspaces of a chart, so every structural condition reduces to a
 polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
-determinant restricts to a nonzero constant, pointwise otherwise.
+determinant restricts to a nonzero constant, pointwise otherwise.  A
+transversal result keeps what the elimination returned, det D and the
+bordered block det D * (A - B D^{-1} B^T); the induced structure divides
+the one by the other when it is read, so no verdict divides a rational
+function.
 
 Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer; ``_matvec`` is
@@ -54,12 +58,11 @@ from .geometry import (
     SymBivector,
     VectorField,
     _dot,
-    codazzi_tensor,
     coordinate_form,
     hamiltonian,
     sharp,
 )
-from .symexpr import ONE, ZERO, Expr, Rational, divexact, sample_point
+from .symexpr import ONE, ZERO, Expr, Rational, distinct_sample_points, divexact
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -208,10 +211,6 @@ class Theorem1Report:
     @property
     def agree(self) -> bool:
         return self.direct == self.tangent_poisson == self.sharp_related == self.hamiltonian_related
-
-    @property
-    def verdict(self) -> bool:
-        return self.direct
 
 
 def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> Theorem1Report:
@@ -393,22 +392,20 @@ class SubmanifoldResult:
     ok: bool
     induced: SymBivector | None
     residuals: tuple[Expr, ...]  # conormal rows restricted to N; all zero iff ok
-    ambient_kv: bool
 
 
 def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldResult:
     """N is K-V iff every conormal row of h vanishes on N (adapted coordinates)."""
     k, n = n_sub.dim, n_sub.ambient.dim
-    ambient_kv = codazzi_tensor(h).is_zero()
     if k == n and n_sub.is_identity:
-        return SubmanifoldResult(True, h, (), ambient_kv)
+        return SubmanifoldResult(True, h, ())
     hy = to_adapted_bivector(n_sub, h).entries
     residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
     if ok and k > 0:
         induced = SymBivector(n_sub.chart, tuple(row[:k] for row in hy[:k]))
-    return SubmanifoldResult(ok, induced, residuals, ambient_kv)
+    return SubmanifoldResult(ok, induced, residuals)
 
 
 # --- K-V transversals ---------------------------------------------------------
@@ -423,13 +420,20 @@ FALSE = "false"
 class TransversalResult:
     verdict: str  # SYMBOLIC_TRUE | POINTWISE_TRUE | FALSE
     determinant: Expr  # det of the conormal-conormal block restricted to N
-    induced: SymBivector | None
+    bordered: SymBivector | None  # det D times the induced structure, on N's chart; None when not transversal
     samples: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (parameter point, nonsingular)
-    ambient_kv: bool
 
     @property
     def ok(self) -> bool:
         return self.verdict in (SYMBOLIC_TRUE, POINTWISE_TRUE)
+
+    @property
+    def induced(self) -> SymBivector | None:
+        """The induced structure A - B D^{-1} B^T: the bordered block divided by det D, on every read."""
+        b = self.bordered
+        if b is None:
+            return None
+        return SymBivector(b.chart, tuple(tuple(e / self.determinant for e in row) for row in b.entries))
 
 
 def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Expr]] | None]:
@@ -486,16 +490,17 @@ def is_transversal(
     The induced structure is the Schur complement A - B D^{-1} B^T restricted
     to N, with rational-function entries.  By Sylvester's identity its (i, j)
     entry is det [[D, B_j^T], [B_i, A_ij]] / det D, and one Bareiss pass over
-    [[D, B^T], [B, A]] yields det D and all these bordered determinants.
+    [[D, B^T], [B, A]] yields det D and all these bordered determinants.  The
+    verdict reads det D only; the result keeps both, and ``induced`` divides
+    when it is read.  Points sampled for a pointwise verdict are distinct.
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
     if given is not None and None in given:
         at = ", ".join(str(Fraction(q)) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
-    ambient_kv = codazzi_tensor(h).is_zero()
     if k == n and n_sub.is_identity:
-        return TransversalResult(SYMBOLIC_TRUE, ONE, h, (), ambient_kv)
+        return TransversalResult(SYMBOLIC_TRUE, ONE, h, ())
     hy = to_adapted_bivector(n_sub, h).entries
     # conormal rows and columns first: [[D, B^T], [B, A]]
     bordered = [row[k:] + row[:k] for row in hy[k:] + hy[:k]]
@@ -503,21 +508,18 @@ def is_transversal(
 
     if det.is_zero():
         pts = given if given is not None else [tuple(Fraction(0) for _ in range(k))]
-        return TransversalResult(FALSE, det, None, tuple((tuple(p), False) for p in pts), ambient_kv)
+        return TransversalResult(FALSE, det, None, tuple((tuple(p), False) for p in pts))
 
     if det.is_const():
         verdict, sample_report = SYMBOLIC_TRUE, ()
     else:
-        rng = Random(seed)
-        pts = given if given is not None else [sample_point(rng, k) for _ in range(samples)]
+        pts = given if given is not None else distinct_sample_points(Random(seed), k, samples)
         coords = n_sub.chart.coords
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
 
-    induced = None
-    if verdict != FALSE:
-        induced = SymBivector(n_sub.chart, tuple(tuple(e / det for e in row) for row in trailing))
-    return TransversalResult(verdict, det, induced, sample_report, ambient_kv)
+    block = None if verdict == FALSE else SymBivector(n_sub.chart, tuple(map(tuple, trailing)))
+    return TransversalResult(verdict, det, block, sample_report)
 
 
 # --- coisotropic submanifolds and the conormal algebroid ----------------------
@@ -720,8 +722,6 @@ class PreimageReport:
     transversal_source: TransversalResult
     transversal_target: TransversalResult
     restriction: AffineMap | None
-    induced_source: SymBivector | None
-    induced_target: SymBivector | None
     sample_checks: tuple[tuple[tuple[Fraction, ...], bool], ...]
     poles_skipped: int  # (point, entry) evaluations of the sample checks that met a pole
 
@@ -761,7 +761,7 @@ def preimage_transversal(
         raise NotTransverseAtSample("preimage is empty")
     t1 = is_transversal(n1, h1, samples=samples, seed=seed)
     if not t1.ok:
-        return PreimageReport(n1, t1, t2, None, None, t2.induced, (), 0)
+        return PreimageReport(n1, t1, t2, None, (), 0)
 
     # restriction of F to N's coordinates: y2 = P2 (F(x1(y1)) - o2); F(N1) lies in N2, so its rows past k2 vanish
     k2 = n2.dim
@@ -769,15 +769,14 @@ def preimage_transversal(
     g = compose(to_y2, compose(f, n1.parametrization()))
     if any(g.offset[k2:]) or any(any(row) for row in g.matrix[k2:]):
         raise EngineInconsistency("the map does not send the preimage into the target submanifold")
-    restriction = AffineMap(t1.induced.chart, t2.induced.chart, g.matrix[:k2], g.offset[:k2])
+    induced1, induced2 = t1.induced, t2.induced
+    restriction = AffineMap(induced1.chart, induced2.chart, g.matrix[:k2], g.offset[:k2])
 
     # exact pointwise check of the K-V map identity between the induced structures
-    residuals = [e for row in kv_map_residuals(restriction, t1.induced, t2.induced) for e in row]
+    residuals = [e for row in kv_map_residuals(restriction, induced1, induced2) for e in row]
     checks, skipped = [], 0
-    rng = Random(seed + 1)
-    for _ in range(samples):
-        p = sample_point(rng, n1.dim)
-        env = dict(zip(t1.induced.chart.coords, p))
+    for p in distinct_sample_points(Random(seed + 1), n1.dim, samples):
+        env = dict(zip(induced1.chart.coords, p))
         values = []
         for e in residuals:
             try:
@@ -789,7 +788,7 @@ def preimage_transversal(
         raise PoleAtPoint(
             f"nothing evaluated: all {skipped} (point, entry) evaluations of the sample checks met a pole"
         )
-    return PreimageReport(n1, t1, t2, restriction, t1.induced, t2.induced, tuple(checks), skipped)
+    return PreimageReport(n1, t1, t2, restriction, tuple(checks), skipped)
 
 
 # --- supporting pointwise checks -----------------------------------------------

@@ -744,6 +744,15 @@ def sample_point(rng: Random, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(k))
 
 
+def distinct_sample_points(rng: Random, k: int, count: int) -> list[tuple[Fraction, ...]]:
+    """``count`` distinct ``sample_point`` draws in draw order, drawing again on a repeat, at most the whole grid."""
+    count = min(count, 87 ** k)  # p/q with p in [-8, 8] and q in [1, 8] takes 87 distinct values
+    points: dict[tuple[Fraction, ...], None] = {}
+    while len(points) < count:
+        points[sample_point(rng, k)] = None
+    return list(points)
+
+
 def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
     mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, len(vars))) if e)
     a = abs(c)

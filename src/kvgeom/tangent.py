@@ -19,10 +19,10 @@ from .geometry import (
     TrilinearForm,
     VectorField,
     _dot,
-    codazzi_tensor,
     differential,
     hamiltonian,
     hessian_contraction,
+    is_kv,
     lie_derivative_contravariant,
 )
 from .symexpr import ZERO, Expr
@@ -206,7 +206,7 @@ def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsR
 
     hc = hessian_contraction(h, f)
     f_in = all(e.is_zero() for row in hc for e in row)  # in_E, from the contraction computed once
-    kv = codazzi_tensor(h).is_zero()
+    kv = is_kv(h)
     agree = (vanishes == f_in) if kv else None
 
     mixed = tuple(

@@ -156,7 +156,7 @@ def test_criterion_04_theorem_four_way_agreement():
             rep = theorem1_equivalences(f, h1, h2)
             assert rep.agree
             if want is not None:
-                assert rep.verdict is want
+                assert rep.direct is want
 
 
 def test_criterion_05_submanifold_criteria():

@@ -190,6 +190,7 @@ def test_oracle_flags_wrong_zero_claims():
     _oracle_verify(record, seed=42, samples=20)
     assert record.inconsistencies
     assert record.outcome.status == "fail" and "ORACLE DISAGREEMENT" in record.outcome.details
+    assert "claim 0: must vanish but is nonzero at (" in record.outcome.details
     result = RunResult([record])
     assert result.exit_code == 3
 
@@ -380,3 +381,42 @@ def test_every_builtin_scenario_parses_and_runs_green():
     assert get_scenario("worked_examples.kvs") is not None
     assert get_scenario("missing") is None
     assert list_corpus().count("\n") == len(BUILTIN_SCENARIOS)
+
+
+def _report_of(tmp_path, text: str) -> list[dict]:
+    path = tmp_path / "scenario.kvs"
+    path.write_text(text, encoding="utf-8")
+    _, report = run(RunConfig(scenarios=(str(path),)))
+    return json.loads(report)["checks"]
+
+
+def test_rational_transversal_decides_without_dividing(tmp_path):
+    # the induced structure has rational entries over a non-constant det D; the
+    # verdict reads det D only, so no rational function is divided on the way
+    h13 = "2*x1*x2 + 3/2*x1*x3 + x3^2 - 2"
+    (check,) = _report_of(tmp_path, f"""
+manifold R3 {{ dim 3 coords [x1 x2 x3] }}
+bivector h on R3 {{ [0, 0, {h13}; 0, 2*x1^2, 0; {h13}, 0, (x3 + 3/2)/(x3^2 + 2)] }}
+submanifold N in R3 {{ origin [5/8, 5, 2/5] basis [0, -1, -1; -2, -1, -1] }}
+check transversal N h
+""")
+    assert check["status"] == "pointwise-pass"
+
+
+def test_reported_sample_points_are_distinct(tmp_path):
+    # 20 draws from the 87 values of p/q repeat (0 and -1 here); each point is reported once
+    checks = _report_of(tmp_path, """
+manifold R2 { dim 2 coords [a b] }
+bivector h on R2 { [a^2 + 1, b; b, a + 3] }
+submanifold N in R2 { origin [1, 2] basis [1, 1] }
+manifold L { dim 1 coords [t] }
+bivector g on L { [t] }
+check transversal N h
+check rank g
+""")
+    transversal, rank = checks
+    assert transversal["status"] == "pointwise-pass"
+    listed = transversal["details"].split("nonzero at sampled points ")[1].split(" (warning")[0].split("; ")
+    assert len(listed) == len(set(listed)) == 20
+    ranked = [part.split(" -> ")[0] for part in rank["details"].split(": ")[1].split("; ")]
+    assert len(ranked) == len(set(ranked)) == 20

@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import random_bivector, random_field, random_oneform, random_point, random_poly
+import kvgeom.symexpr
 from kvgeom import linalg
 from kvgeom.errors import (
     ChartMismatch,
@@ -49,7 +50,7 @@ from kvgeom.structures import (
     theorem1_equivalences,
     to_adapted_bivector,
 )
-from kvgeom.symexpr import Expr
+from kvgeom.symexpr import Expr, distinct_sample_points, sample_point
 
 X_ = Expr.var("x")
 Y_ = Expr.var("y")
@@ -167,10 +168,10 @@ def test_theorem1_four_way_agreement():
     for lam, mu, expected in ((1, 0, True), (0, 1, True), (1, 1, False), (2, 3, False)):
         rep = theorem1_equivalences(embedding(lam, mu), H1, H2)
         assert rep.agree
-        assert rep.verdict is expected
+        assert rep.direct is expected
     zero = SymBivector.zero(P)
     rep = theorem1_equivalences(AffineMap.identity(P), zero, zero)
-    assert rep.agree and rep.verdict
+    assert rep.agree and rep.direct
 
 
 def test_kv_map_composition_closure():
@@ -411,6 +412,42 @@ def test_schur_complement_with_rational_entries():
     assert tr.induced.entries[0][0] == expected
 
 
+def test_transversal_verdict_calls_no_gcd(monkeypatch):
+    # polynomial h whose det D = x1^2 + 1 is not constant on the x1-axis: the
+    # verdict reads det D only, and the division by it waits for ``induced``
+    R3 = Chart("R3", ("x1", "x2", "x3"))
+    x1, one, zero = Expr.var("x1"), Expr.const(1), Expr.const(0)
+    h = SymBivector(R3, ((one, x1, zero), (x1, x1 ** 2 + 1, zero), (zero, zero, one)))
+    calls = []
+    gcd = kvgeom.symexpr.poly_gcd
+    monkeypatch.setattr(kvgeom.symexpr, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    tr = is_transversal(AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0),)), h)
+    assert tr.verdict == POINTWISE_TRUE and not calls
+    y1 = Expr.var("y1")
+    assert tr.bordered.entries == ((Expr.const(1),),) and tr.determinant == y1 ** 2 + 1
+    assert tr.induced.entries == ((1 / (y1 ** 2 + 1),),)
+
+
+def test_sampled_points_are_distinct():
+    assert distinct_sample_points(random.Random(0), 0, 5) == [()]
+    pts = distinct_sample_points(random.Random(0), 1, 100)
+    assert len(pts) == len(set(pts)) == 87  # the whole grid of p/q, p in [-8, 8], q in [1, 8]
+    rng = random.Random(3)
+    draws = [sample_point(rng, 2) for _ in range(10)]
+    assert len(set(draws)) == 10 and distinct_sample_points(random.Random(3), 2, 10) == draws
+    # a line with det D = y1^2 + y1 + 2 > 0 and a preimage of dimension 1: 40 draws of 87 values repeat
+    R2 = Chart("R2", ("a", "b"))
+    a, b = Expr.var("a"), Expr.var("b")
+    h = SymBivector(R2, ((a ** 2 + 1, b), (b, a + 3)))
+    tr = is_transversal(AffineSubmanifold(R2, (1, 2), ((1, 1),)), h, samples=40)
+    assert tr.verdict == POINTWISE_TRUE and len({p for p, _ in tr.samples}) == len(tr.samples) == 40
+    R3 = Chart("R3", ("x1", "x2", "x3"))
+    h3 = SymBivector.standard(R3)
+    axis = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0),))
+    rep = preimage_transversal(AffineMap.identity(R3), h3, h3, axis, samples=40)
+    assert rep.ok and len({p for p, _ in rep.sample_checks}) == len(rep.sample_checks) == 40
+
+
 def test_coisotropic_examples():
     R1 = Chart("R1", ("x",))
     h = SymBivector(R1, ((Expr.var("x"),),))
@@ -630,7 +667,7 @@ def test_preimage_transversal_instances():
     axis = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0),))
     rep2 = preimage_transversal(AffineMap.identity(R3), h3, h3, axis)
     assert rep2.ok and rep2.preimage.dim == 1
-    assert rep2.induced_source.entries == rep2.induced_target.entries
+    assert rep2.transversal_source.induced.entries == rep2.transversal_target.induced.entries
     # product projection
     A = Chart("A", ("a1", "a2"))
     B = Chart("B", ("b1",))
