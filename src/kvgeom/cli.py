@@ -41,9 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(name: str) -> str:
+    """The text of a scenario file or built-in; a file that is not UTF-8 is a ParseError at its first bad byte."""
     path = Path(name)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start].decode("utf-8")
+            line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+            raise ParseError(line, col, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
     entry = get_scenario(name)
     if entry is not None:
         return entry.text
@@ -56,11 +63,11 @@ def run(config: RunConfig) -> tuple[int, str]:
     offset = 0
     for name in config.scenarios:
         try:
-            text = _load(name)
+            scenario = parse_scenario(_load(name))
         except FileNotFoundError as exc:
             return 2, f"error: {exc}\n"
-        try:
-            scenario = parse_scenario(text)
+        except OSError as exc:  # a directory, or a file that cannot be read
+            return 2, f"error: {name}: {exc.strerror or exc}\n"
         except (ParseError, SemanticError) as exc:
             return 2, f"error: {name}: {exc}\n"
         result = run_scenario(

@@ -16,6 +16,7 @@ class Token(NamedTuple):
 
 _TWO_CHAR = ("->",)
 _ONE_CHAR = set("+-*/^(){}[],;:=")
+_DIGITS = set("0123456789")  # str.isdigit also accepts digits such as "²" that int() rejects
 
 
 def tokenize(text: str) -> list[Token]:
@@ -49,9 +50,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], start_line, start_col))
             col += j - i

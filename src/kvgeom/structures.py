@@ -8,7 +8,8 @@ determinant restricts to a nonzero constant, pointwise otherwise.  A
 transversal result keeps what the elimination returned, det D and the
 bordered block det D * (A - B D^{-1} B^T); the induced structure divides
 the one by the other when it is read, so no verdict divides a rational
-function.
+function.  ``preimage_transversal`` decides the pullback claim on these
+blocks with their denominators cleared, so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer; ``_matvec`` is
@@ -48,7 +49,6 @@ from .errors import (
     EngineInconsistency,
     NotCoisotropic,
     NotTransverseAtSample,
-    PoleAtPoint,
     PreconditionViolated,
 )
 from .geometry import (
@@ -696,24 +696,18 @@ def affine_preimage(f: AffineMap, n2: AffineSubmanifold) -> AffineSubmanifold | 
     """F^{-1}(N2) as an affine subspace of the source chart, or None when empty."""
     if n2.ambient != f.target:
         raise ChartMismatch("submanifold must live on the map's target chart")
-    W = linalg.nullspace([list(b) for b in n2.basis], n_cols=f.target.dim)
+    W = n2.change[n2.dim:]  # N2's conormal rows: N2 = {x : W (x - o2) = 0}
     if not W:
         return AffineSubmanifold(
             f.source,
             tuple(Fraction(0) for _ in range(f.source.dim)),
             linalg.identity(f.source.dim),
         )
-    Wm = linalg.to_mat(W)
-    WM = linalg.matmul(Wm, f.matrix)
-    rhs = [
-        sum((Wm[r][i] * (n2.origin[i] - f.offset[i]) for i in range(f.target.dim)), Fraction(0))
-        for r in range(len(W))
-    ]
-    x0 = linalg.solve(WM, rhs)
+    WM = linalg.matmul(W, f.matrix)
+    x0 = linalg.solve(WM, linalg.matvec(W, [o - c for o, c in zip(n2.origin, f.offset)]))
     if x0 is None:
         return None
-    kernel = linalg.nullspace(WM, n_cols=f.source.dim)
-    return AffineSubmanifold(f.source, x0, tuple(kernel))
+    return AffineSubmanifold(f.source, x0, tuple(linalg.nullspace(WM, n_cols=f.source.dim)))
 
 
 @dataclass(frozen=True)
@@ -722,8 +716,7 @@ class PreimageReport:
     transversal_source: TransversalResult
     transversal_target: TransversalResult
     restriction: AffineMap | None
-    sample_checks: tuple[tuple[tuple[Fraction, ...], bool], ...]
-    poles_skipped: int  # (point, entry) evaluations of the sample checks that met a pole
+    residuals: tuple[Expr, ...]  # M B1 M^T (d2 o R) - (B2 o R) d1, entry by entry; all zero iff related
 
     @property
     def ok(self) -> bool:
@@ -731,7 +724,7 @@ class PreimageReport:
             self.transversal_source.ok
             and self.transversal_target.ok
             and self.restriction is not None
-            and all(ok for _, ok in self.sample_checks)
+            and all(e.is_zero() for e in self.residuals)
         )
 
 
@@ -743,52 +736,45 @@ def preimage_transversal(
     samples: int = 6,
     seed: int = 42,
 ) -> PreimageReport:
-    """Pull a transversal back along a K-V map and check the induced structures."""
+    """Pull a transversal back along a K-V map and check the induced structures.
+
+    With H = B / d for each transversal (det D and the bordered block), the
+    restriction R with matrix M relates H1 to H2 iff every entry of
+    M B1 M^T (d2 o R) - (B2 o R) d1 is zero: ring operations only, no
+    division and no sampling.  ``samples`` and ``seed`` drive the two
+    transversality verdicts alone.
+    """
     if not is_kv_map(f, h1, h2):
         raise PreconditionViolated("the map is not a K-V map")
     t2 = is_transversal(n2, h2, samples=samples, seed=seed)
     if not t2.ok:
         raise PreconditionViolated("target submanifold is not a K-V transversal")
 
-    # affine maps have constant differential: transversality to N2 is one rank check
-    m = f.target.dim
-    stacked = [list(row) for row in linalg.transpose(f.matrix)] + [list(b) for b in n2.basis]
-    if linalg.rank(stacked) != m:
-        raise NotTransverseAtSample("map is not transverse to the target submanifold")
-
+    # affine maps have constant differential: F is transverse to N2 iff F^{-1}(N2) is nonempty of codim m - k2
+    k2 = n2.dim
     n1 = affine_preimage(f, n2)
-    if n1 is None:
-        raise NotTransverseAtSample("preimage is empty")
+    if n1 is None or n1.dim != f.source.dim - f.target.dim + k2:
+        raise NotTransverseAtSample("map is not transverse to the target submanifold")
     t1 = is_transversal(n1, h1, samples=samples, seed=seed)
     if not t1.ok:
-        return PreimageReport(n1, t1, t2, None, (), 0)
+        return PreimageReport(n1, t1, t2, None, ())
 
     # restriction of F to N's coordinates: y2 = P2 (F(x1(y1)) - o2); F(N1) lies in N2, so its rows past k2 vanish
-    k2 = n2.dim
     to_y2 = AffineMap(n2.ambient, n2.adapted_chart, n2.change, tuple(-y for y in linalg.matvec(n2.change, n2.origin)))
     g = compose(to_y2, compose(f, n1.parametrization()))
     if any(g.offset[k2:]) or any(any(row) for row in g.matrix[k2:]):
         raise EngineInconsistency("the map does not send the preimage into the target submanifold")
-    induced1, induced2 = t1.induced, t2.induced
-    restriction = AffineMap(induced1.chart, induced2.chart, g.matrix[:k2], g.offset[:k2])
+    b1, b2 = t1.bordered, t2.bordered
+    restriction = AffineMap(b1.chart, b2.chart, g.matrix[:k2], g.offset[:k2])
 
-    # exact pointwise check of the K-V map identity between the induced structures
-    residuals = [e for row in kv_map_residuals(restriction, induced1, induced2) for e in row]
-    checks, skipped = [], 0
-    for p in distinct_sample_points(Random(seed + 1), n1.dim, samples):
-        env = dict(zip(induced1.chart.coords, p))
-        values = []
-        for e in residuals:
-            try:
-                values.append(e.eval_at(env))
-            except PoleAtPoint:  # pole of an induced rational entry: counted, not evaluated
-                skipped += 1
-        checks.append((p, all(v == 0 for v in values)))
-    if skipped and skipped == len(residuals) * len(checks):
-        raise PoleAtPoint(
-            f"nothing evaluated: all {skipped} (point, entry) evaluations of the sample checks met a pole"
-        )
-    return PreimageReport(n1, t1, t2, restriction, tuple(checks), skipped)
+    sub = restriction.substitution()
+    d1, d2 = t1.determinant, t2.determinant.substitute(sub)
+    residuals = tuple(
+        s * d2 - t.substitute(sub) * d1
+        for srow, trow in zip(_congruence(restriction.matrix, b1.entries), b2.entries)
+        for s, t in zip(srow, trow)
+    )
+    return PreimageReport(n1, t1, t2, restriction, residuals)
 
 
 # --- supporting pointwise checks -----------------------------------------------

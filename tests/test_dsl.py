@@ -108,6 +108,8 @@ def test_malformed_fixtures_all_raise_positioned_errors():
         "manifold M { dim 2 coords [x y] } check rank h { bogus 1 }",
         "manifold M { dim 1 coords [x] } bivector h on M { [x^y] }",
         "manifold M { dim 1 coords [x] } bivector h on M { [3/0*x] }",
+        "manifold M { dim ² coords [x] }",  # a digit to str.isdigit, but not to int()
+        "manifold M { dim 1 coords [x] } bivector h on M { [²] }",
     ]
     for text in fixtures:
         with pytest.raises((ParseError, SemanticError)) as exc:

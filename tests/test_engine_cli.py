@@ -20,7 +20,7 @@ from kvgeom.engine import (
     WITNESS_TRIES, CheckRecord, RunConfig, RunResult, _find_witness, _oracle_verify, run_scenario,
 )
 from kvgeom.dsl import CheckOutcome
-from kvgeom.errors import ClosureFailure, PoleAtPoint
+from kvgeom.errors import ClosureFailure
 from kvgeom.geometry import TrilinearForm
 from kvgeom.structures import preimage_transversal
 from kvgeom.symexpr import Expr
@@ -133,40 +133,50 @@ def test_a_residual_that_vanishes_at_every_try_has_no_witness():
     assert " | witness at" not in render_report(res.outcomes, "text")
 
 
-def test_preimage_transversal_names_the_evaluations_skipped_at_a_pole(monkeypatch):
-    # F(x, y, z) = (u, v) = (x, y) is a K-V map; the preimage of the u-axis is the plane y = 0,
-    # whose conormal block det D = x^2 + 1 is not constant, so the induced entries are rational
-    head = (
-        "manifold M { dim 3 coords [x y z] } manifold T { dim 2 coords [u v] } "
-        "map F : M -> T { matrix [1, 0, 0; 0, 1, 0] offset [0, 0] } "
-        "bivector h on M { [x, 1, 0; 1, x^2 + 1, 0; 0, 0, 1] } bivector g on T { [u, 1; 1, u^2 + 1] } "
-        "submanifold A in T { origin [0, 0] basis [1, 0] } check preimage_transversal F h g A"
-    )
-    plain = run_text(head).outcomes[0]
+# F(x, y, z) = (u, v) = (x, y) is a K-V map; the preimage of the u-axis is the plane y = 0,
+# whose conormal block det D = x^2 + 1 is not constant, so the induced entries are rational
+PREIMAGE_OF_AXIS = (
+    "manifold M { dim 3 coords [x y z] } manifold T { dim 2 coords [u v] } "
+    "map F : M -> T { matrix [1, 0, 0; 0, 1, 0] offset [0, 0] } "
+    "bivector h on M { [x, 1, 0; 1, x^2 + 1, 0; 0, 0, 1] } bivector g on T { [u, 1; 1, u^2 + 1] } "
+    "submanifold A in T { origin [0, 0] basis [1, 0] } check preimage_transversal F h g A"
+)
+
+
+def test_preimage_transversal_decides_without_dividing(monkeypatch):
+    plain = run_text(PREIMAGE_OF_AXIS).outcomes[0]
     assert plain.status == "pass"
     assert plain.details == "preimage dimension 2; induced structures related by the restricted map at all samples"
-    env = bind_scenario(parse_scenario(head))
+    env = bind_scenario(parse_scenario(PREIMAGE_OF_AXIS))
+    calls = []
+    gcd = kvgeom.symexpr.poly_gcd
+    monkeypatch.setattr(kvgeom.symexpr, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
     assert not rep.transversal_source.determinant.is_const()
-    assert rep.ok and rep.sample_checks and rep.poles_skipped == 0  # the residuals are canonical zeros
+    # the cleared-denominator residuals are canonical zeros, reached by ring operations alone
+    assert rep.ok and rep.residuals and all(e.is_zero() for e in rep.residuals)
+    assert not calls
 
-    # a residual whose denominator vanishes at every sampled point: nothing is evaluated, so no verdict
-    real = kvgeom.structures.kv_map_residuals
-    pole = 1 / vanishing_on_sample_box("y1")
 
-    def with_pole(f, h1, h2):
-        res = real(f, h1, h2)
-        return res if f.source.name == "M" else tuple(tuple(e + pole for e in row) for row in res)
+def test_preimage_transversal_fails_on_a_nonzero_residual(monkeypatch):
+    # doubling the bordered block of the source transversal (the plane in M) doubles M H1 M^T
+    # but not H2 o R, so the cleared-denominator residual no longer vanishes
+    real = kvgeom.structures.is_transversal
 
-    monkeypatch.setattr(kvgeom.structures, "kv_map_residuals", with_pole)
-    with pytest.raises(PoleAtPoint, match="all 6 "):
-        preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
-    poled = run_text(head)
-    assert poled.exit_code == 1
-    assert poled.outcomes[0].status == "unsupported"
-    assert poled.outcomes[0].details == (
-        "nothing evaluated: all 20 (point, entry) evaluations of the sample checks met a pole"
-    )
+    def doubled(n_sub, h, **kw):
+        t = real(n_sub, h, **kw)
+        if n_sub.ambient.name != "M":
+            return t
+        b = t.bordered
+        return dataclasses.replace(t, bordered=type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries)))
+
+    monkeypatch.setattr(kvgeom.structures, "is_transversal", doubled)
+    env = bind_scenario(parse_scenario(PREIMAGE_OF_AXIS))
+    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    assert rep.restriction is not None and not rep.ok
+    assert not all(e.is_zero() for e in rep.residuals)
+    out = run_text(PREIMAGE_OF_AXIS).outcomes[0]
+    assert out.status == "fail" and out.details == "preimage dimension 2; a pullback check failed"
 
 
 def test_fail_fast_stops_after_first_failure():
@@ -322,6 +332,17 @@ def test_cli_parse_error_exit_code(tmp_path):
     path.write_text("manifold M { dim 2 coords [x y] } bivector h on M { [x +, 0; 0, y] }")
     code, report = run(RunConfig(scenarios=(str(path),)))
     assert code == 2 and "error" in report
+
+
+def test_unreadable_scenario_files_exit_2(tmp_path, capsys):
+    assert main(["--scenario", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+    path = tmp_path / "latin1.kvs"
+    path.write_bytes("manifold M { dim 1 coords [x] }\nscalar f on M = x # caf\u00e9\n".encode("latin-1"))
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: 2:24: invalid UTF-8 byte 0xe9\n"
+    assert main(["--scenario", str(tmp_path / "missing.kvs")]) == 2
+    assert capsys.readouterr().err == f"error: no such scenario file or built-in: {tmp_path / 'missing.kvs'}\n"
 
 
 @pytest.mark.parametrize("scalar", ["(" * 1500 + "x" + ")" * 1500, "-" * 5000 + "x"])

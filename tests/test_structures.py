@@ -12,6 +12,7 @@ from kvgeom.errors import (
     ChartMismatch,
     DegenerateBasis,
     NotCoisotropic,
+    NotTransverseAtSample,
     PreconditionViolated,
 )
 from kvgeom.geometry import (
@@ -435,17 +436,12 @@ def test_sampled_points_are_distinct():
     rng = random.Random(3)
     draws = [sample_point(rng, 2) for _ in range(10)]
     assert len(set(draws)) == 10 and distinct_sample_points(random.Random(3), 2, 10) == draws
-    # a line with det D = y1^2 + y1 + 2 > 0 and a preimage of dimension 1: 40 draws of 87 values repeat
+    # a line with det D = y1^2 + y1 + 2 > 0: 40 draws of 87 values repeat
     R2 = Chart("R2", ("a", "b"))
     a, b = Expr.var("a"), Expr.var("b")
     h = SymBivector(R2, ((a ** 2 + 1, b), (b, a + 3)))
     tr = is_transversal(AffineSubmanifold(R2, (1, 2), ((1, 1),)), h, samples=40)
     assert tr.verdict == POINTWISE_TRUE and len({p for p, _ in tr.samples}) == len(tr.samples) == 40
-    R3 = Chart("R3", ("x1", "x2", "x3"))
-    h3 = SymBivector.standard(R3)
-    axis = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0),))
-    rep = preimage_transversal(AffineMap.identity(R3), h3, h3, axis, samples=40)
-    assert rep.ok and len({p for p, _ in rep.sample_checks}) == len(rep.sample_checks) == 40
 
 
 def test_coisotropic_examples():
@@ -685,6 +681,14 @@ def test_preimage_transversal_preconditions():
     point = AffineSubmanifold(T1, (0,), ())
     with pytest.raises(PreconditionViolated):
         preimage_transversal(sums, h3, h1, point)  # sum map does not preserve the pairing
+    # F(t) = (t, 1) is a K-V map for h1 = [1] and h2 = diag(1, 1 - y), and the x-axis is a
+    # transversal for h2, but F's image is the parallel line y = 1: the preimage is empty
+    R1, R2 = Chart("R1", ("t",)), Chart("R2", ("x", "y"))
+    h2 = SymBivector.diagonal(R2, [Expr.const(1), 1 - Expr.var("y")])
+    line = AffineMap(R1, R2, ((Fr(1),), (Fr(0),)), (Fr(0), Fr(1)))
+    x_axis = AffineSubmanifold(R2, (0, 0), ((1, 0),))
+    with pytest.raises(NotTransverseAtSample, match="not transverse"):
+        preimage_transversal(line, SymBivector.standard(R1), h2, x_axis)
 
 
 def test_nonfunctoriality_of_kv_submanifolds_under_preimages():
