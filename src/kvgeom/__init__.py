@@ -26,7 +26,7 @@ from .errors import (
     UnknownVariable,
     ZeroDenominator,
 )
-from .symexpr import Expr, Poly, Rational, parse_expr
+from .symexpr import Expr, Poly, Rational
 from .geometry import (
     Chart,
     OneForm,
@@ -89,7 +89,7 @@ from .algebra import (
     validate_algebra,
     validate_subspace,
 )
-from .dsl import CheckOutcome, Scenario, parse_scenario, render_report, serialize
+from .dsl import CheckOutcome, Scenario, parse_expr, parse_scenario, render_report, serialize
 from .engine import RunConfig, run_scenario
 
 __version__ = "0.1.0"

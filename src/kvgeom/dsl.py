@@ -1,26 +1,30 @@
 """Scenario language: declarations of geometric objects plus check directives.
 
-The language is whitespace-insensitive, uses '#' comments, and shares the
-expression surface syntax with the symbolic layer.  Parsing validates both
+The language is whitespace-insensitive and uses '#' comments.  This module
+holds the one parser of the surface syntax, ``_Parser``: it reads scenarios
+(``parse_scenario``) and the expressions inside them, and ``parse_expr``
+reads a standalone expression with the same methods.  Parsing validates both
 grammar (positioned ParseError) and meaning (positioned SemanticError:
 duplicate names, unresolved references, asymmetric bivectors, chart
-mismatches).  ``serialize`` emits a canonical text form that round-trips.
+mismatches).  ``serialize`` emits a canonical text form that round-trips,
+printing matrices through ``checks._matrix_str`` as reports do.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import AlgebraSpec
-from .checks import CHECKS, Witness
-from .errors import ParseError, SemanticError, ZeroDenominator
+from .checks import CHECKS, Witness, _matrix_str
+from .errors import DegreeOverflow, ParseError, SemanticError
 from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
-from .symexpr import Expr, parse_expression
+from .symexpr import Expr
 
 _KEYWORDS = {
     "manifold",
@@ -52,6 +56,9 @@ _OPTION_FIELDS = {
     "basis": "basis",
     "point": "point",
 }
+
+# option keyword -> the names it takes
+_OPTION_CHOICES = {"expect": ("pass", "fail"), "kind": ("subalgebra", "ideal")}
 
 
 @dataclass(frozen=True)
@@ -151,12 +158,33 @@ class Scenario:
 
 
 # --- parser -------------------------------------------------------------------
+#
+# One recursive-descent parser reads all of the surface syntax: declarations,
+# checks, and the expressions inside them, whose grammar is
+#
+# expr   := term (('+'|'-') term)*
+# term   := unary (('*'|'/') unary)*
+# unary  := ('-'|'+') unary | power
+# power  := atom ['^' ['-'] INT]
+# atom   := INT | NAME | '(' expr ')'
+#
+# Each parenthesis and each unary sign nests one level deeper.  The cap is
+# fixed, and far below what the interpreter's recursion limit allows, so
+# whether an expression parses depends on its text alone.  An integer literal
+# longer than 4300 digits, CPython's default limit on reading an int from
+# text, is a ParseError, also on Pythons that have no such limit.
+
+_MAX_NESTING = 100
+_MAX_DIGITS = 4300
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.expr_start = tokens[0]  # the first token of the expression being read
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -170,105 +198,143 @@ class _Parser:
         t = self.peek()
         return ParseError(t.line, t.col, message, t.text)
 
-    def expect_punct(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind != "punct" or t.text != text:
-            raise self.fail(f"expected {text!r}")
-        return self.next()
-
-    def expect_name(self, what: str = "name") -> Token:
-        t = self.peek()
-        if t.kind != "name":
-            raise self.fail(f"expected {what}")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "name" or t.text != word:
-            raise self.fail(f"expected {word!r}")
-        return self.next()
-
-    def expect_int(self) -> int:
-        t = self.peek()
-        if t.kind != "int":
-            raise self.fail("expected integer")
-        self.next()
-        return int(t.text)
-
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+    def at_punct(self, *texts: str) -> bool:
+        t = self.tokens[self.i]
+        return t.kind == "punct" and t.text in texts
 
     def at_keyword(self, word: str) -> bool:
         t = self.peek()
         return t.kind == "name" and t.text == word
 
-    def rational(self) -> Fraction:
-        sign = 1
-        if self.at_punct("-"):
-            self.next()
-            sign = -1
-        elif self.at_punct("+"):
-            self.next()
-        t = self.peek()
+    def accept(self, *texts: str) -> Token | None:
+        """The next token, consumed, when it is one of the punctuation ``texts``; the expression rules'
+        hot path, so it reads the token list itself."""
+        t = self.tokens[self.i]
+        if t.kind == "punct" and t.text in texts:
+            self.i += 1
+            return t
+        return None
+
+    def expect_punct(self, text: str) -> Token:
+        if not self.at_punct(text):
+            raise self.fail(f"expected {text!r}")
+        return self.next()
+
+    def expect_name(self, what: str = "name") -> Token:
+        if self.peek().kind != "name":
+            raise self.fail(f"expected {what}")
+        return self.next()
+
+    def expect_keyword(self, word: str) -> Token:
+        if not self.at_keyword(word):
+            raise self.fail(f"expected {word!r}")
+        return self.next()
+
+    def integer(self, what: str = "integer") -> int:
+        """The one reader of integer tokens."""
+        t = self.tokens[self.i]
         if t.kind != "int":
-            raise self.fail("expected rational number")
-        self.next()
-        num = int(t.text)
-        if self.at_punct("/"):
-            self.next()
-            t2 = self.peek()
-            if t2.kind != "int":
-                raise self.fail("expected denominator")
-            self.next()
-            den = int(t2.text)
-            if den == 0:
-                raise ParseError(t2.line, t2.col, "zero denominator in rational literal", t2.text)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+            raise self.fail(f"expected {what}")
+        if len(t.text) > _MAX_DIGITS:
+            raise self.fail(f"integer literal longer than {_MAX_DIGITS} digits")
+        self.i += 1
+        return int(t.text)
 
-    def rational_row(self) -> tuple[Fraction, ...]:
-        row = [self.rational()]
-        while self.at_punct(","):
-            self.next()
-            row.append(self.rational())
-        return tuple(row)
+    def rational(self) -> Fraction:
+        sign = self.accept("-", "+")
+        num = self.integer("rational number")
+        if sign is not None and sign.text == "-":
+            num = -num
+        if not self.accept("/"):
+            return Fraction(num)
+        t = self.peek()
+        den = self.integer("denominator")
+        if den == 0:
+            raise ParseError(t.line, t.col, "zero denominator in rational literal", t.text)
+        return Fraction(num, den)
 
-    def rational_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Bracketed rows: entries ',' separated, rows ';' separated."""
+    def rows(self, item: Callable[[], object]) -> tuple[tuple, ...]:
+        """Bracketed rows of ``item``: entries ',' separated, rows ';' separated."""
         self.expect_punct("[")
-        rows = [self.rational_row()]
-        while self.at_punct(";"):
-            self.next()
-            rows.append(self.rational_row())
+        rows = [[item()]]
+        while sep := self.accept(",", ";"):
+            if sep.text == ";":
+                rows.append([])
+            rows[-1].append(item())
         self.expect_punct("]")
-        return tuple(rows)
+        return tuple(map(tuple, rows))
+
+    def row(self, what: str, at: Token) -> tuple[Fraction, ...]:
+        """One bracketed row of rationals; a second row is a ParseError at ``at``."""
+        rows = self.rows(self.rational)
+        if len(rows) != 1:
+            raise ParseError(at.line, at.col, f"{what} must be a single row", what)
+        return rows[0]
+
+    # --- expressions ---
 
     def expression(self) -> Expr:
-        t = self.peek()
-        try:
-            e, self.i = parse_expression(self.tokens, self.i)
-        except ZeroDenominator:
-            raise ParseError(t.line, t.col, "expression denominator is identically zero", t.text) from None
+        self.expr_start = self.peek()
+        return self.sum(0)
+
+    def sum(self, depth: int) -> Expr:
+        e = self.term(depth)
+        while op := self.accept("+", "-"):
+            e = self.apply(op, e, self.term(depth))
         return e
 
-    def expr_rows(self) -> tuple[tuple[Expr, ...], ...]:
-        self.expect_punct("[")
-        rows = []
-        row = [self.expression()]
-        while True:
-            if self.at_punct(","):
-                self.next()
-                row.append(self.expression())
-            elif self.at_punct(";"):
-                self.next()
-                rows.append(tuple(row))
-                row = [self.expression()]
-            else:
-                break
-        rows.append(tuple(row))
-        self.expect_punct("]")
-        return tuple(rows)
+    def term(self, depth: int) -> Expr:
+        e = self.unary(depth)
+        while op := self.accept("*", "/"):
+            rhs = self.unary(depth)
+            if op.text == "/" and rhs.is_zero():
+                raise ParseError(op.line, op.col, "division by zero expression", op.text)
+            e = self.apply(op, e, rhs)
+        return e
+
+    def unary(self, depth: int) -> Expr:
+        sign = self.accept("-", "+")
+        if sign is None:
+            return self.power(depth)
+        e = self.unary(self.deeper(depth))
+        return -e if sign.text == "-" else e
+
+    def power(self, depth: int) -> Expr:
+        e = self.atom(depth)
+        op = self.accept("^")
+        if op is None:
+            return e
+        sign = -1 if self.accept("-") else 1
+        k = sign * self.integer("integer exponent")
+        if k < 0 and e.is_zero():
+            raise ParseError(op.line, op.col, "negative power of zero", op.text)
+        return self.apply(op, e, k)
+
+    def atom(self, depth: int) -> Expr:
+        t = self.tokens[self.i]
+        if t.kind == "int":
+            return Expr.const(self.integer())
+        if t.kind == "name":
+            self.i += 1
+            return Expr.var(t.text)
+        if not self.accept("("):
+            raise self.fail("expected expression")
+        e = self.sum(self.deeper(depth))
+        self.expect_punct(")")
+        return e
+
+    def deeper(self, depth: int) -> int:
+        if depth >= _MAX_NESTING:
+            t = self.expr_start
+            raise ParseError(t.line, t.col, f"expression nested too deeply (more than {_MAX_NESTING} levels)", t.text)
+        return depth + 1
+
+    def apply(self, op: Token, a: Expr, b: Expr | int) -> Expr:
+        """The one application of an operator; a degree past the packed field width is a ParseError at ``op``."""
+        try:
+            return _OPS[op.text](a, b)
+        except DegreeOverflow as exc:
+            raise ParseError(op.line, op.col, str(exc), op.text) from None
 
     # --- declarations ---
 
@@ -277,7 +343,7 @@ class _Parser:
         name = self.expect_name("manifold name").text
         self.expect_punct("{")
         self.expect_keyword("dim")
-        dim = self.expect_int()
+        dim = self.integer()
         self.expect_keyword("coords")
         self.expect_punct("[")
         coords = []
@@ -293,7 +359,7 @@ class _Parser:
         self.expect_keyword("on")
         mname = self.expect_name("manifold name").text
         self.expect_punct("{")
-        rows = self.expr_rows()
+        rows = self.rows(self.expression)
         self.expect_punct("}")
         entries = _assemble_symmetric(rows, t0)
         return BivectorDecl(name, mname, entries, t0.line, t0.col)
@@ -316,13 +382,11 @@ class _Parser:
         target = self.expect_name("target manifold").text
         self.expect_punct("{")
         self.expect_keyword("matrix")
-        matrix = self.rational_rows()
+        matrix = self.rows(self.rational)
         self.expect_keyword("offset")
-        offset_rows = self.rational_rows()
-        if len(offset_rows) != 1:
-            raise ParseError(t0.line, t0.col, "offset must be a single row", "offset")
+        offset = self.row("offset", t0)
         self.expect_punct("}")
-        return MapDecl(name, source, target, matrix, offset_rows[0], t0.line, t0.col)
+        return MapDecl(name, source, target, matrix, offset, t0.line, t0.col)
 
     def submanifold(self) -> SubmanifoldDecl:
         t0 = self.expect_keyword("submanifold")
@@ -331,61 +395,44 @@ class _Parser:
         mname = self.expect_name("manifold name").text
         self.expect_punct("{")
         self.expect_keyword("origin")
-        origin_rows = self.rational_rows()
-        if len(origin_rows) != 1:
-            raise ParseError(t0.line, t0.col, "origin must be a single row", "origin")
+        origin = self.row("origin", t0)
         basis: tuple[tuple[Fraction, ...], ...] = ()
         if self.at_keyword("basis"):
             self.next()
-            basis = self.rational_rows()
+            basis = self.rows(self.rational)
         self.expect_punct("}")
-        return SubmanifoldDecl(name, mname, origin_rows[0], basis, t0.line, t0.col)
+        return SubmanifoldDecl(name, mname, origin, basis, t0.line, t0.col)
 
     def algebra(self) -> AlgebraDecl:
         t0 = self.expect_keyword("algebra")
         name = self.expect_name("algebra name").text
         self.expect_punct("{")
         self.expect_keyword("dim")
-        dim = self.expect_int()
+        dim = self.integer()
         self.expect_keyword("product")
-        self.expect_punct("{")
-        product: dict[tuple[int, int, int], Fraction] = {}
-        while self.peek().kind == "int":
-            t = self.peek()
-            i = self.expect_int()
-            j = self.expect_int()
-            k = self.expect_int()
-            self.expect_punct(":")
-            q = self.rational()
-            key = (min(i, j), max(i, j), k)
-            if key in product:
-                raise ParseError(t.line, t.col, f"duplicate product entry {key}", t.text)
-            product[key] = q
-        self.expect_punct("}")
-        cocycle: dict[tuple[int, int], Fraction] = {}
+        product = self.table(3, "product")
+        cocycle = {}
         if self.at_keyword("cocycle"):
             self.next()
-            self.expect_punct("{")
-            while self.peek().kind == "int":
-                t = self.peek()
-                i = self.expect_int()
-                j = self.expect_int()
-                self.expect_punct(":")
-                q = self.rational()
-                key2 = (min(i, j), max(i, j))
-                if key2 in cocycle:
-                    raise ParseError(t.line, t.col, f"duplicate cocycle entry {key2}", t.text)
-                cocycle[key2] = q
-            self.expect_punct("}")
+            cocycle = self.table(2, "cocycle")
         self.expect_punct("}")
-        return AlgebraDecl(
-            name,
-            dim,
-            tuple(sorted(product.items())),
-            tuple(sorted(cocycle.items())),
-            t0.line,
-            t0.col,
-        )
+        return AlgebraDecl(name, dim, tuple(sorted(product.items())), tuple(sorted(cocycle.items())), t0.line, t0.col)
+
+    def table(self, arity: int, what: str) -> dict[tuple[int, ...], Fraction]:
+        """'{' (INT^arity ':' rational)* '}', keyed by the indices with the first two in order."""
+        self.expect_punct("{")
+        table: dict[tuple[int, ...], Fraction] = {}
+        while self.peek().kind == "int":
+            t = self.peek()
+            i, j, *rest = (self.integer() for _ in range(arity))
+            self.expect_punct(":")
+            q = self.rational()
+            key = (min(i, j), max(i, j), *rest)
+            if key in table:
+                raise ParseError(t.line, t.col, f"duplicate {what} entry {key}", t.text)
+            table[key] = q
+        self.expect_punct("}")
+        return table
 
     # --- checks ---
 
@@ -396,54 +443,39 @@ class _Parser:
         if kind not in CHECKS:
             raise ParseError(kt.line, kt.col, f"unknown check kind {kind!r}", kind)
         args = tuple(self.expect_name("object name").text for _ in CHECKS[kind].args)
-        options = CheckOptions()
-        if self.at_punct("{"):
-            options = self.options(kind)
+        options = self.options() if self.at_punct("{") else CheckOptions()
         return CheckDirective(kind, args, options, t0.line, t0.col)
 
-    def options(self, kind: str) -> CheckOptions:
+    def options(self) -> CheckOptions:
         self.expect_punct("{")
-        samples = None
-        points = None
-        expect = None
+        given: dict[str, object] = {}  # CheckOptions field -> value
         entries: list[tuple[int, int, Expr]] = []
-        subspace_kind = None
-        basis = None
-        point = None
         while not self.at_punct("}"):
             t = self.peek()
             if t.kind != "name" or t.text not in _OPTION_FIELDS:
                 raise ParseError(t.line, t.col, "expected a check option", t.text)
             key = self.next().text
+            if key == "entry":  # the one option that may repeat
+                entries.append((self.integer(), self.integer(), self.expression()))
+                continue
+            if _OPTION_FIELDS[key] in given:
+                raise ParseError(t.line, t.col, f"repeated option {key!r}", t.text)
             if key == "samples":
-                samples = self.expect_int()
-                if samples < 1:
+                value = self.integer()
+                if value < 1:
                     raise ParseError(t.line, t.col, "samples must be >= 1", t.text)
-            elif key == "points":
-                points = self.rational_rows()
-            elif key == "expect":
-                v = self.expect_name("pass or fail").text
-                if v not in ("pass", "fail"):
-                    raise ParseError(t.line, t.col, "expect takes 'pass' or 'fail'", v)
-                expect = v
-            elif key == "entry":
-                i = self.expect_int()
-                j = self.expect_int()
-                entries.append((i, j, self.expression()))
-            elif key == "kind":
-                v = self.expect_name("subalgebra or ideal").text
-                if v not in ("subalgebra", "ideal"):
-                    raise ParseError(t.line, t.col, "kind takes 'subalgebra' or 'ideal'", v)
-                subspace_kind = v
-            elif key == "basis":
-                basis = self.rational_rows()
+            elif key in ("points", "basis"):
+                value = self.rows(self.rational)
             elif key == "point":
-                rows = self.rational_rows()
-                if len(rows) != 1:
-                    raise ParseError(t.line, t.col, "point must be a single row", t.text)
-                point = rows[0]
+                value = self.row("point", t)
+            else:
+                choices = _OPTION_CHOICES[key]
+                value = self.expect_name(" or ".join(choices)).text
+                if value not in choices:
+                    raise ParseError(t.line, t.col, f"{key} takes {' or '.join(map(repr, choices))}", value)
+            given[_OPTION_FIELDS[key]] = value
         self.expect_punct("}")
-        return CheckOptions(samples, points, expect, tuple(entries), subspace_kind, basis, point)
+        return CheckOptions(entries=tuple(entries), **given)
 
     def scenario(self) -> Scenario:
         decls: list[Declaration] = []
@@ -495,6 +527,15 @@ def _assemble_symmetric(rows: Sequence[Sequence[Expr]], t0: Token) -> tuple[tupl
 def parse_scenario(text: str) -> Scenario:
     """Parse and semantically validate a scenario."""
     return _Parser(tokenize(text)).scenario()
+
+
+def parse_expr(text: str) -> Expr:
+    """Parse a standalone expression in the surface syntax."""
+    p = _Parser(tokenize(text))
+    e = p.expression()
+    if p.peek().kind != "eof":
+        raise p.fail("trailing input after expression")
+    return e
 
 
 # --- semantic binding ----------------------------------------------------------
@@ -604,18 +645,6 @@ def bind_scenario(scenario: Scenario) -> Environment:
 # --- serialization --------------------------------------------------------------
 
 
-def _rat(q: Fraction) -> str:
-    return str(q)
-
-
-def _row(row: Sequence[Fraction]) -> str:
-    return ", ".join(_rat(q) for q in row)
-
-
-def _rows(rows: Sequence[Sequence[Fraction]]) -> str:
-    return "[" + "; ".join(_row(r) for r in rows) + "]"
-
-
 def serialize(scenario: Scenario) -> str:
     """Canonical text form; parse_scenario(serialize(s)) == s structurally."""
     out: list[str] = []
@@ -623,23 +652,22 @@ def serialize(scenario: Scenario) -> str:
         if isinstance(d, ManifoldDecl):
             out.append(f"manifold {d.name} {{ dim {d.dim} coords [{' '.join(d.coords)}] }}")
         elif isinstance(d, BivectorDecl):
-            body = "; ".join(", ".join(str(e) for e in row) for row in d.entries)
-            out.append(f"bivector {d.name} on {d.manifold} {{ [{body}] }}")
+            out.append(f"bivector {d.name} on {d.manifold} {{ {_matrix_str(d.entries)} }}")
         elif isinstance(d, ScalarDecl):
             out.append(f"scalar {d.name} on {d.manifold} = {d.value}")
         elif isinstance(d, MapDecl):
             out.append(
                 f"map {d.name} : {d.source} -> {d.target} "
-                f"{{ matrix {_rows(d.matrix)} offset [{_row(d.offset)}] }}"
+                f"{{ matrix {_matrix_str(d.matrix)} offset {_matrix_str([d.offset])} }}"
             )
         elif isinstance(d, SubmanifoldDecl):
-            basis = f" basis {_rows(d.basis)}" if d.basis else ""
-            out.append(f"submanifold {d.name} in {d.manifold} {{ origin [{_row(d.origin)}]{basis} }}")
+            basis = f" basis {_matrix_str(d.basis)}" if d.basis else ""
+            out.append(f"submanifold {d.name} in {d.manifold} {{ origin {_matrix_str([d.origin])}{basis} }}")
         elif isinstance(d, AlgebraDecl):
-            prod = " ".join(f"{i} {j} {k} : {_rat(q)}" for (i, j, k), q in d.product)
+            prod = " ".join(f"{i} {j} {k} : {q}" for (i, j, k), q in d.product)
             line = f"algebra {d.name} {{ dim {d.dim} product {{ {prod} }}".replace("{  }", "{ }")
             if d.cocycle:
-                coc = " ".join(f"{i} {j} : {_rat(q)}" for (i, j), q in d.cocycle)
+                coc = " ".join(f"{i} {j} : {q}" for (i, j), q in d.cocycle)
                 line += f" cocycle {{ {coc} }}"
             out.append(line + " }")
     for c in scenario.checks:
@@ -650,7 +678,7 @@ def serialize(scenario: Scenario) -> str:
             if o.samples is not None:
                 parts.append(f"samples {o.samples}")
             if o.points is not None:
-                parts.append(f"points {_rows(o.points)}")
+                parts.append(f"points {_matrix_str(o.points)}")
             if o.expect is not None:
                 parts.append(f"expect {o.expect}")
             for i, j, e in o.entries:
@@ -658,9 +686,9 @@ def serialize(scenario: Scenario) -> str:
             if o.subspace_kind is not None:
                 parts.append(f"kind {o.subspace_kind}")
             if o.basis is not None:
-                parts.append(f"basis {_rows(o.basis)}")
+                parts.append(f"basis {_matrix_str(o.basis)}")
             if o.point is not None:
-                parts.append(f"point [{_row(o.point)}]")
+                parts.append(f"point {_matrix_str([o.point])}")
             line += " { " + " ".join(parts) + " }"
         out.append(line)
     return "\n".join(out) + "\n"

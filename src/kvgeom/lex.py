@@ -1,4 +1,7 @@
-"""Tokenizer shared by the expression surface syntax and the scenario language."""
+"""Tokenizer of the surface syntax: scenarios and the expressions inside them.
+
+The one parser of that syntax, which reads these tokens, is ``dsl._Parser``.
+"""
 
 from __future__ import annotations
 

@@ -15,6 +15,10 @@ An ``Expr`` is a quotient of two ``Poly`` in canonical form: numerator and
 denominator coprime, denominator monic.  Both representations are unique, so
 equality of canonical forms decides equality of rational functions, which is
 the zero-test every identity check relies on.
+
+This module holds no parser: expression text is read by ``dsl._Parser``
+(``dsl.parse_expr`` for a standalone expression).  ``str`` of an ``Expr``
+prints the same surface syntax, with coefficients of any length.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from math import gcd
 from random import Random
 from typing import Iterable, Mapping, Union
 
-from .errors import DegreeOverflow, ParseError, PoleAtPoint, UnknownVariable, ZeroDenominator
-from .lex import Token, tokenize
+from .errors import DegreeOverflow, PoleAtPoint, UnknownVariable, ZeroDenominator
 
 Rational = Fraction
 Monomial = tuple[tuple[str, int], ...]  # ((var, exp), ...) sorted by var, exp >= 1
@@ -419,6 +422,14 @@ def _univar(p: Poly, v: str) -> dict[int, Poly]:
     return {e: _make(rest, t, p.den) for e, t in buckets.items()}
 
 
+def _coefficients(p: Poly, vs: Iterable[str]) -> list[Poly]:
+    """The coefficients of p as a polynomial in the variables vs."""
+    cs = [p]
+    for v in vs:
+        cs = [c for q in cs for c in _univar(q, v).values()]
+    return cs
+
+
 def _from_univar(d: Mapping[int, Poly], v: str) -> Poly:
     x = Poly.var(v)
     out = _P_ZERO
@@ -452,15 +463,31 @@ def _content(polys: Iterable[Poly]) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via primitive pseudo-remainder sequences (recursion on variables)."""
+    """Monic gcd via primitive pseudo-remainder sequences (recursion on variables).
+
+    When the variables of one operand are a proper subset of the other's, the
+    gcd is that of the smaller operand and the coefficients of the larger in
+    the variables the smaller lacks; it is folded from the smaller operand and
+    stops at the first constant.
+    """
     if a.is_zero():
         return _monic(b)
     if b.is_zero():
         return _monic(a)
-    vs = a.variables() | b.variables()
-    if not vs:
+    va, vb = a.variables(), b.variables()
+    if va < vb:
+        a, b, va, vb = b, a, vb, va
+    if vb < va:
+        # a common divisor divides b, so it is free of the variables b lacks, and divides each coefficient of a in them
+        g = b
+        for c in _coefficients(a, va - vb):
+            g = poly_gcd(g, c)
+            if g.is_const():
+                break
+        return g
+    if not va:
         return _P_ONE
-    v = max(vs)
+    v = max(va)
     A = _univar(a, v)
     B = _univar(b, v)
     ca = _content(A.values())
@@ -753,14 +780,31 @@ def distinct_sample_points(rng: Random, k: int, count: int) -> list[tuple[Fracti
     return list(points)
 
 
+_DIGITS = 512  # decimal digits per str() call, below the least int-to-str limit CPython can be set to (640)
+_SHORT = 10 ** _DIGITS
+
+
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, of any length: split by a power 10^k and printed in parts of at most _DIGITS digits."""
+    if n < _SHORT:
+        return str(n)
+    k = _DIGITS
+    while 10 ** (2 * k) <= n:
+        k *= 2
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
     mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, len(vars))) if e)
     a = abs(c)
-    if not mono:
-        return str(a)
-    if a == 1:
+    if mono and a == 1:
         return mono
-    return f"{a}*{mono}"
+    try:
+        digits = str(a)
+    except ValueError:  # past CPython's int-to-str digit limit
+        digits = _decimal(a.numerator) + ("" if a.denominator == 1 else f"/{_decimal(a.denominator)}")
+    return f"{digits}*{mono}" if mono else digits
 
 
 def _poly_str(p: Poly) -> str:
@@ -775,120 +819,3 @@ def _poly_str(p: Poly) -> str:
         else:
             out.append(f" - {body}" if c < 0 else f" + {body}")
     return "".join(out)
-
-
-# --- surface-syntax parser -------------------------------------------------
-#
-# expr   := term (('+'|'-') term)*
-# term   := unary (('*'|'/') unary)*
-# unary  := ('-'|'+') unary | power
-# power  := atom ['^' ['-'] INT]
-# atom   := INT | NAME | '(' expr ')'
-#
-# Each parenthesis and each unary sign nests one level deeper.  The cap is
-# fixed, and far below what the interpreter's recursion limit allows, so
-# whether an expression parses depends on its text alone.
-
-_MAX_NESTING = 100
-
-
-class _TooDeep(Exception):
-    pass
-
-
-def parse_expression(tokens: list[Token], i: int) -> tuple[Expr, int]:
-    """Parse an expression from a token stream; returns (Expr, next index)."""
-    try:
-        return _parse_sum(tokens, i, 0)
-    except _TooDeep:
-        t = tokens[i]
-        message = f"expression nested too deeply (more than {_MAX_NESTING} levels)"
-        raise ParseError(t.line, t.col, message, t.text) from None
-
-
-def _parse_sum(tokens, i, depth):
-    e, i = _parse_term(tokens, i, depth)
-    while tokens[i].kind == "punct" and tokens[i].text in "+-":
-        op = tokens[i]
-        rhs, i = _parse_term(tokens, i + 1, depth)
-        e = _apply(op, e, rhs)
-    return e, i
-
-
-def _parse_term(tokens, i, depth):
-    e, i = _parse_unary(tokens, i, depth)
-    while tokens[i].kind == "punct" and tokens[i].text in "*/":
-        op = tokens[i]
-        rhs, i = _parse_unary(tokens, i + 1, depth)
-        if op.text == "/" and rhs.is_zero():
-            raise ParseError(op.line, op.col, "division by zero expression", op.text)
-        e = _apply(op, e, rhs)
-    return e, i
-
-
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
-
-
-def _apply(op: Token, a, b):
-    try:
-        return _OPS[op.text](a, b)
-    except DegreeOverflow as exc:
-        raise ParseError(op.line, op.col, str(exc), op.text) from None
-
-
-def _deeper(depth):
-    if depth >= _MAX_NESTING:
-        raise _TooDeep
-    return depth + 1
-
-
-def _parse_unary(tokens, i, depth):
-    t = tokens[i]
-    if t.kind == "punct" and t.text in "+-":
-        e, i = _parse_unary(tokens, i + 1, _deeper(depth))
-        return (-e if t.text == "-" else e), i
-    return _parse_power(tokens, i, depth)
-
-
-def _parse_power(tokens, i, depth):
-    e, i = _parse_atom(tokens, i, depth)
-    t = tokens[i]
-    if t.kind == "punct" and t.text == "^":
-        i += 1
-        sign = 1
-        if tokens[i].kind == "punct" and tokens[i].text == "-":
-            sign = -1
-            i += 1
-        if tokens[i].kind != "int":
-            raise ParseError(tokens[i].line, tokens[i].col, "expected integer exponent", tokens[i].text)
-        k = sign * int(tokens[i].text)
-        i += 1
-        if k < 0 and e.is_zero():
-            raise ParseError(t.line, t.col, "negative power of zero", t.text)
-        e = _apply(t, e, k)
-    return e, i
-
-
-def _parse_atom(tokens, i, depth):
-    t = tokens[i]
-    if t.kind == "int":
-        return Expr.const(int(t.text)), i + 1
-    if t.kind == "name":
-        return Expr.var(t.text), i + 1
-    if t.kind == "punct" and t.text == "(":
-        e, i = _parse_sum(tokens, i + 1, _deeper(depth))
-        t2 = tokens[i]
-        if not (t2.kind == "punct" and t2.text == ")"):
-            raise ParseError(t2.line, t2.col, "expected ')'", t2.text)
-        return e, i + 1
-    raise ParseError(t.line, t.col, "expected expression", t.text)
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse a standalone expression in the surface syntax."""
-    tokens = tokenize(text)
-    e, i = parse_expression(tokens, 0)
-    if tokens[i].kind != "eof":
-        t = tokens[i]
-        raise ParseError(t.line, t.col, "trailing input after expression", t.text)
-    return e

@@ -242,9 +242,9 @@ def test_sharp_pair_and_bivector_pair_equal_the_loops(n):
 @pytest.mark.parametrize("n", DIMS)
 def test_contravariant_D_and_codazzi_equal_the_loops(n):
     for rng, chart, h in cases(n):
-        # affine forms: with quadratic ones, sum_kl a_k b_l d_v h_kl over (v + c)^2 runs poly_gcd
-        # past a minute at n = 4, in the loop and in the contraction alike
-        a, b = sparse_vector(rng, chart.coords, degree=1), sparse_vector(rng, chart.coords, degree=1)
+        # quadratic forms: sum_kl a_k b_l d_v h_kl over (v + c)^2 meets a gcd of a polynomial in all the
+        # coordinates with one in v alone, which the gcd reduces to gcds with the coefficients in v
+        a, b = sparse_vector(rng, chart.coords), sparse_vector(rng, chart.coords)
         D = contravariant_D(h, OneForm(chart, a), OneForm(chart, b))
         assert_entrywise_equal(D.components, ref_contravariant_D(chart.coords, h.entries, a, b))
         assert_entrywise_equal(codazzi_tensor(h).entries, ref_codazzi(chart.coords, h.entries))

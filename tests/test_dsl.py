@@ -19,13 +19,14 @@ from kvgeom.dsl import (
     SubmanifoldDecl,
     Witness,
     bind_scenario,
+    parse_expr,
     parse_scenario,
     render_report,
     serialize,
 )
 from kvgeom.corpus import BUILTIN_SCENARIOS
 from kvgeom.errors import ParseError, SemanticError
-from kvgeom.symexpr import Expr, parse_expr
+from kvgeom.symexpr import Expr
 
 
 def test_parse_minimal_scenario():
@@ -91,30 +92,53 @@ def test_semantic_errors():
 
 
 def test_malformed_fixtures_all_raise_positioned_errors():
-    fixtures = [
-        "manifold",
-        "manifold M",
-        "manifold M { dim }",
-        "manifold M { dim 2 coords [x y] ",
-        "bivector h on M { [x] }",
-        "scalar f on",
-        "map F : A -> { matrix [1] offset [0] }",
-        "submanifold N in M { origin }",
-        "algebra A { dim 2 product 1 1 1 : 1 }",
-        "check",
-        "check codazzi h extra_token_not_a_check",
-        "manifold M { dim 2 coords [x y] } bivector h on M { [x, ; 0, y] }",
-        "manifold M { dim 2 coords [x y] } check rank h { samples 0 }",
-        "manifold M { dim 2 coords [x y] } check rank h { bogus 1 }",
-        "manifold M { dim 1 coords [x] } bivector h on M { [x^y] }",
-        "manifold M { dim 1 coords [x] } bivector h on M { [3/0*x] }",
-        "manifold M { dim ² coords [x] }",  # a digit to str.isdigit, but not to int()
-        "manifold M { dim 1 coords [x] } bivector h on M { [²] }",
+    P, S = ParseError, SemanticError
+    fixtures = [  # text, then the error's class, line, column, message and token
+        ("manifold", P, 1, 9, "expected manifold name", ""),
+        ("manifold M", P, 1, 11, "expected '{'", ""),
+        ("manifold M { dim }", P, 1, 18, "expected integer", "}"),
+        ("manifold M { dim 2 coords [x y] ", P, 1, 33, "expected '}'", ""),
+        ("bivector h on M { [x] }", S, 1, 1, "unknown manifold 'M'", "M"),
+        ("scalar f on", P, 1, 12, "expected manifold name", ""),
+        ("map F : A -> { matrix [1] offset [0] }", P, 1, 14, "expected target manifold", "{"),
+        ("submanifold N in M { origin }", P, 1, 29, "expected '['", "}"),
+        ("algebra A { dim 2 product 1 1 1 : 1 }", P, 1, 27, "expected '{'", "1"),
+        ("check", P, 1, 6, "expected check kind", ""),
+        (
+            "check codazzi h extra_token_not_a_check",
+            P, 1, 17, "unexpected 'extra_token_not_a_check'; expected a declaration or check", "extra_token_not_a_check",
+        ),
+        ("manifold M { dim 2 coords [x y] } bivector h on M { [x, ; 0, y] }", P, 1, 57, "expected expression", ";"),
+        ("manifold M { dim 2 coords [x y] } check rank h { samples 0 }", P, 1, 50, "samples must be >= 1", "samples"),
+        ("manifold M { dim 2 coords [x y] } check rank h { bogus 1 }", P, 1, 50, "expected a check option", "bogus"),
+        ("manifold M { dim 1 coords [x] } bivector h on M { [x^y] }", P, 1, 54, "expected integer exponent", "y"),
+        ("manifold M { dim 1 coords [x] } bivector h on M { [3/0*x] }", P, 1, 53, "division by zero expression", "/"),
+        # a digit to str.isdigit, but not to int()
+        ("manifold M { dim ² coords [x] }", P, 1, 18, "unexpected character '²'", "²"),
+        ("manifold M { dim 1 coords [x] } bivector h on M { [²] }", P, 1, 52, "unexpected character '²'", "²"),
     ]
-    for text in fixtures:
+    for text, cls, line, column, message, token in fixtures:
         with pytest.raises((ParseError, SemanticError)) as exc:
             parse_scenario(text)
-        assert exc.value.line >= 1 and exc.value.column >= 1
+        e = exc.value
+        assert (type(e), e.line, e.column, e.message, e.token) == (cls, line, column, message, token), text
+
+
+def test_a_repeated_check_option_is_an_error_at_its_second_occurrence():
+    head = "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] }\n"
+    for options, key in (
+        ("points [1, 2] points [3, 4]", "points"),
+        ("samples 3 samples 4", "samples"),
+        ("expect pass samples 2 expect fail", "expect"),
+    ):
+        line = f"check rank h {{ {options} }}"
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(head + line)
+        e = exc.value
+        assert (e.line, e.column, e.message, e.token) == (2, line.rindex(key) + 1, f"repeated option {key!r}", key)
+    # entry may repeat
+    s = parse_scenario(f"{head}scalar f on M = x\ncheck lie_derivative h f {{ entry 1 1 x entry 2 2 y }}")
+    assert [(i, j) for i, j, _ in s.checks[0].options.entries] == [(1, 1), (2, 2)]
 
 
 _FRAGMENTS = (

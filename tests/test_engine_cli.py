@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shlex
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,27 @@ def test_deeply_nested_expression_exits_2(tmp_path, scalar):
     code, report = run(RunConfig(scenarios=(str(path),)))
     assert code == 2
     assert "2:17: expression nested too deeply" in report
+
+
+def test_an_integer_literal_past_4300_digits_exits_2(tmp_path):
+    path = tmp_path / "long.kvs"
+    digits = "7" * 5000
+    path.write_text(f"manifold M {{ dim 1 coords [x] }}\nscalar f on M = {digits}\n")
+    code, report = run(RunConfig(scenarios=(str(path),)))
+    assert (code, report) == (2, f"error: {path}: 2:17: integer literal longer than 4300 digits (at {digits!r})\n")
+    path.write_text(f"manifold M {{ dim 1 coords [x] }}\nscalar f on M = {digits[:4300]}\n")
+    assert run(RunConfig(scenarios=(str(path),))) == (0, render_report([]))
+
+
+def test_a_witness_residual_prints_a_coefficient_of_any_length(tmp_path):
+    path = tmp_path / "big.kvs"
+    path.write_text("manifold M { dim 2 coords [x y] }\nbivector h on M { [3^10000*x*y, 0; 0, y] }\ncheck codazzi h\n")
+    code, report = run(RunConfig(scenarios=(str(path),)))
+    assert code == 1
+    witness = json.loads(report)["checks"][0]["witness"]
+    # Decimal reads an int's digits without the int-to-str length limit: a route independent of kvgeom's
+    assert witness == {"point": ["3/7", "2"], "residual": f"-{Decimal(3 ** 10000)}*x*y"}
+    assert len(str(Decimal(3 ** 10000))) == 4772
 
 
 def test_cli_main_and_flags(capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_poly, random_rational_function, rational
 from kvgeom.errors import DegreeOverflow, ParseError, PoleAtPoint, ZeroDenominator
-from kvgeom.symexpr import Expr, Poly, parse_expr, poly_gcd
+from kvgeom.dsl import parse_expr
+from kvgeom.symexpr import Expr, Poly, poly_gcd
 
 X = Expr.var("x")
 Y = Expr.var("y")
@@ -186,16 +187,18 @@ def test_parse_examples_and_roundtrip():
         assert parse_expr(str(e)) == e
 
 
-def test_parse_errors_are_positioned():
+def _error(text: str) -> tuple:
     with pytest.raises(ParseError) as exc:
-        parse_expr("x +")
-    assert exc.value.line == 1 and exc.value.column == 4
-    with pytest.raises(ParseError):
-        parse_expr("x ^ y")
-    with pytest.raises(ParseError):
-        parse_expr("(x + y")
-    with pytest.raises(ParseError):
-        parse_expr("x y")
+        parse_expr(text)
+    e = exc.value
+    return e.line, e.column, e.message, e.token
+
+
+def test_parse_errors_are_positioned():
+    assert _error("x +") == (1, 4, "expected expression", "")
+    assert _error("x ^ y") == (1, 5, "expected integer exponent", "y")
+    assert _error("(x + y") == (1, 7, "expected ')'", "")
+    assert _error("x y") == (1, 3, "trailing input after expression", "y")
 
 
 def _parse_at_depth(frames: int, text: str):
@@ -204,15 +207,13 @@ def _parse_at_depth(frames: int, text: str):
 
 
 def test_deep_nesting_is_a_positioned_parse_error():
-    for text, col in (
-        ("(" * 1500 + "x" + ")" * 1500, 1),
-        ("-" * 5000 + "x", 1),
-        ("  x + " + "-(" * 60 + "y" + ")" * 60, 3),  # 120 levels, mixed; the error is at the first token, x
+    message = "expression nested too deeply (more than 100 levels)"
+    for text, col, token in (
+        ("(" * 1500 + "x" + ")" * 1500, 1, "("),
+        ("-" * 5000 + "x", 1, "-"),
+        ("  x + " + "-(" * 60 + "y" + ")" * 60, 3, "x"),  # 120 levels, mixed; the error is at the first token, x
     ):
-        with pytest.raises(ParseError) as exc:
-            parse_expr(text)
-        assert "nested too deeply" in str(exc.value)
-        assert (exc.value.line, exc.value.column) == (1, col)
+        assert _error(text) == (1, col, message, token)
     # 100 levels parse, also when the caller is already deep in the stack
     x = Expr.var("x")
     assert _parse_at_depth(300, "(" * 100 + "x" + ")" * 100) == x
@@ -226,6 +227,15 @@ def test_canonical_monomial_order_in_strings():
     assert str(e) == "x*y + x + y + 1"
     e2 = X ** 2 + X * Y ** 2
     assert str(e2) == "x*y^2 + x^2"
+
+
+def test_coefficients_of_any_length_print_exactly():
+    """Past CPython's 4300-digit int-to-str limit, with zeros where the printed parts meet."""
+    big = 10 ** 5000 + 7
+    assert str(Expr.const(big)) == "1" + "0" * 4999 + "7"
+    assert str(-X * Fraction(big, 3) + 1) == "-1" + "0" * 4999 + "7/3*x + 1"
+    assert str(X / big) == "1/1" + "0" * 4999 + "7*x"
+    assert str(Expr.const(10 ** 4096)) == "1" + "0" * 4096
 
 
 def test_exponents_wider_than_sixteen_bits_stay_exact():
@@ -243,11 +253,11 @@ def test_exponents_wider_than_sixteen_bits_stay_exact():
 def test_a_degree_past_the_field_width_is_an_error_not_a_wrap():
     top = 2 ** 31 - 1  # the largest degree a packed field holds
     assert str(parse_expr(f"x^{top}*y^0")) == f"x^{top}"
-    for text, col in ((f"y + x^{top}*x", 17), (f"x^{top + 1}", 2), (f"(x*y)^{2 ** 30}", 6), (f"1/x^{top} - 1/x", 16)):
-        with pytest.raises(ParseError) as exc:
-            parse_expr(text)
-        assert "exceeds the largest supported degree" in str(exc.value)
-        assert (exc.value.line, exc.value.column) == (1, col)
+    message = f"polynomial degree {top + 1} exceeds the largest supported degree {top}"
+    for text, col, op in (
+        (f"y + x^{top}*x", 17, "*"), (f"x^{top + 1}", 2, "^"), (f"(x*y)^{2 ** 30}", 6, "^"), (f"1/x^{top} - 1/x", 16, "-"),
+    ):
+        assert _error(text) == (1, col, message, op)
     x = Poly.var("x")
     big = x ** top
     with pytest.raises(DegreeOverflow):

@@ -4,6 +4,8 @@ gcds, substitution, and the packed monomial order against a reference comparison
 Examples are derandomized and few, so the suite stays deterministic and quick.
 Polynomials have at most four terms of degree at most two in x and y, and
 denominators at most two terms of degree at most one, which keeps every gcd small.
+The gcd is also compared with a plain pseudo-remainder reference on products of
+such polynomials in x, y and z.
 """
 
 from functools import cmp_to_key
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kvgeom.errors import PoleAtPoint, ZeroDenominator
-from kvgeom.symexpr import Expr, Poly, divexact, poly_gcd
+from kvgeom.symexpr import Expr, Poly, _from_univar, _monic, _pseudo_rem, _univar, divexact, poly_gcd
 
 kernel = settings(
     derandomize=True,
@@ -104,6 +106,54 @@ def test_gcd_divides_both_inputs_and_is_monic(a, b):
     assert divexact(a, g) is not None
     assert divexact(b, g) is not None
     assert g.leading_term()[1] == 1
+
+
+def _prs_gcd(a: Poly, b: Poly) -> Poly:
+    """A reference: the monic gcd by primitive pseudo-remainder sequences alone, recursing on the
+    largest variable, without the reduction to the coefficients in the variables one operand lacks."""
+    if a.is_zero():
+        return _monic(b)
+    if b.is_zero():
+        return _monic(a)
+    vs = a.variables() | b.variables()
+    if not vs:
+        return Poly.const(1)
+    v = max(vs)
+    A, B = _univar(a, v), _univar(b, v)
+    ca, cb = _prs_content(A.values()), _prs_content(B.values())
+    P = {e: divexact(p, ca) for e, p in A.items()}
+    Q = {e: divexact(p, cb) for e, p in B.items()}
+    if max(P) < max(Q):
+        P, Q = Q, P
+    while R := _pseudo_rem(P, Q):
+        rc = _prs_content(R.values())
+        P, Q = Q, {e: divexact(p, rc) for e, p in R.items()}
+    return _monic(_prs_gcd(ca, cb) * _from_univar(Q, v))
+
+
+def _prs_content(polys) -> Poly:
+    g = Poly.zero()
+    for p in polys:
+        g = _prs_gcd(g, p)
+    return g
+
+
+def polys_in(vs: tuple[str, ...], degree: int, size: int):
+    exponents = st.tuples(*[st.integers(0, degree)] * len(vs)).filter(lambda e: sum(e) <= degree)
+    terms = st.dictionaries(exponents, coefficients, max_size=size)
+    return terms.map(lambda d: Poly({tuple((v, k) for v, k in zip(vs, e) if k): c for e, c in d.items()}))
+
+
+@kernel
+@given(polys_in(("y", "z"), 2, 3), polys_in(("y", "z"), 2, 3), polys_in(("z",), 1, 2), polys_in(("y",), 1, 2))
+def test_gcd_on_a_variable_subset_equals_the_prs(c1, c2, d, common):
+    """a = (c1 x + c2) common and b = c1 d common: vars(b) lies in vars(a) minus x, and the gcd of b with one
+    coefficient of a in x can be larger than gcd(a, b)."""
+    a = (c1 * Poly.var("x") + c2) * common
+    b = c1 * d * common
+    want = _prs_gcd(a, b)
+    assert poly_gcd(a, b) == want
+    assert poly_gcd(b, a) == want
 
 
 @kernel
