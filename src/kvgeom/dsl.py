@@ -24,7 +24,7 @@ from .errors import DegreeOverflow, ParseError, SemanticError
 from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
-from .symexpr import Expr
+from .symexpr import _DIGITS, Expr
 
 _KEYWORDS = {
     "manifold",
@@ -172,7 +172,8 @@ class Scenario:
 # fixed, and far below what the interpreter's recursion limit allows, so
 # whether an expression parses depends on its text alone.  An integer literal
 # longer than 4300 digits, CPython's default limit on reading an int from
-# text, is a ParseError, also on Pythons that have no such limit.
+# text, is a ParseError, also on Pythons that have no such limit; a shorter
+# one is read in parts (``_int``), so a lowered limit changes nothing either.
 
 _MAX_NESTING = 100
 _MAX_DIGITS = 4300
@@ -180,11 +181,18 @@ _MAX_DIGITS = 4300
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
+def _int(text: str) -> int:
+    """A decimal literal read in parts of at most _DIGITS digits, below any int-from-str limit CPython allows."""
+    if len(text) <= _DIGITS:
+        return int(text)
+    k = len(text) // 2
+    return _int(text[:-k]) * 10 ** k + _int(text[-k:])
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.expr_start = tokens[0]  # the first token of the expression being read
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -238,7 +246,7 @@ class _Parser:
         if len(t.text) > _MAX_DIGITS:
             raise self.fail(f"integer literal longer than {_MAX_DIGITS} digits")
         self.i += 1
-        return int(t.text)
+        return _int(t.text)
 
     def rational(self) -> Fraction:
         sign = self.accept("-", "+")
@@ -646,7 +654,8 @@ def bind_scenario(scenario: Scenario) -> Environment:
 
 
 def serialize(scenario: Scenario) -> str:
-    """Canonical text form; parse_scenario(serialize(s)) == s structurally."""
+    """Canonical text form; parse_scenario(serialize(s)) == s structurally, unless an expression has a
+    coefficient longer than the reader's 4300 digits: that prints in full and reads back as a ParseError."""
     out: list[str] = []
     for d in scenario.declarations:
         if isinstance(d, ManifoldDecl):

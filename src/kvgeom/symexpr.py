@@ -780,7 +780,7 @@ def distinct_sample_points(rng: Random, k: int, count: int) -> list[tuple[Fracti
     return list(points)
 
 
-_DIGITS = 512  # decimal digits per str() call, below the least int-to-str limit CPython can be set to (640)
+_DIGITS = 512  # decimal digits per str() or int() call, below the least int/str limit CPython can be set to (640)
 _SHORT = 10 ** _DIGITS
 
 
@@ -800,10 +800,7 @@ def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
     a = abs(c)
     if mono and a == 1:
         return mono
-    try:
-        digits = str(a)
-    except ValueError:  # past CPython's int-to-str digit limit
-        digits = _decimal(a.numerator) + ("" if a.denominator == 1 else f"/{_decimal(a.denominator)}")
+    digits = _decimal(a.numerator) + ("" if a.denominator == 1 else f"/{_decimal(a.denominator)}")
     return f"{digits}*{mono}" if mono else digits
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -139,6 +140,33 @@ def test_a_repeated_check_option_is_an_error_at_its_second_occurrence():
     # entry may repeat
     s = parse_scenario(f"{head}scalar f on M = x\ncheck lie_derivative h f {{ entry 1 1 x entry 2 2 y }}")
     assert [(i, j) for i, j, _ in s.checks[0].options.entries] == [(1, 1), (2, 2)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_integer_literals_read_alike_under_a_lowered_int_limit():
+    wanted = {n: int("9" * n) for n in (1000, 4300)}
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit CPython accepts
+    try:
+        for n, value in wanted.items():
+            assert parse_expr("9" * n + "*x") == Expr.const(value) * Expr.var("x")
+        with pytest.raises(ParseError) as exc:
+            parse_expr("x + " + "9" * 4301)
+    finally:
+        sys.set_int_max_str_digits(before)
+    e = exc.value
+    assert (e.line, e.column, e.message, e.token) == (1, 5, "integer literal longer than 4300 digits", "9" * 4301)
+
+
+def test_a_coefficient_past_4300_digits_serializes_but_does_not_read_back():
+    s = parse_scenario("manifold M { dim 2 coords [x y] }\nbivector h on M { [3^10000*x*y, 0; 0, y] }\n")
+    text = serialize(s)
+    assert str(3 ** 10000 % 10 ** 9) + "*x*y" in text
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    e = exc.value
+    assert (e.line, e.column, e.message) == (2, 20, "integer literal longer than 4300 digits")
+    assert len(e.token) == 4772
 
 
 _FRAGMENTS = (
