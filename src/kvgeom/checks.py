@@ -46,7 +46,7 @@ from .structures import (
     preimage_transversal,
     theorem1_equivalences,
 )
-from .symexpr import Expr, distinct_sample_points
+from .symexpr import Expr, _rational_str, distinct_sample_points
 from .tangent import build_pi, lift_propositions_check, schouten_jacobi
 
 PASS = "pass"
@@ -73,7 +73,13 @@ class CheckSpec:
 
 
 def _matrix_str(entries) -> str:
-    return "[" + "; ".join(", ".join(str(e) for e in row) for row in entries) + "]"
+    """Rows of expressions or rationals in the surface syntax, e.g. ``[x, 1/2; 0, y]``."""
+    rows = (", ".join(str(e) if isinstance(e, Expr) else _rational_str(e) for e in row) for row in entries)
+    return "[" + "; ".join(rows) + "]"
+
+
+def _point_str(p) -> str:
+    return "(" + ", ".join(_rational_str(q) for q in p) + ")"
 
 
 def _indexed(entries, at: tuple[int, ...] = ()):
@@ -226,12 +232,12 @@ def _run_transversal(env, check, seed, samples):
         induced = _matrix_str(entries) if entries else "point structure"
         return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None, []
     if res.verdict == POINTWISE_TRUE:
-        pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p, _ in res.samples)
+        pts = "; ".join(_point_str(p) for p, _ in res.samples)
         return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None, []
     singular = [p for p, ok in res.samples if not ok]
-    pts = "; ".join("(" + ", ".join(str(q) for q in p) + ")" for p in singular)
+    pts = "; ".join(_point_str(p) for p in singular)
     first = singular[0] if singular else ()
-    witness = Witness(tuple(str(q) for q in first), str(res.determinant))
+    witness = Witness(tuple(_rational_str(q) for q in first), str(res.determinant))
     return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness, []
 
 
@@ -374,9 +380,9 @@ def _run_rank(env, check, seed, samples):
     parts = []
     for p in pts:
         try:
-            parts.append(f"({', '.join(str(q) for q in p)}) -> {rank_at(h, p)}")
+            parts.append(f"{_point_str(p)} -> {rank_at(h, p)}")
         except PoleAtPoint:
-            parts.append(f"({', '.join(str(q) for q in p)}) -> pole")
+            parts.append(f"{_point_str(p)} -> pole")
     return PASS, "sharp rank at sample points: " + "; ".join(parts), None, []
 
 

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     ZeroDenominator,
 )
-from .symexpr import Expr, sample_point
+from .symexpr import Expr, _rational_str, sample_point
 
 
 @dataclass
@@ -53,7 +53,7 @@ def _find_witness(residual: Expr, seed: int, tries: int = WITNESS_TRIES) -> Witn
         except PoleAtPoint:
             continue
         if value != 0:
-            return Witness(tuple(str(point[v]) for v in variables), str(residual))
+            return Witness(tuple(_rational_str(point[v]) for v in variables), str(residual))
     return None
 
 

@@ -4,13 +4,17 @@ A chart carries the canonical flat connection of its coordinates, so every
 covariant derivative below reduces to coordinate differentiation.  All
 operators return fully normalized expressions; a structural condition holds
 iff the corresponding residuals are exactly zero.
+
+The Codazzi formula is written once, as a lazy stream of entries:
+``codazzi_tensor`` fills its table from it, and ``is_kv`` stops at the first
+nonzero entry, so one entry decides a generic bivector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .errors import ChartMismatch, PreconditionViolated, UnknownVariable
@@ -206,27 +210,47 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, tuple(p - q for p, q in zip(a.components, b.components)))
 
 
-def codazzi_tensor(h: SymBivector) -> TrilinearForm:
-    """T(i,j,k) = sum_l (h_il d_l h_jk - h_jl d_l h_ik); h is K-V iff T = 0.
+def _codazzi_entries(h: SymBivector) -> Iterator[tuple[int, int, int, Expr]]:
+    """(i, j, k, T(i,j,k)) for i < j, with T(i,j,k) = sum_l (h_il d_l h_jk - h_jl d_l h_ik).
 
-    T is antisymmetric in (i, j), so only i < j is computed.
+    The one Codazzi formula.  Entries come lazily, in row-major order, and
+    the derivative row d h_jk (shared with d h_kj) is taken when an entry
+    first needs it, so a consumer that stops early pays for what it read.
     """
-    chart = h.chart
-    n = chart.dim
+    coords = h.chart.coords
+    n = len(coords)
     H = h.entries
-    dH = [[[H[j][k].diff(v) for v in chart.coords] for k in range(n)] for j in range(n)]
-    table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    rows: dict[tuple[int, int], list[Expr]] = {}
+
+    def d(j: int, k: int) -> list[Expr]:
+        key = (j, k) if j <= k else (k, j)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [H[j][k].diff(v) for v in coords]
+        return row
+
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                s = _dot(H[i], dH[j][k]) - _dot(H[j], dH[i][k])
-                table[i][j][k] = s
-                table[j][i][k] = -s
-    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
+                yield i, j, k, _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
+
+
+def codazzi_tensor(h: SymBivector) -> TrilinearForm:
+    """The Codazzi tensor T; h is K-V iff T = 0.
+
+    T is antisymmetric in (i, j), so only i < j is computed.
+    """
+    n = h.chart.dim
+    table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i, j, k, s in _codazzi_entries(h):
+        table[i][j][k] = s
+        table[j][i][k] = -s
+    return TrilinearForm(h.chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
 
 
 def is_kv(h: SymBivector) -> bool:
-    return codazzi_tensor(h).is_zero()
+    """Whether T = 0, stopping at the first nonzero Codazzi entry: one entry decides a generic h."""
+    return all(s.is_zero() for _, _, _, s in _codazzi_entries(h))
 
 
 def kv_bracket_form(h: SymBivector) -> TrilinearForm:

@@ -27,7 +27,9 @@ every chart change reads them: ``parameters_of`` is y = P(x - o), N's
 y_2 = P_2 (F(x_1(y_1)) - o_2) through ``compose``.  Restriction to N is the
 pullback along the parametrization (``_along_n``), so the adapted bivector
 of ``to_adapted_bivector`` holds N's coordinates only, and the K-V
-submanifold, transversal and coisotropy tests read its blocks.  The
+submanifold, transversal, coisotropy and conormal tests read its blocks.
+N builds it once per bivector (``AffineSubmanifold.adapted``), so checks
+that share N and h in one scenario share one build.  The
 conormal algebroid differentiates H along the frame vectors c_j, the
 columns of C, which is d/dy_j, and pulls those derivatives back along N the
 same way.
@@ -62,7 +64,7 @@ from .geometry import (
     hamiltonian,
     sharp,
 )
-from .symexpr import ONE, ZERO, Expr, Rational, distinct_sample_points, divexact
+from .symexpr import ONE, ZERO, Expr, Rational, _rational_str, distinct_sample_points, divexact
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -297,7 +299,8 @@ class AffineSubmanifold:
     The adapted frame is built once, here: the frame C has the basis vectors,
     then the standard vectors that complete them, as columns, and the change
     P = C^{-1} gives the adapted coordinates y = P(x - origin), in which N is
-    {y_{k+1} = ... = y_n = 0}.
+    {y_{k+1} = ... = y_n = 0}.  ``adapted(h)`` keeps each adapted bivector
+    it builds, for as long as N lives.
     """
 
     ambient: Chart
@@ -305,6 +308,9 @@ class AffineSubmanifold:
     basis: tuple[tuple[Fraction, ...], ...]
     frame: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # C
     change: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # P = C^{-1}
+    # id(h) -> (h, adapted bivector); holding h keeps its id from being reused, and a
+    # lookup by id hashes no entries
+    _adapted: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient.dim
@@ -319,6 +325,14 @@ class AffineSubmanifold:
             raise DegenerateBasis("basis vectors are linearly dependent")
         object.__setattr__(self, "frame", frame[0])
         object.__setattr__(self, "change", frame[1])
+        object.__setattr__(self, "_adapted", {})
+
+    def adapted(self, h: SymBivector) -> SymBivector:
+        """``to_adapted_bivector(self, h)``, built on the first call for h and kept for the later ones."""
+        hit = self._adapted.get(id(h))
+        if hit is None:
+            hit = self._adapted[id(h)] = (h, to_adapted_bivector(self, h))
+        return hit[1]
 
     @property
     def dim(self) -> int:
@@ -399,7 +413,7 @@ def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldRe
     k, n = n_sub.dim, n_sub.ambient.dim
     if k == n and n_sub.is_identity:
         return SubmanifoldResult(True, h, ())
-    hy = to_adapted_bivector(n_sub, h).entries
+    hy = n_sub.adapted(h).entries
     residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
@@ -497,11 +511,11 @@ def is_transversal(
     k, n = n_sub.dim, n_sub.ambient.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
     if given is not None and None in given:
-        at = ", ".join(str(Fraction(q)) for q in sample_points[given.index(None)])
+        at = ", ".join(_rational_str(q) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
     if k == n and n_sub.is_identity:
         return TransversalResult(SYMBOLIC_TRUE, ONE, h, ())
-    hy = to_adapted_bivector(n_sub, h).entries
+    hy = n_sub.adapted(h).entries
     # conormal rows and columns first: [[D, B^T], [B, A]]
     bordered = [row[k:] + row[:k] for row in hy[k:] + hy[:k]]
     det, trailing = expr_det(bordered, n - k)
@@ -528,7 +542,7 @@ def is_transversal(
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
     """The conormal-conormal block of h in adapted coordinates, restricted to N."""
     k = n_sub.dim
-    return tuple(e for row in to_adapted_bivector(n_sub, h).entries[k:] for e in row[k:])
+    return tuple(e for row in n_sub.adapted(h).entries[k:] for e in row[k:])
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -605,7 +619,7 @@ def conormal_algebroid(
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
-    hy = to_adapted_bivector(n_sub, h).entries
+    hy = n_sub.adapted(h).entries
     if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = n_sub.chart

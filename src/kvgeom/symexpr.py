@@ -795,12 +795,18 @@ def _decimal(n: int) -> str:
     return _decimal(hi) + _decimal(lo).zfill(k)
 
 
+def _rational_str(q: Scalar) -> str:
+    """q as ``str(Fraction(q))`` prints it, "-p/q" or "p", but through ``_decimal``, so any length prints."""
+    digits = ("-" if q < 0 else "") + _decimal(abs(q.numerator))
+    return digits if q.denominator == 1 else f"{digits}/{_decimal(q.denominator)}"
+
+
 def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
     mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, len(vars))) if e)
     a = abs(c)
     if mono and a == 1:
         return mono
-    digits = _decimal(a.numerator) + ("" if a.denominator == 1 else f"/{_decimal(a.denominator)}")
+    digits = _rational_str(a)
     return f"{digits}*{mono}" if mono else digits
 
 

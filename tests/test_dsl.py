@@ -158,6 +158,27 @@ def test_integer_literals_read_alike_under_a_lowered_int_limit():
     assert (e.line, e.column, e.message, e.token) == (1, 5, "integer literal longer than 4300 digits", "9" * 4301)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_long_rationals_serialize_under_a_lowered_int_limit():
+    sevens = "7" * 1000
+    text = (
+        "manifold M { dim 2 coords [x y] }\n"
+        f"map F : M -> M {{ matrix [1, 0; 0, {sevens}] offset [-1/{sevens}, 0] }}\n"
+        f"submanifold N in M {{ origin [{sevens}, 0] basis [1, -{sevens}] }}\n"
+        "bivector h on M { [x, 0; 0, y] }\n"
+        f"check rank h {{ points [{sevens}/2, 0] }}\n"
+    )
+    s = parse_scenario(text)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit CPython accepts
+    try:
+        out = serialize(s)
+        assert parse_scenario(out) == s
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert f"offset [-1/{sevens}, 0]" in out and f"points [{sevens}/2, 0]" in out
+
+
 def test_a_coefficient_past_4300_digits_serializes_but_does_not_read_back():
     s = parse_scenario("manifold M { dim 2 coords [x y] }\nbivector h on M { [3^10000*x*y, 0; 0, y] }\n")
     text = serialize(s)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shlex
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -328,6 +329,37 @@ def test_cli_run_binds_each_scenario_once(monkeypatch):
     assert len(bound) == 2 and bound[0] != bound[1]
 
 
+def test_each_adapted_bivector_is_built_once_per_scenario(monkeypatch, tmp_path):
+    built = []
+    original = kvgeom.structures.to_adapted_bivector
+
+    def counted(n_sub, h):
+        built.append(h)
+        return original(n_sub, h)
+
+    monkeypatch.setattr(kvgeom.structures, "to_adapted_bivector", counted)
+    head = (
+        "manifold M { dim 2 coords [x y] }\n"
+        "bivector h on M { [1, 0; 0, x^2 + 1] }\n"
+        "bivector h2 on M { [1, x; x, 0] }\n"
+        "submanifold N in M { origin [0, 0] basis [1, 0] }\n"
+        "check transversal N h\ncheck coisotropic N h\n"
+    )
+    path = tmp_path / "one.kvs"
+    path.write_text(head)
+    code, report = run(RunConfig(scenarios=(str(path),), format="json"))
+    assert code == 1 and len(built) == 1
+    assert [c["status"] for c in json.loads(report)["checks"]] == ["pointwise-pass", "fail"]
+    built.clear()
+    path.write_text(head + "check transversal N h2\ncheck coisotropic N h2\n")
+    code, report = run(RunConfig(scenarios=(str(path),), format="json"))
+    assert code == 1 and len(built) == 2 and built[0] != built[1]
+    checks = json.loads(report)["checks"]
+    assert [c["status"] for c in checks] == ["pointwise-pass", "fail", "fail", "pass"]
+    assert checks[1]["witness"]["residual"] == "y1^2 + 1"
+    assert checks[2]["details"].startswith("conormal block determinant vanishes on the submanifold")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.kvs"
     path.write_text("manifold M { dim 2 coords [x y] } bivector h on M { [x +, 0; 0, y] }")
@@ -374,6 +406,38 @@ def test_a_witness_residual_prints_a_coefficient_of_any_length(tmp_path):
     # Decimal reads an int's digits without the int-to-str length limit: a route independent of kvgeom's
     assert witness == {"point": ["3/7", "2"], "residual": f"-{Decimal(3 ** 10000)}*x*y"}
     assert len(str(Decimal(3 ** 10000))) == 4772
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_reported_rationals_print_under_a_lowered_int_limit(tmp_path):
+    sevens, twos = "7" * 1000, str(Decimal(2 ** 3400))  # 1024 digits over an odd number: a reduced fraction
+    rank = tmp_path / "rank.kvs"
+    rank.write_text(f"manifold M {{ dim 1 coords [x] }}\nbivector h on M {{ [x] }}\ncheck rank h {{ points [{sevens}] }}\n")
+    transversal = tmp_path / "transversal.kvs"
+    transversal.write_text(
+        "manifold M { dim 2 coords [x y] }\n"
+        f"bivector h on M {{ [1, 0; 0, x - {sevens}] }}\n"
+        "submanifold N in M { origin [0, 0] basis [1, 0] }\n"
+        f"check transversal N h {{ points [{sevens}, 0] }}\n"
+        f"check transversal N h {{ points [-{twos}/{sevens}, 0] }}\n"
+    )
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit CPython accepts
+    try:
+        rank_run = run(RunConfig(scenarios=(str(rank),), format="json"))
+        transversal_run = run(RunConfig(scenarios=(str(transversal),), format="json"))
+    finally:
+        sys.set_int_max_str_digits(before)
+    code, report = rank_run
+    assert code == 0
+    assert json.loads(report)["checks"][0]["details"] == f"sharp rank at sample points: ({sevens}) -> 1"
+    code, report = transversal_run
+    singular, regular = json.loads(report)["checks"]
+    assert code == 1
+    assert singular["status"] == "fail" and singular["witness"]["point"] == [sevens]
+    assert f"(at ({sevens}))" in singular["details"]
+    assert regular["status"] == "pointwise-pass"
+    assert f"at sampled points (-{twos}/{sevens})" in regular["details"]
 
 
 def test_cli_main_and_flags(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_bivector, random_oneform, random_point, random_poly, random_scalar
+from kvgeom.algebra import algebra_to_kv, random_algebra
 from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
 from kvgeom.geometry import (
     Chart,
@@ -149,6 +150,56 @@ def test_kv_bracket_form_equals_the_per_entry_formula(n):
             for j in range(n):
                 for k in range(n):
                     assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
+
+
+def diagonal_profile(rng, chart):
+    """diag(f_1(x_1), ..., f_n(x_n)): each diagonal entry in its own coordinate, so K-V."""
+    return SymBivector.diagonal(chart, [random_poly(rng, (v,), 2, terms=2) for v in chart.coords])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_kv_is_the_zero_test_of_the_codazzi_tensor(n):
+    rng = random.Random(200 + n)
+    chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+    profile = diagonal_profile(rng, chart)
+    rows = [list(row) for row in profile.entries]
+    rows[-1][-1] = rows[-1][-1] + Expr.var(chart.coords[0])  # K-V but for the entries at the end of the order
+    cases = [
+        SymBivector.zero(chart),
+        profile,
+        SymBivector(chart, tuple(map(tuple, rows))),
+        algebra_to_kv(random_algebra(rng, n), chart),
+        random_bivector(rng, chart, 2),
+        random_bivector(rng, chart, 2),
+        bivector_with_a_rational_entry(rng, chart),
+    ]
+    verdicts = [is_kv(h) for h in cases]
+    assert verdicts == [codazzi_tensor(h).is_zero() for h in cases]
+    assert verdicts[:2] == [True, True] and verdicts[3]
+    assert verdicts[2] == (n == 1)
+
+
+def test_is_kv_stops_at_the_first_nonzero_entry(monkeypatch):
+    import kvgeom.geometry as geometry
+
+    calls = []
+    original = geometry._dot
+
+    def counted(u, v):
+        calls.append(None)
+        return original(u, v)
+
+    monkeypatch.setattr(geometry, "_dot", counted)
+    chart = Chart("R4", ("x1", "x2", "x3", "x4"))
+    h = random_bivector(random.Random(5), chart, 2)
+    first = codazzi_tensor(h).entry(0, 1, 0)
+    assert not first.is_zero()
+    calls.clear()
+    assert not is_kv(h)
+    assert len(calls) == 2  # T(1,2,1) = h_1 . d h_21 - h_2 . d h_11, and nothing after it
+    calls.clear()
+    codazzi_tensor(h)
+    assert len(calls) == 2 * 4 * 6  # every k for each of the six pairs i < j
 
 
 def test_bracket_h_one_dim_example():
