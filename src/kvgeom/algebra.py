@@ -73,6 +73,13 @@ class AlgebraReport:
     def valid(self) -> bool:
         return self.commutative and self.associative and self.cocycle_symmetric and self.cocycle_ok
 
+    @property
+    def violation(self) -> str:
+        """The first violated law and its witness; read only when the algebra is not valid."""
+        laws = (self.commutative, self.associative, self.cocycle_symmetric, self.cocycle_ok)
+        law = ("commutativity", "associativity", "cocycle symmetry", "cocycle law")[laws.index(False)]
+        return f"{law} fails at basis indices {self.witness}"
+
 
 def validate_algebra(a: AlgebraSpec) -> AlgebraReport:
     """Exact verdicts for commutativity, associativity and the cocycle law."""
@@ -114,7 +121,7 @@ def algebra_to_kv(a: AlgebraSpec, chart: Chart | None = None) -> SymBivector:
     """Affine K-V bivector on the dual chart: h_ij = b_ij + sum_k C^k_ij x_k."""
     report = validate_algebra(a)
     if not report.valid:
-        raise InvalidAlgebra(f"algebra laws violated at basis indices {report.witness}")
+        raise InvalidAlgebra(report.violation)
     chart = chart if chart is not None else dual_chart(a)
     if chart.dim != a.dim:
         raise InvalidAlgebra("chart dimension does not match the algebra")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra, validate_subspace
-from .errors import EngineInconsistency, InvalidSubspace, PoleAtPoint
+from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra
+from .errors import EngineInconsistency, PoleAtPoint
 from .geometry import (
     codazzi_tensor,
     hessian_contraction,
@@ -338,13 +338,7 @@ def _run_algebra(env, check, seed, samples):
     spec = env.algebras[check.args[0]]
     rep = validate_algebra(spec)
     if not rep.valid:
-        law = (
-            "commutativity" if not rep.commutative
-            else "associativity" if not rep.associative
-            else "cocycle symmetry" if not rep.cocycle_symmetric
-            else "cocycle law"
-        )
-        return FAIL, f"{law} fails at basis indices {rep.witness}", None, []
+        return FAIL, rep.violation, None, []
     if not is_kv(algebra_to_kv(spec)):
         raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
     return PASS, "algebra laws hold; dual bivector is K-V", None, []
@@ -353,11 +347,8 @@ def _run_algebra(env, check, seed, samples):
 def _run_annihilator(env, check, seed, samples):
     spec = env.algebras[check.args[0]]
     opts = check.options
-    sub = SubspaceSpec(spec, opts.basis, opts.subspace_kind)
-    if not validate_subspace(sub):
-        raise InvalidSubspace(f"basis does not span a {opts.subspace_kind}")
     h = algebra_to_kv(spec)
-    n_sub = annihilator_submanifold(sub, h.chart)
+    n_sub = annihilator_submanifold(SubspaceSpec(spec, opts.basis, opts.subspace_kind), h.chart)
     if opts.subspace_kind == "ideal":
         return _residual_verdict(
             is_kv_submanifold(n_sub, h).residuals,

@@ -20,6 +20,7 @@ from .errors import (
     ClosureFailure,
     DegreeOverflow,
     EngineInconsistency,
+    InvalidAlgebra,
     InvalidSubspace,
     NotCoisotropic,
     NotTransverseAtSample,
@@ -89,8 +90,8 @@ def run_check(env: Environment, check: CheckDirective, seed: int, samples: int) 
     try:
         status, details, witness_expr, claims = CHECKS[kind].run(env, check, seed, samples)
     except (
-        PreconditionViolated, NotCoisotropic, InvalidSubspace, NotTransverseAtSample, ZeroDenominator, PoleAtPoint,
-        DegreeOverflow,
+        PreconditionViolated, NotCoisotropic, InvalidAlgebra, InvalidSubspace, NotTransverseAtSample, ZeroDenominator,
+        PoleAtPoint, DegreeOverflow,
     ) as exc:
         outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))
         return CheckRecord(outcome)

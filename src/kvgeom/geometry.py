@@ -162,6 +162,15 @@ def _dot(u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
     return sum((a * b for a, b in zip(u, v) if not (a.is_zero() or b.is_zero())), ZERO)
 
 
+def _symmetric(n: int, entry) -> list[list]:
+    """The symmetric n x n matrix whose entry (i, j), i <= j, is entry(i, j), each computed once."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
 def apply_field(X: VectorField, e: Expr) -> Expr:
     """Directional derivative X(e) in chart coordinates."""
     return _dot(X.components, [e.diff(v) for v in X.chart.coords])
@@ -262,12 +271,12 @@ def kv_bracket_form(h: SymBivector) -> TrilinearForm:
 
         X_i(h_jk) - X_j(h_ik) + (X_j•X_k)_i - (X_i•X_k)_j - [X_i, X_j]_k.
 
-    Each term is read from one of two tables, built once from the sharps:
-    D[a][b][c] = X_a(h_bc), from the derivatives of h, and
-    P[a][b][c] = (X_a•X_b)_c, from the derivatives of the sharps'
-    components.  That is O(n^4) products, where rebuilding the vector
-    fields for every entry took O(n^5).  Swapping i and j negates the five
-    terms, so only i < j is computed and the diagonal is zero.
+    Every term is read from one table, D[a][b][c] = X_a(h_bc): the sharp
+    X_b of dx_b has components (X_b)_c = h_bc, and the flat connection
+    differentiates components, so (X_a•X_b)_c = X_a(h_bc) too.  D and the
+    derivatives of h are symmetric in (b, c), so each is built for b <= c
+    only.  Swapping i and j negates the five terms, so only i < j is
+    computed and the diagonal is zero.
 
     The entry expands to minus the Codazzi defect, so both tables vanish
     together.  Both operators contract through ``_dot``, so the cross-check
@@ -279,15 +288,13 @@ def kv_bracket_form(h: SymBivector) -> TrilinearForm:
     n = chart.dim
     coords = chart.coords
     X = [sharp(h, coordinate_form(chart, a)).components for a in range(n)]
-    dh = [[[h.entries[b][c].diff(v) for v in coords] for c in range(n)] for b in range(n)]
-    dX = [[[X[b][c].diff(v) for v in coords] for c in range(n)] for b in range(n)]
-    D = [[[_dot(X[a], dh[b][c]) for c in range(n)] for b in range(n)] for a in range(n)]
-    P = [[[_dot(X[a], dX[b][c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    dh = _symmetric(n, lambda b, c: [h.entries[b][c].diff(v) for v in coords])
+    D = [_symmetric(n, lambda b, c: _dot(X[a], dh[b][c])) for a in range(n)]
     table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                t = D[i][j][k] - D[j][i][k] + P[j][k][i] - P[i][k][j] - (P[i][j][k] - P[j][i][k])
+                t = D[i][j][k] - D[j][i][k] + D[j][k][i] - D[i][k][j] - (D[i][j][k] - D[j][i][k])
                 table[i][j][k] = t
                 table[j][i][k] = -t
     return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
@@ -343,11 +350,12 @@ def hessian_contraction(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...
     """Matrix <nabla_{X_i} df, X_j> = sum_{l,m} h_il h_jm d2f/dx_l dx_m on the coordinate coframe."""
     _same_chart(h, f)
     coords = h.chart.coords
-    H = h.entries
-    hess = [[f.value.diff(u).diff(v) for v in coords] for u in coords]
+    n, H = len(coords), h.entries
+    grad = [f.value.diff(v) for v in coords]
+    hess = _symmetric(n, lambda l, m: grad[l].diff(coords[m]))
     # Hd[j][l] = sum_m h_jm d2f/dx_l dx_m, the components of nabla_{X_j} df
     Hd = [[_dot(row, d) for d in hess] for row in H]
-    return tuple(tuple(_dot(row, hd) for hd in Hd) for row in H)
+    return tuple(map(tuple, _symmetric(n, lambda i, j: _dot(H[i], Hd[j]))))
 
 
 def lie_derivative_residual(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...], ...]:

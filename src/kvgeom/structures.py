@@ -12,7 +12,8 @@ function.  ``preimage_transversal`` decides the pullback claim on these
 blocks with their denominators cleared, so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
-``geometry._dot``, the one contraction of the tensor layer; ``_matvec`` is
+``geometry._dot``, the one contraction of the tensor layer, and every table
+symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
 components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
 the change to adapted coordinates), and ``expr_det`` is the one exact
@@ -60,7 +61,9 @@ from .geometry import (
     SymBivector,
     VectorField,
     _dot,
+    _symmetric,
     coordinate_form,
+    evaluate_entries,
     hamiltonian,
     sharp,
 )
@@ -370,15 +373,6 @@ class AffineSubmanifold:
             raise ValueError(f"point {list(point)} must have length {len(self.origin)}")
         y = linalg.matvec(self.change, [Fraction(q) - o for q, o in zip(point, self.origin)])
         return None if any(y[self.dim:]) else y[:self.dim]
-
-
-def _symmetric(n: int, entry) -> list[list]:
-    """The symmetric n x n matrix whose entry (i, j), i <= j, is entry(i, j), each computed once."""
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = entry(i, j)
-    return rows
 
 
 def _along_n(n_sub: AffineSubmanifold, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
@@ -805,15 +799,14 @@ def leaf_openness_check(
     n_sub: AffineSubmanifold, h: SymBivector, points: Sequence[Sequence[Rational]]
 ) -> list[LeafPointReport]:
     """At each point: rank of sharp and whether its image lies in the tangent space."""
+    if h.chart != n_sub.ambient:
+        raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
     out = []
     for p in points:
         if not n_sub.contains(p):
             raise PreconditionViolated(f"point {list(p)} does not lie on the submanifold")
-        env = dict(zip(n_sub.ambient.coords, (Fraction(q) for q in p)))
-        H = tuple(tuple(e.eval_at(env) for e in row) for row in h.entries)
+        H = evaluate_entries(h, p)
         rk = linalg.rank(H)
-        cols = [list(col) for col in H]  # columns of H by symmetry = rows
-        base = [list(b) for b in n_sub.basis]
-        contained = linalg.rank(base + cols) == linalg.rank(base)
+        contained = linalg.rank(n_sub.basis + H) == n_sub.dim  # the columns of H are its rows
         out.append(LeafPointReport(tuple(Fraction(q) for q in p), rk, contained))
     return out

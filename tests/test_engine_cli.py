@@ -360,6 +360,26 @@ def test_each_adapted_bivector_is_built_once_per_scenario(monkeypatch, tmp_path)
     assert checks[2]["details"].startswith("conormal block determinant vanishes on the submanifold")
 
 
+def test_annihilator_of_an_invalid_algebra_or_subspace_is_unsupported(tmp_path):
+    path = tmp_path / "one.kvs"
+    path.write_text(
+        "algebra A { dim 2 product { 1 1 2 : 1  2 2 2 : 1 } }\n"  # (e1 e1) e2 = e2, e1 (e1 e2) = 0
+        "algebra B { dim 2 product { 1 1 1 : 1 } }\n"
+        "check annihilator A { kind ideal basis [0, 1] }\n"
+        "check annihilator A { kind subalgebra basis [0, 1] }\n"
+        "check annihilator B { kind ideal basis [1, 1] }\n"
+        "check annihilator B { kind subalgebra basis [1, 1] }\n"
+    )
+    code, report = run(RunConfig(scenarios=(str(path),), format="json"))
+    assert code == 1
+    assert [(c["status"], c["details"]) for c in json.loads(report)["checks"]] == [
+        ("unsupported", "associativity fails at basis indices (1, 1, 2)"),
+        ("unsupported", "associativity fails at basis indices (1, 1, 2)"),
+        ("unsupported", "basis does not span a ideal"),
+        ("unsupported", "basis does not span a subalgebra"),
+    ]
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.kvs"
     path.write_text("manifold M { dim 2 coords [x y] } bivector h on M { [x +, 0; 0, y] }")

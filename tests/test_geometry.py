@@ -202,6 +202,32 @@ def test_is_kv_stops_at_the_first_nonzero_entry(monkeypatch):
     assert len(calls) == 2 * 4 * 6  # every k for each of the six pairs i < j
 
 
+def test_kv_bracket_form_builds_one_derivative_table(monkeypatch):
+    import kvgeom.geometry as geometry
+
+    dots, diffs = [], []
+    original_dot, original_diff = geometry._dot, Expr.diff
+
+    def counted_dot(u, v):
+        dots.append(None)
+        return original_dot(u, v)
+
+    def counted_diff(e, v):
+        diffs.append(None)
+        return original_diff(e, v)
+
+    chart = Chart("R4", ("x1", "x2", "x3", "x4"))
+    h = random_bivector(random.Random(5), chart, 2)
+    assert all(not e.is_zero() for row in h.entries for e in row)
+    monkeypatch.setattr(geometry, "_dot", counted_dot)
+    monkeypatch.setattr(Expr, "diff", counted_diff)
+    kv_bracket_form(h)
+    # d h_bc for the ten pairs b <= c, each along four coordinates
+    assert len(diffs) == 10 * 4
+    # four sharps of four components, then X_a(h_bc) for four a and ten pairs b <= c
+    assert len(dots) == 4 * 4 + 4 * 10
+
+
 def test_bracket_h_one_dim_example():
     L = Chart("L", ("x",))
     h = SymBivector(L, ((Expr.const(1),),))

@@ -741,6 +741,10 @@ def test_leaf_openness_and_transverse_intersection():
     assert all(r.contained and r.rank == 0 for r in reports3)
     with pytest.raises(PreconditionViolated):
         leaf_openness_check(plane12, hsq, [(0, 0, 1)])
+    # a bivector on another chart with the same coordinate names is not evaluated as if on R3
+    elsewhere = SymBivector(Chart("S3", R3.coords), hsq.entries)
+    with pytest.raises(ChartMismatch):
+        leaf_openness_check(plane12, elsewhere, [(1, 1, 0)])
 
 
 def test_expr_matrix_helpers():
