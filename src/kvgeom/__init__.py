@@ -18,7 +18,7 @@ from .errors import (
     InvalidSubspace,
     KVError,
     NotCoisotropic,
-    NotTransverseAtSample,
+    NotTransverse,
     ParseError,
     PoleAtPoint,
     PreconditionViolated,

@@ -167,7 +167,7 @@ def validate_subspace(s: SubspaceSpec) -> bool:
 def annihilator_submanifold(s: SubspaceSpec, chart: Chart | None = None) -> AffineSubmanifold:
     """S° = {alpha : alpha|_S = 0} as an affine subspace of the dual chart through 0."""
     if not validate_subspace(s):
-        raise InvalidSubspace(f"basis does not span a {s.kind}")
+        raise InvalidSubspace(f"basis does not span {'an' if s.kind == 'ideal' else 'a'} {s.kind}")
     a = s.algebra
     chart = chart if chart is not None else dual_chart(a)
     if chart.dim != a.dim:

@@ -109,10 +109,10 @@ def _residual_verdict(residuals, passed: str, failed: str):
 
 def _map_charts(env, check):
     a = check.args
-    f = env.maps[a[0]]
-    if env.bivectors[a[1]].chart != f.source or env.bivectors[a[2]].chart != f.target:
+    f = env[a[0]]
+    if env[a[1]].chart != f.source or env[a[2]].chart != f.target:
         return f"check {check.kind}: bivectors must live on the map's source and target charts"
-    if len(a) > 3 and env.submanifolds[a[3]].ambient != f.target:
+    if len(a) > 3 and env[a[3]].ambient != f.target:
         return f"check {check.kind}: submanifold must live on the target chart"
     return None
 
@@ -129,15 +129,15 @@ def _options_fit(check, dim: int):
 
 
 def _submanifold_chart(env, check):
-    chart = env.submanifolds[check.args[0]].ambient
-    if chart != env.bivectors[check.args[1]].chart:
+    chart = env[check.args[0]].ambient
+    if chart != env[check.args[1]].chart:
         return f"check {check.kind}: submanifold and bivector must share a chart"
     return _options_fit(check, chart.dim)
 
 
 def _scalar_chart(env, check):
-    chart = env.bivectors[check.args[0]].chart
-    if any(env.scalars[s].chart != chart for s in check.args[1:]):
+    chart = env[check.args[0]].chart
+    if any(env[s].chart != chart for s in check.args[1:]):
         if len(check.args) > 2:
             return f"check {check.kind}: scalars must live on the bivector's chart"
         return f"check {check.kind}: bivector and scalar must share a chart"
@@ -145,11 +145,11 @@ def _scalar_chart(env, check):
 
 
 def _bivector_chart(env, check):
-    return _options_fit(check, env.bivectors[check.args[0]].chart.dim)
+    return _options_fit(check, env[check.args[0]].chart.dim)
 
 
 def _basis_dim(env, check):
-    dim = env.algebras[check.args[0]].dim
+    dim = env[check.args[0]].dim
     basis = check.options.basis
     if basis is not None and any(len(row) != dim for row in basis):
         return "annihilator basis vectors must match the algebra dimension"
@@ -160,12 +160,12 @@ def _basis_dim(env, check):
 
 
 def _run_codazzi(env, check, seed, samples):
-    tri = codazzi_tensor(env.bivectors[check.args[0]])
+    tri = codazzi_tensor(env[check.args[0]])
     return _residual_verdict(tri.entries, "contravariant Codazzi identity holds", "defect at indices {at}")
 
 
 def _run_kv_bracket(env, check, seed, samples):
-    h = env.bivectors[check.args[0]]
+    h = env[check.args[0]]
     tri = kv_bracket_form(h)
     cod = codazzi_tensor(h)
     n = h.chart.dim
@@ -178,7 +178,7 @@ def _run_kv_bracket(env, check, seed, samples):
 
 
 def _run_jacobi_tangent(env, check, seed, samples):
-    h = env.bivectors[check.args[0]]
+    h = env[check.args[0]]
     tri = schouten_jacobi(build_pi(h))
     if tri.is_zero() != is_kv(h):
         raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
@@ -189,13 +189,13 @@ def _run_jacobi_tangent(env, check, seed, samples):
 
 def _run_kv_map(env, check, seed, samples):
     a = check.args
-    res = kv_map_residuals(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    res = kv_map_residuals(env[a[0]], env[a[1]], env[a[2]])
     return _residual_verdict(res, "map preserves the bivector pairing", "pairing mismatch at {at}")
 
 
 def _run_theorem1(env, check, seed, samples):
     a = check.args
-    rep = theorem1_equivalences(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    rep = theorem1_equivalences(env[a[0]], env[a[1]], env[a[2]])
     verdicts = (
         f"direct={rep.direct} tangent={rep.tangent_poisson} "
         f"sharp={rep.sharp_related} hamiltonian={rep.hamiltonian_related}"
@@ -211,8 +211,8 @@ def _kv_note(h) -> str:
 
 
 def _run_submanifold(env, check, seed, samples):
-    res = is_kv_submanifold(env.submanifolds[check.args[0]], env.bivectors[check.args[1]])
-    note = _kv_note(env.bivectors[check.args[1]])
+    res = is_kv_submanifold(env[check.args[0]], env[check.args[1]])
+    note = _kv_note(env[check.args[1]])
     induced = "induced structure on a point" if res.induced is None else _matrix_str(res.induced.entries)
     return _residual_verdict(
         res.residuals,
@@ -222,9 +222,9 @@ def _run_submanifold(env, check, seed, samples):
 
 
 def _run_transversal(env, check, seed, samples):
-    h = env.bivectors[check.args[1]]
+    h = env[check.args[1]]
     res = is_transversal(
-        env.submanifolds[check.args[0]], h, sample_points=check.options.points, samples=samples, seed=seed,
+        env[check.args[0]], h, sample_points=check.options.points, samples=samples, seed=seed,
     )
     note = _kv_note(h)
     if res.verdict == SYMBOLIC_TRUE:
@@ -242,14 +242,14 @@ def _run_transversal(env, check, seed, samples):
 
 
 def _run_coisotropic(env, check, seed, samples):
-    res = coisotropy_residuals(env.submanifolds[check.args[0]], env.bivectors[check.args[1]])
+    res = coisotropy_residuals(env[check.args[0]], env[check.args[1]])
     return _residual_verdict(
         res, "sharp of the conormal stays tangent", "conormal-conormal block does not vanish on the submanifold"
     )
 
 
 def _run_conormal(env, check, seed, samples):
-    alg = conormal_algebroid(env.submanifolds[check.args[0]], env.bivectors[check.args[1]], point=check.options.point)
+    alg = conormal_algebroid(env[check.args[0]], env[check.args[1]], point=check.options.point)
     details = [f"conormal rank {alg.conormal_dim}"]
     ok = alg.left_symmetric_ok
     details.append("left-symmetric identity holds" if ok else "left-symmetric identity FAILS")
@@ -266,7 +266,7 @@ def _run_conormal(env, check, seed, samples):
 
 def _run_graph(env, check, seed, samples):
     a = check.args
-    rep = graph_check(env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]])
+    rep = graph_check(env[a[0]], env[a[1]], env[a[2]])
     details = f"graph coisotropic={rep.coisotropic}, kv_map={rep.kv_map}"
     if rep.agree:
         return PASS, f"graph characterization agrees: {details}", None, []
@@ -276,7 +276,7 @@ def _run_graph(env, check, seed, samples):
 def _run_preimage_transversal(env, check, seed, samples):
     a = check.args
     rep = preimage_transversal(
-        env.maps[a[0]], env.bivectors[a[1]], env.bivectors[a[2]], env.submanifolds[a[3]],
+        env[a[0]], env[a[1]], env[a[2]], env[a[3]],
         samples=samples, seed=seed,
     )
     dims = f"preimage dimension {rep.preimage.dim}"
@@ -286,19 +286,19 @@ def _run_preimage_transversal(env, check, seed, samples):
 
 
 def _run_in_E(env, check, seed, samples):
-    res = hessian_contraction(env.bivectors[check.args[0]], env.scalars[check.args[1]])
+    res = hessian_contraction(env[check.args[0]], env[check.args[1]])
     return _residual_verdict(res, "function is affine along the leaves", "leafwise-affine residual nonzero at {at}")
 
 
 def _run_special_class(env, check, seed, samples):
     a = check.args
-    if special_class_check(env.bivectors[a[0]], env.scalars[a[1]], env.scalars[a[2]]):
+    if special_class_check(env[a[0]], env[a[1]], env[a[2]]):
         return PASS, "pairing of the two functions stays affine along the leaves", None, []
     return FAIL, "pairing leaves the leafwise-affine space", None, []
 
 
 def _run_lie_derivative(env, check, seed, samples):
-    h, f = env.bivectors[check.args[0]], env.scalars[check.args[1]]
+    h, f = env[check.args[0]], env[check.args[1]]
     lie = lie_derivative_h(h, f)
     kv_note = ""
     if is_kv(h):
@@ -317,7 +317,7 @@ def _run_lie_derivative(env, check, seed, samples):
 
 
 def _run_lift_props(env, check, seed, samples):
-    rep = lift_propositions_check(env.bivectors[check.args[0]], env.scalars[check.args[1]])
+    rep = lift_propositions_check(env[check.args[0]], env[check.args[1]])
     claims = [e for row in rep.mixed_residuals for e in row] if rep.ambient_kv else []
     if not rep.hamiltonian_lift_ok:
         raise EngineInconsistency("vertical lift of the Hamiltonian field is not the lifted Hamiltonian")
@@ -335,7 +335,7 @@ def _run_lift_props(env, check, seed, samples):
 
 
 def _run_algebra(env, check, seed, samples):
-    spec = env.algebras[check.args[0]]
+    spec = env[check.args[0]]
     rep = validate_algebra(spec)
     if not rep.valid:
         return FAIL, rep.violation, None, []
@@ -345,7 +345,7 @@ def _run_algebra(env, check, seed, samples):
 
 
 def _run_annihilator(env, check, seed, samples):
-    spec = env.algebras[check.args[0]]
+    spec = env[check.args[0]]
     opts = check.options
     h = algebra_to_kv(spec)
     n_sub = annihilator_submanifold(SubspaceSpec(spec, opts.basis, opts.subspace_kind), h.chart)
@@ -363,7 +363,7 @@ def _run_annihilator(env, check, seed, samples):
 
 
 def _run_rank(env, check, seed, samples):
-    h = env.bivectors[check.args[0]]
+    h = env[check.args[0]]
     if check.options.points is not None:
         pts = [tuple(p) for p in check.options.points]
     else:

@@ -3,11 +3,21 @@
 The language is whitespace-insensitive and uses '#' comments.  This module
 holds the one parser of the surface syntax, ``_Parser``: it reads scenarios
 (``parse_scenario``) and the expressions inside them, and ``parse_expr``
-reads a standalone expression with the same methods.  Parsing validates both
-grammar (positioned ParseError) and meaning (positioned SemanticError:
-duplicate names, unresolved references, asymmetric bivectors, chart
-mismatches).  ``serialize`` emits a canonical text form that round-trips,
-printing matrices through ``checks._matrix_str`` as reports do.
+reads a standalone expression with the same methods.
+
+A declaration is held once, as the engine object the checks run on: a
+``Chart``, ``SymBivector``, ``ScalarField``, ``AffineMap``,
+``AffineSubmanifold`` or ``AlgebraSpec``.  Each declaration method of the
+parser queues its name and a build of that object; once the last token has
+parsed, ``bind_scenario`` runs the builds in declaration order into one name
+table, the ``Environment``.  So a syntax error anywhere is a positioned
+ParseError, reported before any SemanticError but one: a bivector matrix that
+is neither symmetric nor an upper triangle is refused as it is read.  The
+other positioned SemanticErrors come after the last token: a taken or
+reserved name, an unknown manifold, an object its constructor refuses, or a
+check whose arguments do not fit.  ``serialize`` prints the table and the
+checks in a canonical text form that round-trips, printing matrices through
+``checks._matrix_str`` as reports do.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeAlias
 
 from .algebra import AlgebraSpec
 from .checks import CHECKS, Witness, _matrix_str
@@ -25,26 +35,6 @@ from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
 from .symexpr import _DIGITS, Expr
-
-_KEYWORDS = {
-    "manifold",
-    "bivector",
-    "scalar",
-    "map",
-    "submanifold",
-    "algebra",
-    "check",
-    "dim",
-    "coords",
-    "on",
-    "in",
-    "matrix",
-    "offset",
-    "origin",
-    "basis",
-    "product",
-    "cocycle",
-}
 
 # option keyword -> CheckOptions field
 _OPTION_FIELDS = {
@@ -59,67 +49,6 @@ _OPTION_FIELDS = {
 
 # option keyword -> the names it takes
 _OPTION_CHOICES = {"expect": ("pass", "fail"), "kind": ("subalgebra", "ideal")}
-
-
-@dataclass(frozen=True)
-class ManifoldDecl:
-    name: str
-    dim: int
-    coords: tuple[str, ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BivectorDecl:
-    name: str
-    manifold: str
-    entries: tuple[tuple[Expr, ...], ...]  # full symmetric matrix
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ScalarDecl:
-    name: str
-    manifold: str
-    value: Expr
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class MapDecl:
-    name: str
-    source: str
-    target: str
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class SubmanifoldDecl:
-    name: str
-    manifold: str
-    origin: tuple[Fraction, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class AlgebraDecl:
-    name: str
-    dim: int
-    product: tuple[tuple[tuple[int, int, int], Fraction], ...]  # ((i,j,k), value), 1-based, i<=j
-    cocycle: tuple[tuple[tuple[int, int], Fraction], ...]  # ((i,j), value), 1-based, i<=j
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-Declaration = ManifoldDecl | BivectorDecl | ScalarDecl | MapDecl | SubmanifoldDecl | AlgebraDecl
 
 
 @dataclass(frozen=True)
@@ -145,16 +74,67 @@ class CheckDirective:
     col: int = field(default=0, compare=False)
 
 
+class Environment(dict):
+    """The declared objects by name, in declaration order."""
+
+    def kind_of(self, name: str) -> str | None:
+        obj = self.get(name)
+        return None if obj is None else _KINDS[type(obj)]
+
+    def chart(self, name: str, at: Token) -> Chart:
+        """The manifold ``name``; any other name is a SemanticError at the declaration token ``at``."""
+        chart = self.get(name)
+        if not isinstance(chart, Chart):
+            raise SemanticError(at.line, at.col, f"unknown manifold {name!r}", name)
+        return chart
+
+
+_KINDS = {
+    Chart: "manifold",
+    SymBivector: "bivector",
+    ScalarField: "scalar",
+    AffineMap: "map",
+    AffineSubmanifold: "submanifold",
+    AlgebraSpec: "algebra",
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Declarations and checks, bound once, when built, to the environment the checks run in."""
+    """The declared objects and the checks that run on them; building one binds each check to ``env``,
+    which raises a positioned SemanticError.  Equal scenarios declare equal objects in the same order."""
 
-    declarations: tuple[Declaration, ...]
+    env: Environment
     checks: tuple[CheckDirective, ...]
-    env: Environment = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "env", bind_scenario(self))  # surfaces SemanticError with positions
+        for check in self.checks:
+            spec = CHECKS[check.kind]
+            for arg, want in zip(check.args, spec.args):
+                got = self.env.kind_of(arg)
+                if got is None:
+                    raise SemanticError(check.line, check.col, f"unresolved reference {arg!r}", arg)
+                if got != want:
+                    raise SemanticError(
+                        check.line, check.col, f"check {check.kind}: {arg!r} is a {got}, expected a {want}", arg
+                    )
+            message = spec.chart_rule(self.env, check) if spec.chart_rule else None
+            if message is not None:
+                raise SemanticError(check.line, check.col, message, check.kind)
+            if any(getattr(check.options, _OPTION_FIELDS[key]) is None for key in spec.needs):
+                needed = " and ".join(f"'{key}'" for key in spec.needs)
+                raise SemanticError(check.line, check.col, f"{check.kind} check needs {needed} options", check.kind)
+
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return NotImplemented
+        return list(self.env.items()) == list(other.env.items()) and self.checks == other.checks
+
+
+# a declaration as the parser queues it: its first token, its name, and the build of its object from
+# the objects declared before it; a string, since a subscripted typing.Callable is cached process-wide
+# and would keep this module alive after it is unloaded
+Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
 
 
 # --- parser -------------------------------------------------------------------
@@ -344,9 +324,9 @@ class _Parser:
         except DegreeOverflow as exc:
             raise ParseError(op.line, op.col, str(exc), op.text) from None
 
-    # --- declarations ---
+    # --- declarations: each returns its first token, its name and the build of its object ---
 
-    def manifold(self) -> ManifoldDecl:
+    def manifold(self) -> Queued:
         t0 = self.expect_keyword("manifold")
         name = self.expect_name("manifold name").text
         self.expect_punct("{")
@@ -359,9 +339,9 @@ class _Parser:
             coords.append(self.next().text)
         self.expect_punct("]")
         self.expect_punct("}")
-        return ManifoldDecl(name, dim, tuple(coords), t0.line, t0.col)
+        return t0, name, lambda env: _chart(name, dim, tuple(coords))
 
-    def bivector(self) -> BivectorDecl:
+    def bivector(self) -> Queued:
         t0 = self.expect_keyword("bivector")
         name = self.expect_name("bivector name").text
         self.expect_keyword("on")
@@ -370,18 +350,18 @@ class _Parser:
         rows = self.rows(self.expression)
         self.expect_punct("}")
         entries = _assemble_symmetric(rows, t0)
-        return BivectorDecl(name, mname, entries, t0.line, t0.col)
+        return t0, name, lambda env: SymBivector(env.chart(mname, t0), entries)
 
-    def scalar(self) -> ScalarDecl:
+    def scalar(self) -> Queued:
         t0 = self.expect_keyword("scalar")
         name = self.expect_name("scalar name").text
         self.expect_keyword("on")
         mname = self.expect_name("manifold name").text
         self.expect_punct("=")
         value = self.expression()
-        return ScalarDecl(name, mname, value, t0.line, t0.col)
+        return t0, name, lambda env: ScalarField(env.chart(mname, t0), value)
 
-    def map_decl(self) -> MapDecl:
+    def map_decl(self) -> Queued:
         t0 = self.expect_keyword("map")
         name = self.expect_name("map name").text
         self.expect_punct(":")
@@ -394,9 +374,9 @@ class _Parser:
         self.expect_keyword("offset")
         offset = self.row("offset", t0)
         self.expect_punct("}")
-        return MapDecl(name, source, target, matrix, offset, t0.line, t0.col)
+        return t0, name, lambda env: AffineMap(env.chart(source, t0), env.chart(target, t0), matrix, offset)
 
-    def submanifold(self) -> SubmanifoldDecl:
+    def submanifold(self) -> Queued:
         t0 = self.expect_keyword("submanifold")
         name = self.expect_name("submanifold name").text
         self.expect_keyword("in")
@@ -409,9 +389,9 @@ class _Parser:
             self.next()
             basis = self.rows(self.rational)
         self.expect_punct("}")
-        return SubmanifoldDecl(name, mname, origin, basis, t0.line, t0.col)
+        return t0, name, lambda env: AffineSubmanifold(env.chart(mname, t0), origin, basis)
 
-    def algebra(self) -> AlgebraDecl:
+    def algebra(self) -> Queued:
         t0 = self.expect_keyword("algebra")
         name = self.expect_name("algebra name").text
         self.expect_punct("{")
@@ -424,7 +404,9 @@ class _Parser:
             self.next()
             cocycle = self.table(2, "cocycle")
         self.expect_punct("}")
-        return AlgebraDecl(name, dim, tuple(sorted(product.items())), tuple(sorted(cocycle.items())), t0.line, t0.col)
+        return t0, name, lambda env: AlgebraSpec.from_sparse(
+            _dim(dim), _zero_based(product, dim, "product"), _zero_based(cocycle, dim, "cocycle")
+        )
 
     def table(self, arity: int, what: str) -> dict[tuple[int, ...], Fraction]:
         """'{' (INT^arity ':' rational)* '}', keyed by the indices with the first two in order."""
@@ -486,29 +468,32 @@ class _Parser:
         return CheckOptions(entries=tuple(entries), **given)
 
     def scenario(self) -> Scenario:
-        decls: list[Declaration] = []
+        queue: list[Queued] = []
         checks: list[CheckDirective] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while (t := self.peek()).kind != "eof":
             if t.kind != "name":
                 raise self.fail("expected a declaration or check")
-            if t.text == "manifold":
-                decls.append(self.manifold())
-            elif t.text == "bivector":
-                decls.append(self.bivector())
-            elif t.text == "scalar":
-                decls.append(self.scalar())
-            elif t.text == "map":
-                decls.append(self.map_decl())
-            elif t.text == "submanifold":
-                decls.append(self.submanifold())
-            elif t.text == "algebra":
-                decls.append(self.algebra())
-            elif t.text == "check":
+            if t.text == "check":
                 checks.append(self.check())
+            elif t.text in _DECLARATIONS:
+                queue.append(_DECLARATIONS[t.text](self))
             else:
                 raise self.fail(f"unexpected {t.text!r}; expected a declaration or check")
-        return Scenario(tuple(decls), tuple(checks))
+        return bind_scenario(queue, checks)
+
+
+_DECLARATIONS = {
+    "manifold": _Parser.manifold,
+    "bivector": _Parser.bivector,
+    "scalar": _Parser.scalar,
+    "map": _Parser.map_decl,
+    "submanifold": _Parser.submanifold,
+    "algebra": _Parser.algebra,
+}
+
+_KEYWORDS = {
+    *_DECLARATIONS, "check", "dim", "coords", "on", "in", "matrix", "offset", "origin", "basis", "product", "cocycle"
+}
 
 
 def _assemble_symmetric(rows: Sequence[Sequence[Expr]], t0: Token) -> tuple[tuple[Expr, ...], ...]:
@@ -549,134 +534,78 @@ def parse_expr(text: str) -> Expr:
 # --- semantic binding ----------------------------------------------------------
 
 
-@dataclass
-class Environment:
-    """Declared objects resolved into engine values, in declaration order."""
+def bind_scenario(queue: Sequence[Queued], checks: Sequence[CheckDirective]) -> Scenario:
+    """Build the queued declarations in order into one name table, then bind the checks to it.
 
-    charts: dict[str, Chart]
-    bivectors: dict[str, SymBivector]
-    scalars: dict[str, ScalarField]
-    maps: dict[str, AffineMap]
-    submanifolds: dict[str, AffineSubmanifold]
-    algebras: dict[str, AlgebraSpec]
-
-    def kind_of(self, name: str) -> str | None:
-        for kind, table in (
-            ("manifold", self.charts),
-            ("bivector", self.bivectors),
-            ("scalar", self.scalars),
-            ("map", self.maps),
-            ("submanifold", self.submanifolds),
-            ("algebra", self.algebras),
-        ):
-            if name in table:
-                return kind
-        return None
-
-
-def bind_scenario(scenario: Scenario) -> Environment:
-    env = Environment({}, {}, {}, {}, {}, {})
-    names: set[str] = set()
-
-    def register(name: str, decl) -> None:
-        if name in names:
-            raise SemanticError(decl.line, decl.col, f"duplicate name {name!r}", name)
+    A taken or reserved name, or a build its constructor refuses, is a SemanticError at the declaration."""
+    env = Environment()
+    for t, name, build in queue:
+        if name in env:
+            raise SemanticError(t.line, t.col, f"duplicate name {name!r}", name)
         if name in _KEYWORDS or name in CHECKS:
-            raise SemanticError(decl.line, decl.col, f"{name!r} is a reserved word", name)
-        names.add(name)
-
-    def chart_of(decl, name: str) -> Chart:
-        chart = env.charts.get(name)
-        if chart is None:
-            raise SemanticError(decl.line, decl.col, f"unknown manifold {name!r}", name)
-        return chart
-
-    for decl in scenario.declarations:
-        register(decl.name, decl)
+            raise SemanticError(t.line, t.col, f"{name!r} is a reserved word", name)
         try:
-            if isinstance(decl, ManifoldDecl):
-                if decl.dim < 1:
-                    raise ValueError("dim must be >= 1")
-                if decl.dim != len(decl.coords):
-                    raise ValueError(f"dim {decl.dim} does not match {len(decl.coords)} coordinates")
-                env.charts[decl.name] = Chart(decl.name, decl.coords)
-            elif isinstance(decl, BivectorDecl):
-                env.bivectors[decl.name] = SymBivector(chart_of(decl, decl.manifold), decl.entries)
-            elif isinstance(decl, ScalarDecl):
-                env.scalars[decl.name] = ScalarField(chart_of(decl, decl.manifold), decl.value)
-            elif isinstance(decl, MapDecl):
-                env.maps[decl.name] = AffineMap(
-                    chart_of(decl, decl.source), chart_of(decl, decl.target), decl.matrix, decl.offset
-                )
-            elif isinstance(decl, SubmanifoldDecl):
-                env.submanifolds[decl.name] = AffineSubmanifold(
-                    chart_of(decl, decl.manifold), decl.origin, decl.basis
-                )
-            elif isinstance(decl, AlgebraDecl):
-                if decl.dim < 1:
-                    raise ValueError("dim must be >= 1")
-                for (i, j, k), _ in decl.product:
-                    if not (1 <= i <= decl.dim and 1 <= j <= decl.dim and 1 <= k <= decl.dim):
-                        raise ValueError(f"product index ({i},{j},{k}) out of range")
-                for (i, j), _ in decl.cocycle:
-                    if not (1 <= i <= decl.dim and 1 <= j <= decl.dim):
-                        raise ValueError(f"cocycle index ({i},{j}) out of range")
-                env.algebras[decl.name] = AlgebraSpec.from_sparse(
-                    decl.dim,
-                    {(i - 1, j - 1, k - 1): q for (i, j, k), q in decl.product},
-                    {(i - 1, j - 1): q for (i, j), q in decl.cocycle},
-                )
+            env[name] = build(env)
         except SemanticError:
             raise
         except Exception as exc:
-            raise SemanticError(decl.line, decl.col, str(exc), decl.name) from None
+            raise SemanticError(t.line, t.col, str(exc), name) from None
+    return Scenario(env, tuple(checks))
 
-    for check in scenario.checks:
-        spec = CHECKS[check.kind]
-        for arg, want in zip(check.args, spec.args):
-            got = env.kind_of(arg)
-            if got is None:
-                raise SemanticError(check.line, check.col, f"unresolved reference {arg!r}", arg)
-            if got != want:
-                raise SemanticError(
-                    check.line, check.col, f"check {check.kind}: {arg!r} is a {got}, expected a {want}", arg
-                )
-        message = spec.chart_rule(env, check) if spec.chart_rule else None
-        if message is not None:
-            raise SemanticError(check.line, check.col, message, check.kind)
-        if any(getattr(check.options, _OPTION_FIELDS[key]) is None for key in spec.needs):
-            needed = " and ".join(f"'{key}'" for key in spec.needs)
-            raise SemanticError(check.line, check.col, f"{check.kind} check needs {needed} options", check.kind)
-    return env
+
+def _dim(dim: int) -> int:
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return dim
+
+
+def _chart(name: str, dim: int, coords: tuple[str, ...]) -> Chart:
+    if _dim(dim) != len(coords):
+        raise ValueError(f"dim {dim} does not match {len(coords)} coordinates")
+    return Chart(name, coords)
+
+
+def _zero_based(table: dict[tuple[int, ...], Fraction], dim: int, what: str) -> dict[tuple[int, ...], Fraction]:
+    """An algebra table's 1-based entries, each index checked against ``dim``, keyed 0-based."""
+    out = {}
+    for key in sorted(table):
+        if not all(1 <= i <= dim for i in key):
+            raise ValueError(f"{what} index ({','.join(map(str, key))}) out of range")
+        out[tuple(i - 1 for i in key)] = table[key]
+    return out
 
 
 # --- serialization --------------------------------------------------------------
 
 
 def serialize(scenario: Scenario) -> str:
-    """Canonical text form; parse_scenario(serialize(s)) == s structurally, unless an expression has a
-    coefficient longer than the reader's 4300 digits: that prints in full and reads back as a ParseError."""
+    """Canonical text form; parse_scenario(serialize(s)) == s, unless an expression has a coefficient
+    longer than the reader's 4300 digits: that prints in full and reads back as a ParseError.  An
+    algebra prints its nonzero entries only."""
     out: list[str] = []
-    for d in scenario.declarations:
-        if isinstance(d, ManifoldDecl):
-            out.append(f"manifold {d.name} {{ dim {d.dim} coords [{' '.join(d.coords)}] }}")
-        elif isinstance(d, BivectorDecl):
-            out.append(f"bivector {d.name} on {d.manifold} {{ {_matrix_str(d.entries)} }}")
-        elif isinstance(d, ScalarDecl):
-            out.append(f"scalar {d.name} on {d.manifold} = {d.value}")
-        elif isinstance(d, MapDecl):
+    for name, d in scenario.env.items():
+        if isinstance(d, Chart):
+            out.append(f"manifold {name} {{ dim {d.dim} coords [{' '.join(d.coords)}] }}")
+        elif isinstance(d, SymBivector):
+            out.append(f"bivector {name} on {d.chart.name} {{ {_matrix_str(d.entries)} }}")
+        elif isinstance(d, ScalarField):
+            out.append(f"scalar {name} on {d.chart.name} = {d.value}")
+        elif isinstance(d, AffineMap):
             out.append(
-                f"map {d.name} : {d.source} -> {d.target} "
+                f"map {name} : {d.source.name} -> {d.target.name} "
                 f"{{ matrix {_matrix_str(d.matrix)} offset {_matrix_str([d.offset])} }}"
             )
-        elif isinstance(d, SubmanifoldDecl):
+        elif isinstance(d, AffineSubmanifold):
             basis = f" basis {_matrix_str(d.basis)}" if d.basis else ""
-            out.append(f"submanifold {d.name} in {d.manifold} {{ origin {_matrix_str([d.origin])}{basis} }}")
-        elif isinstance(d, AlgebraDecl):
-            prod = " ".join(f"{i} {j} {k} : {q}" for (i, j, k), q in d.product)
-            line = f"algebra {d.name} {{ dim {d.dim} product {{ {prod} }}".replace("{  }", "{ }")
-            if d.cocycle:
-                coc = " ".join(f"{i} {j} : {q}" for (i, j), q in d.cocycle)
+            out.append(f"submanifold {name} in {d.ambient.name} {{ origin {_matrix_str([d.origin])}{basis} }}")
+        else:  # AlgebraSpec
+            n = range(d.dim)
+            prod = " ".join(
+                f"{i + 1} {j + 1} {k + 1} : {q}" for i in n for j in n[i:] for k, q in enumerate(d.product[i][j]) if q
+            )
+            line = f"algebra {name} {{ dim {d.dim} product {{ {prod} }}".replace("{  }", "{ }")
+            coc = " ".join(f"{i + 1} {j + 1} : {d.cocycle[i][j]}" for i in n for j in n[i:] if d.cocycle[i][j])
+            if coc:
                 line += f" cocycle {{ {coc} }}"
             out.append(line + " }")
     for c in scenario.checks:

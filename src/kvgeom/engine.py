@@ -23,7 +23,7 @@ from .errors import (
     InvalidAlgebra,
     InvalidSubspace,
     NotCoisotropic,
-    NotTransverseAtSample,
+    NotTransverse,
     PoleAtPoint,
     PreconditionViolated,
     ZeroDenominator,
@@ -90,7 +90,7 @@ def run_check(env: Environment, check: CheckDirective, seed: int, samples: int) 
     try:
         status, details, witness_expr, claims = CHECKS[kind].run(env, check, seed, samples)
     except (
-        PreconditionViolated, NotCoisotropic, InvalidAlgebra, InvalidSubspace, NotTransverseAtSample, ZeroDenominator,
+        PreconditionViolated, NotCoisotropic, InvalidAlgebra, InvalidSubspace, NotTransverse, ZeroDenominator,
         PoleAtPoint, DegreeOverflow,
     ) as exc:
         outcome = CheckOutcome(name, kind, UNSUPPORTED, None, str(exc))

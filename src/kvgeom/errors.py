@@ -10,7 +10,7 @@ class ZeroDenominator(KVError):
 
 
 class DegreeOverflow(KVError):
-    """A polynomial degree reached the width of a packed exponent field."""
+    """A polynomial degree reached the width of a packed exponent field, or a power's coefficient its length cap."""
 
 
 class UnknownVariable(KVError):
@@ -41,7 +41,7 @@ class ClosureFailure(KVError):
     """Conormal product left the conormal module; signals an internal bug."""
 
 
-class NotTransverseAtSample(KVError):
+class NotTransverse(KVError):
     """A map failed a required transversality condition."""
 
 

@@ -51,7 +51,7 @@ from .errors import (
     DegenerateBasis,
     EngineInconsistency,
     NotCoisotropic,
-    NotTransverseAtSample,
+    NotTransverse,
     PreconditionViolated,
 )
 from .geometry import (
@@ -762,7 +762,7 @@ def preimage_transversal(
     k2 = n2.dim
     n1 = affine_preimage(f, n2)
     if n1 is None or n1.dim != f.source.dim - f.target.dim + k2:
-        raise NotTransverseAtSample("map is not transverse to the target submanifold")
+        raise NotTransverse("map is not transverse to the target submanifold")
     t1 = is_transversal(n1, h1, samples=samples, seed=seed)
     if not t1.ok:
         return PreimageReport(n1, t1, t2, None, ())

@@ -9,7 +9,9 @@ fixed-width field (the layout of Monagan and Pearce 2007), so integer order on
 keys is graded-lexicographic order over alphabetically ordered variable names,
 a monomial product is a sum of keys and divisibility is one subtraction and a
 guard-bit mask.  Every degree stays below the guard bit; a product or power
-that would reach it raises ``DegreeOverflow``, so fields never wrap.
+that would reach it raises ``DegreeOverflow``, so fields never wrap.  So does
+a power whose largest coefficient or denominator, raised to it, would pass
+``_MAX_BITS`` bits.
 
 An ``Expr`` is a quotient of two ``Poly`` in canonical form: numerator and
 denominator coprime, denominator monic.  Both representations are unique, so
@@ -52,6 +54,16 @@ def _check_degree(top_key: int, n: int) -> None:
     deg = top_key >> (n * _W)
     if deg >= _HALF:
         raise DegreeOverflow(f"polynomial degree {deg} exceeds the largest supported degree {_HALF - 1}")
+
+
+_MAX_BITS = 1 << 18  # the longest numerator or denominator a power may produce
+
+
+def _check_bits(c: int, k: int) -> None:
+    """Refuse a power c^k, c > 0, of more than _MAX_BITS bits; for c of b bits it has at least (b - 1) k + 1."""
+    b = c.bit_length()
+    if (b - 1) * k >= _MAX_BITS:
+        raise DegreeOverflow(f"power {k} of a {b}-bit coefficient exceeds {_MAX_BITS} bits")
 
 
 def _exponents(k: int, n: int) -> list[int]:
@@ -285,6 +297,7 @@ class Poly:
             return _P_ZERO
         n = len(self.vars)
         _check_degree((max(self.terms) >> (n * _W)) * k << (n * _W), n)
+        _check_bits(max(self.den, *map(abs, self.terms.values())), k)
         return _new(self.vars, _power(self.terms, k, n, {0: _UNIT, 1: self.terms}), self.den ** k)
 
     def diff(self, v: str) -> "Poly":

@@ -4,22 +4,18 @@ import json
 import random
 import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+from kvgeom.algebra import AlgebraSpec
 from kvgeom.dsl import (
-    AlgebraDecl,
-    BivectorDecl,
     CheckDirective,
     CheckOptions,
     CheckOutcome,
-    ManifoldDecl,
-    MapDecl,
-    ScalarDecl,
+    Environment,
     Scenario,
-    SubmanifoldDecl,
     Witness,
-    bind_scenario,
     parse_expr,
     parse_scenario,
     render_report,
@@ -27,6 +23,8 @@ from kvgeom.dsl import (
 )
 from kvgeom.corpus import BUILTIN_SCENARIOS
 from kvgeom.errors import ParseError, SemanticError
+from kvgeom.geometry import Chart, ScalarField, SymBivector
+from kvgeom.structures import AffineMap, AffineSubmanifold
 from kvgeom.symexpr import Expr
 
 
@@ -34,16 +32,16 @@ def test_parse_minimal_scenario():
     s = parse_scenario(
         "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] } check codazzi h"
     )
-    assert len(s.declarations) == 2
+    assert list(s.env) == ["M", "h"]
     assert len(s.checks) == 1
     assert s.checks[0].kind == "codazzi"
-    env = bind_scenario(s)
-    assert env.bivectors["h"].entries[0][0] == Expr.var("x")
+    assert s.env["h"].entries[0][0] == Expr.var("x")
+    assert s.env["h"].chart is s.env["M"]
 
 
 def test_upper_triangle_shorthand():
     s = parse_scenario("manifold M { dim 3 coords [x y z] } bivector h on M { [1, 2, 3; 4, 5; 6] }")
-    h = s.declarations[1]
+    h = s.env["h"]
     assert h.entries[1][0] == Expr.const(2)
     assert h.entries[2][0] == Expr.const(3)
     assert h.entries[2][1] == Expr.const(5)
@@ -123,6 +121,41 @@ def test_malformed_fixtures_all_raise_positioned_errors():
             parse_scenario(text)
         e = exc.value
         assert (type(e), e.line, e.column, e.message, e.token) == (cls, line, column, message, token), text
+
+
+def test_a_syntax_error_is_reported_before_a_semantic_error_earlier_in_the_text():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("bivector h on Q { [x] }\n\ncheck frobnicate h\n")
+    e = exc.value
+    assert (e.line, e.column, e.message, e.token) == (3, 7, "unknown check kind 'frobnicate'", "frobnicate")
+
+
+def test_a_check_may_name_an_object_declared_after_it():
+    s = parse_scenario("check codazzi h\nmanifold M { dim 1 coords [x] }\nbivector h on M { [x] }\n")
+    assert s.checks[0].args == ("h",) and s.env.kind_of("h") == "bivector"
+    assert serialize(s) == "manifold M { dim 1 coords [x] }\nbivector h on M { [x] }\ncheck codazzi h\n"
+
+
+def test_an_explicit_zero_algebra_entry_changes_nothing():
+    plain = parse_scenario("algebra A { dim 2 product { 1 1 1 : 1 } cocycle { 2 2 : 1 } }")
+    zeros = parse_scenario("algebra A { dim 2 product { 1 1 1 : 1  1 2 2 : 0 } cocycle { 1 2 : 0  2 2 : 1 } }")
+    assert zeros == plain
+    assert serialize(zeros) == "algebra A { dim 2 product { 1 1 1 : 1 } cocycle { 2 2 : 1 } }\n"
+
+
+def test_the_readme_scenario_example_parses_and_serializes_to_a_fixpoint():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme[readme.index("## Scenario language and CLI"):].split("```")[1]
+    s = parse_scenario(example)
+    assert len(s.env) == 6 and len(s.checks) == 5
+    text = serialize(s)
+    assert parse_scenario(text) == s and serialize(parse_scenario(text)) == text
+
+
+def test_scenarios_with_reordered_declarations_differ():
+    a = "manifold M { dim 1 coords [x] }\n"
+    b = "manifold N { dim 1 coords [y] }\n"
+    assert parse_scenario(a + b) != parse_scenario(b + a)
 
 
 def test_a_repeated_check_option_is_an_error_at_its_second_occurrence():
@@ -238,7 +271,7 @@ def test_mutated_corpus_texts_give_a_scenario_or_a_positioned_error():
 
 
 def _random_scenario(rng: random.Random) -> Scenario:
-    decls = []
+    env = Environment()
     checks = []
     n_charts = rng.randint(1, 3)
     charts = []
@@ -246,7 +279,7 @@ def _random_scenario(rng: random.Random) -> Scenario:
         dim = rng.randint(1, 3)
         coords = tuple(f"c{ci}_{j}" for j in range(dim))
         name = f"M{ci}"
-        decls.append(ManifoldDecl(name, dim, coords))
+        env[name] = Chart(name, coords)
         charts.append((name, dim, coords))
     bivs = []
     for bi in range(rng.randint(1, 3)):
@@ -259,34 +292,29 @@ def _random_scenario(rng: random.Random) -> Scenario:
                     e = e + Expr.var(rng.choice(coords)) * rng.randint(1, 2)
                 entries[i][j] = entries[j][i] = e
         name = f"h{bi}"
-        decls.append(BivectorDecl(name, cname, tuple(tuple(r) for r in entries)))
+        env[name] = SymBivector(env[cname], tuple(tuple(r) for r in entries))
         bivs.append((name, cname, dim, coords))
     scalars = []
     for si in range(rng.randint(0, 2)):
         cname, dim, coords = rng.choice(charts)
         name = f"f{si}"
         value = parse_expr(f"{rng.randint(-2, 2)}") + Expr.var(rng.choice(coords)) ** rng.randint(1, 3)
-        decls.append(ScalarDecl(name, cname, value))
+        env[name] = ScalarField(env[cname], value)
         scalars.append((name, cname))
     for mi in range(rng.randint(0, 2)):
         (sname, sdim, _), (tname, tdim, _) = rng.choice(charts), rng.choice(charts)
         matrix = tuple(tuple(Fr(rng.randint(-2, 2)) for _ in range(sdim)) for _ in range(tdim))
         offset = tuple(Fr(rng.randint(-1, 1)) for _ in range(tdim))
-        decls.append(MapDecl(f"F{mi}", sname, tname, matrix, offset))
+        env[f"F{mi}"] = AffineMap(env[sname], env[tname], matrix, offset)
     for ni in range(rng.randint(0, 2)):
         cname, dim, _ = rng.choice(charts)
         k = rng.randint(0, dim)
         basis = tuple(tuple(Fr(1 if i == j else 0) for j in range(dim)) for i in range(k))
         origin = tuple(Fr(rng.randint(-1, 1)) for _ in range(dim))
-        decls.append(SubmanifoldDecl(f"N{ni}", cname, origin, basis))
+        env[f"N{ni}"] = AffineSubmanifold(env[cname], origin, basis)
     if rng.random() < 0.5:
-        decls.append(
-            AlgebraDecl(
-                "A0",
-                2,
-                (((1, 1, 1), Fr(1)), ((1, 2, 2), Fr(rng.randint(-2, 2)))),
-                (((1, 1), Fr(1, 2)),) if rng.random() < 0.5 else (),
-            )
+        env["A0"] = AlgebraSpec.from_sparse(
+            2, {(0, 0, 0): Fr(1), (0, 1, 1): Fr(rng.randint(-2, 2))}, {(0, 0): Fr(1, 2)} if rng.random() < 0.5 else {}
         )
     for name, cname, dim, coords in bivs:
         opts = CheckOptions()
@@ -299,7 +327,7 @@ def _random_scenario(rng: random.Random) -> Scenario:
         match = [b for b in bivs if b[1] == scname]
         if match:
             checks.append(CheckDirective("in_E", (match[0][0], sname), CheckOptions()))
-    return Scenario(tuple(decls), tuple(checks))
+    return Scenario(env, tuple(checks))
 
 
 def test_round_trip_on_generated_scenarios():

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,11 +152,11 @@ def test_preimage_transversal_decides_without_dividing(monkeypatch):
     plain = run_text(PREIMAGE_OF_AXIS).outcomes[0]
     assert plain.status == "pass"
     assert plain.details == "preimage dimension 2; induced structures related by the restricted map at all samples"
-    env = bind_scenario(parse_scenario(PREIMAGE_OF_AXIS))
+    env = parse_scenario(PREIMAGE_OF_AXIS).env
     calls = []
     gcd = kvgeom.symexpr.poly_gcd
     monkeypatch.setattr(kvgeom.symexpr, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
-    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    rep = preimage_transversal(env["F"], env["h"], env["g"], env["A"])
     assert not rep.transversal_source.determinant.is_const()
     # the cleared-denominator residuals are canonical zeros, reached by ring operations alone
     assert rep.ok and rep.residuals and all(e.is_zero() for e in rep.residuals)
@@ -173,8 +176,8 @@ def test_preimage_transversal_fails_on_a_nonzero_residual(monkeypatch):
         return dataclasses.replace(t, bordered=type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries)))
 
     monkeypatch.setattr(kvgeom.structures, "is_transversal", doubled)
-    env = bind_scenario(parse_scenario(PREIMAGE_OF_AXIS))
-    rep = preimage_transversal(env.maps["F"], env.bivectors["h"], env.bivectors["g"], env.submanifolds["A"])
+    env = parse_scenario(PREIMAGE_OF_AXIS).env
+    rep = preimage_transversal(env["F"], env["h"], env["g"], env["A"])
     assert rep.restriction is not None and not rep.ok
     assert not all(e.is_zero() for e in rep.residuals)
     out = run_text(PREIMAGE_OF_AXIS).outcomes[0]
@@ -317,9 +320,9 @@ def test_cli_run_on_builtin_corpus_and_files(tmp_path):
 def test_cli_run_binds_each_scenario_once(monkeypatch):
     bound = []
 
-    def counting(scenario):
-        bound.append(scenario)
-        return bind_scenario(scenario)
+    def counting(queue, checks):
+        bound.append(bind_scenario(queue, checks))
+        return bound[-1]
 
     for module in (kvgeom.dsl, kvgeom.engine):  # every module that may call it by name
         if hasattr(module, "bind_scenario"):
@@ -375,7 +378,7 @@ def test_annihilator_of_an_invalid_algebra_or_subspace_is_unsupported(tmp_path):
     assert [(c["status"], c["details"]) for c in json.loads(report)["checks"]] == [
         ("unsupported", "associativity fails at basis indices (1, 1, 2)"),
         ("unsupported", "associativity fails at basis indices (1, 1, 2)"),
-        ("unsupported", "basis does not span a ideal"),
+        ("unsupported", "basis does not span an ideal"),
         ("unsupported", "basis does not span a subalgebra"),
     ]
 
@@ -385,6 +388,22 @@ def test_cli_parse_error_exit_code(tmp_path):
     path.write_text("manifold M { dim 2 coords [x y] } bivector h on M { [x +, 0; 0, y] }")
     code, report = run(RunConfig(scenarios=(str(path),)))
     assert code == 2 and "error" in report
+
+
+def test_a_huge_constant_power_is_a_parse_error_at_its_operator(tmp_path):
+    path = tmp_path / "power.kvs"
+    path.write_text("manifold M { dim 1 coords [x] }\nscalar f on M = 7^2147483647\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
+    cli = "import sys; from kvgeom.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", cli, "--scenario", str(path)], env=env, capture_output=True, text=True, timeout=10
+    )
+    message = "power 2147483647 of a 3-bit coefficient exceeds 262144 bits"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: 2:18: {message} (at '^')\n")
+    # the cap leaves room for powers far past the reader's 4300 digits
+    s = parse_scenario("manifold M { dim 1 coords [x] }\nscalar f on M = 3^10000 * (2/3)^-100000")
+    assert s.env["f"].value == Expr.const(Fraction(3 ** 110000, 2 ** 100000))
 
 
 def test_unreadable_scenario_files_exit_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from kvgeom.errors import (
     ChartMismatch,
     DegenerateBasis,
     NotCoisotropic,
-    NotTransverseAtSample,
+    NotTransverse,
     PreconditionViolated,
 )
 from kvgeom.geometry import (
@@ -687,7 +687,7 @@ def test_preimage_transversal_preconditions():
     h2 = SymBivector.diagonal(R2, [Expr.const(1), 1 - Expr.var("y")])
     line = AffineMap(R1, R2, ((Fr(1),), (Fr(0),)), (Fr(0), Fr(1)))
     x_axis = AffineSubmanifold(R2, (0, 0), ((1, 0),))
-    with pytest.raises(NotTransverseAtSample, match="not transverse"):
+    with pytest.raises(NotTransverse, match="not transverse"):
         preimage_transversal(line, SymBivector.standard(R1), h2, x_axis)
 
 
