@@ -85,7 +85,6 @@ from .algebra import (
     SubspaceSpec,
     algebra_to_kv,
     annihilator_submanifold,
-    random_algebra,
     validate_algebra,
     validate_subspace,
 )

@@ -9,7 +9,6 @@ what makes sum_k h_ik C^k_jm symmetric in (i, j).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -175,65 +174,3 @@ def annihilator_submanifold(s: SubspaceSpec, chart: Chart | None = None) -> Affi
     basis = linalg.nullspace([list(v) for v in s.basis], n_cols=a.dim)
     origin = tuple(Fraction(0) for _ in range(a.dim))
     return AffineSubmanifold(chart, origin, tuple(basis))
-
-
-# --- deterministic corpus generation ----------------------------------------
-
-
-def _random_fraction(rng: random.Random, scale: int = 2) -> Fraction:
-    den = rng.randint(1, 3)
-    num = rng.randint(-scale * den, scale * den)
-    return Fraction(num, den)
-
-
-def random_algebra(rng: random.Random, dim: int) -> AlgebraSpec:
-    """Random valid algebra: block sums of idempotent lines and truncated
-    nilpotent chains, conjugated by a random invertible rational matrix."""
-    blocks: list[int] = []
-    remaining = dim
-    while remaining > 0:
-        size = rng.randint(1, remaining)
-        blocks.append(size)
-        remaining -= size
-    C = [[[Fraction(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    offset = 0
-    for size in blocks:
-        if size == 1 and rng.random() < 0.5:
-            if rng.random() < 0.7:
-                C[offset][offset][offset] = Fraction(1)  # idempotent line
-        else:
-            # chain e_a e_b = e_{a+b+1} while inside the block (nilpotent truncation)
-            for aa in range(size):
-                for bb in range(size):
-                    cc = aa + bb + 1
-                    if cc < size:
-                        C[offset + aa][offset + bb][offset + cc] = Fraction(1)
-        offset += size
-
-    # conjugate by a random invertible P: new constants of the pushed-forward product
-    while True:
-        P = [[_random_fraction(rng, 1) for _ in range(dim)] for _ in range(dim)]
-        Pinv = linalg.inverse(P)
-        if Pinv is not None:
-            break
-    base = AlgebraSpec(dim, tuple(tuple(tuple(r) for r in p) for p in C), tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim)))
-    cols = linalg.transpose(linalg.to_mat(P))  # image of basis vectors
-    newC = [[[Fraction(0) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            prod = base.multiply(cols[i], cols[j])
-            coeffs = linalg.matvec(Pinv, prod)
-            for k in range(dim):
-                newC[i][j][k] = coeffs[k]
-
-    # cocycle from a random linear functional tau: B(u, v) = tau(u.v)
-    tau = [_random_fraction(rng, 2) for _ in range(dim)]
-    b = [[Fraction(0) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            b[i][j] = sum((newC[i][j][k] * tau[k] for k in range(dim)), Fraction(0))
-    return AlgebraSpec(
-        dim,
-        tuple(tuple(tuple(r) for r in p) for p in newC),
-        tuple(tuple(r) for r in b),
-    )

@@ -4,12 +4,14 @@ Maps are exact affine maps (rational matrix + offset) and submanifolds are
 affine subspaces of a chart, so every structural condition reduces to a
 polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
-determinant restricts to a nonzero constant, pointwise otherwise.  A
-transversal result keeps what the elimination returned, det D and the
-bordered block det D * (A - B D^{-1} B^T); the induced structure divides
+determinant restricts to a nonzero constant, pointwise otherwise.  The
+verdict eliminates the conormal block D alone.  A transversal result keeps
+det D and the adapted entries; the bordered block det D * (A - B D^{-1} B^T)
+is built from them when it is first read, and the induced structure divides
 the one by the other when it is read, so no verdict divides a rational
-function.  ``preimage_transversal`` decides the pullback claim on these
-blocks with their denominators cleared, so it neither divides nor samples.
+function or builds a block it does not read.  ``preimage_transversal``
+decides the pullback claim on these blocks with their denominators cleared,
+so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer, and every table
@@ -17,8 +19,8 @@ symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
 components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
 the change to adapted coordinates), and ``expr_det`` is the one exact
-elimination, which yields a determinant and, in the same pass, the bordered
-determinants of a Schur complement.
+elimination: it yields a determinant and, given a border, in the same pass
+the bordered determinants of a Schur complement.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
 {y_{k+1} = ... = y_n = 0}.  ``AffineSubmanifold`` builds its frame C (the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from random import Random
 from typing import Sequence
@@ -426,14 +429,32 @@ FALSE = "false"
 
 @dataclass(frozen=True)
 class TransversalResult:
+    """A transversality verdict, det D, and the block it builds when read.
+
+    The verdict reads det D alone.  The bordered block det D (A - B D^{-1} B^T)
+    is built from the adapted entries that the result keeps, on its first
+    read, and kept from then on; ``induced`` divides it by det D on every read.
+    """
+
     verdict: str  # SYMBOLIC_TRUE | POINTWISE_TRUE | FALSE
     determinant: Expr  # det of the conormal-conormal block restricted to N
-    bordered: SymBivector | None  # det D times the induced structure, on N's chart; None when not transversal
     samples: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (parameter point, nonsingular)
+    # (the block's chart, adapted entries of h, k) the bordered block is built from; None when not transversal
+    adapted: tuple[Chart, tuple[tuple[Expr, ...], ...], int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.verdict in (SYMBOLIC_TRUE, POINTWISE_TRUE)
+
+    @cached_property
+    def bordered(self) -> SymBivector | None:
+        """det D times the induced structure, on N's chart: one Bareiss pass over [[D, B^T], [B, A]]."""
+        if self.adapted is None:
+            return None
+        chart, hy, k = self.adapted
+        # conormal rows and columns first
+        _, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], len(hy) - k)
+        return SymBivector(chart, tuple(map(tuple, trailing)))
 
     @property
     def induced(self) -> SymBivector | None:
@@ -495,12 +516,13 @@ def is_transversal(
 ) -> TransversalResult:
     """Transversal iff the conormal-conormal block D is invertible along N.
 
-    The induced structure is the Schur complement A - B D^{-1} B^T restricted
-    to N, with rational-function entries.  By Sylvester's identity its (i, j)
-    entry is det [[D, B_j^T], [B_i, A_ij]] / det D, and one Bareiss pass over
-    [[D, B^T], [B, A]] yields det D and all these bordered determinants.  The
-    verdict reads det D only; the result keeps both, and ``induced`` divides
-    when it is read.  Points sampled for a pointwise verdict are distinct.
+    The verdict reads det D only, so ``expr_det`` eliminates D alone.  The
+    induced structure is the Schur complement A - B D^{-1} B^T restricted to
+    N, with rational-function entries.  By Sylvester's identity its (i, j)
+    entry is det [[D, B_j^T], [B_i, A_ij]] / det D; the result keeps the
+    adapted entries, and one Bareiss pass over [[D, B^T], [B, A]] builds
+    these bordered determinants when ``bordered`` or ``induced`` is first
+    read.  Points sampled for a pointwise verdict are distinct.
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
@@ -508,15 +530,13 @@ def is_transversal(
         at = ", ".join(_rational_str(q) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
     if k == n and n_sub.is_identity:
-        return TransversalResult(SYMBOLIC_TRUE, ONE, h, ())
+        return TransversalResult(SYMBOLIC_TRUE, ONE, (), (h.chart, h.entries, n))
     hy = n_sub.adapted(h).entries
-    # conormal rows and columns first: [[D, B^T], [B, A]]
-    bordered = [row[k:] + row[:k] for row in hy[k:] + hy[:k]]
-    det, trailing = expr_det(bordered, n - k)
+    det, _ = expr_det([row[k:] for row in hy[k:]], n - k)
 
     if det.is_zero():
         pts = given if given is not None else [tuple(Fraction(0) for _ in range(k))]
-        return TransversalResult(FALSE, det, None, tuple((tuple(p), False) for p in pts))
+        return TransversalResult(FALSE, det, tuple((tuple(p), False) for p in pts))
 
     if det.is_const():
         verdict, sample_report = SYMBOLIC_TRUE, ()
@@ -526,8 +546,7 @@ def is_transversal(
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
 
-    block = None if verdict == FALSE else SymBivector(n_sub.chart, tuple(map(tuple, trailing)))
-    return TransversalResult(verdict, det, block, sample_report)
+    return TransversalResult(verdict, det, sample_report, None if verdict == FALSE else (n_sub.chart, hy, k))
 
 
 # --- coisotropic submanifolds and the conormal algebroid ----------------------

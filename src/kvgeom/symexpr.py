@@ -11,7 +11,8 @@ a monomial product is a sum of keys and divisibility is one subtraction and a
 guard-bit mask.  Every degree stays below the guard bit; a product or power
 that would reach it raises ``DegreeOverflow``, so fields never wrap.  So does
 a power whose largest coefficient or denominator, raised to it, would pass
-``_MAX_BITS`` bits.
+``_MAX_BITS`` bits, and a power of several terms whose estimated size (terms
+times coefficient bits) would pass ``_MAX_SIZE`` bits.
 
 An ``Expr`` is a quotient of two ``Poly`` in canonical form: numerator and
 denominator coprime, denominator monic.  Both representations are unique, so
@@ -28,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import comb, gcd
 from random import Random
 from typing import Iterable, Mapping, Union
 
@@ -64,6 +65,30 @@ def _check_bits(c: int, k: int) -> None:
     b = c.bit_length()
     if (b - 1) * k >= _MAX_BITS:
         raise DegreeOverflow(f"power {k} of a {b}-bit coefficient exceeds {_MAX_BITS} bits")
+
+
+_MAX_SIZE = 1 << 20  # the most bits, over all its terms, that a power of several terms may produce
+
+
+def _check_size(terms: dict[int, int], k: int, n: int) -> None:
+    """Refuse a power p^k, p of t >= 2 terms, whose estimated size passes _MAX_SIZE bits.
+
+    The estimate is (number of terms) x (coefficient bits).  p^k has at most
+    C(k + t - 1, t - 1) terms, and at most prod_v (k (hi_v - lo_v) + 1), with
+    hi_v and lo_v the extreme exponents of v in p.  Each coefficient is a sum
+    of at most t^k products of k coefficients of at most b bits, so it has at
+    most k (b + log2 t) bits.  p^k has at least two terms, so the bits alone
+    can refuse it.
+    """
+    t = len(terms)
+    bits = k * (max(map(abs, terms.values())).bit_length() + t.bit_length())
+    if 2 * bits < _MAX_SIZE:
+        box = 1
+        for es in zip(*(_exponents(key, n) for key in terms)):
+            box *= k * (max(es) - min(es)) + 1
+        if min(comb(k + t - 1, t - 1), box) * bits < _MAX_SIZE:
+            return
+    raise DegreeOverflow(f"power {k} of a {t}-term polynomial exceeds {_MAX_SIZE} bits")
 
 
 def _exponents(k: int, n: int) -> list[int]:
@@ -298,6 +323,8 @@ class Poly:
         n = len(self.vars)
         _check_degree((max(self.terms) >> (n * _W)) * k << (n * _W), n)
         _check_bits(max(self.den, *map(abs, self.terms.values())), k)
+        if len(self.terms) > 1:
+            _check_size(self.terms, k, n)
         return _new(self.vars, _power(self.terms, k, n, {0: _UNIT, 1: self.terms}), self.den ** k)
 
     def diff(self, v: str) -> "Poly":

@@ -11,9 +11,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 
-from conftest import random_bivector, random_poly
+from conftest import random_algebra, random_bivector, random_poly
 from kvgeom import linalg
-from kvgeom.algebra import AlgebraSpec, SubspaceSpec, algebra_to_kv, annihilator_submanifold, random_algebra
+from kvgeom.algebra import AlgebraSpec, SubspaceSpec, algebra_to_kv, annihilator_submanifold
 from kvgeom.cli import run
 from kvgeom.corpus import BUILTIN_SCENARIOS
 from kvgeom.dsl import parse_scenario, render_report, serialize

@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_oneform, random_poly
+from conftest import random_algebra, random_oneform, random_poly
 from kvgeom.algebra import (
     AlgebraSpec,
     SubspaceSpec,
     algebra_to_kv,
     annihilator_submanifold,
     dual_chart,
-    random_algebra,
     validate_algebra,
     validate_subspace,
 )

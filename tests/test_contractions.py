@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly, random_scalar
-from kvgeom.algebra import algebra_to_kv, random_algebra
+from conftest import random_algebra, random_poly, random_scalar
+from kvgeom.algebra import algebra_to_kv
 from kvgeom.geometry import (
     Chart,
     OneForm,

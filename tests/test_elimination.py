@@ -6,6 +6,8 @@ bordered one of its trailing block.  The induced structure of
 ``is_transversal`` is compared with ``A - B D^{-1} B^T`` built from ``linalg.inverse``
 at the same point.  The inputs mix polynomial and rational-function
 entries, and zero entries, so leading pivots vanish and rows are swapped.
+A verdict eliminates the conormal block alone; the bordered pass runs once,
+when the block is first read, and gives what the one eager pass gave.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_point, random_poly
+import kvgeom.structures
+from conftest import random_bivector, random_point, random_poly
 from kvgeom import linalg
 from kvgeom.geometry import Chart, SymBivector
-from kvgeom.structures import FALSE, AffineSubmanifold, expr_det, is_transversal
+from kvgeom.structures import FALSE, POINTWISE_TRUE, AffineSubmanifold, expr_det, is_transversal
 from kvgeom.symexpr import Expr
 
 ZERO = Expr.const(0)
@@ -168,3 +171,64 @@ def test_transversal_singular_and_swapped_blocks():
     res = is_transversal(line, h)
     assert res.verdict == FALSE and res.determinant.is_zero() and res.induced is None
     check_transversal(rng, line, h)
+
+
+def counted_expr_det(monkeypatch) -> list[tuple[int, int]]:
+    """Record (matrix size, eliminated columns) of every ``expr_det`` call that structures makes."""
+    calls = []
+    real = kvgeom.structures.expr_det
+
+    def counted(mat, m):
+        calls.append((len(mat), m))
+        return real(mat, m)
+
+    monkeypatch.setattr(kvgeom.structures, "expr_det", counted)
+    return calls
+
+
+def test_a_pointwise_verdict_eliminates_the_conormal_block_alone(monkeypatch):
+    R4 = Chart("R4", ("x1", "x2", "x3", "x4"))
+    line = AffineSubmanifold(R4, (1, -1, 1, 1), ((1, 0, 0, 0),))
+    rng = random.Random(17)
+    calls = counted_expr_det(monkeypatch)
+    while True:
+        calls.clear()
+        res = is_transversal(line, random_bivector(rng, R4))
+        if res.verdict == POINTWISE_TRUE:
+            break
+    assert calls == [(3, 3)]  # det D of the 3 x 3 conormal block, nothing more
+    block = res.bordered
+    assert calls == [(3, 3), (4, 3)] and len(block.entries) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_bordered_block_is_built_once_and_equals_the_eager_pass(monkeypatch, seed):
+    rng = random.Random(2000 + seed)
+    calls = counted_expr_det(monkeypatch)
+    read = 0
+    for n in (1, 2, 3):
+        chart = Chart(f"R{n}", tuple(f"x{i + 1}" for i in range(n)))
+        for k in range(n + 1):
+            entries = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    entries[i][j] = entries[j][i] = random_entry(rng, chart.coords, rational=n <= 2)
+            h = SymBivector(chart, tuple(map(tuple, entries)))
+            n_sub = random_submanifold(rng, chart, k)
+            res = is_transversal(n_sub, h)
+            calls.clear()
+            first, second = res.bordered, res.bordered
+            if res.verdict == FALSE:
+                assert first is None and not calls
+                continue
+            assert second is first and calls == [(n, n - k)]
+            read += 1
+            if k == n and n_sub.is_identity:
+                assert first == h
+                continue
+            # the pass the verdict used to make: [[D, B^T], [B, A]] with the conormal rows first
+            hy = n_sub.adapted(h).entries
+            det, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], n - k)
+            assert det == res.determinant
+            assert first == SymBivector(n_sub.chart, tuple(map(tuple, trailing)))
+    assert read >= 4

@@ -173,7 +173,9 @@ def test_preimage_transversal_fails_on_a_nonzero_residual(monkeypatch):
         if n_sub.ambient.name != "M":
             return t
         b = t.bordered
-        return dataclasses.replace(t, bordered=type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries)))
+        # ``bordered`` is a cached property: setting it on the instance stands in for the built block
+        object.__setattr__(t, "bordered", type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries)))
+        return t
 
     monkeypatch.setattr(kvgeom.structures, "is_transversal", doubled)
     env = parse_scenario(PREIMAGE_OF_AXIS).env
@@ -390,20 +392,43 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == 2 and "error" in report
 
 
-def test_a_huge_constant_power_is_a_parse_error_at_its_operator(tmp_path):
-    path = tmp_path / "power.kvs"
-    path.write_text("manifold M { dim 1 coords [x] }\nscalar f on M = 7^2147483647\n")
+def _cli_subprocess(path: Path, timeout: float) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
     cli = "import sys; from kvgeom.cli import main; sys.exit(main())"
-    proc = subprocess.run(
-        [sys.executable, "-c", cli, "--scenario", str(path)], env=env, capture_output=True, text=True, timeout=10
+    return subprocess.run(
+        [sys.executable, "-c", cli, "--scenario", str(path)], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_a_huge_constant_power_is_a_parse_error_at_its_operator(tmp_path):
+    path = tmp_path / "power.kvs"
+    path.write_text("manifold M { dim 1 coords [x] }\nscalar f on M = 7^2147483647\n")
+    proc = _cli_subprocess(path, 10)
     message = "power 2147483647 of a 3-bit coefficient exceeds 262144 bits"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: 2:18: {message} (at '^')\n")
     # the cap leaves room for powers far past the reader's 4300 digits
     s = parse_scenario("manifold M { dim 1 coords [x] }\nscalar f on M = 3^10000 * (2/3)^-100000")
     assert s.env["f"].value == Expr.const(Fraction(3 ** 110000, 2 ** 100000))
+
+
+def test_a_power_of_several_terms_past_the_size_estimate_is_a_parse_error(tmp_path):
+    # (x+1)^8000 has 8001 terms of up to about 8000 bits; computing it ran past 20 s
+    path = tmp_path / "power.kvs"
+    path.write_text("manifold M { dim 1 coords [x] }\nscalar f on M = (x + 1)^8000\n")
+    proc = _cli_subprocess(path, 10)
+    message = "power 8000 of a 2-term polynomial exceeds 1048576 bits"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: 2:24: {message} (at '^')\n")
+
+
+def test_a_generic_transversal_with_a_4x4_conormal_block_decides_in_seconds():
+    # a generic quadratic bivector on R^8 and a 4-plane: the verdict reads det D, a 4x4
+    # determinant; the bordered 8x8 block that no check here reads took 6-8 s to build
+    path = Path(__file__).resolve().parent / "data" / "transversal_r8_4x4.kvs"
+    proc = _cli_subprocess(path, 20)
+    assert proc.returncode == 0 and proc.stderr == ""
+    checks = json.loads(proc.stdout)["checks"]
+    assert [(c["kind"], c["status"]) for c in checks] == [("transversal", "pointwise-pass"), ("coisotropic", "pass")]
 
 
 def test_unreadable_scenario_files_exit_2(tmp_path, capsys):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bivector, random_oneform, random_point, random_poly, random_scalar
-from kvgeom.algebra import algebra_to_kv, random_algebra
+from conftest import random_algebra, random_bivector, random_oneform, random_point, random_poly, random_scalar
+from kvgeom.algebra import algebra_to_kv
 from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
 from kvgeom.geometry import (
     Chart,

@@ -229,6 +229,22 @@ def test_canonical_monomial_order_in_strings():
     assert str(e2) == "x*y^2 + x^2"
 
 
+def test_a_power_of_several_terms_is_refused_by_its_estimated_size():
+    # the estimate is terms x coefficient bits: (x+1)^k has k + 1 terms of at most k + 1 bits
+    x, y, one = Poly.var("x"), Poly.var("y"), Poly.const(1)
+    assert len(((x + one) ** 500).terms) == 501
+    assert len(((x + y + one) ** 40).terms) == 861
+    for p, k in ((x + one, 8000), (x + one, 2 ** 31 - 1), (x + y + one, 100), (Poly.const(3) * x - Poly.const(7), 500)):
+        with pytest.raises(DegreeOverflow, match=f"power {k} of a {len(p.terms)}-term polynomial exceeds 1048576 bits"):
+            p ** k
+    # the spread of the exponents bounds the term count too: 1 + x + ... + x^499 squared has
+    # 999 terms, not the C(501, 2) that 500 terms could make
+    dense = sum((x ** i for i in range(1, 500)), one)
+    assert len((dense ** 2).terms) == 999
+    with pytest.raises(DegreeOverflow):
+        Expr(x + one) ** -8000  # the power of the denominator
+
+
 def test_coefficients_of_any_length_print_exactly():
     """Past CPython's 4300-digit int-to-str limit, with zeros where the printed parts meet."""
     big = 10 ** 5000 + 7
