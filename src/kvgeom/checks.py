@@ -25,6 +25,7 @@ from typing import Callable
 from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra
 from .errors import EngineInconsistency, PoleAtPoint
 from .geometry import (
+    _codazzi_entries,
     codazzi_tensor,
     hessian_contraction,
     is_kv,
@@ -47,7 +48,7 @@ from .structures import (
     theorem1_equivalences,
 )
 from .symexpr import Expr, _rational_str, distinct_sample_points
-from .tangent import build_pi, lift_propositions_check, schouten_jacobi
+from .tangent import _jacobi_entries, build_pi, lift_propositions_check
 
 PASS = "pass"
 FAIL = "fail"
@@ -94,10 +95,14 @@ def _indexed(entries, at: tuple[int, ...] = ()):
 def _residual_verdict(residuals, passed: str, failed: str):
     """PASS when every residual is zero, or FAIL at the first nonzero one.
 
-    ``failed`` may contain ``{at}``, which becomes the 1-based index of the
-    failing entry, e.g. ``(1,2,3)``.
+    ``residuals`` are (index, entry) pairs in row-major order: ``_indexed``
+    of a full table, or a lazy generator of the entries that decide it.
+    They are read up to the first nonzero one and no further, so a lazy
+    generator computes no entry that the verdict does not read.  ``failed``
+    may contain ``{at}``, which becomes the 1-based index of the failing
+    entry, e.g. ``(1,2,3)``.
     """
-    for idx, e in _indexed(residuals):
+    for idx, e in residuals:
         if not e.is_zero():
             at = "(" + ",".join(str(i + 1) for i in idx) + ")"
             return FAIL, failed.replace("{at}", at), e, []
@@ -160,8 +165,8 @@ def _basis_dim(env, check):
 
 
 def _run_codazzi(env, check, seed, samples):
-    tri = codazzi_tensor(env[check.args[0]])
-    return _residual_verdict(tri.entries, "contravariant Codazzi identity holds", "defect at indices {at}")
+    entries = _codazzi_entries(env[check.args[0]])
+    return _residual_verdict(entries, "contravariant Codazzi identity holds", "defect at indices {at}")
 
 
 def _run_kv_bracket(env, check, seed, samples):
@@ -174,23 +179,25 @@ def _run_kv_bracket(env, check, seed, samples):
             for k in range(n):
                 if tri.entry(i, j, k) != -cod.entry(i, j, k):
                     raise EngineInconsistency("bracket table does not match the Codazzi defect up to sign")
-    return _residual_verdict(tri.entries, "self-bracket of the bivector vanishes", "bracket nonzero at {at}")
+    return _residual_verdict(_indexed(tri.entries), "self-bracket of the bivector vanishes", "bracket nonzero at {at}")
 
 
 def _run_jacobi_tangent(env, check, seed, samples):
     h = env[check.args[0]]
-    tri = schouten_jacobi(build_pi(h))
-    if tri.is_zero() != is_kv(h):
-        raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
-    return _residual_verdict(
-        tri.entries, "tangent-lift bivector satisfies the Jacobi identity", "Jacobiator nonzero at {at}"
+    verdict = _residual_verdict(
+        _jacobi_entries(build_pi(h)),
+        "tangent-lift bivector satisfies the Jacobi identity",
+        "Jacobiator nonzero at {at}",
     )
+    if (verdict[0] == PASS) != is_kv(h):
+        raise EngineInconsistency("tangent Jacobi verdict disagrees with the Codazzi verdict")
+    return verdict
 
 
 def _run_kv_map(env, check, seed, samples):
     a = check.args
     res = kv_map_residuals(env[a[0]], env[a[1]], env[a[2]])
-    return _residual_verdict(res, "map preserves the bivector pairing", "pairing mismatch at {at}")
+    return _residual_verdict(_indexed(res), "map preserves the bivector pairing", "pairing mismatch at {at}")
 
 
 def _run_theorem1(env, check, seed, samples):
@@ -215,7 +222,7 @@ def _run_submanifold(env, check, seed, samples):
     note = _kv_note(env[check.args[1]])
     induced = "induced structure on a point" if res.induced is None else _matrix_str(res.induced.entries)
     return _residual_verdict(
-        res.residuals,
+        _indexed(res.residuals),
         f"conormal rows vanish on the submanifold; induced {induced}{note}",
         f"a conormal row of the bivector survives restriction{note}",
     )
@@ -244,7 +251,9 @@ def _run_transversal(env, check, seed, samples):
 def _run_coisotropic(env, check, seed, samples):
     res = coisotropy_residuals(env[check.args[0]], env[check.args[1]])
     return _residual_verdict(
-        res, "sharp of the conormal stays tangent", "conormal-conormal block does not vanish on the submanifold"
+        _indexed(res),
+        "sharp of the conormal stays tangent",
+        "conormal-conormal block does not vanish on the submanifold",
     )
 
 
@@ -287,7 +296,9 @@ def _run_preimage_transversal(env, check, seed, samples):
 
 def _run_in_E(env, check, seed, samples):
     res = hessian_contraction(env[check.args[0]], env[check.args[1]])
-    return _residual_verdict(res, "function is affine along the leaves", "leafwise-affine residual nonzero at {at}")
+    return _residual_verdict(
+        _indexed(res), "function is affine along the leaves", "leafwise-affine residual nonzero at {at}"
+    )
 
 
 def _run_special_class(env, check, seed, samples):
@@ -351,12 +362,12 @@ def _run_annihilator(env, check, seed, samples):
     n_sub = annihilator_submanifold(SubspaceSpec(spec, opts.basis, opts.subspace_kind), h.chart)
     if opts.subspace_kind == "ideal":
         return _residual_verdict(
-            is_kv_submanifold(n_sub, h).residuals,
+            _indexed(is_kv_submanifold(n_sub, h).residuals),
             "ideal annihilator is a K-V submanifold of the dual",
             "ideal annihilator fails the K-V submanifold criterion",
         )
     return _residual_verdict(
-        coisotropy_residuals(n_sub, h),
+        _indexed(coisotropy_residuals(n_sub, h)),
         "subalgebra annihilator is coisotropic in the dual",
         "subalgebra annihilator is not coisotropic",
     )

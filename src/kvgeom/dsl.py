@@ -34,7 +34,7 @@ from .errors import DegreeOverflow, ParseError, SemanticError
 from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
-from .symexpr import _DIGITS, Expr
+from .symexpr import _DIGITS, Expr, _check_product
 
 # option keyword -> CheckOptions field
 _OPTION_FIELDS = {
@@ -318,8 +318,18 @@ class _Parser:
         return depth + 1
 
     def apply(self, op: Token, a: Expr, b: Expr | int) -> Expr:
-        """The one application of an operator; a degree past the packed field width is a ParseError at ``op``."""
+        """The one application of an operator.
+
+        A degree past the packed field width, or a product or power past the
+        size bounds of ``symexpr``, is a ParseError at ``op``.
+        """
         try:
+            if op.text == "*":
+                _check_product(a.num, b.num)
+                _check_product(a.den, b.den)
+            elif op.text == "/":
+                _check_product(a.num, b.den)
+                _check_product(a.den, b.num)
             return _OPS[op.text](a, b)
         except DegreeOverflow as exc:
             raise ParseError(op.line, op.col, str(exc), op.text) from None

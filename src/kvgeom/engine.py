@@ -44,14 +44,18 @@ WITNESS_TRIES = 200
 
 
 def _find_witness(residual: Expr, seed: int, tries: int = WITNESS_TRIES) -> Witness | None:
-    """Deterministic search for a point where a nonzero residual does not vanish; None when no try finds one."""
+    """Deterministic search for a point where a nonzero residual does not vanish; None when no try finds one.
+
+    A try at a pole, or at a point where the value would be too long to
+    compute (``DegreeOverflow``), is skipped.
+    """
     rng = random.Random(seed)
     variables = sorted(residual.variables())
     for _ in range(tries):
         point = dict(zip(variables, sample_point(rng, len(variables))))
         try:
             value = residual.eval_at(point)
-        except PoleAtPoint:
+        except (PoleAtPoint, DegreeOverflow):
             continue
         if value != 0:
             return Witness(tuple(_rational_str(point[v]) for v in variables), str(residual))

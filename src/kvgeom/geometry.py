@@ -219,12 +219,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, tuple(p - q for p, q in zip(a.components, b.components)))
 
 
-def _codazzi_entries(h: SymBivector) -> Iterator[tuple[int, int, int, Expr]]:
-    """(i, j, k, T(i,j,k)) for i < j, with T(i,j,k) = sum_l (h_il d_l h_jk - h_jl d_l h_ik).
+def _codazzi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+    """((i, j, k), T(i,j,k)) for i < j, with T(i,j,k) = sum_l (h_il d_l h_jk - h_jl d_l h_ik).
 
     The one Codazzi formula.  Entries come lazily, in row-major order, and
     the derivative row d h_jk (shared with d h_kj) is taken when an entry
     first needs it, so a consumer that stops early pays for what it read.
+    T is antisymmetric in (i, j), so the first nonzero entry of the full
+    table in row-major order is the first nonzero one yielded here.
     """
     coords = h.chart.coords
     n = len(coords)
@@ -241,7 +243,7 @@ def _codazzi_entries(h: SymBivector) -> Iterator[tuple[int, int, int, Expr]]:
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                yield i, j, k, _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
+                yield (i, j, k), _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
 
 
 def codazzi_tensor(h: SymBivector) -> TrilinearForm:
@@ -251,15 +253,19 @@ def codazzi_tensor(h: SymBivector) -> TrilinearForm:
     """
     n = h.chart.dim
     table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i, j, k, s in _codazzi_entries(h):
+    for (i, j, k), s in _codazzi_entries(h):
         table[i][j][k] = s
         table[j][i][k] = -s
     return TrilinearForm(h.chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
 
 
 def is_kv(h: SymBivector) -> bool:
-    """Whether T = 0, stopping at the first nonzero Codazzi entry: one entry decides a generic h."""
-    return all(s.is_zero() for _, _, _, s in _codazzi_entries(h))
+    """Whether T = 0, stopping at the first nonzero Codazzi entry: one entry decides a generic h.
+
+    ``check codazzi`` reads the same entries, so its verdict and this one
+    stop at the same entry.
+    """
+    return all(s.is_zero() for _, s in _codazzi_entries(h))
 
 
 def kv_bracket_form(h: SymBivector) -> TrilinearForm:

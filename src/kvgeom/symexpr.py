@@ -12,7 +12,9 @@ guard-bit mask.  Every degree stays below the guard bit; a product or power
 that would reach it raises ``DegreeOverflow``, so fields never wrap.  So does
 a power whose largest coefficient or denominator, raised to it, would pass
 ``_MAX_BITS`` bits, and a power of several terms whose estimated size (terms
-times coefficient bits) would pass ``_MAX_SIZE`` bits.
+times coefficient bits) would pass ``_MAX_SIZE`` bits; the parser bounds its
+products by the same estimate (``_check_product``).  ``Poly.eval`` refuses
+a point where the powers of the coordinates would pass ``_MAX_SIZE`` bits.
 
 An ``Expr`` is a quotient of two ``Poly`` in canonical form: numerator and
 denominator coprime, denominator monic.  Both representations are unique, so
@@ -67,7 +69,7 @@ def _check_bits(c: int, k: int) -> None:
         raise DegreeOverflow(f"power {k} of a {b}-bit coefficient exceeds {_MAX_BITS} bits")
 
 
-_MAX_SIZE = 1 << 20  # the most bits, over all its terms, that a power of several terms may produce
+_MAX_SIZE = 1 << 20  # the most bits that a power of several terms (over all its terms), or a value, may produce
 
 
 def _check_size(terms: dict[int, int], k: int, n: int) -> None:
@@ -89,6 +91,34 @@ def _check_size(terms: dict[int, int], k: int, n: int) -> None:
         if min(comb(k + t - 1, t - 1), box) * bits < _MAX_SIZE:
             return
     raise DegreeOverflow(f"power {k} of a {t}-term polynomial exceeds {_MAX_SIZE} bits")
+
+
+def _check_product(p: "Poly", q: "Poly") -> None:
+    """Refuse a product p q, both of two or more terms, whose estimated size passes _MAX_SIZE bits.
+
+    The estimate is that of ``_check_size``.  p q has at most t_p t_q terms,
+    and at most prod_v (s_v + 1), with s_v the spread (highest minus lowest
+    exponent) of v in p plus that in q.  Each coefficient is a sum of at
+    most min(t_p, t_q) products of a coefficient of p and one of q.  A
+    product with a monomial factor is never refused, and pays two length
+    tests.
+    """
+    tp, tq = len(p.terms), len(q.terms)
+    if tp < 2 or tq < 2:
+        return
+    bits = sum(max(map(abs, r.terms.values())).bit_length() for r in (p, q)) + min(tp, tq).bit_length()
+    if tp * tq * bits < _MAX_SIZE:
+        return
+    spread: dict[str, int] = {}
+    for r in (p, q):
+        n = len(r.vars)
+        for v, es in zip(r.vars, zip(*(_exponents(key, n) for key in r.terms))):
+            spread[v] = spread.get(v, 0) + max(es) - min(es)
+    box = 1
+    for s in spread.values():
+        box *= s + 1
+    if min(tp * tq, box) * bits >= _MAX_SIZE:
+        raise DegreeOverflow(f"product of a {tp}-term and a {tq}-term polynomial exceeds {_MAX_SIZE} bits")
 
 
 def _exponents(k: int, n: int) -> list[int]:
@@ -209,7 +239,7 @@ class Poly:
     """Sparse multivariate polynomial over the rationals, with integer
     coefficients over one denominator and packed monomial keys."""
 
-    __slots__ = ("vars", "terms", "den")
+    __slots__ = ("vars", "terms", "den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         p = _P_ZERO
@@ -341,7 +371,14 @@ class Poly:
         return _make(self.vars, t, self.den)
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Value at ``point``: one integer sum over a common denominator."""
+        """Value at ``point``: one integer sum over a common denominator.
+
+        A point where the powers of the coordinates would pass ``_MAX_SIZE``
+        bits raises ``DegreeOverflow`` before any of them is computed: the
+        degree allows x^(2^30), whose value at x = 2 alone is 128 MiB, and
+        reducing a value of 2^20 bits over a denominator as long already
+        takes over a second.
+        """
         if not self.vars:
             return self.const_value()
         for v in self.vars:
@@ -350,13 +387,19 @@ class Poly:
         # x_v = a_v / b_v of degree d_v: a term c x^e is c prod a_v^e b_v^(d_v - e)
         # over den * prod b_v^d_v; powers are cached per exponent
         cols = []
-        scale = self.den
+        bits = 0  # about log2 of the largest product of powers; 0 when every |a_v| and b_v is 1
         for i, v in enumerate(reversed(self.vars)):  # lowest field first
             x = Fraction(point[v])
             s = i * _W
             d = max(k >> s & _FIELD for k in self.terms)
-            cols.append((x.numerator, x.denominator, d, {}))
-            scale *= x.denominator ** d
+            a, b = x.numerator, x.denominator
+            bits += d * (max(-a, a, b).bit_length() - 1)
+            cols.append((a, b, d, {}))
+        if bits >= _MAX_SIZE:
+            raise DegreeOverflow(f"value at the point exceeds {_MAX_SIZE} bits")
+        scale = self.den
+        for _, b, d, _ in cols:
+            scale *= b ** d
         total = 0
         for k, c in self.terms.items():
             for a, b, d, cache in cols:
@@ -378,7 +421,12 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.den, frozenset(self.terms.items())))
+        """Hash of the canonical representation, computed on the first call and then kept."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.vars, self.den, frozenset(self.terms.items())))
+            return h
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"

@@ -10,6 +10,8 @@ computed directly from the coordinate formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
 from .errors import ChartMismatch
 from .geometry import (
     Chart,
@@ -148,32 +150,50 @@ def pi_sharp(pi: SkewBivector, alpha: OneForm) -> VectorField:
     return VectorField(pi.chart, tuple(_dot(alpha.components, col) for col in zip(*pi.entries)))
 
 
-def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
-    """Jacobiator J(i,j,k) = sum_l (P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij).
+def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+    """((i, j, k), J(i,j,k)) for i < j < k, in lexicographic order, lazily.
 
-    Totally antisymmetric, so only i < j < k is computed; the bivector is
-    Poisson iff the table is zero.  Products with a zero factor are left
-    out: on a lift the base-base and fiber-fiber blocks vanish, and so does
-    every derivative along a fiber coordinate.
+    J(i,j,k) = sum_l (P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij), read
+    as sum_l (P_li d_l P_jk - P_lj d_l P_ik + P_lk d_l P_ij) by the
+    antisymmetry of P, so every derivative row is one of d P_ab, a < b.  A
+    row is taken when an entry first needs it, so a consumer that stops
+    early pays for what it read.  Products with a zero factor are left out:
+    on a lift the base-base and fiber-fiber blocks vanish, and so does
+    every derivative along a fiber coordinate.  J is totally antisymmetric,
+    so the first nonzero entry of the full table in row-major order is the
+    first nonzero one yielded here.
     """
-    chart = pi.chart
-    n2 = chart.dim
     P = pi.entries
-    coords = chart.coords
-    dP = [[[P[i][j].diff(v) for v in coords] for j in range(n2)] for i in range(n2)]
+    coords = pi.chart.coords
+    n2 = len(coords)
     cols = list(zip(*P))
-    table = [[[ZERO for _ in range(n2)] for _ in range(n2)] for _ in range(n2)]
+    rows: dict[tuple[int, int], list[Expr]] = {}
+
+    def d(a: int, b: int) -> list[Expr]:
+        row = rows.get((a, b))
+        if row is None:
+            row = rows[a, b] = [P[a][b].diff(v) for v in coords]
+        return row
+
     for i in range(n2):
         for j in range(i + 1, n2):
             for k in range(j + 1, n2):
-                s = _dot(cols[i], dP[j][k]) + _dot(cols[j], dP[k][i]) + _dot(cols[k], dP[i][j])
-                table[i][j][k] = s
-                table[j][k][i] = s
-                table[k][i][j] = s
-                table[j][i][k] = -s
-                table[i][k][j] = -s
-                table[k][j][i] = -s
-    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
+                yield (i, j, k), _dot(cols[i], d(j, k)) - _dot(cols[j], d(i, k)) + _dot(cols[k], d(i, j))
+
+
+def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
+    """The Jacobiator table of ``pi``; the bivector is Poisson iff it is zero.
+
+    Built from ``_jacobi_entries`` by total antisymmetry.  ``check
+    jacobi_tangent`` reads those entries up to the first nonzero one
+    instead, so the full table is for callers that read every entry.
+    """
+    n2 = pi.chart.dim
+    table = [[[ZERO for _ in range(n2)] for _ in range(n2)] for _ in range(n2)]
+    for (i, j, k), s in _jacobi_entries(pi):
+        table[i][j][k] = table[j][k][i] = table[k][i][j] = s
+        table[j][i][k] = table[i][k][j] = table[k][j][i] = -s
+    return TrilinearForm(pi.chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
 
 
 @dataclass(frozen=True)

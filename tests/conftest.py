@@ -48,6 +48,25 @@ def random_bivector(rng: random.Random, chart: Chart, degree: int = 2) -> SymBiv
     return SymBivector(chart, tuple(tuple(row) for row in entries))
 
 
+def diagonal_profile(rng: random.Random, chart: Chart) -> SymBivector:
+    """diag(f_1(x_1), ..., f_n(x_n)): each diagonal entry in its own coordinate, so K-V."""
+    return SymBivector.diagonal(chart, [random_poly(rng, (v,), 2, terms=2) for v in chart.coords])
+
+
+def bivector_with_a_rational_entry(rng: random.Random, chart: Chart) -> SymBivector:
+    """Random affine bivector with one entry pair replaced by (linear) / (v^2 + c).
+
+    The denominator has no rational zero; one such entry over affine ones
+    keeps the gcds small.
+    """
+    h = random_bivector(rng, chart, 1)
+    rows = [list(row) for row in h.entries]
+    i, j = rng.randrange(chart.dim), rng.randrange(chart.dim)
+    e = random_poly(rng, chart.coords, 1, terms=2) / (Expr.var(rng.choice(chart.coords)) ** 2 + rng.randint(1, 3))
+    rows[i][j] = rows[j][i] = e
+    return SymBivector(chart, tuple(tuple(row) for row in rows))
+
+
 def random_oneform(rng: random.Random, chart: Chart, degree: int = 2) -> OneForm:
     return OneForm(chart, tuple(random_poly(rng, chart.coords, degree, terms=3) for _ in chart.coords))
 

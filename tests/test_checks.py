@@ -1,15 +1,24 @@
-"""The check table: every kind's arguments, chart rule and required options are enforced."""
+"""The check table: every kind's arguments, chart rule and required options are enforced;
+and the lazy ``codazzi`` and ``jacobi_tangent`` verdicts equal the verdicts over full tables."""
 
+import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from kvgeom.checks import CHECKS
+from conftest import bivector_with_a_rational_entry, diagonal_profile, random_algebra, random_bivector
+import kvgeom.geometry
+import kvgeom.tangent
+from kvgeom.algebra import algebra_to_kv
+from kvgeom.checks import CHECKS, _indexed, _residual_verdict
 from kvgeom.cli import run
 from kvgeom.dsl import parse_scenario
 from kvgeom.engine import RunConfig
 from kvgeom.errors import ParseError, SemanticError
+from kvgeom.geometry import Chart, codazzi_tensor
+from kvgeom.tangent import _jacobi_entries, build_pi, schouten_jacobi
 
 # one object of every declaration kind on M, and a second copy on the chart P
 DECLS = """manifold M { dim 2 coords [x y] }
@@ -119,3 +128,73 @@ def test_readme_lists_every_check_kind_in_table_order():
     listing = re.search(r"Check kinds:(.*?)\.\n", readme, re.DOTALL)
     assert listing is not None
     assert re.findall(r"`([^`]+)`", listing.group(1)) == list(CHECKS)
+
+
+# --- lazy verdicts ------------------------------------------------------------------
+
+
+def _chart(n):
+    return Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+
+
+def _run(kind, h):
+    return CHECKS[kind].run({"h": h}, SimpleNamespace(args=("h",)), 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lazy_verdicts_equal_the_verdicts_over_full_tables(n):
+    # status, details, residual and claims: a lazy reader stops at the entry that a
+    # row-major pass over the whole table reports, since an antisymmetric image of an
+    # i < j (or i < j < k) entry always comes after it
+    rng = random.Random(400 + n)
+    chart = _chart(n)
+    cases = [
+        diagonal_profile(rng, chart),
+        algebra_to_kv(random_algebra(rng, n), chart),
+        random_bivector(rng, chart, 2),
+        random_bivector(rng, chart, 2),
+        bivector_with_a_rational_entry(rng, chart),
+    ]
+    statuses = []
+    for h in cases:
+        codazzi = _residual_verdict(
+            _indexed(codazzi_tensor(h).entries), "contravariant Codazzi identity holds", "defect at indices {at}"
+        )
+        jacobi = _residual_verdict(
+            _indexed(schouten_jacobi(build_pi(h)).entries),
+            "tangent-lift bivector satisfies the Jacobi identity",
+            "Jacobiator nonzero at {at}",
+        )
+        assert _run("codazzi", h) == codazzi
+        assert _run("jacobi_tangent", h) == jacobi
+        statuses.append(codazzi[0])
+    assert statuses[:2] == ["pass", "pass"]
+    assert statuses[2:] == (["pass"] * 3 if n == 1 else ["fail"] * 3)  # every h on a line is K-V
+
+
+def _count_dot(monkeypatch, module):
+    calls = []
+    original = module._dot
+
+    def counted(u, v):
+        calls.append(None)
+        return original(u, v)
+
+    monkeypatch.setattr(module, "_dot", counted)
+    return calls
+
+
+def test_lazy_verdicts_stop_at_the_first_nonzero_entry(monkeypatch):
+    h = random_bivector(random.Random(5), _chart(4), 2)
+    codazzi_calls = _count_dot(monkeypatch, kvgeom.geometry)
+    assert _run("codazzi", h)[:2] == ("fail", "defect at indices (1,2,1)")
+    assert len(codazzi_calls) == 2  # T(1,2,1) alone; the whole table takes 2 * 4 * 6 = 48
+
+    jacobi_calls = _count_dot(monkeypatch, kvgeom.tangent)
+    read = next(t for t, (_, s) in enumerate(_jacobi_entries(build_pi(h)), 1) if not s.is_zero())
+    jacobi_calls.clear()
+    codazzi_calls.clear()
+    assert _run("jacobi_tangent", h)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
+    assert read == 16  # (1,5,6) comes after the 15 triples (1, j, k) with j <= 4
+    assert len(jacobi_calls) == 3 * read  # three per triple read; the whole table takes 3 * C(8, 3) = 168
+    assert len(codazzi_calls) == 2  # the cross-check with is_kv stops at T(1,2,1) too

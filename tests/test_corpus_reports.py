@@ -2,7 +2,10 @@
 
 The eight benchmark entries are compared with the benchmark's own golden
 reports (``perfbench/golden``); ``worked_examples``, which runs every check
-kind, is compared with ``tests/golden`` in both output formats.
+kind, is compared with ``tests/golden`` in both output formats.  So are two
+R^6 tensor scenarios in ``tests/data``, one K-V diagonal profile and one
+generic quadratic bivector that fails every check, as the benchmark's
+``tensor_scaling`` workload generates them.
 """
 
 from pathlib import Path
@@ -35,3 +38,14 @@ def test_json_report_matches_golden(name):
 def test_worked_examples_text_report_matches_golden():
     golden = ROOT / "tests" / "golden" / "worked_examples.txt"
     assert _report("worked_examples", "text") == golden.read_text(encoding="utf-8")
+
+
+TENSOR_CASES = ("tensor_r6_diag_profile", "tensor_r6_generic_quadratic")
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+@pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
+def test_tensor_scenario_report_matches_golden(name, format, suffix):
+    scenario = str(ROOT / "tests" / "data" / f"{name}.kvs")
+    golden = ROOT / "tests" / "golden" / f"{name}.{suffix}"
+    assert _report(scenario, format) == golden.read_text(encoding="utf-8")

@@ -421,6 +421,46 @@ def test_a_power_of_several_terms_past_the_size_estimate_is_a_parse_error(tmp_pa
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: 2:24: {message} (at '^')\n")
 
 
+@pytest.mark.parametrize("op, rhs", [("*", "(x + 1)^590"), ("/", "(1 / (x - 1)^590)")])
+def test_a_product_past_the_size_estimate_is_a_parse_error_at_its_operator(tmp_path, op, rhs):
+    # each factor is admitted; computing (x + 1)^590 * (x + 1)^590 took 0.3 s, and a
+    # product of eight such factors 15.6 s
+    path = tmp_path / "product.kvs"
+    path.write_text(f"manifold M {{ dim 1 coords [x] }}\nscalar f on M = (x + 1)^590 {op} {rhs}\n")
+    proc = _cli_subprocess(path, 10)
+    message = "product of a 591-term and a 591-term polynomial exceeds 1048576 bits"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {path}: 2:29: {message} (at '{op}')\n")
+
+
+def test_a_codazzi_verdict_reads_no_entry_past_the_first_nonzero_one(tmp_path):
+    # T(1,2,1) = -x z^(2^30 + 1) decides the check; a later entry has a degree past the
+    # packed field width, and a full table, as kv_bracket builds, cannot be built
+    path = tmp_path / "codazzi.kvs"
+    path.write_text(
+        "manifold M { dim 3 coords [x y z] }\n"
+        "bivector h on M { [x*y, 0, 0; z^1073741825, 0; z^1073741825] }\n"
+        "check codazzi h\ncheck kv_bracket h\n"
+    )
+    proc = _cli_subprocess(path, 10)
+    assert proc.returncode == 1 and proc.stderr == ""
+    codazzi, bracket = json.loads(proc.stdout)["checks"]
+    assert (codazzi["status"], codazzi["details"]) == ("fail", "defect at indices (1,2,1)")
+    assert codazzi["witness"] == {"point": ["2/3", "1"], "residual": "-x*z^1073741825"}
+    assert bracket["status"] == "unsupported" and "exceeds the largest supported degree" in bracket["details"]
+
+
+def test_the_witness_search_skips_points_whose_value_is_too_long(tmp_path):
+    # x^(2^30 + 2) at x = 2 has 2^30 bits: a try there ran for minutes; at x = -1 it is 1
+    path = tmp_path / "witness.kvs"
+    path.write_text(
+        "manifold M { dim 2 coords [x y] }\nbivector h on M { [x*y, 1; 1, x^1073741825] }\ncheck codazzi h\n"
+    )
+    proc = _cli_subprocess(path, 10)
+    assert proc.returncode == 1 and proc.stderr == ""
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["witness"] == {"point": ["-1", "2/3"], "residual": "-x^1073741826 - y"}
+
+
 def test_a_generic_transversal_with_a_4x4_conormal_block_decides_in_seconds():
     # a generic quadratic bivector on R^8 and a 4-plane: the verdict reads det D, a 4x4
     # determinant; the bordered 8x8 block that no check here reads took 6-8 s to build

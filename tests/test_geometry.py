@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_algebra, random_bivector, random_oneform, random_point, random_poly, random_scalar
+from conftest import (
+    bivector_with_a_rational_entry,
+    diagonal_profile,
+    random_algebra,
+    random_bivector,
+    random_oneform,
+    random_point,
+    random_scalar,
+)
 from kvgeom.algebra import algebra_to_kv
 from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
 from kvgeom.geometry import (
@@ -122,20 +130,6 @@ def kv_bracket_reference(h):
     ]
 
 
-def bivector_with_a_rational_entry(rng, chart):
-    """Random affine bivector with one entry pair replaced by (linear) / (v^2 + c).
-
-    The denominator has no rational zero; one such entry over affine ones
-    keeps the gcds small.
-    """
-    h = random_bivector(rng, chart, 1)
-    rows = [list(row) for row in h.entries]
-    i, j = rng.randrange(chart.dim), rng.randrange(chart.dim)
-    e = random_poly(rng, chart.coords, 1, terms=2) / (Expr.var(rng.choice(chart.coords)) ** 2 + rng.randint(1, 3))
-    rows[i][j] = rows[j][i] = e
-    return SymBivector(chart, tuple(tuple(row) for row in rows))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kv_bracket_form_equals_the_per_entry_formula(n):
     rng = random.Random(100 + n)
@@ -150,11 +144,6 @@ def test_kv_bracket_form_equals_the_per_entry_formula(n):
             for j in range(n):
                 for k in range(n):
                     assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
-
-
-def diagonal_profile(rng, chart):
-    """diag(f_1(x_1), ..., f_n(x_n)): each diagonal entry in its own coordinate, so K-V."""
-    return SymBivector.diagonal(chart, [random_poly(rng, (v,), 2, terms=2) for v in chart.coords])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

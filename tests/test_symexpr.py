@@ -245,6 +245,28 @@ def test_a_power_of_several_terms_is_refused_by_its_estimated_size():
         Expr(x + one) ** -8000  # the power of the denominator
 
 
+def test_a_parsed_product_is_refused_by_its_estimated_size():
+    # (x+1)^590 has 591 terms of up to 585 bits; its square would have 1181 terms of up to 1180
+    message = "product of a 591-term and a 591-term polynomial exceeds 1048576 bits"
+    assert _error("(x + 1)^590 * (x + 1)^590") == (1, 13, message, "*")
+    assert _error("(x + 1)^590 / (1 / (y + 1)^590)") == (1, 13, message, "/")  # num times den
+    assert _error("(x + 1)^590 * (y + 1)^590") == (1, 13, message, "*")  # 591^2 terms
+    # the same estimate as a power; a monomial factor is never refused
+    assert parse_expr("(x + 1)^300 * (x + 1)^300") == parse_expr("((x + 1)^300)^2")
+    assert parse_expr("(x + 1)^590 * 3*x^2147483000") == parse_expr("3*x^2147483000*(x + 1)^590")
+
+
+def test_a_value_too_long_to_compute_is_refused_at_the_point():
+    # x^(2^30 + 1) at x = 2 has 2^30 bits; at 0 and at +-1 every power is 0 or +-1
+    e = parse_expr("x^1073741825*y - 1")
+    with pytest.raises(DegreeOverflow, match="value at the point exceeds 1048576 bits"):
+        e.eval_at({"x": 2, "y": 1})
+    with pytest.raises(DegreeOverflow):
+        (1 / e).eval_at({"x": Fraction(1, 3), "y": 1})  # in the denominator too
+    assert [e.eval_at({"x": x, "y": 5}) for x in (0, 1, -1)] == [-1, 4, -6]
+    assert parse_expr("x^100000").eval_at({"x": Fraction(3, 7)}) == Fraction(3 ** 100000, 7 ** 100000)  # 2^18 bits
+
+
 def test_coefficients_of_any_length_print_exactly():
     """Past CPython's 4300-digit int-to-str limit, with zeros where the printed parts meet."""
     big = 10 ** 5000 + 7

@@ -13,6 +13,7 @@ from functools import cmp_to_key
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kvgeom.dsl import parse_expr
 from kvgeom.errors import PoleAtPoint, ZeroDenominator
 from kvgeom.symexpr import Expr, Poly, _from_univar, _monic, _pseudo_rem, _univar, divexact, poly_gcd
 
@@ -270,6 +271,19 @@ def test_equality_and_hash_follow_the_terms(p, q):
     assert A * B == B * A and hash(A * B) == hash(B * A)
     assert (A == B) == (p == q)
     assert (Expr(A) == Expr(B)) == (p == q)
+
+
+@kernel
+@given(exprs, nonzero_exprs)
+def test_equal_values_built_by_different_routes_hash_equal(a, b):
+    # a Poly keeps its hash after the first call, so hash a before the others are built
+    h = hash(a)
+    routes = [(a + b) - b, (a * b) / b, parse_expr(str(a)), a.substitute({"x": Expr.var("x")}), -(-a)]
+    routes.append(Expr(a.num * b.num, a.den * b.num))  # reduced by a gcd
+    for r in routes:
+        assert r == a and hash(r) == h == hash(a)
+        assert hash(r.num) == hash(a.num) and hash(r.den) == hash(a.den)
+    assert len({a, *routes}) == 1
 
 
 @kernel
