@@ -164,7 +164,7 @@ def run_scenario(
     records: list[CheckRecord] = []
     for idx, check in enumerate(scenario.checks):
         record = run_check(scenario.env, check, seed * 1000003 + check_offset + idx, samples)
-        _oracle_verify(record, seed * 7 + check_offset + idx, samples)
+        _oracle_verify(record, seed * 7 + check_offset + idx, check.options.samples or samples)
         records.append(record)
         if fail_fast and record.outcome.status in (FAIL, UNSUPPORTED):
             break

@@ -9,9 +9,9 @@ verdict eliminates the conormal block D alone.  A transversal result keeps
 det D and the adapted entries; the bordered block det D * (A - B D^{-1} B^T)
 is built from them when it is first read, and the induced structure divides
 the one by the other when it is read, so no verdict divides a rational
-function or builds a block it does not read.  ``preimage_transversal``
-decides the pullback claim on these blocks with their denominators cleared,
-so it neither divides nor samples.
+function or builds a block it does not read (of a rational h, each output
+is normalized once).  ``preimage_transversal`` decides the pullback claim on
+these blocks with their denominators cleared, so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer, and every table
@@ -19,8 +19,9 @@ symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
 components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
 the change to adapted coordinates), and ``expr_det`` is the one exact
-elimination: it yields a determinant and, given a border, in the same pass
-the bordered determinants of a Schur complement.
+elimination: it clears each row's denominators, eliminates over polynomials,
+and yields a determinant and, given a border, in the same pass the bordered
+determinants of a Schur complement.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
 {y_{k+1} = ... = y_n = 0}.  ``AffineSubmanifold`` builds its frame C (the
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 from random import Random
 from typing import Sequence
 
@@ -70,7 +72,7 @@ from .geometry import (
     hamiltonian,
     sharp,
 )
-from .symexpr import ONE, ZERO, Expr, Rational, _rational_str, distinct_sample_points, divexact
+from .symexpr import _P_ONE, ONE, ZERO, Expr, Poly, Rational, _rational_str, distinct_sample_points, divexact
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -471,18 +473,18 @@ def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Exp
     Pivots are taken from the first m rows only.  Returns det L, where L is
     the leading m x m block, and the trailing block whose (i, j) entry is the
     bordered determinant of L with row m + i and column m + j appended.  Both
-    are sign-corrected for row swaps.  Each step divides by the previous
-    pivot, which is exact by Sylvester's identity (Bareiss 1968), so
-    polynomial entries stay polynomial throughout: when every entry is a
-    polynomial the quotient is ``divexact`` of the numerators, with no gcd,
-    and rational entries divide as expressions.  When L is singular the
+    are sign-corrected for row swaps.  Each row is first multiplied by the
+    product of its distinct denominators, so an entry becomes its numerator
+    times the others, and the pass runs over polynomials: each step is
+    ``divexact`` by the previous pivot, exact by Sylvester's identity (Bareiss
+    1968), with no gcd.  Each output is built once, at the end, over its rows'
+    factors; only a rational one is normalized.  When L is singular the
     result is (ZERO, None).  A plain determinant is ``expr_det(mat, len(mat))[0]``.
     """
-    rows = [list(r) for r in mat]
+    row_dens = [list(dict.fromkeys(e.den for e in row if e.den is not _P_ONE)) for row in mat]
+    rows = [[prod((d for d in dens if d != e.den), start=e.num) for e in row] for row, dens in zip(mat, row_dens)]
     size = len(rows)
-    polynomial = all(e.den.is_const() for row in rows for e in row)
-    quotient = _exact_quotient if polynomial else Expr.__truediv__
-    prev, negate = ONE, False
+    prev, negate = _P_ONE, False
     for c in range(m):
         piv = next((r for r in range(c, m) if not rows[r][c].is_zero()), None)
         if piv is None:
@@ -492,19 +494,20 @@ def expr_det(mat: Sequence[Sequence[Expr]], m: int) -> tuple[Expr, list[list[Exp
             negate = not negate
         p = rows[c][c]
         for r in range(c + 1, size):
-            rows[r][c + 1:] = [quotient(p * rows[r][j] - rows[r][c] * rows[c][j], prev) for j in range(c + 1, size)]
+            rows[r][c + 1:] = [_exact_quotient(p * rows[r][j] - rows[r][c] * rows[c][j], prev) for j in range(c + 1, size)]
         prev = p
-    if negate:
-        return -prev, [[-e for e in row[m:]] for row in rows[m:]]
-    return prev, [row[m:] for row in rows[m:]]
+    sign = -1 if negate else 1
+    lead = prod((d for dens in row_dens[:m] for d in dens), start=_P_ONE)  # swaps stay within these rows
+    dens = [prod(ds, start=lead) for ds in row_dens[m:]]
+    return Expr(prev.scale(sign), lead), [[Expr(e.scale(sign), d) for e in row[m:]] for row, d in zip(rows[m:], dens)]
 
 
-def _exact_quotient(x: Expr, d: Expr) -> Expr:
-    """x / d for polynomials that Sylvester's identity says d divides."""
-    q = divexact(x.num, d.num)
+def _exact_quotient(x: Poly, d: Poly) -> Poly:
+    """One Bareiss step: x / d over polynomials, exact by Sylvester's identity, else an inconsistency."""
+    q = divexact(x, d)
     if q is None:
-        raise EngineInconsistency(f"Bareiss step {x} is not divisible by the previous pivot {d}")
-    return Expr(q)
+        raise EngineInconsistency(f"Bareiss step {Expr(x)} is not divisible by the previous pivot {Expr(d)}")
+    return q
 
 
 def is_transversal(

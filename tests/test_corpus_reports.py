@@ -5,7 +5,8 @@ reports (``perfbench/golden``); ``worked_examples``, which runs every check
 kind, is compared with ``tests/golden`` in both output formats.  So are two
 R^6 tensor scenarios in ``tests/data``, one K-V diagonal profile and one
 generic quadratic bivector that fails every check, as the benchmark's
-``tensor_scaling`` workload generates them.
+``tensor_scaling`` workload generates them, and an R^4 transversal scenario
+whose conormal and bordered blocks have rational-function entries.
 """
 
 from pathlib import Path
@@ -46,6 +47,16 @@ TENSOR_CASES = ("tensor_r6_diag_profile", "tensor_r6_generic_quadratic")
 @pytest.mark.parametrize("name", TENSOR_CASES)
 @pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
 def test_tensor_scenario_report_matches_golden(name, format, suffix):
+    _assert_data_report_matches_golden(name, format, suffix)
+
+
+@pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
+def test_rational_transversal_report_matches_golden(format, suffix):
+    # a symbolic-true verdict that reads the bordered block, a singular block and a sampled one
+    _assert_data_report_matches_golden("transversal_rational_r4", format, suffix)
+
+
+def _assert_data_report_matches_golden(name, format, suffix):
     scenario = str(ROOT / "tests" / "data" / f"{name}.kvs")
     golden = ROOT / "tests" / "golden" / f"{name}.{suffix}"
     assert _report(scenario, format) == golden.read_text(encoding="utf-8")

@@ -69,8 +69,8 @@ def test_expr_det_matches_fraction_determinant(seed):
         for k in range(3):
             for _ in range(3):
                 size = m + k
-                # rational entries up to size 2: poly_gcd in two variables can run for minutes at size 3
-                mat = [[random_entry(rng, coords, rational=size <= 2) for _ in range(size)] for _ in range(size)]
+                # rational entries up to size 3: each output is normalized once, by one gcd in two variables
+                mat = [[random_entry(rng, coords, rational=size <= 3) for _ in range(size)] for _ in range(size)]
                 if m >= 2 and rng.random() < 0.3:  # a multiple of another leading row: L is singular
                     a, b = rng.sample(range(m), 2)
                     mat[a] = [e * rng.choice((2, -1, Fraction(1, 3))) for e in mat[b]]
@@ -89,6 +89,30 @@ def test_expr_det_matches_fraction_determinant(seed):
                         bordered = [row[:m] + [row[m + j]] for row in F[:m]] + [F[m + i][:m] + [F[m + i][m + j]]]
                         assert trailing[i][j].eval_at(env) == leibniz_det(bordered)
     assert swaps > 0 and singular > 0
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_expr_det_builds_its_outputs_only(monkeypatch, m):
+    """Rows are cleared of their denominators and eliminated as polynomials: the
+    only expressions built are det L and the k x k trailing entries."""
+    x, y = Expr.var("x"), Expr.var("y")
+    mat = [
+        [x + 1, y / (x * x + 1), 2 * x * y],
+        [1 / (y * y + 2), x - y, (x + y) / (x * x + 1)],
+        [y * y, x / (y * y + 2), 3 + x / (x * x + 1)],
+    ]
+    built = []
+    real = Expr.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Expr, "__init__", counted)
+    det, trailing = expr_det(mat, m)
+    monkeypatch.undo()
+    assert not det.is_zero() and [len(row) for row in trailing] == [3 - m] * (3 - m)
+    assert len(built) == 1 + (3 - m) ** 2
 
 
 def adapted_blocks_at(sub: AffineSubmanifold, h: SymBivector, params):

@@ -222,6 +222,24 @@ def test_oracle_runs_clean_on_true_claims():
     assert not res.any_inconsistency and res.exit_code == 0
 
 
+def test_the_oracle_reads_a_checks_own_samples_option(monkeypatch):
+    counts = []
+    real = kvgeom.engine._find_witness
+
+    def spy(residual, seed, tries=WITNESS_TRIES):
+        counts.append(tries)
+        return real(residual, seed, tries)
+
+    monkeypatch.setattr(kvgeom.engine, "_find_witness", spy)
+    res = run_text(
+        "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] } "
+        "scalar f on M = x check lift_props h f { samples 3 }",
+        samples=20,
+    )
+    assert res.exit_code == 0
+    assert counts == [3] * len(res.records[0].zero_claims) and counts  # the run default is 20
+
+
 def test_only_lift_props_hands_claims_to_the_oracle():
     res = run_scenario(parse_scenario(get_scenario("worked_examples").text))
     kinds = {r.outcome.kind for r in res.records if r.zero_claims}
@@ -288,15 +306,17 @@ def test_inexact_bareiss_step_is_an_engine_inconsistency(monkeypatch):
     rational = head + "bivector g on M { [x, 1, 0; 1/(x^2 + 1), 0; 1] } check transversal N g"
     before = run_text(polynomial).outcomes
     assert before[0].status == "pointwise-pass"
-    rational_before = run_text(rational).outcomes[0]
+    assert run_text(rational).outcomes[0].status == "pointwise-pass"
     monkeypatch.setattr(kvgeom.structures, "divexact", lambda a, b: None)
     res = run_text(polynomial)
     assert res.exit_code == 3
     assert res.outcomes[0].status == "fail"
     assert res.outcomes[0].details.startswith("ENGINE INCONSISTENCY: EngineInconsistency: Bareiss step ")
     assert res.outcomes[1] == before[1]  # the later check still ran
-    # rational entries divide as expressions and never reach divexact
-    assert run_text(rational).outcomes[0] == rational_before
+    # rational rows are cleared of their denominators first, so their steps reach divexact too
+    res = run_text(rational)
+    assert res.exit_code == 3
+    assert res.outcomes[0].details.startswith("ENGINE INCONSISTENCY: EngineInconsistency: Bareiss step ")
 
 
 def test_run_config_validation():
