@@ -34,7 +34,7 @@ from .errors import DegreeOverflow, ParseError, SemanticError
 from .geometry import Chart, ScalarField, SymBivector
 from .lex import Token, tokenize
 from .structures import AffineMap, AffineSubmanifold
-from .symexpr import _DIGITS, Expr, _check_product
+from .symexpr import _DIGITS, Expr, Monomial, _check_degree, _check_product, _packed
 
 # option keyword -> CheckOptions field
 _OPTION_FIELDS = {
@@ -148,6 +148,19 @@ Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
 # power  := atom ['^' ['-'] INT]
 # atom   := INT | NAME | '(' expr ')'
 #
+# A monomial factor, INT | NAME ['^' INT] with its signs, is read as an
+# integer coefficient and exponents by name (a ``Mono``), and a run of them
+# joined by '*' as one such monomial; a leading run of monomial terms joined
+# by '+' and '-' is one term dict, packed into a ``Poly`` once
+# (``symexpr._packed``).  A factor that is not a monomial (a parenthesis, a
+# negative exponent, a power of an integer) or a '/' ends a run, and from
+# there each operator is applied to ``Expr`` values, left to right
+# (``apply``).  A run refuses what that operator-by-operator reading
+# refuses, at the same token and with the same message: a monomial degree
+# at the guard bit of a packed field is a ParseError at its '*' or '^', and
+# a zero factor makes a product zero with no degree test, as ``Expr``
+# arithmetic does; a monomial factor never passes the size bounds.
+#
 # Each parenthesis and each unary sign nests one level deeper.  The cap is
 # fixed, and far below what the interpreter's recursion limit allows, so
 # whether an expression parses depends on its text alone.  An integer literal
@@ -158,6 +171,9 @@ Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
 _MAX_NESTING = 100
 _MAX_DIGITS = 4300
 
+# a monomial as the expression rules read it: integer coefficient, exponents by variable name, total degree
+Mono: TypeAlias = "tuple[int, dict[str, int], int]"
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
@@ -167,6 +183,14 @@ def _int(text: str) -> int:
         return int(text)
     k = len(text) // 2
     return _int(text[:-k]) * 10 ** k + _int(text[-k:])
+
+
+def _expr(e: "Expr | Mono") -> Expr:
+    """``e`` as an Expr; a monomial is packed."""
+    if type(e) is not tuple:
+        return e
+    c, powers, _ = e
+    return Expr(_packed({tuple(sorted(powers.items())): c}))
 
 
 class _Parser:
@@ -266,26 +290,64 @@ class _Parser:
         return self.sum(0)
 
     def sum(self, depth: int) -> Expr:
-        e = self.term(depth)
+        """A leading run of monomial terms is one term dict, packed once; from the first term that is not
+        a monomial on, the operators apply left to right."""
+        run: dict[Monomial, int] = {}
+        op = None
+        while type(t := self.term(depth)) is tuple:
+            c, powers, _ = t
+            key = tuple(sorted(powers.items()))
+            run[key] = run.get(key, 0) + (-c if op is not None and op.text == "-" else c)
+            op = self.accept("+", "-")
+            if op is None:
+                return Expr(_packed(run))
+        e = t if op is None else self.apply(op, Expr(_packed(run)), t)
         while op := self.accept("+", "-"):
-            e = self.apply(op, e, self.term(depth))
+            e = self.apply(op, e, _expr(self.term(depth)))
         return e
 
-    def term(self, depth: int) -> Expr:
+    def term(self, depth: int) -> Expr | Mono:
+        """A run of monomial factors is one monomial; from the first factor that is not a monomial, or the
+        first '/', on, the operators apply left to right."""
         e = self.unary(depth)
         while op := self.accept("*", "/"):
             rhs = self.unary(depth)
-            if op.text == "/" and rhs.is_zero():
-                raise ParseError(op.line, op.col, "division by zero expression", op.text)
-            e = self.apply(op, e, rhs)
+            if op.text == "*" and type(e) is tuple and type(rhs) is tuple:
+                e = self.times(op, e, rhs)
+            else:
+                e = self.apply(op, _expr(e), _expr(rhs))
         return e
 
-    def unary(self, depth: int) -> Expr:
-        sign = self.accept("-", "+")
-        if sign is None:
-            return self.power(depth)
-        e = self.unary(self.deeper(depth))
-        return -e if sign.text == "-" else e
+    def unary(self, depth: int) -> Expr | Mono:
+        """Signs, then a monomial INT | NAME ['^' INT] as a Mono, or else a power; each sign nests one
+        level deeper."""
+        negate = False
+        while sign := self.accept("-", "+"):
+            depth = self.deeper(depth)
+            negate ^= sign.text == "-"
+        m = self.monomial()
+        if m is None:
+            e = self.power(depth)
+            return -e if negate else e
+        return (-m[0], m[1], m[2]) if negate else m
+
+    def monomial(self) -> Mono | None:
+        """The factor INT | NAME ['^' INT] at the next token, read, or None (nothing read) for any other."""
+        tokens, i = self.tokens, self.i
+        t = tokens[i]
+        if t.kind not in ("int", "name"):
+            return None  # a parenthesis, or no factor
+        after = tokens[i + 1]
+        if after.text == "^" and (t.kind == "int" or tokens[i + 2].kind != "int"):
+            return None  # a power of an integer, a negative exponent, or no exponent
+        if t.kind == "int":
+            return self.integer(), {}, 0
+        if after.text != "^":
+            self.i += 1
+            return 1, {t.text: 1}, 1
+        self.i += 2
+        k = self.integer("integer exponent")
+        return (1, {t.text: self.degree(after, k)}, k) if k else (1, {}, 0)
 
     def power(self, depth: int) -> Expr:
         e = self.atom(depth)
@@ -317,12 +379,33 @@ class _Parser:
             raise ParseError(t.line, t.col, f"expression nested too deeply (more than {_MAX_NESTING} levels)", t.text)
         return depth + 1
 
-    def apply(self, op: Token, a: Expr, b: Expr | int) -> Expr:
-        """The one application of an operator.
+    def degree(self, op: Token, deg: int) -> int:
+        """``deg``, the degree of a monomial that ``op`` forms; at the guard bit of a packed field, the
+        ParseError at ``op`` that the same product or power of ``Expr`` raises."""
+        try:
+            _check_degree(deg, 0)
+        except DegreeOverflow as exc:
+            raise ParseError(op.line, op.col, str(exc), op.text) from None
+        return deg
 
-        A degree past the packed field width, or a product or power past the
-        size bounds of ``symexpr``, is a ParseError at ``op``.
+    def times(self, op: Token, a: Mono, b: Mono) -> Mono:
+        """The product a b at the operator ``op``: a zero factor makes it zero, with no degree test."""
+        (ca, pa, da), (cb, pb, db) = a, b
+        if not (ca and cb):
+            return 0, {}, 0
+        for v, k in pb.items():
+            pa[v] = pa.get(v, 0) + k
+        return ca * cb, pa, self.degree(op, da + db)
+
+    def apply(self, op: Token, a: Expr, b: Expr | int) -> Expr:
+        """The one application of an operator to expressions.
+
+        A division by zero, a degree past the packed field width, or a
+        product or power past the size bounds of ``symexpr`` is a ParseError
+        at ``op``.
         """
+        if op.text == "/" and b.is_zero():
+            raise ParseError(op.line, op.col, "division by zero expression", op.text)
         try:
             if op.text == "*":
                 _check_product(a.num, b.num)

@@ -34,7 +34,9 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 
 def matvec(a: Mat, v: Sequence) -> Vec:
-    return tuple(sum((a[i][k] * Fraction(v[k]) for k in range(len(v))), Fraction(0)) for i in range(len(a)))
+    """a v, each entry of v converted to a Fraction once and the zero entries of a skipped."""
+    v = [Fraction(x) for x in v]
+    return tuple(sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a)
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

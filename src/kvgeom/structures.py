@@ -18,10 +18,12 @@ Each construction is written once: every sum of products goes through
 symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
 components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
-the change to adapted coordinates), and ``expr_det`` is the one exact
-elimination: it clears each row's denominators, eliminates over polynomials,
-and yields a determinant and, given a border, in the same pass the bordered
-determinants of a Schur complement.
+the change to adapted coordinates; of a symmetric T it forms each entry
+a <= b once, and of polynomial entries it sums scaled polynomials), and
+``expr_det`` is the one exact elimination: it clears each row's
+denominators, eliminates over polynomials, and yields a determinant and,
+given a border, in the same pass the bordered determinants of a Schur
+complement.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
 {y_{k+1} = ... = y_n = 0}.  ``AffineSubmanifold`` builds its frame C (the
@@ -29,12 +31,12 @@ basis completed by standard vectors) and P = C^{-1} once, in one RREF, and
 every chart change reads them: ``parameters_of`` is y = P(x - o), N's
 ``parametrization`` is x = C (y_1..y_k, 0) + o, and a map F restricts to
 y_2 = P_2 (F(x_1(y_1)) - o_2) through ``compose``.  Restriction to N is the
-pullback along the parametrization (``_along_n``), so the adapted bivector
-of ``to_adapted_bivector`` holds N's coordinates only, and the K-V
-submanifold, transversal, coisotropy and conormal tests read its blocks.
-N builds it once per bivector (``AffineSubmanifold.adapted``), so checks
-that share N and h in one scenario share one build.  The
-conormal algebroid differentiates H along the frame vectors c_j, the
+pullback along the parametrization (``_along_n``, one ``substitute`` call
+for the whole matrix), so the adapted bivector of ``to_adapted_bivector``
+holds N's coordinates only, and the K-V submanifold, transversal,
+coisotropy and conormal tests read its blocks.  N builds it once per
+bivector (``AffineSubmanifold.adapted``), so checks that share N and h in
+one scenario share one build.  The conormal algebroid differentiates H along the frame vectors c_j, the
 columns of C, which is d/dy_j, and pulls those derivatives back along N the
 same way.
 """
@@ -72,7 +74,19 @@ from .geometry import (
     hamiltonian,
     sharp,
 )
-from .symexpr import _P_ONE, ONE, ZERO, Expr, Poly, Rational, _rational_str, distinct_sample_points, divexact
+from .symexpr import (
+    _P_ONE,
+    _P_ZERO,
+    ONE,
+    ZERO,
+    Expr,
+    Poly,
+    Rational,
+    _rational_str,
+    distinct_sample_points,
+    divexact,
+    substitute,
+)
 from .tangent import build_pi, make_tangent_chart
 
 
@@ -85,13 +99,33 @@ def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
     return [_dot([Expr.const(c) if c else ZERO for c in row], v) for row in M]
 
 
-def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M."""
+def _congruence(
+    M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]], symmetric: bool = False
+) -> list[list[Expr]]:
+    """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M.
+
+    Entry (a, b) is sum_ij M_ai M_bj T_ij, one coefficient per distinct T_ij:
+    a sum of scaled polynomials (``Poly.scale``) when those T_ij are
+    polynomials, through ``_dot`` otherwise.  With ``symmetric``, T is
+    symmetric: T_ij and T_ji share a coefficient, and each entry a <= b is
+    formed once.
+    """
     nz = [[(i, c) for i, c in enumerate(row) if c] for row in M]
-    return [
-        [_dot([Expr.const(c * d) for _, c in ra for _, d in rb], [T[i][j] for i, _ in ra for j, _ in rb]) for rb in nz]
-        for ra in nz
-    ]
+
+    def entry(a: int, b: int) -> Expr:
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        for i, c in nz[a]:
+            for j, d in nz[b]:
+                key = (j, i) if symmetric and j < i else (i, j)
+                coeffs[key] = coeffs.get(key, 0) + c * d
+        terms = [(T[i][j], q) for (i, j), q in coeffs.items() if q and T[i][j].num.terms]
+        if all(e.den is _P_ONE for e, _ in terms):
+            return Expr(sum((e.num.scale(q) for e, q in terms), _P_ZERO))
+        return _dot([Expr.const(q) for _, q in terms], [e for e, _ in terms])
+
+    if symmetric:
+        return _symmetric(len(M), entry)
+    return [[entry(a, b) for b in range(len(M))] for a in range(len(M))]
 
 
 # --- affine maps -------------------------------------------------------------
@@ -381,9 +415,12 @@ class AffineSubmanifold:
 
 
 def _along_n(n_sub: AffineSubmanifold, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """T(x(y)) for a symmetric T on the ambient chart, x(y) = C (y_1..y_k, 0) + o the parametrization of N."""
+    """T(x(y)) for a symmetric T on the ambient chart, x(y) = C (y_1..y_k, 0) + o the parametrization of N:
+    its entries i <= j in one ``substitute`` call."""
+    n = len(T)
     sub = n_sub.parametrization().substitution()
-    return _symmetric(len(T), lambda i, j: T[i][j].substitute(sub))
+    images = iter(substitute([T[i][j] for i in range(n) for j in range(i, n)], sub))
+    return _symmetric(n, lambda i, j: next(images))  # the entries i <= j, in the order _symmetric asks for them
 
 
 def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
@@ -394,7 +431,8 @@ def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector
     """
     if h.chart != n_sub.ambient:
         raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    return SymBivector(n_sub.adapted_chart, tuple(map(tuple, _congruence(n_sub.change, _along_n(n_sub, h.entries)))))
+    adapted = _congruence(n_sub.change, _along_n(n_sub, h.entries), symmetric=True)
+    return SymBivector(n_sub.adapted_chart, tuple(map(tuple, adapted)))
 
 
 # --- K-V submanifolds ---------------------------------------------------------
@@ -643,7 +681,10 @@ def conormal_algebroid(
     # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii'
     Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
     along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    blocks = [_congruence(n_sub.change[k:], _along_n(n_sub, [[e[j] for e in r] for r in along])) for j in range(n)]
+    blocks = [
+        _congruence(n_sub.change[k:], _along_n(n_sub, [[e[j] for e in r] for r in along]), symmetric=True)
+        for j in range(n)
+    ]
 
     for a, b, j in product(range(m), range(m), range(k)):
         if not blocks[j][a][b].is_zero():
@@ -801,7 +842,7 @@ def preimage_transversal(
     d1, d2 = t1.determinant, t2.determinant.substitute(sub)
     residuals = tuple(
         s * d2 - t.substitute(sub) * d1
-        for srow, trow in zip(_congruence(restriction.matrix, b1.entries), b2.entries)
+        for srow, trow in zip(_congruence(restriction.matrix, b1.entries, symmetric=True), b2.entries)
         for s, t in zip(srow, trow)
     )
     return PreimageReport(n1, t1, t2, restriction, residuals)

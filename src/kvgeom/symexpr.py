@@ -22,8 +22,13 @@ equality of canonical forms decides equality of rational functions, which is
 the zero-test every identity check relies on.
 
 This module holds no parser: expression text is read by ``dsl._Parser``
-(``dsl.parse_expr`` for a standalone expression).  ``str`` of an ``Expr``
-prints the same surface syntax, with coefficients of any length.
+(``dsl.parse_expr`` for a standalone expression), which builds the
+polynomial of a run of monomials with ``_packed``, each key packed once, as
+``Poly(...)`` does.  ``str`` of an ``Expr`` prints the same surface syntax,
+with coefficients of any length.  ``substitute`` is the one substitution
+routine: it pulls a whole list of expressions back at once, building the
+powers of each binding once for all of them, and ``Expr.substitute`` is its
+one-entry case.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 from random import Random
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DegreeOverflow, PoleAtPoint, UnknownVariable, ZeroDenominator
 
@@ -222,6 +227,33 @@ def _make(vars: tuple[str, ...], terms: dict[int, int], den: int = 1, shrink: bo
     return _new(vars, terms, den)
 
 
+def _packed(terms: Mapping[Monomial, int], den: int = 1) -> "Poly":
+    """The canonical Poly of integer ``terms`` over ``den`` > 0, each monomial packed once.
+
+    The variables are those the monomials name; a repeated monomial adds up,
+    and a total degree at the guard bit raises ``DegreeOverflow``.
+    """
+    names = sorted({v for m in terms for v, _ in m})
+    n = len(names)
+    shift = {v: (n - 1 - i) * _W for i, v in enumerate(names)}
+    top = n * _W
+    out: dict[int, int] = {}
+    get = out.get
+    for m, c in terms.items():
+        if c:
+            k = deg = 0
+            for v, e in m:
+                k += e << shift[v]
+                deg += e
+            if deg >= _HALF:
+                _check_degree(deg, 0)
+            k += deg << top
+            out[k] = get(k, 0) + c
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _make(tuple(names), out, den)
+
+
 @lru_cache(maxsize=1024)
 def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a).union(b)))
@@ -242,12 +274,11 @@ class Poly:
     __slots__ = ("vars", "terms", "den", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        p = _P_ZERO
-        for m, c in (terms or {}).items():
-            t = Poly.const(c)
-            for v, e in m:
-                t = t * Poly.var(v) ** e
-            p = p + t
+        qs = {m: Fraction(c) for m, c in (terms or {}).items()}
+        if any(e < 0 for m in qs for _, e in m):
+            raise ValueError("Poly exponent must be non-negative")
+        den = lcm(*(q.denominator for q in qs.values()))
+        p = _packed({m: q.numerator * (den // q.denominator) for m, q in qs.items()}, den)
         self.vars, self.terms, self.den = p.vars, p.terms, p.den
 
     @classmethod
@@ -543,6 +574,13 @@ def _pseudo_rem(A: dict[int, Poly], B: dict[int, Poly]) -> dict[int, Poly]:
     return R
 
 
+def _rational_primitive(polys: dict[int, Poly]) -> dict[int, Poly]:
+    """The polys divided by their rational content G / L: G the gcd of all their integer coefficients and
+    L the lcm of their denominators, so that over one denominator their coefficients are coprime integers."""
+    f = Fraction(lcm(*(p.den for p in polys.values())), gcd(*(c for p in polys.values() for c in p.terms.values())))
+    return polys if f == 1 else {e: p.scale(f) for e, p in polys.items()}
+
+
 def _content(polys: Iterable[Poly]) -> Poly:
     g = _P_ZERO
     for p in polys:
@@ -552,6 +590,14 @@ def _content(polys: Iterable[Poly]) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via primitive pseudo-remainder sequences (recursion on variables).
+
+    Each pseudo-remainder is made primitive twice: first divided by its
+    rational content (``_rational_primitive``), then by the gcd of its
+    coefficients in the other variables (``_content``).  The second alone
+    would leave the integer content in, since the monic gcd of constants is
+    1, and the sequence would then be the Euclidean one over Z, whose
+    coefficients grow exponentially: ``1/(x+1)^25 + 1/(x-1)^25`` took
+    seconds to normalize.
 
     When the variables of one operand are a proper subset of the other's, the
     gcd is that of the smaller operand and the coefficients of the larger in
@@ -589,6 +635,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if not R:
             g_pp = Q
             break
+        R = _rational_primitive(R)
         rc = _content(R.values())
         P, Q = Q, {e: divexact(p, rc) for e, p in R.items()}
     cont = poly_gcd(ca, cb)
@@ -608,65 +655,114 @@ def _power(t: dict[int, int], e: int, n: int, cache: dict[int, dict[int, int]]) 
     return p
 
 
-def _substitute(p: Poly, binds: Mapping[str, "Expr"]) -> tuple[Poly, Poly]:
-    """p at the bindings v -> N_v / D_v, as (P, Q) with p(b) = P / Q.
+def _substitute(polys: Sequence[Poly], binds: Mapping[str, "Expr"]) -> list[tuple[Poly, Poly]]:
+    """Each p of ``polys`` at the bindings v -> N_v / D_v, as (P, Q) with p(b) = P / Q.
 
     With d_v the degree of p in v, Q = prod D_v^(d_v) and
     P = sum c X^f prod N_v^e D_v^(d_v - e), X^f the unbound part of a term.
-    Terms are grouped by their bound exponents; the powers are built once.
+    Terms are grouped by their bound exponents.  Every image is built over
+    the same variables, so the power table of a bound variable, N_v^e
+    D_v^(d - e) for each exponent e and degree d that occur, and each D_v^d,
+    is built once for all of ``polys``.
     """
-    vs = p.vars
-    n = len(vs)
-    shifts = [(n - 1 - i) * _W for i, v in enumerate(vs) if v in binds]
-    if not shifts:
-        return p, _P_ONE
-    bound_fields = sum(_FIELD << s for s in shifts)
-    groups: dict[int, dict[int, int]] = {}
-    for k, c in p.terms.items():
-        b = k & bound_fields
-        groups.setdefault(b, {})[k - b] = c
-    exps = {b: [b >> s & _FIELD for s in shifts] for b in groups}
-    bound = [v for v in vs if v in binds]
-    out_vars = tuple(sorted({v for v in vs if v not in binds}.union(
-        *(binds[v].num.vars + binds[v].den.vars for v in bound))))
+    names = set().union(*(p.vars for p in polys))
+    bound = [v for v in names if v in binds]
+    if not bound:
+        return [(p, _P_ONE) for p in polys]
+    out_vars = tuple(sorted(names.difference(bound).union(*(binds[v].num.vars + binds[v].den.vars for v in bound))))
     m = len(out_vars)
-    # with N = A / a and D = B / b: N^e D^(d-e) = (b A)^e (a B)^(d-e) / (a b)^d
-    powers = []
-    scale = p.den
-    Q = _P_ONE
-    for j, v in enumerate(bound):
-        used = {es[j] for es in exps.values()}
-        d = max(used)
+    # with N = A / a and D = B / b: N^e D^(d-e) = (b A)^e (a B)^(d-e) / (a b)^d; per bound variable, the
+    # powers of A and of B, their products by (e, d) (an int when constant), a b, D, and D^d by d
+    tables = {}
+    for v in bound:
         N, D = binds[v].num, binds[v].den
         A = {k: c * D.den for k, c in _repack(N.terms, N.vars, out_vars).items()}
         B = {k: c * N.den for k, c in _repack(D.terms, D.vars, out_vars).items()}
-        pa, pb = {0: _UNIT, 1: A}, {0: _UNIT, 1: B}
-        table = {}
-        for e in used:
-            t, u = _power(A, e, m, pa), _power(B, d - e, m, pb)
-            table[e] = t if u == _UNIT else _mul_terms(t, u, m)
-        powers.append(table)
-        scale *= (N.den * D.den) ** d
-        if D.vars:
-            Q = Q * D ** d
-    top = n * _W
-    acc: dict[int, int] = {}
-    get = acc.get
-    for b, f in groups.items():
-        es = exps[b]
-        factors = [tbl[e] for tbl, e in zip(powers, es)]
-        if {} in factors:
+        tables[v] = ({0: _UNIT, 1: A}, {0: _UNIT, 1: B}, {}, N.den * D.den, D, {})
+    images = []
+    for p in polys:
+        vs = p.vars
+        n = len(vs)
+        mine = [(tables[v], (n - 1 - i) * _W) for i, v in enumerate(vs) if v in tables]
+        if not mine:
+            images.append((p, _P_ONE))
             continue
-        off = sum(es) << top
-        t = _repack({k - off: c for k, c in f.items()}, vs, out_vars)
-        for u in factors:
-            if u != _UNIT:
-                t = _mul_terms(t, u, m)
-        for k, c in t.items():
-            acc[k] = get(k, 0) + c
-    if 0 in acc.values():
-        acc = {k: c for k, c in acc.items() if c}
-    return _make(out_vars, acc, scale), Q
+        bound_fields = 0
+        for _, s in mine:
+            bound_fields |= _FIELD << s
+        groups: dict[int, dict[int, int]] = {}
+        for k, c in p.terms.items():
+            b = k & bound_fields
+            g = groups.get(b)
+            if g is None:
+                groups[b] = {k - b: c}
+            else:
+                g[k - b] = c
+        scale = p.den
+        Q = _P_ONE
+        rows = []
+        for (pa, pb, products, ab, D, dpow), s in mine:
+            d = max(b >> s & _FIELD for b in groups)
+            rows.append((s, d, pa, pb, products))
+            scale *= ab ** d
+            if D.vars:
+                if d not in dpow:
+                    dpow[d] = D ** d
+                Q = Q * dpow[d]
+        top = n * _W
+        acc: dict[int, int] = {}
+        get = acc.get
+        for b, f in groups.items():
+            scalar, t, deg = 1, None, 0
+            for s, d, pa, pb, products in rows:
+                e = b >> s & _FIELD
+                deg += e
+                u = products.get((e, d))
+                if u is None:
+                    u, w = _power(pa[1], e, m, pa), _power(pb[1], d - e, m, pb)
+                    u = u if w == _UNIT else _mul_terms(u, w, m)
+                    if not u.keys() - {0}:  # a constant
+                        u = u.get(0, 0)
+                    products[e, d] = u
+                if type(u) is int:
+                    scalar *= u
+                else:
+                    t = u if t is None else _mul_terms(t, u, m)
+            if not scalar:
+                continue
+            off = deg << top
+            g = _repack({k - off: c * scalar for k, c in f.items()}, vs, out_vars)
+            if t is not None:
+                g = _mul_terms(g, t, m)
+            for k, c in g.items():
+                acc[k] = get(k, 0) + c
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        images.append((_make(out_vars, acc, scale), Q))
+    return images
+
+
+def substitute(exprs: Sequence["Expr"], bindings: Mapping[str, "Expr | Scalar"]) -> list["Expr"]:
+    """Each of ``exprs`` with its bound variables replaced by expressions; unbound variables stay.
+
+    Numerators and denominators are substituted as polynomials in one call
+    of ``_substitute``, which builds each binding's powers once for all of
+    them, and one Expr is built from each pair, so polynomial bindings of a
+    polynomial need no gcd.
+    """
+    binds = {v: Expr._coerce(e) for v, e in bindings.items()}
+    images = iter(_substitute([p for e in exprs for p in ((e.num,) if e.den is _P_ONE else (e.num, e.den))], binds))
+    out = []
+    for e in exprs:
+        num, num_den = next(images)
+        if e.den is _P_ONE:
+            out.append(Expr(num, num_den))
+            continue
+        den, den_den = next(images)
+        if den.is_zero():
+            raise ZeroDenominator("substitution makes the denominator identically zero")
+        out.append(Expr(num * den_den, den * num_den))
+    return out
 
 
 class Expr:
@@ -813,19 +909,8 @@ class Expr:
         )
 
     def substitute(self, bindings: Mapping[str, "Expr | Scalar"]) -> "Expr":
-        """Replace bound variables by expressions; unbound variables stay.
-
-        Numerator and denominator are substituted as polynomials and one Expr
-        is built from them, so polynomial bindings of a polynomial need no gcd.
-        """
-        binds = {v: Expr._coerce(e) for v, e in bindings.items()}
-        num, num_den = _substitute(self.num, binds)
-        if self.den is _P_ONE:
-            return Expr(num, num_den)
-        den, den_den = _substitute(self.den, binds)
-        if den.is_zero():
-            raise ZeroDenominator("substitution makes the denominator identically zero")
-        return Expr(num * den_den, den * num_den)
+        """Replace bound variables by expressions; unbound variables stay: ``substitute`` of one entry."""
+        return substitute((self,), bindings)[0]
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(point)

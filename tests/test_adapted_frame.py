@@ -10,7 +10,8 @@ from conftest import random_point
 from kvgeom import linalg
 from kvgeom.errors import DegenerateBasis, EngineInconsistency, PreconditionViolated
 from kvgeom.geometry import Chart, SymBivector
-from kvgeom.structures import AffineMap, AffineSubmanifold, affine_preimage, preimage_transversal
+from kvgeom.dsl import parse_expr
+from kvgeom.structures import AffineMap, AffineSubmanifold, affine_preimage, preimage_transversal, to_adapted_bivector
 from kvgeom.symexpr import Expr
 
 
@@ -183,3 +184,29 @@ def test_a_preimage_off_the_target_submanifold_is_an_engine_inconsistency(monkey
     monkeypatch.setattr(kvgeom.structures, "affine_preimage", lambda f, n2: off_axis)
     with pytest.raises(EngineInconsistency, match="does not send the preimage into the target"):
         preimage_transversal(f, h, h, axis)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [[Fr(1, 2), Fr(1), Fr(-2, 3)]],
+        [[Fr(1, 2), Fr(1), Fr(-2, 3)], [Fr(0), Fr(3, 4), Fr(1)]],
+        [[Fr(0), Fr(1), Fr(0)]],
+    ],
+)
+def test_the_pullback_along_n_is_substitute_entry_by_entry(basis):
+    """One substitution call for the whole matrix: entries of degrees 0 to 3 in r1, one rational entry, and a
+    rational origin and basis; then P H(x(y)) P^T against Expr arithmetic over every (i, j)."""
+    R = chart("R", 3)
+    rows = [["r1^3*r2 + r1", "r1^2 - 1", "(r1 + 1)/(r2^2 + 2)"], ["r1^2 - 1", "r3", "5"], ["(r1 + 1)/(r2^2 + 2)", "5", "r1*r3"]]
+    h = SymBivector(R, tuple(tuple(parse_expr(e) for e in row) for row in rows))
+    n_sub = AffineSubmanifold(R, (Fr(1, 2), Fr(-1, 3), Fr(2, 5)), basis)
+    sub = n_sub.parametrization().substitution()
+    pulled = [[e.substitute(sub) for e in row] for row in h.entries]
+    assert kvgeom.structures._along_n(n_sub, h.entries) == pulled
+    P = n_sub.change
+    want = [
+        [sum((Expr.const(P[a][i] * P[b][j]) * pulled[i][j] for i in range(3) for j in range(3)), Expr.const(0)) for b in range(3)]
+        for a in range(3)
+    ]
+    assert [list(row) for row in to_adapted_bivector(n_sub, h).entries] == want

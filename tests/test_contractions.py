@@ -285,7 +285,9 @@ def test_matvec_and_congruence_equal_the_loops(n):
             v = sparse_vector(rng, chart.coords, True)
             want = [ref_pair([Expr.const(c) for c in row], v) for row in M]
             assert_entrywise_equal(_matvec(M, v), want)
-            assert_entrywise_equal(_congruence(M, h.entries), ref_congruence(M, h.entries))
+            want = ref_congruence(M, h.entries)
+            assert_entrywise_equal(_congruence(M, h.entries), want)
+            assert_entrywise_equal(_congruence(M, h.entries, symmetric=True), want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

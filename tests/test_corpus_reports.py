@@ -5,8 +5,9 @@ reports (``perfbench/golden``); ``worked_examples``, which runs every check
 kind, is compared with ``tests/golden`` in both output formats.  So are two
 R^6 tensor scenarios in ``tests/data``, one K-V diagonal profile and one
 generic quadratic bivector that fails every check, as the benchmark's
-``tensor_scaling`` workload generates them, and an R^4 transversal scenario
-whose conormal and bordered blocks have rational-function entries.
+``tensor_scaling`` workload generates them, an R^4 transversal scenario
+whose conormal and bordered blocks have rational-function entries, and an
+R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25.
 """
 
 from pathlib import Path
@@ -54,6 +55,12 @@ def test_tensor_scenario_report_matches_golden(name, format, suffix):
 def test_rational_transversal_report_matches_golden(format, suffix):
     # a symbolic-true verdict that reads the bordered block, a singular block and a sampled one
     _assert_data_report_matches_golden("transversal_rational_r4", format, suffix)
+
+
+@pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
+def test_rational_sum_report_matches_golden(format, suffix):
+    # one entry whose normalization needs a gcd of two degree-50 polynomials
+    _assert_data_report_matches_golden("rational_sum_r1", format, suffix)
 
 
 def _assert_data_report_matches_golden(name, format, suffix):

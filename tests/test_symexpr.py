@@ -1,6 +1,7 @@
 """Exact arithmetic layer: canonical forms, calculus rules, parsing."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import random_poly, random_rational_function, rational
 from kvgeom.errors import DegreeOverflow, ParseError, PoleAtPoint, ZeroDenominator
 from kvgeom.dsl import parse_expr
-from kvgeom.symexpr import Expr, Poly, poly_gcd
+from kvgeom.symexpr import Expr, Poly, _exponents, poly_gcd, substitute
 
 X = Expr.var("x")
 Y = Expr.var("y")
@@ -108,6 +109,63 @@ def test_substitute_examples():
 def test_substitute_partial_leaves_other_variables():
     e = X * Y + Y ** 2
     assert e.substitute({"x": Expr.const(0)}) == Y ** 2
+
+
+def _substitute_by_arithmetic(e: Expr, binds) -> Expr:
+    """A reference: each term c x^a of the numerator and the denominator rebuilt as c prod b_x^a in Expr arithmetic."""
+
+    def image(p: Poly) -> Expr:
+        out = Expr.const(0)
+        for k, c in p.terms.items():
+            t = Expr.const(Fraction(c, p.den))
+            for v, a in zip(p.vars, _exponents(k, len(p.vars))):
+                t = t * (Expr._coerce(binds[v]) if v in binds else Expr.var(v)) ** a
+            out = out + t
+        return out
+
+    return image(e.num) / image(e.den)
+
+
+P = parse_expr
+# entries of degrees 0 to 3 in x, so that each needs its own power D_x^(d - e) of a rational binding of x
+BY_DEGREE = [P("x^3*y + x"), P("x^2 - 1"), P("x"), P("y"), P("5"), P("x*y^2 + 3*x^2*y"), P("0"), P("x^3 - x^2 + z")]
+WITH_A_RATIONAL_ENTRY = [P("x^2 + y"), P("(x + 1)/(y^2 - 2)"), P("x*y*z"), P("1/3*x - 2/5")]
+BINDINGS = [
+    {"x": P("(2*t + 1)/(t - 3)"), "y": P("t/2 + 1/3")},  # a rational binding and a rational origin
+    {"x": P("1/2*t + 3/4*s - 1/3"), "y": P("-2/3*s + 5"), "z": Fraction(1, 7)},  # an affine chart change
+    {"x": 0, "y": P("y + x")},  # a zero binding, and a binding in a bound variable
+    {"w": 3},  # no entry has w
+]
+
+
+@pytest.mark.parametrize("entries", [BY_DEGREE, WITH_A_RATIONAL_ENTRY])
+@pytest.mark.parametrize("binds", BINDINGS)
+def test_substitute_of_a_matrix_equals_substitute_entry_by_entry(entries, binds):
+    got = substitute(entries, binds)
+    assert got == [substitute([e], binds)[0] for e in entries]
+    assert got == [e.substitute(binds) for e in entries]
+    assert got == [_substitute_by_arithmetic(e, binds) for e in entries]
+
+
+def test_substitute_of_random_matrices_equals_the_arithmetic_reference():
+    rng = random.Random(2101)
+    for _ in range(20):
+        entries = [random_poly(rng, ("x", "y", "z"), 3) for _ in range(4)] + [random_rational_function(rng, ("x", "y"), 2)]
+        binds = {v: random_poly(rng, ("s", "t"), 1, terms=2) for v in ("x", "y")}
+        if rng.random() < 0.5:
+            binds["z"] = random_rational_function(rng, ("t",), 1)
+        try:
+            want = [_substitute_by_arithmetic(e, binds) for e in entries]
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                substitute(entries, binds)
+            continue
+        assert substitute(entries, binds) == want
+
+
+def test_substitute_of_a_matrix_raises_on_an_entry_whose_denominator_vanishes():
+    with pytest.raises(ZeroDenominator, match="identically zero"):
+        substitute([P("x + 1"), P("1/(x - y)")], {"x": P("t"), "y": P("t")})
 
 
 def test_eval_at_examples():
@@ -219,6 +277,23 @@ def test_deep_nesting_is_a_positioned_parse_error():
     assert _parse_at_depth(300, "(" * 100 + "x" + ")" * 100) == x
     assert _parse_at_depth(300, "-" * 100 + "x") == x
     assert parse_expr("-" * 99 + "x") == -x
+
+
+def test_a_sum_of_two_rational_terms_parses_within_two_seconds():
+    """The primitive pseudo-remainder sequence removes integer content; the Euclidean one over Z took seconds here."""
+
+    def alarm(signum, frame):
+        raise TimeoutError("parse_expr ran past its 2 s budget")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        e = parse_expr("1/(x+1)^25 + 1/(x-1)^25")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert e.den == parse_expr("(x^2 - 1)^25").num
+    assert e.eval_at({"x": 2}) == Fraction(1, 3**25) + 1
 
 
 def test_canonical_monomial_order_in_strings():

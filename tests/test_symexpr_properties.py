@@ -158,6 +158,23 @@ def test_gcd_on_a_variable_subset_equals_the_prs(c1, c2, d, common):
 
 
 @kernel
+@given(
+    polys_in(("x", "y"), 2, 3),
+    polys_in(("x", "y"), 2, 3),
+    polys_in(("x", "y"), 1, 2),
+    st.integers(1, 60),
+    st.integers(1, 60),
+)
+def test_gcd_of_operands_with_integer_content_equals_the_prs(p, q, common, k1, k2):
+    """The pseudo-remainders are divided by their rational content; that must not change the monic gcd."""
+    a = p.scale(k1) * common
+    b = q.scale(k2) * common
+    want = _prs_gcd(a, b)
+    assert poly_gcd(a, b) == want
+    assert poly_gcd(b, a) == want
+
+
+@kernel
 @given(exprs, st.fixed_dictionaries({"x": exprs, "y": exprs}), points)
 def test_substitute_then_evaluate_is_evaluate_at_the_image(e, bindings, point):
     try:
