@@ -34,7 +34,6 @@ from .geometry import (
     SymBivector,
     TrilinearForm,
     VectorField,
-    associator,
     bracket_h,
     codazzi_tensor,
     contravariant_D,

@@ -25,11 +25,10 @@ from typing import Callable
 from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, validate_algebra
 from .errors import EngineInconsistency, PoleAtPoint
 from .geometry import (
+    _bracket_entries,
     _codazzi_entries,
-    codazzi_tensor,
     hessian_contraction,
     is_kv,
-    kv_bracket_form,
     lie_derivative_h,
     lie_derivative_residual,
     rank_at,
@@ -171,15 +170,14 @@ def _run_codazzi(env, check, seed, samples):
 
 def _run_kv_bracket(env, check, seed, samples):
     h = env[check.args[0]]
-    tri = kv_bracket_form(h)
-    cod = codazzi_tensor(h)
-    n = h.chart.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if tri.entry(i, j, k) != -cod.entry(i, j, k):
-                    raise EngineInconsistency("bracket table does not match the Codazzi defect up to sign")
-    return _residual_verdict(_indexed(tri.entries), "self-bracket of the bivector vanishes", "bracket nonzero at {at}")
+
+    def compared():
+        for (at, b), (_, t) in zip(_bracket_entries(h), _codazzi_entries(h)):
+            if b != -t:
+                raise EngineInconsistency("bracket table does not match the Codazzi defect up to sign")
+            yield at, b
+
+    return _residual_verdict(compared(), "self-bracket of the bivector vanishes", "bracket nonzero at {at}")
 
 
 def _run_jacobi_tangent(env, check, seed, samples):

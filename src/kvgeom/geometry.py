@@ -5,15 +5,16 @@ covariant derivative below reduces to coordinate differentiation.  All
 operators return fully normalized expressions; a structural condition holds
 iff the corresponding residuals are exactly zero.
 
-The Codazzi formula is written once, as a lazy stream of entries:
-``codazzi_tensor`` fills its table from it, and ``is_kv`` stops at the first
-nonzero entry, so one entry decides a generic bivector.
+Each tensor identity is written once, as a lazy stream of entries: the
+full tables fill from it through ``_table``, and ``is_kv`` and the checks
+stop at the first nonzero entry, so one entry decides a generic bivector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Sequence
 
 from . import linalg
@@ -205,13 +206,6 @@ def left_sym_product(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, tuple(apply_field(X, y) for y in Y.components))
 
 
-def associator(X: VectorField, Y: VectorField, Z: VectorField) -> VectorField:
-    """(X•Y)•Z - X•(Y•Z)."""
-    a = left_sym_product(left_sym_product(X, Y), Z)
-    b = left_sym_product(X, left_sym_product(Y, Z))
-    return VectorField(X.chart, tuple(p - q for p, q in zip(a.components, b.components)))
-
-
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] = X•Y - Y•X (torsion-free flat connection)."""
     a = left_sym_product(X, Y)
@@ -228,22 +222,33 @@ def _codazzi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Exp
     T is antisymmetric in (i, j), so the first nonzero entry of the full
     table in row-major order is the first nonzero one yielded here.
     """
-    coords = h.chart.coords
-    n = len(coords)
-    H = h.entries
-    rows: dict[tuple[int, int], list[Expr]] = {}
+    coords, H = h.chart.coords, h.entries
+    rows = cache(lambda j, k: [H[j][k].diff(v) for v in coords])
 
     def d(j: int, k: int) -> list[Expr]:
-        key = (j, k) if j <= k else (k, j)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [H[j][k].diff(v) for v in coords]
-        return row
+        return rows(j, k) if j <= k else rows(k, j)
 
+    n = len(coords)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 yield (i, j, k), _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
+
+
+def _table(chart: Chart, entries, even, odd) -> TrilinearForm:
+    """The n x n x n table of an entry stream, zero but at the entries and their images.
+
+    Each ((i, j, k), s) is written at its images in ``even`` and -s at those
+    in ``odd``: a permutation p of the three positions sends idx to
+    (idx[p[0]], idx[p[1]], idx[p[2]]), so (0, 1, 2) is the entry itself.
+    """
+    n = chart.dim
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for idx, s in entries:
+        for images, value in ((even, s), (odd, -s)):
+            for p in images:
+                table[idx[p[0]]][idx[p[1]]][idx[p[2]]] = value
+    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
 
 
 def codazzi_tensor(h: SymBivector) -> TrilinearForm:
@@ -251,12 +256,7 @@ def codazzi_tensor(h: SymBivector) -> TrilinearForm:
 
     T is antisymmetric in (i, j), so only i < j is computed.
     """
-    n = h.chart.dim
-    table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for (i, j, k), s in _codazzi_entries(h):
-        table[i][j][k] = s
-        table[j][i][k] = -s
-    return TrilinearForm(h.chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
+    return _table(h.chart, _codazzi_entries(h), ((0, 1, 2),), ((1, 0, 2),))
 
 
 def is_kv(h: SymBivector) -> bool:
@@ -268,8 +268,8 @@ def is_kv(h: SymBivector) -> bool:
     return all(s.is_zero() for _, s in _codazzi_entries(h))
 
 
-def kv_bracket_form(h: SymBivector) -> TrilinearForm:
-    """Five-term trilinear bracket of h with itself on the coordinate coframe.
+def _bracket_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+    """((i, j, k), B(i,j,k)) for i < j, in row-major order: the five-term self-bracket of h, lazily.
 
     With X_a = (dx_a)^# and the tangent-bundle left-symmetric structure
     (identity anchor, X•Y = nabla_X Y, [X, Y] = X•Y - Y•X) the entry at
@@ -279,31 +279,35 @@ def kv_bracket_form(h: SymBivector) -> TrilinearForm:
 
     Every term is read from one table, D[a][b][c] = X_a(h_bc): the sharp
     X_b of dx_b has components (X_b)_c = h_bc, and the flat connection
-    differentiates components, so (X_a•X_b)_c = X_a(h_bc) too.  D and the
-    derivatives of h are symmetric in (b, c), so each is built for b <= c
-    only.  Swapping i and j negates the five terms, so only i < j is
-    computed and the diagonal is zero.
+    differentiates components, so (X_a•X_b)_c = X_a(h_bc) too.  A sharp, a
+    row d h_bc or an entry of D is taken when an entry first needs it, and
+    D and d h are symmetric in (b, c), so only for b <= c.  Swapping i and
+    j negates the five terms.
 
-    The entry expands to minus the Codazzi defect, so both tables vanish
-    together.  Both operators contract through ``_dot``, so the cross-check
-    compares two formulas, not two summation codes: codazzi_tensor
-    contracts h with its own derivatives, and this route goes through the
-    sharp map and the five bracket terms.
+    B expands to minus the Codazzi entries, and both streams contract
+    through ``_dot``, so ``check kv_bracket`` compares two formulas, not two
+    summation codes: ``_codazzi_entries`` contracts h with its own
+    derivatives, and this stream goes through the sharp map and the five
+    bracket terms.
     """
-    chart = h.chart
+    chart, H = h.chart, h.entries
+    sharps = cache(lambda a: sharp(h, coordinate_form(chart, a)).components)
+    rows = cache(lambda b, c: [H[b][c].diff(v) for v in chart.coords])
+    D = cache(lambda a, b, c: _dot(sharps(a), rows(b, c)))
+
+    def d(a: int, b: int, c: int) -> Expr:
+        return D(a, b, c) if b <= c else D(a, c, b)
+
     n = chart.dim
-    coords = chart.coords
-    X = [sharp(h, coordinate_form(chart, a)).components for a in range(n)]
-    dh = _symmetric(n, lambda b, c: [h.entries[b][c].diff(v) for v in coords])
-    D = [_symmetric(n, lambda b, c: _dot(X[a], dh[b][c])) for a in range(n)]
-    table = [[[ZERO for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                t = D[i][j][k] - D[j][i][k] + D[j][k][i] - D[i][k][j] - (D[i][j][k] - D[j][i][k])
-                table[i][j][k] = t
-                table[j][i][k] = -t
-    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
+                yield (i, j, k), d(i, j, k) - d(j, i, k) + d(j, k, i) - d(i, k, j) - (d(i, j, k) - d(j, i, k))
+
+
+def kv_bracket_form(h: SymBivector) -> TrilinearForm:
+    """The table of the five-term self-bracket, from ``_bracket_entries``; it is -codazzi_tensor(h)."""
+    return _table(h.chart, _bracket_entries(h), ((0, 1, 2),), ((1, 0, 2),))
 
 
 def bracket_h(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:

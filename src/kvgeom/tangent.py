@@ -10,6 +10,7 @@ computed directly from the coordinate formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 from .errors import ChartMismatch
@@ -21,6 +22,7 @@ from .geometry import (
     TrilinearForm,
     VectorField,
     _dot,
+    _table,
     differential,
     hamiltonian,
     hessian_contraction,
@@ -167,13 +169,7 @@ def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Ex
     coords = pi.chart.coords
     n2 = len(coords)
     cols = list(zip(*P))
-    rows: dict[tuple[int, int], list[Expr]] = {}
-
-    def d(a: int, b: int) -> list[Expr]:
-        row = rows.get((a, b))
-        if row is None:
-            row = rows[a, b] = [P[a][b].diff(v) for v in coords]
-        return row
+    d = cache(lambda a, b: [P[a][b].diff(v) for v in coords])
 
     for i in range(n2):
         for j in range(i + 1, n2):
@@ -188,12 +184,9 @@ def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
     jacobi_tangent`` reads those entries up to the first nonzero one
     instead, so the full table is for callers that read every entry.
     """
-    n2 = pi.chart.dim
-    table = [[[ZERO for _ in range(n2)] for _ in range(n2)] for _ in range(n2)]
-    for (i, j, k), s in _jacobi_entries(pi):
-        table[i][j][k] = table[j][k][i] = table[k][i][j] = s
-        table[j][i][k] = table[i][k][j] = table[k][j][i] = -s
-    return TrilinearForm(pi.chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
+    return _table(
+        pi.chart, _jacobi_entries(pi), ((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The check table: every kind's arguments, chart rule and required options are enforced;
-and the lazy ``codazzi`` and ``jacobi_tangent`` verdicts equal the verdicts over full tables."""
+and the lazy ``codazzi``, ``kv_bracket`` and ``jacobi_tangent`` verdicts equal the verdicts
+over full tables and read no entry past the first nonzero one."""
 
 import random
 import re
@@ -17,7 +18,7 @@ from kvgeom.cli import run
 from kvgeom.dsl import parse_scenario
 from kvgeom.engine import RunConfig
 from kvgeom.errors import ParseError, SemanticError
-from kvgeom.geometry import Chart, codazzi_tensor
+from kvgeom.geometry import Chart, codazzi_tensor, kv_bracket_form
 from kvgeom.tangent import _jacobi_entries, build_pi, schouten_jacobi
 
 # one object of every declaration kind on M, and a second copy on the chart P
@@ -165,7 +166,11 @@ def test_lazy_verdicts_equal_the_verdicts_over_full_tables(n):
             "tangent-lift bivector satisfies the Jacobi identity",
             "Jacobiator nonzero at {at}",
         )
+        bracket = _residual_verdict(
+            _indexed(kv_bracket_form(h).entries), "self-bracket of the bivector vanishes", "bracket nonzero at {at}"
+        )
         assert _run("codazzi", h) == codazzi
+        assert _run("kv_bracket", h) == bracket
         assert _run("jacobi_tangent", h) == jacobi
         statuses.append(codazzi[0])
     assert statuses[:2] == ["pass", "pass"]
@@ -186,15 +191,21 @@ def _count_dot(monkeypatch, module):
 
 def test_lazy_verdicts_stop_at_the_first_nonzero_entry(monkeypatch):
     h = random_bivector(random.Random(5), _chart(4), 2)
-    codazzi_calls = _count_dot(monkeypatch, kvgeom.geometry)
+    geometry_calls = _count_dot(monkeypatch, kvgeom.geometry)
     assert _run("codazzi", h)[:2] == ("fail", "defect at indices (1,2,1)")
-    assert len(codazzi_calls) == 2  # T(1,2,1) alone; the whole table takes 2 * 4 * 6 = 48
+    assert len(geometry_calls) == 2  # T(1,2,1) alone; the whole table takes 2 * 4 * 6 = 48
+
+    geometry_calls.clear()
+    assert _run("kv_bracket", h)[:2] == ("fail", "bracket nonzero at (1,2,1)")
+    # B(1,2,1) reads the sharps X_1 and X_2 (four components each), X_1(h_12) and X_2(h_11);
+    # T(1,2,1), which it is compared with, takes two more; both full tables take 52 + 48 = 100
+    assert len(geometry_calls) == 2 * 4 + 2 + 2
 
     jacobi_calls = _count_dot(monkeypatch, kvgeom.tangent)
     read = next(t for t, (_, s) in enumerate(_jacobi_entries(build_pi(h)), 1) if not s.is_zero())
     jacobi_calls.clear()
-    codazzi_calls.clear()
+    geometry_calls.clear()
     assert _run("jacobi_tangent", h)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
     assert read == 16  # (1,5,6) comes after the 15 triples (1, j, k) with j <= 4
     assert len(jacobi_calls) == 3 * read  # three per triple read; the whole table takes 3 * C(8, 3) = 168
-    assert len(codazzi_calls) == 2  # the cross-check with is_kv stops at T(1,2,1) too
+    assert len(geometry_calls) == 2  # the cross-check with is_kv stops at T(1,2,1) too

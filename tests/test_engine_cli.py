@@ -26,7 +26,6 @@ from kvgeom.engine import (
 )
 from kvgeom.dsl import CheckOutcome
 from kvgeom.errors import ClosureFailure
-from kvgeom.geometry import TrilinearForm
 from kvgeom.structures import preimage_transversal
 from kvgeom.symexpr import Expr
 
@@ -113,13 +112,15 @@ def test_identically_singular_transversal_names_the_given_points():
 
 
 def test_degree_overflow_during_a_check_is_unsupported():
+    # a bracket on a line has no entry i < j, so kv_bracket reads nothing of degree past the
+    # cap; in_E reads h_11^2 f'' = 2 x^4000000000, which overflows
     text = (
-        "manifold M { dim 1 coords [x] } bivector h on M { [x^2000000000] } "
-        "check kv_bracket h check codazzi h"
+        "manifold M { dim 1 coords [x] } bivector h on M { [x^2000000000] } scalar f on M = x^2 "
+        "check kv_bracket h check in_E h f check codazzi h"
     )
     res = run_text(text)
-    assert [o.status for o in res.outcomes] == ["unsupported", "pass"]
-    assert "exceeds the largest supported degree 2147483647" in res.outcomes[0].details
+    assert [o.status for o in res.outcomes] == ["pass", "unsupported", "pass"]
+    assert "polynomial degree 4000000000 exceeds the largest supported degree 2147483647" in res.outcomes[1].details
 
 
 def test_a_residual_that_vanishes_at_every_try_has_no_witness():
@@ -265,10 +266,8 @@ def test_oracle_catches_wrong_mixed_lift_residuals(monkeypatch, capsys):
     assert all(c["status"] == "fail" for c in lifts if "ORACLE DISAGREEMENT" in c["details"])
 
 
-def _wrong_bracket_table(h):
-    one = Expr.const(1)
-    n = h.chart.dim
-    return TrilinearForm(h.chart, tuple(tuple((one,) * n for _ in range(n)) for _ in range(n)))
+def _wrong_bracket_stream(h):
+    yield (0, 1, 0), Expr.const(1)
 
 
 def _closure_failure(*args, **kwargs):
@@ -278,7 +277,7 @@ def _closure_failure(*args, **kwargs):
 @pytest.mark.parametrize(
     "attr, patch, kind, error",
     [
-        ("kv_bracket_form", _wrong_bracket_table, "kv_bracket", "EngineInconsistency"),
+        ("_bracket_entries", _wrong_bracket_stream, "kv_bracket", "EngineInconsistency"),
         ("conormal_algebroid", _closure_failure, "conormal", "ClosureFailure"),
     ],
 )
@@ -453,8 +452,8 @@ def test_a_product_past_the_size_estimate_is_a_parse_error_at_its_operator(tmp_p
 
 
 def test_a_codazzi_verdict_reads_no_entry_past_the_first_nonzero_one(tmp_path):
-    # T(1,2,1) = -x z^(2^30 + 1) decides the check; a later entry has a degree past the
-    # packed field width, and a full table, as kv_bracket builds, cannot be built
+    # T(1,2,1) = -x z^(2^30 + 1) decides both checks; a later entry has a degree past the
+    # packed field width, so a full table of either identity cannot be built
     path = tmp_path / "codazzi.kvs"
     path.write_text(
         "manifold M { dim 3 coords [x y z] }\n"
@@ -466,7 +465,8 @@ def test_a_codazzi_verdict_reads_no_entry_past_the_first_nonzero_one(tmp_path):
     codazzi, bracket = json.loads(proc.stdout)["checks"]
     assert (codazzi["status"], codazzi["details"]) == ("fail", "defect at indices (1,2,1)")
     assert codazzi["witness"] == {"point": ["2/3", "1"], "residual": "-x*z^1073741825"}
-    assert bracket["status"] == "unsupported" and "exceeds the largest supported degree" in bracket["details"]
+    assert (bracket["status"], bracket["details"]) == ("fail", "bracket nonzero at (1,2,1)")
+    assert bracket["witness"]["residual"] == "x*z^1073741825"
 
 
 def test_the_witness_search_skips_points_whose_value_is_too_long(tmp_path):

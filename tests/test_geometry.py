@@ -23,7 +23,6 @@ from kvgeom.geometry import (
     SymBivector,
     VectorField,
     apply_field,
-    associator,
     bivector_pair,
     bracket_h,
     codazzi_tensor,
@@ -90,12 +89,13 @@ def test_codazzi_antisymmetry_in_first_two_slots():
 
 
 def test_kv_bracket_is_minus_codazzi_and_vanishes_together():
-    # the five-term self-bracket expands to minus the Codazzi defect entrywise
+    # the five-term self-bracket expands to minus the Codazzi defect entrywise; check
+    # kv_bracket compares only the entries its verdict reads, so the full tables are held here
     rng = random.Random(12)
-    charts = [M, Chart("P", ("x", "y", "z"))]
+    charts = [M, Chart("P", ("x", "y", "z")), Chart("R4", ("x1", "x2", "x3", "x4"))]
     for chart in charts:
-        for _ in range(6):
-            h = random_bivector(rng, chart, 2)
+        cases = [random_bivector(rng, chart, 2) for _ in range(6)] + [bivector_with_a_rational_entry(rng, chart)]
+        for h in cases:
             b = kv_bracket_form(h)
             t = codazzi_tensor(h)
             n = chart.dim
@@ -213,8 +213,9 @@ def test_kv_bracket_form_builds_one_derivative_table(monkeypatch):
     kv_bracket_form(h)
     # d h_bc for the ten pairs b <= c, each along four coordinates
     assert len(diffs) == 10 * 4
-    # four sharps of four components, then X_a(h_bc) for four a and ten pairs b <= c
-    assert len(dots) == 4 * 4 + 4 * 10
+    # four sharps of four components, then X_a(h_bc) for four a and the nine pairs b <= c
+    # other than (a, a): X_a(h_aa) enters no entry i < j
+    assert len(dots) == 4 * 4 + 4 * 9
 
 
 def test_bracket_h_one_dim_example():
@@ -354,6 +355,13 @@ def test_special_class_examples():
     assert special_class_check(H_SQ, ScalarField(M, Expr.const(7)), ScalarField(M, X_))
     with pytest.raises(PreconditionViolated):
         special_class_check(H_SQ, ScalarField(M, X_ ** 2), ScalarField(M, X_))
+
+
+def associator(X, Y, Z):
+    """(X•Y)•Z - X•(Y•Z), componentwise."""
+    a = left_sym_product(left_sym_product(X, Y), Z)
+    b = left_sym_product(X, left_sym_product(Y, Z))
+    return tuple(p - q for p, q in zip(a.components, b.components))
 
 
 def test_left_sym_product_and_flatness():
