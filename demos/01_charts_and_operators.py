@@ -11,32 +11,40 @@ from kvgeom import (
     ScalarField,
     SymBivector,
     bracket_h,
-    codazzi_tensor,
     contravariant_D,
     hamiltonian,
     in_E,
-    kv_bracket_form,
+    is_kv,
     lie_derivative_h,
+    parse_scenario,
     rank_at,
+    run_scenario,
     sharp,
 )
-from kvgeom.geometry import coordinate_form
 
 M = Chart("M", ("x", "y"))
 x, y = Expr.var("x"), Expr.var("y")
 
 # A linear diagonal structure; it satisfies the contravariant Codazzi identity.
 h = SymBivector.diagonal(M, [x, y])
-print("Codazzi defect vanishes:", codazzi_tensor(h).is_zero())
-print("five-term self-bracket vanishes:", kv_bracket_form(h).is_zero())
+print("Codazzi defect vanishes:", is_kv(h))
 
-# An off-diagonal linear structure that fails the identity.
-h_bad = SymBivector(M, ((Expr.const(0), x), (x, Expr.const(0))))
-defect = codazzi_tensor(h_bad)
-print("off-diagonal defect entry (1,2,2):", defect.entry(0, 1, 1))
+# The same identities as checks of the scenario language: the five-term
+# self-bracket, and an off-diagonal linear structure that fails the identity,
+# reported at its first nonzero defect entry.
+SCENARIO = """
+manifold M { dim 2 coords [x y] }
+bivector h on M { [x, 0; 0, y] }
+bivector h_bad on M { [0, x; x, 0] }
+check kv_bracket h
+check codazzi h_bad
+"""
+bracket, defect = run_scenario(parse_scenario(SCENARIO), seed=42, samples=20).outcomes
+print("five-term self-bracket vanishes:", bracket.status == "pass")
+print(f"off-diagonal {defect.details}:", defect.witness.residual)
 
 # The sharp map sends coordinate forms to the rows of the matrix.
-dx = coordinate_form(M, 0)
+dx = OneForm(M, (1, 0))
 print("sharp of dx:", [str(c) for c in sharp(h, dx).components])
 
 # Brackets and the contravariant connection, fully expanded in coordinates.

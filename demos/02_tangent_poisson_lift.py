@@ -11,13 +11,11 @@ from kvgeom import (
     ScalarField,
     SymBivector,
     build_pi,
-    codazzi_tensor,
+    is_kv,
     lift_propositions_check,
-    make_tangent_chart,
-    sasaki_J,
-    schouten_jacobi,
+    parse_scenario,
+    run_scenario,
 )
-from kvgeom.geometry import VectorField
 
 M = Chart("M", ("x", "y"))
 x, y = Expr.var("x"), Expr.var("y")
@@ -26,17 +24,21 @@ h = SymBivector.diagonal(M, [x, y])
 pi = build_pi(h)
 print("tangent chart coordinates:", pi.chart.coords)
 print("mixed block entry Pi(dx, u_x):", pi.entries[0][2])
-print("Jacobiator vanishes:", schouten_jacobi(pi).is_zero())
+
+# check jacobi_tangent decides whether the lift is Poisson.
+SCENARIO = """
+manifold M { dim 2 coords [x y] }
+bivector h on M { [x, 0; 0, y] }
+bivector h_bad on M { [0, x; x, 0] }
+check jacobi_tangent h
+check jacobi_tangent h_bad
+"""
+good, bad = run_scenario(parse_scenario(SCENARIO), seed=42, samples=20).outcomes
+print("Jacobiator vanishes:", good.status == "pass")
 
 h_bad = SymBivector(M, ((Expr.const(0), x), (x, Expr.const(0))))
-print("non-Codazzi instance lifts to non-Poisson:", not schouten_jacobi(build_pi(h_bad)).is_zero())
-print("matching base verdict:", not codazzi_tensor(h_bad).is_zero())
-
-# The almost complex structure swaps horizontal and vertical directions.
-tc = make_tangent_chart(M)
-V = VectorField(tc.chart, tuple(Expr.var(c) for c in tc.chart.coords))
-JJV = sasaki_J(tc, sasaki_J(tc, V))
-print("J o J = -identity:", JJV == VectorField(tc.chart, tuple(-c for c in V.components)))
+print("non-Codazzi instance lifts to non-Poisson:", bad.status == "fail")
+print("matching base verdict:", not is_kv(h_bad))
 
 # Hamiltonian lifts: vertical ones are Hamiltonian, horizontal ones preserve
 # the lifted bivector exactly for leafwise-affine functions.

@@ -32,16 +32,13 @@ from .geometry import (
     OneForm,
     ScalarField,
     SymBivector,
-    TrilinearForm,
     VectorField,
     bracket_h,
-    codazzi_tensor,
     contravariant_D,
     differential,
     hamiltonian,
     in_E,
     is_kv,
-    kv_bracket_form,
     left_sym_product,
     lie_bracket,
     lie_derivative_h,
@@ -54,13 +51,10 @@ from .tangent import (
     SkewBivector,
     TangentChart,
     build_pi,
-    lift_oneform,
     lift_propositions_check,
     lift_vector,
     make_tangent_chart,
     pi_sharp,
-    sasaki_J,
-    schouten_jacobi,
 )
 from .structures import (
     AffineMap,
@@ -73,7 +67,6 @@ from .structures import (
     is_kv_map,
     is_kv_submanifold,
     is_transversal,
-    leaf_openness_check,
     preimage_transversal,
     product_kv,
     pullback,

@@ -5,9 +5,9 @@ covariant derivative below reduces to coordinate differentiation.  All
 operators return fully normalized expressions; a structural condition holds
 iff the corresponding residuals are exactly zero.
 
-Each tensor identity is written once, as a lazy stream of entries: the
-full tables fill from it through ``_table``, and ``is_kv`` and the checks
-stop at the first nonzero entry, so one entry decides a generic bivector.
+Each tensor identity is written once, as a lazy stream of entries, and
+read only as that stream: ``is_kv`` and the checks stop at the first
+nonzero entry, so one entry decides a generic bivector.
 """
 
 from __future__ import annotations
@@ -130,24 +130,8 @@ class ScalarField:
         object.__setattr__(self, "value", _check_scope(self.chart, _as_expr(self.value)))
 
 
-@dataclass(frozen=True)
-class TrilinearForm:
-    chart: Chart
-    entries: tuple[tuple[tuple[Expr, ...], ...], ...]  # indexed [i][j][k]
-
-    def entry(self, i: int, j: int, k: int) -> Expr:
-        return self.entries[i][j][k]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for plane in self.entries for row in plane for e in row)
-
-
 def coordinate_form(chart: Chart, i: int) -> OneForm:
     return OneForm(chart, tuple(ONE if j == i else ZERO for j in range(chart.dim)))
-
-
-def coordinate_field(chart: Chart, i: int) -> VectorField:
-    return VectorField(chart, tuple(ONE if j == i else ZERO for j in range(chart.dim)))
 
 
 def differential(f: ScalarField) -> OneForm:
@@ -235,30 +219,6 @@ def _codazzi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Exp
                 yield (i, j, k), _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
 
 
-def _table(chart: Chart, entries, even, odd) -> TrilinearForm:
-    """The n x n x n table of an entry stream, zero but at the entries and their images.
-
-    Each ((i, j, k), s) is written at its images in ``even`` and -s at those
-    in ``odd``: a permutation p of the three positions sends idx to
-    (idx[p[0]], idx[p[1]], idx[p[2]]), so (0, 1, 2) is the entry itself.
-    """
-    n = chart.dim
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for idx, s in entries:
-        for images, value in ((even, s), (odd, -s)):
-            for p in images:
-                table[idx[p[0]]][idx[p[1]]][idx[p[2]]] = value
-    return TrilinearForm(chart, tuple(tuple(tuple(row) for row in plane) for plane in table))
-
-
-def codazzi_tensor(h: SymBivector) -> TrilinearForm:
-    """The Codazzi tensor T; h is K-V iff T = 0.
-
-    T is antisymmetric in (i, j), so only i < j is computed.
-    """
-    return _table(h.chart, _codazzi_entries(h), ((0, 1, 2),), ((1, 0, 2),))
-
-
 def is_kv(h: SymBivector) -> bool:
     """Whether T = 0, stopping at the first nonzero Codazzi entry: one entry decides a generic h.
 
@@ -303,11 +263,6 @@ def _bracket_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Exp
         for j in range(i + 1, n):
             for k in range(n):
                 yield (i, j, k), d(i, j, k) - d(j, i, k) + d(j, k, i) - d(i, k, j) - (d(i, j, k) - d(j, i, k))
-
-
-def kv_bracket_form(h: SymBivector) -> TrilinearForm:
-    """The table of the five-term self-bracket, from ``_bracket_entries``; it is -codazzi_tensor(h)."""
-    return _table(h.chart, _bracket_entries(h), ((0, 1, 2),), ((1, 0, 2),))
 
 
 def bracket_h(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:
@@ -400,11 +355,7 @@ def special_class_check(h: SymBivector, f1: ScalarField, f2: ScalarField) -> boo
     return in_E(h, ScalarField(h.chart, g))
 
 
-def evaluate_entries(h: SymBivector, point: Sequence[Rational]) -> linalg.Mat:
-    pt = {v: Fraction(p) for v, p in zip(h.chart.coords, point)}
-    return tuple(tuple(e.eval_at(pt) for e in row) for row in h.entries)
-
-
 def rank_at(h: SymBivector, point: Sequence[Rational]) -> int:
     """Rank of the sharp map at an exact rational point."""
-    return linalg.rank(evaluate_entries(h, point))
+    pt = {v: Fraction(p) for v, p in zip(h.chart.coords, point)}
+    return linalg.rank(tuple(tuple(e.eval_at(pt) for e in row) for row in h.entries))

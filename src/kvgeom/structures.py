@@ -70,7 +70,6 @@ from .geometry import (
     _dot,
     _symmetric,
     coordinate_form,
-    evaluate_entries,
     hamiltonian,
     sharp,
 )
@@ -402,9 +401,6 @@ class AffineSubmanifold:
 
     def parametrize(self, params: Sequence[Rational]) -> tuple[Fraction, ...]:
         return self.parametrization().apply(params)
-
-    def contains(self, point: Sequence[Rational]) -> bool:
-        return self.parameters_of(point) is not None
 
     def parameters_of(self, point: Sequence[Rational]) -> tuple[Fraction, ...] | None:
         """y_1..y_k of y = P(x - origin), or None when the point is off N (some later y_i != 0)."""
@@ -846,30 +842,3 @@ def preimage_transversal(
         for s, t in zip(srow, trow)
     )
     return PreimageReport(n1, t1, t2, restriction, residuals)
-
-
-# --- supporting pointwise checks -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeafPointReport:
-    point: tuple[Fraction, ...]
-    rank: int
-    contained: bool
-
-
-def leaf_openness_check(
-    n_sub: AffineSubmanifold, h: SymBivector, points: Sequence[Sequence[Rational]]
-) -> list[LeafPointReport]:
-    """At each point: rank of sharp and whether its image lies in the tangent space."""
-    if h.chart != n_sub.ambient:
-        raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    out = []
-    for p in points:
-        if not n_sub.contains(p):
-            raise PreconditionViolated(f"point {list(p)} does not lie on the submanifold")
-        H = evaluate_entries(h, p)
-        rk = linalg.rank(H)
-        contained = linalg.rank(n_sub.basis + H) == n_sub.dim  # the columns of H are its rows
-        out.append(LeafPointReport(tuple(Fraction(q) for q in p), rk, contained))
-    return out

@@ -1,10 +1,10 @@
-"""Tangent-bundle constructions: lifts, the Sasaki operators, and the Poisson lift.
+"""Tangent-bundle constructions: lifts and the Poisson lift.
 
 The horizontal/vertical splitting is hard-coded to the zero-Christoffel form
 of an affine chart: horizontal directions are the base coordinate directions,
 vertical ones the fiber directions.  The skew bivector built from a symmetric
 bivector pairs base coordinate forms with fiber ones, and its Jacobiator is
-computed directly from the coordinate formula.
+read as a lazy stream of entries from the coordinate formula.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .geometry import (
     OneForm,
     ScalarField,
     SymBivector,
-    TrilinearForm,
     VectorField,
     _dot,
-    _table,
     differential,
     hamiltonian,
     hessian_contraction,
@@ -98,31 +96,10 @@ def lift_vector(tc: TangentChart, X: VectorField, mode: str) -> VectorField:
     raise ValueError("mode must be 'vertical' or 'horizontal'")
 
 
-def lift_oneform(tc: TangentChart, alpha: OneForm, mode: str) -> OneForm:
-    _require_base(tc, alpha)
-    n = tc.base.dim
-    zero = tuple(ZERO for _ in range(n))
-    if mode == "horizontal":
-        return OneForm(tc.chart, alpha.components + zero)
-    if mode == "vertical":
-        return OneForm(tc.chart, zero + alpha.components)
-    raise ValueError("mode must be 'vertical' or 'horizontal'")
-
-
 def lift_scalar(tc: TangentChart, f: ScalarField) -> ScalarField:
     """f o p: same expression read on the tangent chart."""
     _require_base(tc, f)
     return ScalarField(tc.chart, f.value)
-
-
-def sasaki_J(tc: TangentChart, V: VectorField) -> VectorField:
-    """J sends horizontal directions to vertical ones and vertical to minus horizontal."""
-    if V.chart != tc.chart:
-        raise ChartMismatch("expected a field on the tangent chart")
-    n = tc.base.dim
-    base_part = V.components[:n]
-    fiber_part = V.components[n:]
-    return VectorField(tc.chart, tuple(-c for c in fiber_part) + base_part)
 
 
 def build_pi(h: SymBivector, tc: TangentChart | None = None) -> SkewBivector:
@@ -177,25 +154,12 @@ def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Ex
                 yield (i, j, k), _dot(cols[i], d(j, k)) - _dot(cols[j], d(i, k)) + _dot(cols[k], d(i, j))
 
 
-def schouten_jacobi(pi: SkewBivector) -> TrilinearForm:
-    """The Jacobiator table of ``pi``; the bivector is Poisson iff it is zero.
-
-    Built from ``_jacobi_entries`` by total antisymmetry.  ``check
-    jacobi_tangent`` reads those entries up to the first nonzero one
-    instead, so the full table is for callers that read every entry.
-    """
-    return _table(
-        pi.chart, _jacobi_entries(pi), ((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))
-    )
-
-
 @dataclass(frozen=True)
 class LiftPropositionsReport:
     """Outcome of the two Hamiltonian-lift statements for (h, f)."""
 
     hamiltonian_lift_ok: bool  # X_f^v equals Pi_#(d(f o p)) symbolically
-    lie_pi: SkewBivector  # L_{X_f^h} Pi
-    lie_pi_vanishes: bool
+    lie_pi_vanishes: bool  # L_{X_f^h} Pi = 0
     f_in_E: bool
     ambient_kv: bool
     agree: bool | None  # vanishing iff f in E; only asserted on K-V bivectors
@@ -214,7 +178,6 @@ def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsR
 
     W = lift_vector(tc, X_f, "horizontal")
     lie_entries = lie_derivative_contravariant(tc.chart, pi.entries, W.components)
-    lie_pi = SkewBivector(tc, lie_entries)
     vanishes = all(e.is_zero() for row in lie_entries for e in row)
 
     hc = hessian_contraction(h, f)
@@ -225,5 +188,5 @@ def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsR
     mixed = tuple(
         tuple(lie_entries[n + i][j] - hc[i][j] for j in range(n)) for i in range(n)
     )
-    return LiftPropositionsReport(part1, lie_pi, vanishes, f_in, kv, agree, mixed)
+    return LiftPropositionsReport(part1, vanishes, f_in, kv, agree, mixed)
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from kvgeom import linalg
 from kvgeom.algebra import AlgebraSpec
 from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField
-from kvgeom.symexpr import Expr
+from kvgeom.symexpr import ZERO, Expr
 
 
 def rational(rng: random.Random, scale: int = 2) -> Fraction:
@@ -142,3 +143,103 @@ def random_algebra(rng: random.Random, dim: int) -> AlgebraSpec:
         tuple(tuple(tuple(r) for r in p) for p in newC),
         tuple(tuple(r) for r in b),
     )
+
+
+# --- full-table references of the three tensor identities ----------------------
+#
+# Each runs its formula over every (i, j, k) and skips nothing: no zero factor,
+# no antisymmetric image and no cached row is left out.  The library reads each
+# identity only as a lazy stream of entries; ``assert_stream_spans_table``
+# compares such a stream with its reference entry by entry.
+
+
+def ref_codazzi(coords, H):
+    n = len(coords)
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = ZERO
+                for l, v in enumerate(coords):
+                    s = s + H[i][l] * H[j][k].diff(v) - H[j][l] * H[i][k].diff(v)
+                out[i][j][k] = s
+    return out
+
+
+def kv_bracket_reference(h):
+    """X_i(h_jk) - X_j(h_ik) + (X_j•X_k)_i - (X_i•X_k)_j - [X_i, X_j]_k for every (i, j, k).
+
+    X_a is the sharp of dx_a, whose components are the row h_a; X(e) and
+    X•Y = nabla_X Y are written out as sums over every coordinate.
+    """
+    coords, H = h.chart.coords, h.entries
+    n = len(coords)
+
+    def along(x, e):
+        s = ZERO
+        for l, v in enumerate(coords):
+            s = s + x[l] * e.diff(v)
+        return s
+
+    def dot(x, y):
+        return [along(x, c) for c in y]
+
+    return [
+        [
+            [
+                along(H[i], H[j][k])
+                - along(H[j], H[i][k])
+                + dot(H[j], H[k])[i]
+                - dot(H[i], H[k])[j]
+                - (dot(H[i], H[j])[k] - dot(H[j], H[i])[k])
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def jacobiator_reference(pi):
+    """J(i,j,k) summed over every l for every (i, j, k), zero factors included."""
+    P = pi.entries
+    coords = pi.chart.coords
+    n2 = len(coords)
+
+    def term(l, a, b, c):
+        return P[l][a] * P[b][c].diff(coords[l])
+
+    return [
+        [
+            [
+                sum((term(l, i, j, k) + term(l, j, k, i) + term(l, k, i, j) for l in range(n2)), Expr.const(0))
+                for k in range(n2)
+            ]
+            for j in range(n2)
+        ]
+        for i in range(n2)
+    ]
+
+
+def assert_stream_spans_table(stream, ref, m):
+    """``stream``, spread over the n x n x n table by antisymmetry in its first ``m`` slots, is ``ref``.
+
+    The stream yields ((i, j, k), entry) for the indices whose first ``m``
+    increase, in row-major order.  Where two of those ``m`` indices are
+    equal, ``ref`` is zero; anywhere else it is the stream's entry at the
+    sorted index, negated when the sort is an odd permutation.
+    """
+    got = list(stream)
+    cube = list(product(range(len(ref)), repeat=3))
+    assert [idx for idx, _ in got] == [idx for idx in cube if list(idx[:m]) == sorted(set(idx[:m]))]
+    value = dict(got)
+    for idx in cube:
+        lead = idx[:m]
+        if len(set(lead)) < m:
+            want = ZERO
+        else:
+            inversions = sum(a > b for p, a in enumerate(lead) for b in lead[p + 1 :])
+            s = value[tuple(sorted(lead)) + idx[m:]]
+            want = -s if inversions % 2 else s
+        i, j, k = idx
+        assert ref[i][j][k] == want, idx

@@ -23,8 +23,8 @@ from kvgeom.geometry import (
     Chart,
     ScalarField,
     SymBivector,
-    codazzi_tensor,
     in_E,
+    is_kv,
     lie_derivative_h,
     lie_derivative_residual,
     special_class_check,
@@ -43,7 +43,7 @@ from kvgeom.structures import (
     theorem1_equivalences,
 )
 from kvgeom.symexpr import Expr
-from kvgeom.tangent import build_pi, schouten_jacobi
+from kvgeom.tangent import _jacobi_entries, build_pi
 
 X_ = Expr.var("x")
 Y_ = Expr.var("y")
@@ -67,12 +67,12 @@ def criterion(number: int, budget_s: float, label: str):
 
 def test_criterion_01_codazzi_corpus():
     with criterion(1, 10.0, "Codazzi identity on named and generated K-V instances"):
-        assert codazzi_tensor(H_DIAG).is_zero()
-        assert codazzi_tensor(H_SQ).is_zero()
+        assert is_kv(H_DIAG)
+        assert is_kv(H_SQ)
         rng = random.Random(101)
         for _ in range(50):
             a = random_algebra(rng, rng.randint(1, 4))
-            assert codazzi_tensor(algebra_to_kv(a)).is_zero()
+            assert is_kv(algebra_to_kv(a))
 
 
 def test_criterion_02_lie_derivative_value_and_residual():
@@ -100,7 +100,7 @@ def test_criterion_03_kv_poisson_equivalence():
         while len(instances) < 104:
             instances.append(random_bivector(rng, charts[len(instances) % 2], 2))
         for h in instances[:104]:
-            assert codazzi_tensor(h).is_zero() == schouten_jacobi(build_pi(h)).is_zero()
+            assert is_kv(h) == all(s.is_zero() for _, s in _jacobi_entries(build_pi(h)))
 
 
 def _map_instances():

@@ -64,10 +64,10 @@ def test_frame_is_the_greedy_completion_and_its_inverse():
                 for _ in range(3):
                     t = random_point(rng, k)
                     x = n_sub.parametrize(t)
-                    assert n_sub.parameters_of(x) == t and n_sub.contains(x)
+                    assert n_sub.parameters_of(x) == t
                     if k < n:  # the first completion vector leaves N
                         off = tuple(a + c for a, c in zip(x, (row[k] for row in C)))
-                        assert n_sub.parameters_of(off) is None and not n_sub.contains(off)
+                        assert n_sub.parameters_of(off) is None
     assert spans_with_standard_vectors > 20
 
 

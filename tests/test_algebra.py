@@ -18,9 +18,9 @@ from kvgeom.algebra import (
 from kvgeom.errors import InvalidAlgebra, InvalidSubspace
 from kvgeom.geometry import (
     ScalarField,
-    codazzi_tensor,
     differential,
     in_E,
+    is_kv,
     nabla_form,
     pair,
     sharp,
@@ -59,7 +59,7 @@ def test_algebra_to_kv_examples():
     x1 = Expr.var("x1")
     assert h.entries[0][0] == x1
     assert h.entries[0][1].is_zero() and h.entries[1][1].is_zero()
-    assert codazzi_tensor(h).is_zero()
+    assert is_kv(h)
     std = algebra_to_kv(AlgebraSpec.from_sparse(2, cocycle={(0, 0): 1, (1, 1): 1}))
     assert std.entries[0][0] == Expr.const(1) and std.entries[1][1] == Expr.const(1)
     with pytest.raises(InvalidAlgebra):
@@ -72,7 +72,7 @@ def test_random_algebras_are_valid_and_dual_is_kv():
         dim = rng.randint(1, 4)
         a = random_algebra(rng, dim)
         assert validate_algebra(a).valid
-        assert codazzi_tensor(algebra_to_kv(a)).is_zero()
+        assert is_kv(algebra_to_kv(a))
 
 
 def test_annihilator_examples():

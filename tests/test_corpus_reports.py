@@ -2,12 +2,14 @@
 
 The eight benchmark entries are compared with the benchmark's own golden
 reports (``perfbench/golden``); ``worked_examples``, which runs every check
-kind, is compared with ``tests/golden`` in both output formats.  So are two
-R^6 tensor scenarios in ``tests/data``, one K-V diagonal profile and one
-generic quadratic bivector that fails every check, as the benchmark's
-``tensor_scaling`` workload generates them, an R^4 transversal scenario
-whose conormal and bordered blocks have rational-function entries, and an
-R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25.
+kind, is compared with ``tests/golden`` in both output formats.  So is every
+scenario in ``tests/data``: two R^6 tensor scenarios, one K-V diagonal
+profile and one generic quadratic bivector that fails every check, as the
+benchmark's ``tensor_scaling`` workload generates them; an R^3 pair, one
+K-V and one not, on which a self-bracket with a wrong term shows; an R^4
+transversal scenario whose conormal and bordered blocks have
+rational-function entries; a generic R^8 transversal with a 4x4 conormal
+block; and an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25.
 """
 
 from pathlib import Path
@@ -42,28 +44,12 @@ def test_worked_examples_text_report_matches_golden():
     assert _report("worked_examples", "text") == golden.read_text(encoding="utf-8")
 
 
-TENSOR_CASES = ("tensor_r6_diag_profile", "tensor_r6_generic_quadratic")
+DATA = sorted((ROOT / "tests" / "data").glob("*.kvs"))
 
 
-@pytest.mark.parametrize("name", TENSOR_CASES)
+@pytest.mark.parametrize("scenario", DATA, ids=[d.stem for d in DATA])
 @pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
-def test_tensor_scenario_report_matches_golden(name, format, suffix):
-    _assert_data_report_matches_golden(name, format, suffix)
-
-
-@pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
-def test_rational_transversal_report_matches_golden(format, suffix):
-    # a symbolic-true verdict that reads the bordered block, a singular block and a sampled one
-    _assert_data_report_matches_golden("transversal_rational_r4", format, suffix)
-
-
-@pytest.mark.parametrize("format, suffix", [("json", "json"), ("text", "txt")])
-def test_rational_sum_report_matches_golden(format, suffix):
-    # one entry whose normalization needs a gcd of two degree-50 polynomials
-    _assert_data_report_matches_golden("rational_sum_r1", format, suffix)
-
-
-def _assert_data_report_matches_golden(name, format, suffix):
-    scenario = str(ROOT / "tests" / "data" / f"{name}.kvs")
-    golden = ROOT / "tests" / "golden" / f"{name}.{suffix}"
-    assert _report(scenario, format) == golden.read_text(encoding="utf-8")
+def test_data_report_matches_golden(scenario, format, suffix):
+    # a scenario in tests/data without both goldens fails here
+    golden = ROOT / "tests" / "golden" / f"{scenario.stem}.{suffix}"
+    assert _report(str(scenario), format) == golden.read_text(encoding="utf-8")

@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    assert_stream_spans_table,
     bivector_with_a_rational_entry,
     diagonal_profile,
+    kv_bracket_reference,
     random_algebra,
     random_bivector,
     random_oneform,
     random_point,
     random_scalar,
+    ref_codazzi,
 )
 from kvgeom.algebra import algebra_to_kv
 from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
@@ -22,17 +25,16 @@ from kvgeom.geometry import (
     ScalarField,
     SymBivector,
     VectorField,
-    apply_field,
+    _bracket_entries,
+    _codazzi_entries,
     bivector_pair,
     bracket_h,
-    codazzi_tensor,
     contravariant_D,
     coordinate_form,
     differential,
     hamiltonian,
     in_E,
     is_kv,
-    kv_bracket_form,
     left_sym_product,
     lie_bracket,
     lie_derivative_h,
@@ -69,81 +71,56 @@ def test_sharp_chart_mismatch():
         sharp(H_DIAG, coordinate_form(other, 0))
 
 
+def _codazzi(h):
+    return dict(_codazzi_entries(h))
+
+
+def _bracket_vanishes(h):
+    return all(s.is_zero() for _, s in _bracket_entries(h))
+
+
 def test_codazzi_examples():
-    assert codazzi_tensor(H_DIAG).is_zero()
-    t = codazzi_tensor(H_OFF)
-    assert t.entry(0, 1, 1) == -X_
+    assert is_kv(H_DIAG)
+    assert _codazzi(H_OFF)[(0, 1, 1)] == -X_
     const = SymBivector(M, ((Expr.const(2), Expr.const(1)), (Expr.const(1), Expr.const(-3))))
-    assert codazzi_tensor(const).is_zero()
+    assert is_kv(const)
 
 
-def test_codazzi_antisymmetry_in_first_two_slots():
+def test_codazzi_entries_span_the_antisymmetric_reference_table():
+    # the stream holds i < j only; the reference runs every (i, j, k), so
+    # T(i,j,k) = -T(j,i,k) and T(i,i,k) = 0 are checked too
     rng = random.Random(11)
     for _ in range(10):
         h = random_bivector(rng, M, 2)
-        t = codazzi_tensor(h)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    assert t.entry(i, j, k) == -t.entry(j, i, k)
+        assert_stream_spans_table(_codazzi_entries(h), ref_codazzi(M.coords, h.entries), 2)
 
 
 def test_kv_bracket_is_minus_codazzi_and_vanishes_together():
     # the five-term self-bracket expands to minus the Codazzi defect entrywise; check
-    # kv_bracket compares only the entries its verdict reads, so the full tables are held here
+    # kv_bracket compares only the entries its verdict reads, so every entry is compared here
     rng = random.Random(12)
     charts = [M, Chart("P", ("x", "y", "z")), Chart("R4", ("x1", "x2", "x3", "x4"))]
     for chart in charts:
         cases = [random_bivector(rng, chart, 2) for _ in range(6)] + [bivector_with_a_rational_entry(rng, chart)]
         for h in cases:
-            b = kv_bracket_form(h)
-            t = codazzi_tensor(h)
-            n = chart.dim
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        assert b.entry(i, j, k) == -t.entry(i, j, k)
-            assert b.is_zero() == t.is_zero()
-    assert kv_bracket_form(H_DIAG).is_zero()
-    assert not kv_bracket_form(H_OFF).is_zero()
-    assert kv_bracket_form(SymBivector.zero(M)).is_zero()
-
-
-def kv_bracket_reference(h):
-    """The five bracket terms rebuilt from whole vector fields for every (i, j, k)."""
-    chart = h.chart
-    n = chart.dim
-    Xs = [sharp(h, coordinate_form(chart, a)) for a in range(n)]
-    return [
-        [
-            [
-                apply_field(Xs[i], h.entries[j][k])
-                - apply_field(Xs[j], h.entries[i][k])
-                + left_sym_product(Xs[j], Xs[k]).components[i]
-                - left_sym_product(Xs[i], Xs[k]).components[j]
-                - lie_bracket(Xs[i], Xs[j]).components[k]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+            b, t = list(_bracket_entries(h)), list(_codazzi_entries(h))
+            assert [idx for idx, _ in b] == [idx for idx, _ in t]
+            assert all(s == -u for (_, s), (_, u) in zip(b, t))
+            assert _bracket_vanishes(h) == is_kv(h)
+    assert _bracket_vanishes(H_DIAG)
+    assert not _bracket_vanishes(H_OFF)
+    assert _bracket_vanishes(SymBivector.zero(M))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_kv_bracket_form_equals_the_per_entry_formula(n):
+def test_bracket_entries_equal_the_per_entry_formula(n):
     rng = random.Random(100 + n)
     chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
     cases = [SymBivector.zero(chart), random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
     if n <= 2:
         cases += [random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
     for h in cases:
-        ref = kv_bracket_reference(h)
-        table = kv_bracket_form(h)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
+        assert_stream_spans_table(_bracket_entries(h), kv_bracket_reference(h), 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -163,7 +140,8 @@ def test_is_kv_is_the_zero_test_of_the_codazzi_tensor(n):
         bivector_with_a_rational_entry(rng, chart),
     ]
     verdicts = [is_kv(h) for h in cases]
-    assert verdicts == [codazzi_tensor(h).is_zero() for h in cases]
+    reference = [ref_codazzi(chart.coords, h.entries) for h in cases]
+    assert verdicts == [all(e.is_zero() for plane in t for row in plane for e in row) for t in reference]
     assert verdicts[:2] == [True, True] and verdicts[3]
     assert verdicts[2] == (n == 1)
 
@@ -181,17 +159,17 @@ def test_is_kv_stops_at_the_first_nonzero_entry(monkeypatch):
     monkeypatch.setattr(geometry, "_dot", counted)
     chart = Chart("R4", ("x1", "x2", "x3", "x4"))
     h = random_bivector(random.Random(5), chart, 2)
-    first = codazzi_tensor(h).entry(0, 1, 0)
-    assert not first.is_zero()
+    at, first = next(_codazzi_entries(h))
+    assert at == (0, 1, 0) and not first.is_zero()
     calls.clear()
     assert not is_kv(h)
     assert len(calls) == 2  # T(1,2,1) = h_1 . d h_21 - h_2 . d h_11, and nothing after it
     calls.clear()
-    codazzi_tensor(h)
+    _codazzi(h)
     assert len(calls) == 2 * 4 * 6  # every k for each of the six pairs i < j
 
 
-def test_kv_bracket_form_builds_one_derivative_table(monkeypatch):
+def test_bracket_entries_build_one_derivative_table(monkeypatch):
     import kvgeom.geometry as geometry
 
     dots, diffs = [], []
@@ -210,7 +188,7 @@ def test_kv_bracket_form_builds_one_derivative_table(monkeypatch):
     assert all(not e.is_zero() for row in h.entries for e in row)
     monkeypatch.setattr(geometry, "_dot", counted_dot)
     monkeypatch.setattr(Expr, "diff", counted_diff)
-    kv_bracket_form(h)
+    list(_bracket_entries(h))
     # d h_bc for the ten pairs b <= c, each along four coordinates
     assert len(diffs) == 10 * 4
     # four sharps of four components, then X_a(h_bc) for four a and the nine pairs b <= c
@@ -406,7 +384,6 @@ def test_rank_at_pole():
 def test_degenerate_inputs_dim_one_and_zero_bivector():
     L = Chart("L", ("s",))
     hz = SymBivector.zero(L)
-    assert codazzi_tensor(hz).is_zero()
     assert is_kv(hz)
     f = ScalarField(L, Expr.var("s") ** 2)
     assert all(c.is_zero() for c in hamiltonian(hz, f).components)

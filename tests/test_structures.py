@@ -21,9 +21,9 @@ from kvgeom.geometry import (
     ScalarField,
     SymBivector,
     VectorField,
-    codazzi_tensor,
     coordinate_form,
     hamiltonian,
+    is_kv,
     rank_at,
 )
 from kvgeom.structures import (
@@ -43,7 +43,6 @@ from kvgeom.structures import (
     is_kv_submanifold,
     is_transversal,
     kv_map_residuals,
-    leaf_openness_check,
     preimage_transversal,
     product_kv,
     pullback,
@@ -253,8 +252,6 @@ def test_adapted_frame_examples():
     assert diag.parameters_of(diag.parametrize((Fr(3),))) == (Fr(3),)
     for wrong in ((1,), (1, 1, 1)):  # zip would cut a wrong-length point to fit
         with pytest.raises(ValueError):
-            diag.contains(wrong)
-        with pytest.raises(ValueError):
             diag.parameters_of(wrong)
     hy = to_adapted_bivector(diag, SymBivector.standard(P))
     assert hy.chart.coords == ("y1", "y2")
@@ -320,12 +317,12 @@ def test_induced_structure_is_kv_both_routes():
     hsq = SymBivector(R3, tuple(tuple(xs[i] * xs[j] for j in range(3)) for i in range(3)))
     plane = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0), (0, 1, 0)))
     res = is_kv_submanifold(plane, hsq)
-    assert res.ok and codazzi_tensor(res.induced).is_zero()
+    assert res.ok and is_kv(res.induced)
     # transversal route
     hdeg = SymBivector.diagonal(R3, [Expr.const(1), Expr.const(1), Expr.const(0)])
     wall = AffineSubmanifold(R3, (0, 0, 0), ((0, 1, 0), (0, 0, 1)))
     tr = is_transversal(wall, hdeg)
-    assert tr.verdict == SYMBOLIC_TRUE and codazzi_tensor(tr.induced).is_zero()
+    assert tr.verdict == SYMBOLIC_TRUE and is_kv(tr.induced)
 
 
 def test_transversal_examples():
@@ -518,7 +515,7 @@ def test_conormal_algebroid_with_nonzero_anchor_and_nonconstant_table():
     b = X_ ** 2 + 2
     zero = Expr.const(0)
     h = SymBivector(R3, ((zero, b, zero), (b, 2 * X_ * Y_, zero), (zero, zero, zero)))
-    assert codazzi_tensor(h).is_zero()
+    assert is_kv(h)
     axis = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0),))
     assert is_coisotropic(axis, h)
     alg = conormal_algebroid(axis, h)
@@ -722,29 +719,16 @@ def test_transversal_and_submanifold_induced_structures_coincide():
     assert res_a.induced.entries == res_b.induced.entries == ((Expr.const(1),),)
 
 
-def test_leaf_openness_and_transverse_intersection():
+def test_transverse_intersection_of_kv_planes():
     R3 = Chart("R3", ("x1", "x2", "x3"))
     xs = [Expr.var(c) for c in R3.coords]
     hsq = SymBivector(R3, tuple(tuple(xs[i] * xs[j] for j in range(3)) for i in range(3)))
     plane12 = AffineSubmanifold(R3, (0, 0, 0), ((1, 0, 0), (0, 1, 0)))
     plane23 = AffineSubmanifold(R3, (0, 0, 0), ((0, 1, 0), (0, 0, 1)))
     assert is_kv_submanifold(plane12, hsq).ok and is_kv_submanifold(plane23, hsq).ok
-    reports = leaf_openness_check(plane12, hsq, [(1, 1, 0), (Fr(1, 2), Fr(-1, 3), 0)])
-    assert all(r.contained and r.rank == 1 for r in reports)
     # intersection of the two K-V submanifolds: the x2-axis, again K-V
     axis2 = AffineSubmanifold(R3, (0, 0, 0), ((0, 1, 0),))
     assert is_kv_submanifold(axis2, hsq).ok
-    reports2 = leaf_openness_check(axis2, hsq, [(0, 1, 0), (0, Fr(3, 2), 0)])
-    assert all(r.contained for r in reports2)
-    zero = SymBivector.zero(R3)
-    reports3 = leaf_openness_check(plane12, zero, [(0, 0, 0), (1, 1, 0)])
-    assert all(r.contained and r.rank == 0 for r in reports3)
-    with pytest.raises(PreconditionViolated):
-        leaf_openness_check(plane12, hsq, [(0, 0, 1)])
-    # a bivector on another chart with the same coordinate names is not evaluated as if on R3
-    elsewhere = SymBivector(Chart("S3", R3.coords), hsq.entries)
-    with pytest.raises(ChartMismatch):
-        leaf_openness_check(plane12, elsewhere, [(1, 1, 0)])
 
 
 def test_expr_matrix_helpers():

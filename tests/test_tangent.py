@@ -1,31 +1,35 @@
-"""Tangent-bundle layer: lifts, Sasaki operators, the skew lift and its Jacobiator."""
+"""Tangent-bundle layer: lifts, the flat connection on lifts, the skew lift and its Jacobiator."""
 
 import random
 
-from conftest import random_bivector, random_field, random_oneform, random_poly
+from conftest import (
+    assert_stream_spans_table,
+    jacobiator_reference,
+    random_bivector,
+    random_field,
+    random_oneform,
+    random_poly,
+)
 from kvgeom.geometry import (
     Chart,
+    OneForm,
     ScalarField,
     SymBivector,
     VectorField,
-    codazzi_tensor,
-    coordinate_field,
+    is_kv,
     left_sym_product,
     lie_bracket,
-    pair,
 )
 from kvgeom.symexpr import Expr
 from kvgeom.tangent import (
     SkewBivector,
+    _jacobi_entries,
     build_pi,
-    lift_oneform,
     lift_propositions_check,
     lift_scalar,
     lift_vector,
     make_tangent_chart,
     pi_sharp,
-    sasaki_J,
-    schouten_jacobi,
 )
 
 M = Chart("M", ("x", "y"))
@@ -37,7 +41,7 @@ Y_ = Expr.var("y")
 def test_vertical_lift_of_coordinate_field():
     L = Chart("L", ("x",))
     tc = make_tangent_chart(L)
-    v = lift_vector(tc, coordinate_field(L, 0), "vertical")
+    v = lift_vector(tc, VectorField(L, (1,)), "vertical")
     assert v.components == (Expr.const(0), Expr.const(1))
 
 
@@ -59,33 +63,6 @@ def test_bracket_table_on_lifts():
         assert lie_bracket(Xh, Yh) == lift_vector(TC, lie_bracket(X, Y), "horizontal")
         assert lie_bracket(Xh, Yv) == lift_vector(TC, left_sym_product(X, Y), "vertical")
         assert all(c.is_zero() for c in lie_bracket(Xv, Yv).components)
-
-
-def test_lifted_pairings():
-    rng = random.Random(32)
-    for _ in range(6):
-        alpha = random_oneform(rng, M)
-        X = random_field(rng, M)
-        av = lift_oneform(TC, alpha, "vertical")
-        ah = lift_oneform(TC, alpha, "horizontal")
-        Xv = lift_vector(TC, X, "vertical")
-        Xh = lift_vector(TC, X, "horizontal")
-        assert pair(av, Xv) == pair(alpha, X)
-        assert pair(ah, Xh) == pair(alpha, X)
-        assert pair(av, Xh).is_zero()
-        assert pair(ah, Xv).is_zero()
-
-
-def test_sasaki_J_involution_and_lift_action():
-    rng = random.Random(33)
-    for _ in range(6):
-        X = random_field(rng, M)
-        assert sasaki_J(TC, lift_vector(TC, X, "horizontal")) == lift_vector(TC, X, "vertical")
-        assert sasaki_J(TC, lift_vector(TC, X, "vertical")) == VectorField(
-            TC.chart, tuple(-c for c in lift_vector(TC, X, "horizontal").components)
-        )
-        V = random_field(rng, TC.chart)
-        assert sasaki_J(TC, sasaki_J(TC, V)) == VectorField(TC.chart, tuple(-c for c in V.components))
 
 
 def test_sasaki_nabla_defining_cases_torsion_and_curvature():
@@ -119,16 +96,6 @@ def test_sasaki_nabla_defining_cases_torsion_and_curvature():
             assert all(e.is_zero() for e in curv)
 
 
-def test_sasaki_J_is_parallel():
-    rng = random.Random(35)
-    for _ in range(5):
-        W = random_field(rng, TC.chart)
-        V = random_field(rng, TC.chart)
-        lhs = left_sym_product(W, sasaki_J(TC, V))
-        rhs = sasaki_J(TC, left_sym_product(W, V))
-        assert lhs == rhs
-
-
 def test_build_pi_block_shape_and_sharp_identities():
     rng = random.Random(36)
     for _ in range(6):
@@ -145,12 +112,12 @@ def test_build_pi_block_shape_and_sharp_identities():
                 sum((alpha.components[i] * h.entries[i][j] for i in range(n)), Expr.const(0))
                 for j in range(n)
             )
-            vert = pi_sharp(pi, lift_oneform(TC, alpha, "horizontal"))
-            assert vert.components == tuple(Expr.const(0) for _ in range(n)) + sharp_alpha
-            horiz = pi_sharp(pi, lift_oneform(TC, alpha, "vertical"))
-            assert horiz.components == tuple(-c for c in sharp_alpha) + tuple(
-                Expr.const(0) for _ in range(n)
-            )
+            zero = (Expr.const(0),) * n
+            # alpha read along the base coordinates, then along the fiber ones
+            vert = pi_sharp(pi, OneForm(TC.chart, alpha.components + zero))
+            assert vert.components == zero + sharp_alpha
+            horiz = pi_sharp(pi, OneForm(TC.chart, zero + alpha.components))
+            assert horiz.components == tuple(-c for c in sharp_alpha) + zero
 
 
 def test_build_pi_scalar_example():
@@ -161,34 +128,17 @@ def test_build_pi_scalar_example():
     assert build_pi(SymBivector.zero(L)).entries[0][1].is_zero()
 
 
-def test_schouten_jacobi_examples():
+def _poisson(pi):
+    return all(s.is_zero() for _, s in _jacobi_entries(pi))
+
+
+def test_jacobiator_examples():
     h = SymBivector.diagonal(M, [X_, Y_])
-    assert schouten_jacobi(build_pi(h)).is_zero()
+    assert _poisson(build_pi(h))
     h_bad = SymBivector(M, ((Expr.const(0), X_), (X_, Expr.const(0))))
-    assert not schouten_jacobi(build_pi(h_bad)).is_zero()
+    assert not _poisson(build_pi(h_bad))
     h_const = SymBivector(M, ((Expr.const(1), Expr.const(2)), (Expr.const(2), Expr.const(-1))))
-    assert schouten_jacobi(build_pi(h_const)).is_zero()
-
-
-def jacobiator_reference(pi):
-    """J(i,j,k) summed over every l for every (i, j, k), zero factors included."""
-    P = pi.entries
-    coords = pi.chart.coords
-    n2 = len(coords)
-
-    def term(l, a, b, c):
-        return P[l][a] * P[b][c].diff(coords[l])
-
-    return [
-        [
-            [
-                sum((term(l, i, j, k) + term(l, j, k, i) + term(l, k, i, j) for l in range(n2)), Expr.const(0))
-                for k in range(n2)
-            ]
-            for j in range(n2)
-        ]
-        for i in range(n2)
-    ]
+    assert _poisson(build_pi(h_const))
 
 
 def random_skew(rng, tc):
@@ -203,19 +153,14 @@ def random_skew(rng, tc):
     return SkewBivector(tc, tuple(tuple(row) for row in rows))
 
 
-def test_schouten_jacobi_equals_the_unskipped_sum():
+def test_jacobi_entries_equal_the_unskipped_sum():
     rng = random.Random(38)
     for n in (1, 2, 3):
         chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
         tc = make_tangent_chart(chart)
         lifts = [build_pi(h) for h in (SymBivector.zero(chart), random_bivector(rng, chart, 2), random_bivector(rng, chart, 2))]
         for pi in lifts + [random_skew(rng, tc)]:
-            ref = jacobiator_reference(pi)
-            table = schouten_jacobi(pi)
-            for i in range(tc.dim):
-                for j in range(tc.dim):
-                    for k in range(tc.dim):
-                        assert table.entry(i, j, k) == ref[i][j][k], (i, j, k)
+            assert_stream_spans_table(_jacobi_entries(pi), jacobiator_reference(pi), 3)
 
 
 def test_poisson_equivalence_on_random_bivectors():
@@ -223,7 +168,7 @@ def test_poisson_equivalence_on_random_bivectors():
     for chart in (M, Chart("P", ("x", "y", "z"))):
         for _ in range(10):
             h = random_bivector(rng, chart, 2)
-            assert codazzi_tensor(h).is_zero() == schouten_jacobi(build_pi(h)).is_zero()
+            assert is_kv(h) == _poisson(build_pi(h))
 
 
 def test_lift_propositions_positive_case():
