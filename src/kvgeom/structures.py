@@ -17,13 +17,17 @@ Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer, and every table
 symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
-components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps and
-the change to adapted coordinates; of a symmetric T it forms each entry
-a <= b once, and of polynomial entries it sums scaled polynomials), and
-``expr_det`` is the one exact elimination: it clears each row's
-denominators, eliminates over polynomials, and yields a determinant and,
-given a border, in the same pass the bordered determinants of a Schur
-complement.
+components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps,
+their tangent lifts and the change to adapted coordinates; it reads
+symmetry from T, forming each entry a <= b once when every mirrored pair
+T_ij, T_ji is equal, and of polynomial entries it sums scaled polynomials),
+``_pulled`` is T o F, a matrix composed with an affine map in one
+``substitute`` call, and ``expr_det`` is the one exact elimination: it
+clears each row's denominators, eliminates over polynomials, and yields a
+determinant and, given a border, in the same pass the bordered
+determinants of a Schur complement.  Every composition with an affine map
+is one ``substitute`` call, which images each distinct entry once, so the
+mirrored entries of a symmetric T o F are one object.
 
 A submanifold N is read in adapted coordinates y = P(x - o), where N is
 {y_{k+1} = ... = y_n = 0}.  ``AffineSubmanifold`` builds its frame C (the
@@ -31,14 +35,13 @@ basis completed by standard vectors) and P = C^{-1} once, in one RREF, and
 every chart change reads them: ``parameters_of`` is y = P(x - o), N's
 ``parametrization`` is x = C (y_1..y_k, 0) + o, and a map F restricts to
 y_2 = P_2 (F(x_1(y_1)) - o_2) through ``compose``.  Restriction to N is the
-pullback along the parametrization (``_along_n``, one ``substitute`` call
-for the whole matrix), so the adapted bivector of ``to_adapted_bivector``
-holds N's coordinates only, and the K-V submanifold, transversal,
-coisotropy and conormal tests read its blocks.  N builds it once per
-bivector (``AffineSubmanifold.adapted``), so checks that share N and h in
-one scenario share one build.  The conormal algebroid differentiates H along the frame vectors c_j, the
-columns of C, which is d/dy_j, and pulls those derivatives back along N the
-same way.
+pullback along the parametrization, so the adapted bivector
+P H(x(y)) P^T of ``to_adapted_bivector`` holds N's coordinates only, and
+the K-V submanifold, transversal, coisotropy and conormal tests read its
+blocks.  N builds it once per bivector (``AffineSubmanifold.adapted``), so
+checks that share N and h in one scenario share one build.  The conormal
+algebroid differentiates H along the frame vectors c_j, the columns of C,
+which is d/dy_j, and pulls those derivatives back along N the same way.
 """
 
 from __future__ import annotations
@@ -98,18 +101,18 @@ def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
     return [_dot([Expr.const(c) if c else ZERO for c in row], v) for row in M]
 
 
-def _congruence(
-    M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]], symmetric: bool = False
-) -> list[list[Expr]]:
+def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
     """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M.
 
     Entry (a, b) is sum_ij M_ai M_bj T_ij, one coefficient per distinct T_ij:
     a sum of scaled polynomials (``Poly.scale``) when those T_ij are
-    polynomials, through ``_dot`` otherwise.  With ``symmetric``, T is
-    symmetric: T_ij and T_ji share a coefficient, and each entry a <= b is
-    formed once.
+    polynomials, through ``_dot`` otherwise.  Symmetry is read from T: when
+    every mirrored pair T_ij, T_ji is equal, the two share a coefficient and
+    each entry a <= b is formed once; otherwise (a skew tangent lift) every
+    entry is formed.
     """
     nz = [[(i, c) for i, c in enumerate(row) if c] for row in M]
+    symmetric = all(T[i][j] is T[j][i] or T[i][j] == T[j][i] for i in range(len(T)) for j in range(i))
 
     def entry(a: int, b: int) -> Expr:
         coeffs: dict[tuple[int, int], Fraction] = {}
@@ -125,6 +128,12 @@ def _congruence(
     if symmetric:
         return _symmetric(len(M), entry)
     return [[entry(a, b) for b in range(len(M))] for a in range(len(M))]
+
+
+def _pulled(f: AffineMap, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
+    """T o F: each entry of the matrix T at F's components, in one ``substitute`` call; equal entries share an image."""
+    images = iter(substitute([e for row in T for e in row], f.substitution()))
+    return [[next(images) for _ in row] for row in T]
 
 
 # --- affine maps -------------------------------------------------------------
@@ -179,8 +188,7 @@ def pullback(f: AffineMap, alpha: OneForm) -> OneForm:
     """(F*alpha)_i = sum_j alpha_j(F(x)) M_ji."""
     if alpha.chart != f.target:
         raise ChartMismatch("pullback needs a one-form on the target chart")
-    sub = f.substitution()
-    pulled = [a.substitute(sub) for a in alpha.components]
+    pulled = substitute(alpha.components, f.substitution())
     Mt = [[row[i] for row in f.matrix] for i in range(f.source.dim)]
     return OneForm(f.source, tuple(_matvec(Mt, pulled)))
 
@@ -193,16 +201,13 @@ def are_F_related(f: AffineMap, X: VectorField, Y: VectorField) -> bool:
 
 
 def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple[Expr, ...]:
-    sub = f.substitution()
-    return tuple(s - y.substitute(sub) for s, y in zip(_matvec(f.matrix, X.components), Y.components))
+    return tuple(s - y for s, y in zip(_matvec(f.matrix, X.components), substitute(Y.components, f.substitution())))
 
 
 def _congruence_residuals(f: AffineMap, T1, T2) -> tuple[tuple[Expr, ...], ...]:
     """Entries of M T1(z) M^T - T2(F(z)) for square entry matrices on the map's charts."""
-    sub = f.substitution()
-    return tuple(
-        tuple(s - t.substitute(sub) for s, t in zip(srow, trow)) for srow, trow in zip(_congruence(f.matrix, T1), T2)
-    )
+    pairs = zip(_congruence(f.matrix, T1), _pulled(f, T2))
+    return tuple(tuple(s - t for s, t in zip(srow, trow)) for srow, trow in pairs)
 
 
 def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tuple[Expr, ...], ...]:
@@ -274,10 +279,9 @@ def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> The
             break
 
     ham = True
-    sub = f.substitution()
-    for g in _sample_target_scalars(f.target):
-        gF = ScalarField(f.source, g.value.substitute(sub))
-        if not are_F_related(f, hamiltonian(h1, gF), hamiltonian(h2, g)):
+    scalars = _sample_target_scalars(f.target)
+    for g, gF in zip(scalars, substitute([s.value for s in scalars], f.substitution())):
+        if not are_F_related(f, hamiltonian(h1, ScalarField(f.source, gF)), hamiltonian(h2, g)):
             ham = False
             break
 
@@ -410,15 +414,6 @@ class AffineSubmanifold:
         return None if any(y[self.dim:]) else y[:self.dim]
 
 
-def _along_n(n_sub: AffineSubmanifold, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """T(x(y)) for a symmetric T on the ambient chart, x(y) = C (y_1..y_k, 0) + o the parametrization of N:
-    its entries i <= j in one ``substitute`` call."""
-    n = len(T)
-    sub = n_sub.parametrization().substitution()
-    images = iter(substitute([T[i][j] for i in range(n) for j in range(i, n)], sub))
-    return _symmetric(n, lambda i, j: next(images))  # the entries i <= j, in the order _symmetric asks for them
-
-
 def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
     """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
 
@@ -427,7 +422,7 @@ def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector
     """
     if h.chart != n_sub.ambient:
         raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    adapted = _congruence(n_sub.change, _along_n(n_sub, h.entries), symmetric=True)
+    adapted = _congruence(n_sub.change, _pulled(n_sub.parametrization(), h.entries))
     return SymBivector(n_sub.adapted_chart, tuple(map(tuple, adapted)))
 
 
@@ -606,6 +601,8 @@ class ConormalAlgebroid:
 
     table[a][b][c] is the dy_{k+c} coefficient of dy_{k+a} • dy_{k+b}; the
     anchor rows are the tangent components of sharp on the conormal frame.
+    table[a][b] is table[b][a] by construction, so the fiber algebra is
+    commutative and ``fiber_associative`` alone decides whether it is one.
     """
 
     submanifold: AffineSubmanifold
@@ -616,7 +613,6 @@ class ConormalAlgebroid:
     fiber_point: tuple[Fraction, ...] | None  # parameters of the designated point
     anchor_vanishes_at_point: bool | None
     fiber_product: tuple[tuple[tuple[Fraction, ...], ...], ...] | None
-    fiber_commutative: bool | None
     fiber_associative: bool | None
 
     @property
@@ -675,12 +671,9 @@ def conormal_algebroid(
     chart = n_sub.chart
 
     # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii'
-    Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
+    Ct, x, to_n = linalg.transpose(n_sub.frame), n_sub.ambient.coords, n_sub.parametrization()
     along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    blocks = [
-        _congruence(n_sub.change[k:], _along_n(n_sub, [[e[j] for e in r] for r in along]), symmetric=True)
-        for j in range(n)
-    ]
+    blocks = [_congruence(n_sub.change[k:], _pulled(to_n, [[e[j] for e in r] for r in along])) for j in range(n)]
 
     for a, b, j in product(range(m), range(m), range(k)):
         if not blocks[j][a][b].is_zero():
@@ -693,7 +686,6 @@ def conormal_algebroid(
     fiber_params = None
     anchor_zero = None
     fiber_product = None
-    fiber_comm = None
     fiber_assoc = None
     if m > 0:
         if point is None:
@@ -707,7 +699,6 @@ def conormal_algebroid(
         if anchor_zero:
             F = fiber_product = tuple(tuple(tuple(e.eval_at(env) for e in row) for row in plane) for plane in table)
             idx = range(m)
-            fiber_comm = all(F[a][b][c] == F[b][a][c] for a, b, c in product(idx, repeat=3))
             fiber_assoc = all(
                 sum(F[a][b][e] * F[e][c][d] for e in idx) == sum(F[b][c][e] * F[a][e][d] for e in idx)
                 for a, b, c, d in product(idx, repeat=4)
@@ -721,7 +712,6 @@ def conormal_algebroid(
         fiber_params,
         anchor_zero,
         fiber_product,
-        fiber_comm,
         fiber_assoc,
     )
 
@@ -834,11 +824,8 @@ def preimage_transversal(
     b1, b2 = t1.bordered, t2.bordered
     restriction = AffineMap(b1.chart, b2.chart, g.matrix[:k2], g.offset[:k2])
 
-    sub = restriction.substitution()
-    d1, d2 = t1.determinant, t2.determinant.substitute(sub)
-    residuals = tuple(
-        s * d2 - t.substitute(sub) * d1
-        for srow, trow in zip(_congruence(restriction.matrix, b1.entries, symmetric=True), b2.entries)
-        for s, t in zip(srow, trow)
-    )
+    (d2,), *b2_at_r = _pulled(restriction, [(t2.determinant,), *b2.entries])  # d2 o R and B2 o R
+    d1 = t1.determinant
+    pairs = zip(_congruence(restriction.matrix, b1.entries), b2_at_r)
+    residuals = tuple(s * d2 - t * d1 for srow, trow in pairs for s, t in zip(srow, trow))
     return PreimageReport(n1, t1, t2, restriction, residuals)

@@ -745,24 +745,25 @@ def _substitute(polys: Sequence[Poly], binds: Mapping[str, "Expr"]) -> list[tupl
 def substitute(exprs: Sequence["Expr"], bindings: Mapping[str, "Expr | Scalar"]) -> list["Expr"]:
     """Each of ``exprs`` with its bound variables replaced by expressions; unbound variables stay.
 
-    Numerators and denominators are substituted as polynomials in one call
-    of ``_substitute``, which builds each binding's powers once for all of
-    them, and one Expr is built from each pair, so polynomial bindings of a
-    polynomial need no gcd.
+    The image of each distinct expression is computed once, so equal inputs
+    share one image object.  Numerators and denominators are substituted as
+    polynomials in one call of ``_substitute``, which builds each binding's
+    powers once for all of them, and one Expr is built from each pair, so
+    polynomial bindings of a polynomial need no gcd.
     """
     binds = {v: Expr._coerce(e) for v, e in bindings.items()}
-    images = iter(_substitute([p for e in exprs for p in ((e.num,) if e.den is _P_ONE else (e.num, e.den))], binds))
-    out = []
-    for e in exprs:
+    distinct = dict.fromkeys(exprs)
+    images = iter(_substitute([p for e in distinct for p in ((e.num,) if e.den is _P_ONE else (e.num, e.den))], binds))
+    for e in distinct:
         num, num_den = next(images)
         if e.den is _P_ONE:
-            out.append(Expr(num, num_den))
+            distinct[e] = Expr(num, num_den)
             continue
         den, den_den = next(images)
         if den.is_zero():
             raise ZeroDenominator("substitution makes the denominator identically zero")
-        out.append(Expr(num * den_den, den * num_den))
-    return out
+        distinct[e] = Expr(num * den_den, den * num_den)
+    return [distinct[e] for e in exprs]
 
 
 class Expr:

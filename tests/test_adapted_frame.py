@@ -203,7 +203,7 @@ def test_the_pullback_along_n_is_substitute_entry_by_entry(basis):
     n_sub = AffineSubmanifold(R, (Fr(1, 2), Fr(-1, 3), Fr(2, 5)), basis)
     sub = n_sub.parametrization().substitution()
     pulled = [[e.substitute(sub) for e in row] for row in h.entries]
-    assert kvgeom.structures._along_n(n_sub, h.entries) == pulled
+    assert kvgeom.structures._pulled(n_sub.parametrization(), h.entries) == pulled
     P = n_sub.change
     want = [
         [sum((Expr.const(P[a][i] * P[b][j]) * pulled[i][j] for i in range(3) for j in range(3)), Expr.const(0)) for b in range(3)]

@@ -264,17 +264,28 @@ def test_algebra_to_kv_equals_the_loop(n):
         assert_entrywise_equal(h.entries, ref_algebra_to_kv(a, [Expr.var(v) for v in h.chart.coords]))
 
 
+def random_matrix(rng, rows, cols):
+    return [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_matvec_and_congruence_equal_the_loops(n):
+    """The congruence reads symmetry from T: of a symmetric T (mirrored entries the same objects, or equal
+    but distinct ones) it folds T_ij and T_ji; of a non-symmetric T or the skew tangent lift it must not."""
     for rng, chart, h in cases(n):
+        general = [list(sparse_vector(rng, chart.coords, i == 0)) for i in range(n)]
+        mirrored = [[e if i <= j else -(-e) for j, e in enumerate(row)] for i, row in enumerate(h.entries)]
+        assert n == 1 or any(mirrored[j][i] is not mirrored[i][j] for i in range(n) for j in range(i))
+        lift = build_pi(h).entries
         for rows in (1, n):
-            M = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(rows)]
+            M = random_matrix(rng, rows, n)
             v = sparse_vector(rng, chart.coords, True)
             want = [ref_pair([Expr.const(c) for c in row], v) for row in M]
             assert_entrywise_equal(_matvec(M, v), want)
-            want = ref_congruence(M, h.entries)
-            assert_entrywise_equal(_congruence(M, h.entries), want)
-            assert_entrywise_equal(_congruence(M, h.entries, symmetric=True), want)
+            for T in (h.entries, general, mirrored):
+                assert_entrywise_equal(_congruence(M, T), ref_congruence(M, T))
+            M = random_matrix(rng, rows, 2 * n)
+            assert_entrywise_equal(_congruence(M, lift), ref_congruence(M, lift))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -147,6 +147,20 @@ def test_substitute_of_a_matrix_equals_substitute_entry_by_entry(entries, binds)
     assert got == [_substitute_by_arithmetic(e, binds) for e in entries]
 
 
+@pytest.mark.parametrize("binds", BINDINGS[:2], ids=["rational", "polynomial"])
+def test_substitute_images_each_distinct_entry_once(binds):
+    """Repeated objects and equal but distinct expressions: every image is the per-entry one, and equal
+    entries share one image object."""
+    a, b = P("x^2*y + 1/3*x"), P("(x + 1)/(y^2 - 2)")
+    twins = P("x^2*y + 1/3*x"), P("(x + 1)/(y^2 - 2)")
+    assert twins[0] is not a and twins[1] is not b
+    entries = [a, b, a, twins[0], P("y"), b, twins[1], a]
+    got = substitute(entries, binds)
+    assert got == [e.substitute(binds) for e in entries]
+    assert got == [_substitute_by_arithmetic(e, binds) for e in entries]
+    assert all((got[i] is got[j]) == (e == f) for i, e in enumerate(entries) for j, f in enumerate(entries))
+
+
 def test_substitute_of_random_matrices_equals_the_arithmetic_reference():
     rng = random.Random(2101)
     for _ in range(20):
