@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import InvalidAlgebra, InvalidSubspace
-from .geometry import Chart, SymBivector, _dot
+from .geometry import Chart, SymBivector, _dot, _nz
 from .structures import AffineSubmanifold
-from .symexpr import ZERO, Expr, Rational
+from .symexpr import Expr, Rational
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,9 @@ def algebra_to_kv(a: AlgebraSpec, chart: Chart | None = None) -> SymBivector:
     chart = chart if chart is not None else dual_chart(a)
     if chart.dim != a.dim:
         raise InvalidAlgebra("chart dimension does not match the algebra")
-    xs = [Expr.var(v) for v in chart.coords]
+    xs = _nz([Expr.var(v) for v in chart.coords])
     return SymBivector(chart, tuple(
-        tuple(Expr.const(b) + _dot([Expr.const(c) if c else ZERO for c in C], xs) for b, C in zip(brow, Crow))
+        tuple(Expr.const(b) + _dot({l: Expr.const(c) for l, c in enumerate(C) if c}, xs) for b, C in zip(brow, Crow))
         for brow, Crow in zip(a.cocycle, a.product)
     ))
 

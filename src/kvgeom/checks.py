@@ -26,7 +26,6 @@ from .algebra import SubspaceSpec, algebra_to_kv, annihilator_submanifold, valid
 from .errors import EngineInconsistency, PoleAtPoint
 from .geometry import (
     _bracket_entries,
-    _codazzi_entries,
     hessian_contraction,
     is_kv,
     lie_derivative_h,
@@ -164,7 +163,7 @@ def _basis_dim(env, check):
 
 
 def _run_codazzi(env, check, seed, samples):
-    entries = _codazzi_entries(env[check.args[0]])
+    entries = env[check.args[0]].codazzi()
     return _residual_verdict(entries, "contravariant Codazzi identity holds", "defect at indices {at}")
 
 
@@ -172,7 +171,7 @@ def _run_kv_bracket(env, check, seed, samples):
     h = env[check.args[0]]
 
     def compared():
-        for (at, b), (_, t) in zip(_bracket_entries(h), _codazzi_entries(h)):
+        for (at, b), (_, t) in zip(_bracket_entries(h), h.codazzi()):
             if b != -t:
                 raise EngineInconsistency("bracket stream does not match the Codazzi stream up to sign")
             yield at, b

@@ -7,12 +7,21 @@ iff the corresponding residuals are exactly zero.
 
 Each tensor identity is written once, as a lazy stream of entries, and
 read only as that stream: ``is_kv`` and the checks stop at the first
-nonzero entry, so one entry decides a generic bivector.
+nonzero entry, so one entry decides a generic bivector.  A bivector keeps
+the Codazzi entries read so far (``SymBivector.codazzi``), so the checks of
+one scenario that read its Codazzi stream compute each entry once.
+
+Every sum of products is ``_dot``, a contraction over supports: dicts that
+hold only the nonzero entries of a row (``_nz``) or of a gradient
+(``_grad``, which differentiates an expression only by the variables it
+has).  The streams build their rows, columns and derivative rows as
+supports, so the zero entries of a sparse bivector cost no product and no
+derivative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
@@ -70,6 +79,8 @@ class SymBivector:
 
     chart: Chart
     entries: tuple[tuple[Expr, ...], ...]
+    # the Codazzi entries read so far and the stream that yields the rest, made on the first read
+    _codazzi: "_Replay | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.chart.dim
@@ -81,6 +92,17 @@ class SymBivector:
             for j in range(i + 1, n):
                 if ent[i][j] != ent[j][i]:
                     raise ValueError(f"bivector entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
+
+    def codazzi(self) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+        """The entries of ``_codazzi_entries(self)``, each computed once for this bivector.
+
+        Every reader replays the entries read before it and extends the
+        stream only as far as it reads, so a reader still stops at the first
+        nonzero entry.
+        """
+        if self._codazzi is None:
+            object.__setattr__(self, "_codazzi", _Replay(_codazzi_entries(self)))
+        return iter(self._codazzi)
 
     @classmethod
     def zero(cls, chart: Chart) -> "SymBivector":
@@ -138,13 +160,76 @@ def differential(f: ScalarField) -> OneForm:
     return OneForm(f.chart, tuple(f.value.diff(v) for v in f.chart.coords))
 
 
-def _dot(u: Sequence[Expr], v: Sequence[Expr]) -> Expr:
-    """sum_l u_l v_l, leaving out the products with a zero factor.
+def _dot(u: dict[int, Expr], v: dict[int, Expr]) -> Expr:
+    """sum_l u_l v_l over supports: dicts that hold only the nonzero entries of two vectors.
 
-    The one contraction of the tensor operators; canonical forms are unique,
-    so the order of the terms never shows in the result.
+    The one contraction.  It walks the smaller support and looks each index
+    up in the other, so it forms only the products of two nonzero factors.
+    Supports are built in index order, and canonical forms are unique, so
+    the order of the terms never shows in the result.
     """
-    return sum((a * b for a, b in zip(u, v) if not (a.is_zero() or b.is_zero())), ZERO)
+    if len(u) > len(v):
+        u, v = v, u
+    get = v.get
+    s = ZERO
+    for l, a in u.items():
+        b = get(l)
+        if b is not None:
+            s = s + a * b
+    return s
+
+
+def _nz(row: Sequence[Expr]) -> dict[int, Expr]:
+    """The support of a dense row: index -> entry for its nonzero entries."""
+    return {l: e for l, e in enumerate(row) if e.num.terms}
+
+
+def _grad(e: Expr, coords: Sequence[str]) -> dict[int, Expr]:
+    """The support of the gradient of e: d e / d coords[l] for the coordinates e has, where nonzero."""
+    has = e.variables()
+    out = {}
+    for l, v in enumerate(coords):
+        if v in has:
+            d = e.diff(v)
+            if d.num.terms:
+                out[l] = d
+    return out
+
+
+class _Replay:
+    """A lazy stream read once and replayed to every reader.
+
+    ``seen`` holds the items read so far; a reader past its end takes the
+    next item from ``rest``.  An exception out of ``rest`` ends that
+    generator, so it is kept and raised again to every later reader that
+    gets that far: a broken stream never reads as a finished one.
+    """
+
+    __slots__ = ("seen", "rest", "error")
+
+    def __init__(self, rest: Iterator):
+        self.seen: list = []
+        self.rest = rest
+        self.error: BaseException | None = None
+
+    def _extend(self) -> bool:
+        if self.error is not None:
+            raise self.error
+        try:
+            self.seen.append(next(self.rest))
+        except StopIteration:
+            return False
+        except BaseException as exc:  # an interrupt ends the generator too; kept, and raised again later
+            self.error = exc
+            raise
+        return True
+
+    def __iter__(self) -> Iterator:
+        seen = self.seen
+        i = 0
+        while i < len(seen) or self._extend():
+            yield seen[i]
+            i += 1
 
 
 def _symmetric(n: int, entry) -> list[list]:
@@ -158,24 +243,26 @@ def _symmetric(n: int, entry) -> list[list]:
 
 def apply_field(X: VectorField, e: Expr) -> Expr:
     """Directional derivative X(e) in chart coordinates."""
-    return _dot(X.components, [e.diff(v) for v in X.chart.coords])
+    return _dot(_nz(X.components), _grad(e, X.chart.coords))
 
 
 def pair(alpha: OneForm, X: VectorField) -> Expr:
     _same_chart(alpha, X)
-    return _dot(alpha.components, X.components)
+    return _dot(_nz(alpha.components), _nz(X.components))
 
 
 def bivector_pair(h: SymBivector, alpha: OneForm, beta: OneForm) -> Expr:
     """h(alpha, beta) = sum_ij alpha_i beta_j h_ij."""
     _same_chart(h, alpha, beta)
-    return _dot(alpha.components, [_dot(beta.components, row) for row in h.entries])
+    b = _nz(beta.components)
+    return _dot(_nz(alpha.components), _nz([_dot(b, _nz(row)) for row in h.entries]))
 
 
 def sharp(h: SymBivector, alpha: OneForm) -> VectorField:
     """alpha^# with components (alpha^#)_j = sum_i alpha_i h_ij."""
     _same_chart(h, alpha)
-    return VectorField(h.chart, tuple(_dot(alpha.components, col) for col in zip(*h.entries)))
+    a = _nz(alpha.components)
+    return VectorField(h.chart, tuple(_dot(a, _nz(col)) for col in zip(*h.entries)))
 
 
 def nabla_form(X: VectorField, beta: OneForm) -> OneForm:
@@ -200,32 +287,36 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def _codazzi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
     """((i, j, k), T(i,j,k)) for i < j, with T(i,j,k) = sum_l (h_il d_l h_jk - h_jl d_l h_ik).
 
-    The one Codazzi formula.  Entries come lazily, in row-major order, and
-    the derivative row d h_jk (shared with d h_kj) is taken when an entry
-    first needs it, so a consumer that stops early pays for what it read.
-    T is antisymmetric in (i, j), so the first nonzero entry of the full
-    table in row-major order is the first nonzero one yielded here.
+    The one Codazzi formula.  Entries come lazily, in row-major order.  The
+    support of a row h_i and the support of the derivative row d h_jk
+    (shared with d h_kj) are taken when an entry first needs them, so a
+    consumer that stops early pays for what it read, and a zero entry of h
+    is differentiated by nothing.  T is antisymmetric in (i, j), so the
+    first nonzero entry of the full table in row-major order is the first
+    nonzero one yielded here.  Readers go through ``SymBivector.codazzi``,
+    which computes each entry once per bivector.
     """
     coords, H = h.chart.coords, h.entries
-    rows = cache(lambda j, k: [H[j][k].diff(v) for v in coords])
+    rows = cache(lambda i: _nz(H[i]))
+    grads = cache(lambda j, k: _grad(H[j][k], coords))
 
-    def d(j: int, k: int) -> list[Expr]:
-        return rows(j, k) if j <= k else rows(k, j)
+    def d(j: int, k: int) -> dict[int, Expr]:
+        return grads(j, k) if j <= k else grads(k, j)
 
     n = len(coords)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                yield (i, j, k), _dot(H[i], d(j, k)) - _dot(H[j], d(i, k))
+                yield (i, j, k), _dot(rows(i), d(j, k)) - _dot(rows(j), d(i, k))
 
 
 def is_kv(h: SymBivector) -> bool:
     """Whether T = 0, stopping at the first nonzero Codazzi entry: one entry decides a generic h.
 
     ``check codazzi`` reads the same entries, so its verdict and this one
-    stop at the same entry.
+    stop at the same entry, and both read them through h's memo.
     """
-    return all(s.is_zero() for _, s in _codazzi_entries(h))
+    return all(s.is_zero() for _, s in h.codazzi())
 
 
 def _bracket_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
@@ -241,8 +332,9 @@ def _bracket_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Exp
     X_b of dx_b has components (X_b)_c = h_bc, and the flat connection
     differentiates components, so (X_a•X_b)_c = X_a(h_bc) too.  A sharp, a
     row d h_bc or an entry of D is taken when an entry first needs it, and
-    D and d h are symmetric in (b, c), so only for b <= c.  Swapping i and
-    j negates the five terms.
+    D and d h are symmetric in (b, c), so only for b <= c.  Sharps and
+    derivative rows are supports (``_nz``, ``_grad``).  Swapping i and j
+    negates the five terms.
 
     B expands to minus the Codazzi entries, and both streams contract
     through ``_dot``, so ``check kv_bracket`` compares two formulas, not two
@@ -251,9 +343,9 @@ def _bracket_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Exp
     bracket terms.
     """
     chart, H = h.chart, h.entries
-    sharps = cache(lambda a: sharp(h, coordinate_form(chart, a)).components)
-    rows = cache(lambda b, c: [H[b][c].diff(v) for v in chart.coords])
-    D = cache(lambda a, b, c: _dot(sharps(a), rows(b, c)))
+    sharps = cache(lambda a: _nz(sharp(h, coordinate_form(chart, a)).components))
+    grads = cache(lambda b, c: _grad(H[b][c], chart.coords))
+    D = cache(lambda a, b, c: _dot(sharps(a), grads(b, c)))
 
     def d(a: int, b: int, c: int) -> Expr:
         return D(a, b, c) if b <= c else D(a, c, b)
@@ -277,8 +369,8 @@ def contravariant_D(h: SymBivector, alpha: OneForm, beta: OneForm) -> OneForm:
     """D_alpha beta, with <D_alpha beta, X> = (nabla_X h)(alpha, beta) + <nabla_{alpha^#} beta, X>."""
     _same_chart(h, alpha, beta)
     nab = nabla_form(sharp(h, alpha), beta)
-    a, b = alpha.components, beta.components
-    dh = [_dot(a, [_dot(b, [e.diff(v) for e in row]) for row in h.entries]) for v in h.chart.coords]
+    a, b = _nz(alpha.components), _nz(beta.components)
+    dh = [_dot(a, _nz([_dot(b, _nz([e.diff(v) for e in row])) for row in h.entries])) for v in h.chart.coords]
     return OneForm(h.chart, tuple(d + c for d, c in zip(dh, nab.components)))
 
 
@@ -293,11 +385,13 @@ def lie_derivative_contravariant(
 ) -> tuple[tuple[Expr, ...], ...]:
     """(L_X T)^ij = X(T^ij) - T^kj d_k X^i - T^ik d_k X^j for any 2-contravariant tensor."""
     n = chart.dim
-    dX = [[X[i].diff(v) for v in chart.coords] for i in range(n)]
-    cols = list(zip(*T))
+    xs = _nz(X)
+    dX = [_grad(X[i], chart.coords) for i in range(n)]
+    rows = [_nz(row) for row in T]
+    cols = [_nz(col) for col in zip(*T)]
     return tuple(
         tuple(
-            _dot(X, [T[i][j].diff(v) for v in chart.coords]) - _dot(cols[j], dX[i]) - _dot(T[i], dX[j])
+            _dot(xs, _grad(T[i][j], chart.coords)) - _dot(cols[j], dX[i]) - _dot(rows[i], dX[j])
             for j in range(n)
         )
         for i in range(n)
@@ -315,11 +409,12 @@ def hessian_contraction(h: SymBivector, f: ScalarField) -> tuple[tuple[Expr, ...
     """Matrix <nabla_{X_i} df, X_j> = sum_{l,m} h_il h_jm d2f/dx_l dx_m on the coordinate coframe."""
     _same_chart(h, f)
     coords = h.chart.coords
-    n, H = len(coords), h.entries
+    n = len(coords)
+    H = [_nz(row) for row in h.entries]
     grad = [f.value.diff(v) for v in coords]
-    hess = _symmetric(n, lambda l, m: grad[l].diff(coords[m]))
+    hess = [_nz(row) for row in _symmetric(n, lambda l, m: grad[l].diff(coords[m]))]
     # Hd[j][l] = sum_m h_jm d2f/dx_l dx_m, the components of nabla_{X_j} df
-    Hd = [[_dot(row, d) for d in hess] for row in H]
+    Hd = [_nz([_dot(row, d) for d in hess]) for row in H]
     return tuple(map(tuple, _symmetric(n, lambda i, j: _dot(H[i], Hd[j]))))
 
 

@@ -14,7 +14,8 @@ is normalized once).  ``preimage_transversal`` decides the pullback claim on
 these blocks with their denominators cleared, so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
-``geometry._dot``, the one contraction of the tensor layer, and every table
+``geometry._dot``, the one contraction of the tensor layer, over the
+supports (nonzero entries) of its two vectors, and every table
 symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
 components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps,
@@ -71,6 +72,8 @@ from .geometry import (
     SymBivector,
     VectorField,
     _dot,
+    _grad,
+    _nz,
     _symmetric,
     coordinate_form,
     hamiltonian,
@@ -98,7 +101,8 @@ def _frac_row(row: Sequence) -> tuple[Fraction, ...]:
 
 def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
     """M v for a rational matrix M and a vector v of Expr, skipping the zero entries of M."""
-    return [_dot([Expr.const(c) if c else ZERO for c in row], v) for row in M]
+    vs = _nz(v)
+    return [_dot({l: Expr.const(c) for l, c in enumerate(row) if c}, vs) for row in M]
 
 
 def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
@@ -123,7 +127,7 @@ def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) ->
         terms = [(T[i][j], q) for (i, j), q in coeffs.items() if q and T[i][j].num.terms]
         if all(e.den is _P_ONE for e, _ in terms):
             return Expr(sum((e.num.scale(q) for e, q in terms), _P_ZERO))
-        return _dot([Expr.const(q) for _, q in terms], [e for e, _ in terms])
+        return _dot(_nz([Expr.const(q) for _, q in terms]), _nz([e for e, _ in terms]))
 
     if symmetric:
         return _symmetric(len(M), entry)
@@ -633,9 +637,9 @@ def _algebroid_associator_residuals(
         # adds the anchor of dy_a applied to the coefficients of dy_b • dy_g (Leibniz rule)
         ab, bg = table[a][b], table[b][g]
         return [
-            _dot(ab, [table[c][g][e] for c in range(m)])
-            - _dot(bg, [table[a][c][e] for c in range(m)])
-            - _dot(anchor[a], [bg[e].diff(v) for v in chart.coords])
+            _dot(_nz(ab), _nz([table[c][g][e] for c in range(m)]))
+            - _dot(_nz(bg), _nz([table[a][c][e] for c in range(m)]))
+            - _dot(_nz(anchor[a]), _grad(bg[e], chart.coords))
             for e in range(m)
         ]
 

@@ -271,7 +271,7 @@ class Poly:
     """Sparse multivariate polynomial over the rationals, with integer
     coefficients over one denominator and packed monomial keys."""
 
-    __slots__ = ("vars", "terms", "den", "_hash")
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         qs = {m: Fraction(c) for m, c in (terms or {}).items()}
@@ -452,12 +452,13 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        """Hash of the canonical representation, computed on the first call and then kept."""
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = h = hash((self.vars, self.den, frozenset(self.terms.items())))
-            return h
+        """Hash of the canonical representation, independent of the order of the terms.
+
+        Two sums in C over the packed keys and the coefficients: equal
+        polynomials have equal terms, so equal sums.
+        """
+        t = self.terms
+        return hash((self.vars, self.den, sum(t), sum(t.values())))
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -752,18 +753,20 @@ def substitute(exprs: Sequence["Expr"], bindings: Mapping[str, "Expr | Scalar"])
     polynomial bindings of a polynomial need no gcd.
     """
     binds = {v: Expr._coerce(e) for v, e in bindings.items()}
-    distinct = dict.fromkeys(exprs)
-    images = iter(_substitute([p for e in distinct for p in ((e.num,) if e.den is _P_ONE else (e.num, e.den))], binds))
-    for e in distinct:
+    slot: dict[Expr, int] = {}
+    slots = [slot.setdefault(e, len(slot)) for e in exprs]  # one hash per input
+    images = iter(_substitute([p for e in slot for p in ((e.num,) if e.den is _P_ONE else (e.num, e.den))], binds))
+    out = []
+    for e in slot:
         num, num_den = next(images)
         if e.den is _P_ONE:
-            distinct[e] = Expr(num, num_den)
+            out.append(Expr(num, num_den))
             continue
         den, den_den = next(images)
         if den.is_zero():
             raise ZeroDenominator("substitution makes the denominator identically zero")
-        distinct[e] = Expr(num * den_den, den * num_den)
-    return [distinct[e] for e in exprs]
+        out.append(Expr(num * den_den, den * num_den))
+    return [out[i] for i in slots]
 
 
 class Expr:
@@ -901,6 +904,8 @@ class Expr:
         return Expr(self.den ** (-k), self.num ** (-k))
 
     def diff(self, v: str) -> "Expr":
+        if v not in self.num.vars and v not in self.den.vars:
+            return ZERO
         if self.den is _P_ONE:
             return Expr(self.num.diff(v))
         # quotient rule

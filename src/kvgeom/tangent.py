@@ -4,7 +4,11 @@ The horizontal/vertical splitting is hard-coded to the zero-Christoffel form
 of an affine chart: horizontal directions are the base coordinate directions,
 vertical ones the fiber directions.  The skew bivector built from a symmetric
 bivector pairs base coordinate forms with fiber ones, and its Jacobiator is
-read as a lazy stream of entries from the coordinate formula.
+read as a lazy stream of entries from the coordinate formula, contracted
+over the supports of the lift's columns and derivative rows
+(``geometry._dot``).  The stream takes its own derivatives of the lift and
+reads nothing of h's Codazzi stream, so ``check jacobi_tangent``'s
+cross-check with ``is_kv`` compares two formulas.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .geometry import (
     SymBivector,
     VectorField,
     _dot,
+    _grad,
+    _nz,
     differential,
     hamiltonian,
     hessian_contraction,
@@ -71,7 +77,8 @@ class SkewBivector:
             raise ValueError(f"expected a {n2}x{n2} matrix")
         for i in range(n2):
             for j in range(i, n2):
-                if self.entries[i][j] != -self.entries[j][i]:
+                a, b = self.entries[i][j], self.entries[j][i]
+                if (a.num.terms or b.num.terms) and a != -b:
                     raise ValueError(f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) are not antisymmetric")
 
     @property
@@ -126,7 +133,8 @@ def pi_sharp(pi: SkewBivector, alpha: OneForm) -> VectorField:
     """Pi_#(alpha) defined by beta(Pi_#(alpha)) = Pi(alpha, beta)."""
     if alpha.chart != pi.chart:
         raise ChartMismatch("expected a one-form on the tangent chart")
-    return VectorField(pi.chart, tuple(_dot(alpha.components, col) for col in zip(*pi.entries)))
+    a = _nz(alpha.components)
+    return VectorField(pi.chart, tuple(_dot(a, _nz(col)) for col in zip(*pi.entries)))
 
 
 def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
@@ -135,23 +143,24 @@ def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Ex
     J(i,j,k) = sum_l (P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij), read
     as sum_l (P_li d_l P_jk - P_lj d_l P_ik + P_lk d_l P_ij) by the
     antisymmetry of P, so every derivative row is one of d P_ab, a < b.  A
-    row is taken when an entry first needs it, so a consumer that stops
-    early pays for what it read.  Products with a zero factor are left out:
-    on a lift the base-base and fiber-fiber blocks vanish, and so does
-    every derivative along a fiber coordinate.  J is totally antisymmetric,
-    so the first nonzero entry of the full table in row-major order is the
-    first nonzero one yielded here.
+    column and a derivative row are supports (``_nz``, ``_grad``), each
+    taken when an entry first needs it, so a consumer that stops early pays
+    for what it read, and no product has a zero factor: on a lift the
+    base-base and fiber-fiber blocks vanish, and so does every derivative
+    along a fiber coordinate.  J is totally antisymmetric, so the first
+    nonzero entry of the full table in row-major order is the first nonzero
+    one yielded here.
     """
     P = pi.entries
     coords = pi.chart.coords
     n2 = len(coords)
-    cols = list(zip(*P))
-    d = cache(lambda a, b: [P[a][b].diff(v) for v in coords])
+    cols = cache(lambda a: _nz([row[a] for row in P]))
+    d = cache(lambda a, b: _grad(P[a][b], coords))
 
     for i in range(n2):
         for j in range(i + 1, n2):
             for k in range(j + 1, n2):
-                yield (i, j, k), _dot(cols[i], d(j, k)) - _dot(cols[j], d(i, k)) + _dot(cols[k], d(i, j))
+                yield (i, j, k), _dot(cols(i), d(j, k)) - _dot(cols(j), d(i, k)) + _dot(cols(k), d(i, j))
 
 
 @dataclass(frozen=True)

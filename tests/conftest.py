@@ -68,6 +68,36 @@ def bivector_with_a_rational_entry(rng: random.Random, chart: Chart) -> SymBivec
     return SymBivector(chart, tuple(tuple(row) for row in rows))
 
 
+def sparse_bivectors(rng: random.Random, chart: Chart) -> list[SymBivector]:
+    """Sparse bivectors on ``chart``, for the stream tests over supports.
+
+    A random bivector with about half of its rows and columns zero, a single
+    nonzero off-diagonal entry (the diagonal one on a line), a diagonal
+    profile, and that profile with one off-diagonal entry (linear) / (v^2 + c).
+    """
+    n, coords = chart.dim, chart.coords
+
+    def symmetric(cells):
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), e in cells.items():
+            rows[i][j] = rows[j][i] = e
+        return SymBivector(chart, tuple(map(tuple, rows)))
+
+    dense = random_bivector(rng, chart, 2)
+    zero = set(rng.sample(range(n), max(1, n // 2)))
+    kept = {(i, j): dense.entries[i][j] for i in range(n) for j in range(i, n) if i not in zero and j not in zero}
+    i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+    profile = diagonal_profile(rng, chart)
+    a, b = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+    quotient = random_poly(rng, coords, 1, terms=2) / (Expr.var(rng.choice(coords)) ** 2 + rng.randint(1, 3))
+    return [
+        symmetric(kept),
+        symmetric({(i, j): random_poly(rng, coords, 2, terms=3)}),
+        profile,
+        symmetric({**{(k, k): profile.entries[k][k] for k in range(n)}, (a, b): quotient}),
+    ]
+
+
 def random_oneform(rng: random.Random, chart: Chart, degree: int = 2) -> OneForm:
     return OneForm(chart, tuple(random_poly(rng, chart.coords, degree, terms=3) for _ in chart.coords))
 

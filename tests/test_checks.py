@@ -24,7 +24,7 @@ from kvgeom.algebra import algebra_to_kv
 from kvgeom.checks import CHECKS, _indexed, _residual_verdict
 from kvgeom.cli import run
 from kvgeom.dsl import parse_scenario
-from kvgeom.engine import RunConfig
+from kvgeom.engine import RunConfig, run_scenario
 from kvgeom.errors import ParseError, SemanticError
 from kvgeom.geometry import Chart
 from kvgeom.tangent import _jacobi_entries, build_pi
@@ -187,35 +187,82 @@ def test_lazy_verdicts_equal_the_verdicts_over_full_tables(n):
     assert statuses[2:] == (["pass"] * 3 if n == 1 else ["fail"] * 3)  # every h on a line is K-V
 
 
-def _count_dot(monkeypatch, module):
+def _count(monkeypatch, module, name="_dot"):
     calls = []
-    original = module._dot
+    original = getattr(module, name)
 
-    def counted(u, v):
+    def counted(*args):
         calls.append(None)
-        return original(u, v)
+        return original(*args)
 
-    monkeypatch.setattr(module, "_dot", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_lazy_verdicts_stop_at_the_first_nonzero_entry(monkeypatch):
     h = random_bivector(random.Random(5), _chart(4), 2)
-    geometry_calls = _count_dot(monkeypatch, kvgeom.geometry)
+    geometry_calls = _count(monkeypatch, kvgeom.geometry)
+    geometry_grads = _count(monkeypatch, kvgeom.geometry, "_grad")
     assert _run("codazzi", h)[:2] == ("fail", "defect at indices (1,2,1)")
     assert len(geometry_calls) == 2  # T(1,2,1) alone; the whole table takes 2 * 4 * 6 = 48
+    assert len(geometry_grads) == 2  # d h_12 and d h_11; the whole table takes the ten rows b <= c
 
     geometry_calls.clear()
+    geometry_grads.clear()
     assert _run("kv_bracket", h)[:2] == ("fail", "bracket nonzero at (1,2,1)")
-    # B(1,2,1) reads the sharps X_1 and X_2 (four components each), X_1(h_12) and X_2(h_11);
-    # T(1,2,1), which it is compared with, takes two more; both full tables take 52 + 48 = 100
-    assert len(geometry_calls) == 2 * 4 + 2 + 2
+    # B(1,2,1) reads the sharps X_1 and X_2 (four components each), X_1(h_12) and X_2(h_11), with its
+    # own rows d h_12 and d h_11; T(1,2,1), which it is compared with, is replayed from h's memo;
+    # both full tables take 52 + 48 = 100
+    assert len(geometry_calls) == 2 * 4 + 2 and len(geometry_grads) == 2
+    geometry_calls.clear()
+    geometry_grads.clear()
+    twin = random_bivector(random.Random(5), _chart(4), 2)  # equal to h, with no memo
+    assert _run("kv_bracket", twin)[:2] == ("fail", "bracket nonzero at (1,2,1)")
+    assert len(geometry_calls) == 2 * 4 + 2 + 2 and len(geometry_grads) == 2 + 2  # T(1,2,1) computed
 
-    jacobi_calls = _count_dot(monkeypatch, kvgeom.tangent)
+    jacobi_calls = _count(monkeypatch, kvgeom.tangent)
+    jacobi_grads = _count(monkeypatch, kvgeom.tangent, "_grad")
     read = next(t for t, (_, s) in enumerate(_jacobi_entries(build_pi(h)), 1) if not s.is_zero())
     jacobi_calls.clear()
+    jacobi_grads.clear()
     geometry_calls.clear()
     assert _run("jacobi_tangent", h)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
     assert read == 16  # (1,5,6) comes after the 15 triples (1, j, k) with j <= 4
     assert len(jacobi_calls) == 3 * read  # three per triple read; the whole table takes 3 * C(8, 3) = 168
-    assert len(geometry_calls) == 2  # the cross-check with is_kv stops at T(1,2,1) too
+    # the rows d P_ab, a < b, that the triples read, each once: d P_jk of each triple (1, j, k)
+    # and d P_1k for k = 2..8; 0-based, j <= 3 or (j, k) = (4, 5)
+    rows = {(j, k) for j in range(1, 4) for k in range(j + 1, 8)} | {(4, 5)} | {(0, k) for k in range(1, 8)}
+    assert len(jacobi_grads) == len(rows) == 23
+    assert len(geometry_calls) == 0  # the cross-check with is_kv replays T(1,2,1) from h's memo
+
+
+@pytest.mark.parametrize("kv", [True, False], ids=["kv", "not_kv"])
+def test_a_scenario_reads_each_codazzi_entry_once(monkeypatch, kv):
+    # codazzi, kv_bracket's comparison and jacobi_tangent's cross-check all read h's Codazzi stream:
+    # one stream is started, each entry is computed once, and each derivative row d h_bc is taken
+    # once by it and once by the bracket stream
+    started, yielded = [], []
+    original = kvgeom.geometry._codazzi_entries
+    rows = "[x, 0, 0; y, 0; z]" if kv else "[x, y, 0; z, 0; x*y]"
+    text = f"manifold M {{ dim 3 coords [x y z] }}\nbivector h on M {{ {rows} }}\n"
+    fresh = []  # every entry of T when h is K-V, else those up to the first nonzero one, T(1,2,2)
+    for at, t in original(parse_scenario(text).env["h"]):
+        fresh.append(at)
+        if not t.is_zero():
+            break
+    assert fresh == ([(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)] if kv else [(0, 1, 0), (0, 1, 1)])
+
+    def counted(h):
+        started.append(h)
+        for item in original(h):
+            yielded.append(item[0])
+            yield item
+
+    monkeypatch.setattr(kvgeom.geometry, "_codazzi_entries", counted)
+    grads = _count(monkeypatch, kvgeom.geometry, "_grad")
+    scenario = parse_scenario(text + "check codazzi h\ncheck kv_bracket h\ncheck jacobi_tangent h\n")
+    outcomes = run_scenario(scenario).outcomes
+    assert [o.status for o in outcomes] == ["pass" if kv else "fail"] * 3
+    assert started == [scenario.env["h"]]
+    assert yielded == fresh
+    assert len(grads) == 2 * (6 if kv else 3)

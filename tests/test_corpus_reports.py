@@ -6,7 +6,9 @@ kind, is compared with ``tests/golden`` in both output formats.  So is every
 scenario in ``tests/data``: two R^6 tensor scenarios, one K-V diagonal
 profile and one generic quadratic bivector that fails every check, as the
 benchmark's ``tensor_scaling`` workload generates them; an R^3 pair, one
-K-V and one not, on which a self-bracket with a wrong term shows; an R^4
+K-V and one not, on which a self-bracket with a wrong term shows; an R^8
+pair of sparse bivectors under the three tensor checks, one K-V and one
+whose first nonzero Codazzi entry comes near the end of the stream; an R^4
 transversal scenario whose conormal and bordered blocks have
 rational-function entries; a generic R^8 transversal with a 4x4 conormal
 block; and an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25.

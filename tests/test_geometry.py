@@ -1,5 +1,6 @@
 """Chart-level operators: sharp, Codazzi, brackets, Hamiltonian fields, leafwise-affine space."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from conftest import (
     random_point,
     random_scalar,
     ref_codazzi,
+    sparse_bivectors,
 )
 from kvgeom.algebra import algebra_to_kv
-from kvgeom.errors import ChartMismatch, PoleAtPoint, PreconditionViolated
+from kvgeom.dsl import parse_scenario
+from kvgeom.errors import ChartMismatch, DegreeOverflow, PoleAtPoint, PreconditionViolated
 from kvgeom.geometry import (
     Chart,
     OneForm,
@@ -93,6 +96,11 @@ def test_codazzi_entries_span_the_antisymmetric_reference_table():
     for _ in range(10):
         h = random_bivector(rng, M, 2)
         assert_stream_spans_table(_codazzi_entries(h), ref_codazzi(M.coords, h.entries), 2)
+    # sparse inputs, whose rows and derivative rows are supports with few entries or none
+    for n in range(1, 6):
+        chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+        for h in sparse_bivectors(rng, chart):
+            assert_stream_spans_table(_codazzi_entries(h), ref_codazzi(chart.coords, h.entries), 2)
 
 
 def test_kv_bracket_is_minus_codazzi_and_vanishes_together():
@@ -112,11 +120,13 @@ def test_kv_bracket_is_minus_codazzi_and_vanishes_together():
     assert _bracket_vanishes(SymBivector.zero(M))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bracket_entries_equal_the_per_entry_formula(n):
     rng = random.Random(100 + n)
     chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
-    cases = [SymBivector.zero(chart), random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
+    cases = [SymBivector.zero(chart), *sparse_bivectors(rng, chart)]
+    if n <= 4:
+        cases += [random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
     if n <= 2:
         cases += [random_bivector(rng, chart, 2), bivector_with_a_rational_entry(rng, chart)]
     for h in cases:
@@ -146,38 +156,77 @@ def test_is_kv_is_the_zero_test_of_the_codazzi_tensor(n):
     assert verdicts[2] == (n == 1)
 
 
-def test_is_kv_stops_at_the_first_nonzero_entry(monkeypatch):
+def _count(monkeypatch, name):
+    """Record the first argument of each call of ``geometry.<name>``."""
     import kvgeom.geometry as geometry
 
     calls = []
-    original = geometry._dot
+    original = getattr(geometry, name)
 
-    def counted(u, v):
-        calls.append(None)
-        return original(u, v)
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
 
-    monkeypatch.setattr(geometry, "_dot", counted)
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def test_is_kv_stops_at_the_first_nonzero_entry(monkeypatch):
     chart = Chart("R4", ("x1", "x2", "x3", "x4"))
     h = random_bivector(random.Random(5), chart, 2)
     at, first = next(_codazzi_entries(h))
     assert at == (0, 1, 0) and not first.is_zero()
-    calls.clear()
+    dots, grads = _count(monkeypatch, "_dot"), _count(monkeypatch, "_grad")
     assert not is_kv(h)
-    assert len(calls) == 2  # T(1,2,1) = h_1 . d h_21 - h_2 . d h_11, and nothing after it
-    calls.clear()
+    # T(1,2,1) = h_1 . d h_21 - h_2 . d h_11, and nothing after it
+    assert len(dots) == 2 and grads == [h.entries[0][1], h.entries[0][0]]
+    dots.clear()
+    grads.clear()
+    assert not is_kv(h)
+    assert dots == grads == []  # replayed from h's memo
+    assert len(list(h.codazzi())) == 6 * 4
+    # the rest of the stream: every k for each of the six pairs i < j, and the
+    # derivative rows of the eight pairs b <= c not read yet, each once
+    assert len(dots) == 2 * 4 * 6 - 2 and len(grads) == 10 - 2
+    dots.clear()
+    grads.clear()
     _codazzi(h)
-    assert len(calls) == 2 * 4 * 6  # every k for each of the six pairs i < j
+    assert len(dots) == 2 * 4 * 6 and len(grads) == 10  # a fresh stream, without the memo
+
+
+def test_the_codazzi_memo_replays_the_fresh_stream():
+    # a partial read, a second partial read and a full read of the memo, in that order,
+    # yield the entries of a fresh stream of an equal bivector, which has no memo
+    rng = random.Random(21)
+    for n in range(1, 5):
+        chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+        for h in [random_bivector(rng, chart, 2), algebra_to_kv(random_algebra(rng, n), chart), *sparse_bivectors(rng, chart)]:
+            fresh = list(_codazzi_entries(SymBivector(chart, h.entries)))
+            stop = rng.randrange(len(fresh) + 1)
+            assert list(itertools.islice(h.codazzi(), stop)) == fresh[:stop]
+            assert list(itertools.islice(h.codazzi(), stop + 1)) == fresh[: stop + 1]
+            assert list(h.codazzi()) == fresh
+            assert list(h.codazzi()) == fresh
+
+
+def test_a_codazzi_stream_that_raises_raises_again_on_every_later_read():
+    # T(1,2,1) = -x z^(2^30 + 1) is nonzero; the eighth entry, T(2,3,2), passes the largest
+    # degree; the generator ends when it raises, so the memo must not read that as the end
+    h = parse_scenario(
+        "manifold M { dim 3 coords [x y z] }\nbivector h on M { [x*y, 0, 0; z^1073741825, 0; z^1073741825] }\n"
+    ).env["h"]
+    for _ in range(3):
+        read = []
+        with pytest.raises(DegreeOverflow):
+            for at, _ in h.codazzi():
+                read.append(at)
+        assert read == [(0, 1, k) for k in range(3)] + [(0, 2, k) for k in range(3)] + [(1, 2, 0)]
+    assert not is_kv(h)  # the first entry decides, before the entry that raises
 
 
 def test_bracket_entries_build_one_derivative_table(monkeypatch):
-    import kvgeom.geometry as geometry
-
-    dots, diffs = [], []
-    original_dot, original_diff = geometry._dot, Expr.diff
-
-    def counted_dot(u, v):
-        dots.append(None)
-        return original_dot(u, v)
+    diffs = []
+    original_diff = Expr.diff
 
     def counted_diff(e, v):
         diffs.append(None)
@@ -186,11 +235,13 @@ def test_bracket_entries_build_one_derivative_table(monkeypatch):
     chart = Chart("R4", ("x1", "x2", "x3", "x4"))
     h = random_bivector(random.Random(5), chart, 2)
     assert all(not e.is_zero() for row in h.entries for e in row)
-    monkeypatch.setattr(geometry, "_dot", counted_dot)
+    dots, grads = _count(monkeypatch, "_dot"), _count(monkeypatch, "_grad")
     monkeypatch.setattr(Expr, "diff", counted_diff)
     list(_bracket_entries(h))
-    # d h_bc for the ten pairs b <= c, each along four coordinates
-    assert len(diffs) == 10 * 4
+    # d h_bc for the ten pairs b <= c, each once, and along the coordinates h_bc has
+    pairs = [h.entries[b][c] for b in range(4) for c in range(b, 4)]
+    assert sorted(map(id, grads)) == sorted(map(id, pairs))
+    assert len(diffs) == sum(len(e.variables()) for e in pairs)
     # four sharps of four components, then X_a(h_bc) for four a and the nine pairs b <= c
     # other than (a, a): X_a(h_aa) enters no entry i < j
     assert len(dots) == 4 * 4 + 4 * 9

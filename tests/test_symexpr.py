@@ -9,7 +9,7 @@ import pytest
 from conftest import random_poly, random_rational_function, rational
 from kvgeom.errors import DegreeOverflow, ParseError, PoleAtPoint, ZeroDenominator
 from kvgeom.dsl import parse_expr
-from kvgeom.symexpr import Expr, Poly, _exponents, poly_gcd, substitute
+from kvgeom.symexpr import ZERO, Expr, Poly, _exponents, poly_gcd, substitute
 
 X = Expr.var("x")
 Y = Expr.var("y")
@@ -72,6 +72,7 @@ def test_differentiate_basics():
     assert (X ** 2 * Y).diff("x") == 2 * X * Y
     assert (1 / X).diff("x") == -1 / X ** 2
     assert (X ** 2).diff("z").is_zero()
+    assert (X ** 2).diff("z") is ZERO and (1 / X).diff("y") is ZERO  # a variable the expression lacks
 
 
 def test_differentiate_matches_finite_differences():

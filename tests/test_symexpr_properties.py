@@ -293,7 +293,7 @@ def test_equality_and_hash_follow_the_terms(p, q):
 @kernel
 @given(exprs, nonzero_exprs)
 def test_equal_values_built_by_different_routes_hash_equal(a, b):
-    # a Poly keeps its hash after the first call, so hash a before the others are built
+    # hash a before the others are built: equal values built later, by other routes, hash the same
     h = hash(a)
     routes = [(a + b) - b, (a * b) / b, parse_expr(str(a)), a.substitute({"x": Expr.var("x")}), -(-a)]
     routes.append(Expr(a.num * b.num, a.den * b.num))  # reduced by a gcd

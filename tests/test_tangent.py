@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from conftest import (
     assert_stream_spans_table,
     jacobiator_reference,
@@ -9,6 +11,7 @@ from conftest import (
     random_field,
     random_oneform,
     random_poly,
+    sparse_bivectors,
 )
 from kvgeom.geometry import (
     Chart,
@@ -43,6 +46,19 @@ def test_vertical_lift_of_coordinate_field():
     tc = make_tangent_chart(L)
     v = lift_vector(tc, VectorField(L, (1,)), "vertical")
     assert v.components == (Expr.const(0), Expr.const(1))
+
+
+def test_skew_bivector_checks_every_pair_with_a_nonzero_entry():
+    # pairs of two zero entries are skipped; a nonzero entry whose mirror is zero, or is not
+    # its negative, and a nonzero diagonal entry are refused
+    h = random_bivector(random.Random(39), M, 2)
+    rows = build_pi(h).entries
+    assert SkewBivector(TC, rows).entries == rows
+    for (i, j), e in [((0, 2), Expr.const(0)), ((2, 0), X_), ((0, 1), Y_), ((1, 0), Y_), ((3, 3), X_)]:
+        broken = [list(row) for row in rows]
+        broken[i][j] = e
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            SkewBivector(TC, tuple(map(tuple, broken)))
 
 
 def test_fiber_names_avoid_collisions():
@@ -160,6 +176,12 @@ def test_jacobi_entries_equal_the_unskipped_sum():
         tc = make_tangent_chart(chart)
         lifts = [build_pi(h) for h in (SymBivector.zero(chart), random_bivector(rng, chart, 2), random_bivector(rng, chart, 2))]
         for pi in lifts + [random_skew(rng, tc)]:
+            assert_stream_spans_table(_jacobi_entries(pi), jacobiator_reference(pi), 3)
+    # lifts of sparse bivectors: columns and derivative rows with few entries or none
+    for n in range(1, 6):
+        chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+        for h in sparse_bivectors(rng, chart):
+            pi = build_pi(h)
             assert_stream_spans_table(_jacobi_entries(pi), jacobiator_reference(pi), 3)
 
 
