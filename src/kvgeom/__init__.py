@@ -70,7 +70,6 @@ from .structures import (
     preimage_transversal,
     product_kv,
     pullback,
-    theorem1_equivalences,
 )
 from .algebra import (
     AlgebraSpec,

@@ -18,10 +18,10 @@ Each construction is written once: every sum of products goes through
 supports (nonzero entries) of its two vectors, and every table
 symmetric in two indices through ``geometry._symmetric``; ``_matvec`` is
 the product M v of a rational matrix with a vector of expressions (map
-components, pullbacks, relatedness), ``_congruence`` is M T M^T (K-V maps,
-their tangent lifts and the change to adapted coordinates; it reads
-symmetry from T, forming each entry a <= b once when every mirrored pair
-T_ij, T_ji is equal, and of polynomial entries it sums scaled polynomials),
+components, pullbacks, relatedness), ``_congruence`` is M T M^T of a
+symmetric T (K-V maps, whose residual decides all of Theorem 1, and the
+change to adapted coordinates; it folds T_ji onto T_ij, forms each entry
+a <= b once, and of polynomial entries it sums scaled polynomials),
 ``_pulled`` is T o F, a matrix composed with an affine map in one
 ``substitute`` call, and ``expr_det`` is the one exact elimination: it
 clears each row's denominators, eliminates over polynomials, and yields a
@@ -68,16 +68,12 @@ from .errors import (
 from .geometry import (
     Chart,
     OneForm,
-    ScalarField,
     SymBivector,
     VectorField,
     _dot,
     _grad,
     _nz,
     _symmetric,
-    coordinate_form,
-    hamiltonian,
-    sharp,
 )
 from .symexpr import (
     _P_ONE,
@@ -92,7 +88,6 @@ from .symexpr import (
     divexact,
     substitute,
 )
-from .tangent import build_pi, make_tangent_chart
 
 
 def _frac_row(row: Sequence) -> tuple[Fraction, ...]:
@@ -106,32 +101,27 @@ def _matvec(M: Sequence[Sequence[Fraction]], v: Sequence[Expr]) -> list[Expr]:
 
 
 def _congruence(M: Sequence[Sequence[Fraction]], T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """M T M^T for a rational matrix M and a square matrix T of Expr, skipping the zero entries of M.
+    """M T M^T for a rational matrix M and a symmetric matrix T of Expr, skipping the zero entries of M.
 
-    Entry (a, b) is sum_ij M_ai M_bj T_ij, one coefficient per distinct T_ij:
+    Entry (a, b) is sum_ij M_ai M_bj T_ij, one coefficient per distinct T_ij,
+    i <= j (T_ji is folded onto T_ij), and each entry a <= b is formed once:
     a sum of scaled polynomials (``Poly.scale``) when those T_ij are
-    polynomials, through ``_dot`` otherwise.  Symmetry is read from T: when
-    every mirrored pair T_ij, T_ji is equal, the two share a coefficient and
-    each entry a <= b is formed once; otherwise (a skew tangent lift) every
-    entry is formed.
+    polynomials, through ``_dot`` otherwise.
     """
     nz = [[(i, c) for i, c in enumerate(row) if c] for row in M]
-    symmetric = all(T[i][j] is T[j][i] or T[i][j] == T[j][i] for i in range(len(T)) for j in range(i))
 
     def entry(a: int, b: int) -> Expr:
         coeffs: dict[tuple[int, int], Fraction] = {}
         for i, c in nz[a]:
             for j, d in nz[b]:
-                key = (j, i) if symmetric and j < i else (i, j)
+                key = (j, i) if j < i else (i, j)
                 coeffs[key] = coeffs.get(key, 0) + c * d
         terms = [(T[i][j], q) for (i, j), q in coeffs.items() if q and T[i][j].num.terms]
         if all(e.den is _P_ONE for e, _ in terms):
             return Expr(sum((e.num.scale(q) for e, q in terms), _P_ZERO))
         return _dot(_nz([Expr.const(q) for _, q in terms]), _nz([e for e, _ in terms]))
 
-    if symmetric:
-        return _symmetric(len(M), entry)
-    return [[entry(a, b) for b in range(len(M))] for a in range(len(M))]
+    return _symmetric(len(M), entry)
 
 
 def _pulled(f: AffineMap, T: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
@@ -208,88 +198,25 @@ def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple
     return tuple(s - y for s, y in zip(_matvec(f.matrix, X.components), substitute(Y.components, f.substitution())))
 
 
-def _congruence_residuals(f: AffineMap, T1, T2) -> tuple[tuple[Expr, ...], ...]:
-    """Entries of M T1(z) M^T - T2(F(z)) for square entry matrices on the map's charts."""
-    pairs = zip(_congruence(f.matrix, T1), _pulled(f, T2))
-    return tuple(tuple(s - t for s, t in zip(srow, trow)) for srow, trow in pairs)
-
-
 def kv_map_residuals(f: AffineMap, h1: SymBivector, h2: SymBivector) -> tuple[tuple[Expr, ...], ...]:
-    """Entries of M H1(x) M^T - H2(F(x)); F is a K-V map iff all vanish."""
+    """Entries of R = M H1(x) M^T - H2(F(x)); F is a K-V map iff all vanish.
+
+    R decides each characterization of Theorem 1 exactly, as one residual.
+    The tangent map TF(x, u) = (Mx + c, Mu) is a Poisson map of the lifts
+    iff diag(M, M) Pi1 diag(M, M)^T - Pi2 o TF vanishes, and that residual
+    is [[0, R], [-R, 0]].  The sharps of F* dy_j and dy_j are F-related iff
+    M h1^#(F* dy_j) - h2^#(dy_j) o F, column j of R, vanishes.  For any g
+    on the target, X_{g o F} and X_g are F-related iff R (grad g o F)
+    vanishes, which g = y_j reduces to column j again.
+    """
     if h1.chart != f.source or h2.chart != f.target:
         raise ChartMismatch("K-V map check needs bivectors on the map's charts")
-    return _congruence_residuals(f, h1.entries, h2.entries)
+    pairs = zip(_congruence(f.matrix, h1.entries), _pulled(f, h2.entries))
+    return tuple(tuple(s - t for s, t in zip(srow, trow)) for srow, trow in pairs)
 
 
 def is_kv_map(f: AffineMap, h1: SymBivector, h2: SymBivector) -> bool:
     return all(e.is_zero() for row in kv_map_residuals(f, h1, h2) for e in row)
-
-
-def tangent_map(f: AffineMap) -> AffineMap:
-    """TF on the tangent charts: (x, u) -> (Mx + c, Mu)."""
-    tc1 = make_tangent_chart(f.source)
-    tc2 = make_tangent_chart(f.target)
-    m, n = f.target.dim, f.source.dim
-    zero = Fraction(0)
-    rows = []
-    for i in range(m):
-        rows.append(tuple(f.matrix[i]) + tuple(zero for _ in range(n)))
-    for i in range(m):
-        rows.append(tuple(zero for _ in range(n)) + tuple(f.matrix[i]))
-    off = tuple(f.offset) + tuple(zero for _ in range(m))
-    return AffineMap(tc1.chart, tc2.chart, tuple(rows), off)
-
-
-def _sample_target_scalars(chart: Chart) -> list[ScalarField]:
-    """Deterministic scalar fields used to probe Hamiltonian relatedness."""
-    ys = [Expr.var(v) for v in chart.coords]
-    fields = [Expr.const(1)]
-    fields += ys
-    fields += [ys[a] * ys[b] for a in range(len(ys)) for b in range(a, len(ys))]
-    if ys:
-        fields.append(sum((y ** 3 for y in ys[1:]), ys[0] ** 3))
-    return [ScalarField(chart, e) for e in fields]
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """The four K-V map characterizations, checked independently."""
-
-    direct: bool  # matrix identity M H1 M^T = H2 o F
-    tangent_poisson: bool  # TF is a Poisson map for the lifted bivectors
-    sharp_related: bool  # (F* dy_j)^# related to (dy_j)^# for all j
-    hamiltonian_related: bool  # X_{f o F} related to X_f for sampled f
-
-    @property
-    def agree(self) -> bool:
-        return self.direct == self.tangent_poisson == self.sharp_related == self.hamiltonian_related
-
-
-def theorem1_equivalences(f: AffineMap, h1: SymBivector, h2: SymBivector) -> Theorem1Report:
-    direct = is_kv_map(f, h1, h2)
-
-    pi1 = build_pi(h1)
-    pi2 = build_pi(h2)
-    tf = tangent_map(f)
-    poisson = all(e.is_zero() for row in _congruence_residuals(tf, pi1.entries, pi2.entries) for e in row)
-
-    related = True
-    for j in range(f.target.dim):
-        alpha = coordinate_form(f.target, j)
-        X = sharp(h1, pullback(f, alpha))
-        Y = sharp(h2, alpha)
-        if not are_F_related(f, X, Y):
-            related = False
-            break
-
-    ham = True
-    scalars = _sample_target_scalars(f.target)
-    for g, gF in zip(scalars, substitute([s.value for s in scalars], f.substitution())):
-        if not are_F_related(f, hamiltonian(h1, ScalarField(f.source, gF)), hamiltonian(h2, g)):
-            ham = False
-            break
-
-    return Theorem1Report(direct, poisson, related, ham)
 
 
 # --- products ----------------------------------------------------------------

@@ -7,8 +7,11 @@ bivector pairs base coordinate forms with fiber ones, and its Jacobiator is
 read as a lazy stream of entries from the coordinate formula, contracted
 over the supports of the lift's columns and derivative rows
 (``geometry._dot``).  The stream takes its own derivatives of the lift and
-reads nothing of h's Codazzi stream, so ``check jacobi_tangent``'s
-cross-check with ``is_kv`` compares two formulas.
+reads nothing of h's Codazzi stream.  But on a lift its only nonzero
+entries are J(a, n+b, n+c) = T(c, b, a), for a base index a and fiber
+indices b < c: h's Codazzi entries, re-indexed, and summed through the same
+``_dot`` and ``_grad``.  So ``check jacobi_tangent``'s cross-check with
+``is_kv`` compares the same sums, not two formulas.
 """
 
 from __future__ import annotations

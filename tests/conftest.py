@@ -8,8 +8,10 @@ from itertools import product
 
 from kvgeom import linalg
 from kvgeom.algebra import AlgebraSpec
-from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField
+from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField, coordinate_form, hamiltonian, sharp
+from kvgeom.structures import AffineMap, pullback, relatedness_residuals
 from kvgeom.symexpr import ZERO, Expr
+from kvgeom.tangent import build_pi, make_tangent_chart
 
 
 def rational(rng: random.Random, scale: int = 2) -> Fraction:
@@ -273,3 +275,84 @@ def assert_stream_spans_table(stream, ref, m):
             want = -s if inversions % 2 else s
         i, j, k = idx
         assert ref[i][j][k] == want, idx
+
+
+# --- Theorem 1, route by route -------------------------------------------------
+#
+# The library decides Theorem 1's four characterizations of a K-V map from one
+# residual R = M H1 M^T - H2 o F.  These references compute R, and the residual
+# of each of the three other characterizations, by their own routes: plain
+# loops for the congruences, one ``Expr.substitute`` per entry for the
+# compositions, and the public sharp, pullback and relatedness operators.
+
+
+def ref_congruence(M, T):
+    """M T M^T, summed over every (i, j) with no entry skipped or folded."""
+    out = []
+    for row_a in M:
+        out_row = []
+        for row_b in M:
+            s = ZERO
+            for i in range(len(T)):
+                for j in range(len(T)):
+                    s = s + Expr.const(row_a[i] * row_b[j]) * T[i][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out
+
+
+def ref_components(f):
+    """Target coordinate name -> M x + c as an expression, one product per matrix entry."""
+    xs = [Expr.var(v) for v in f.source.coords]
+    out = {}
+    for y, row, c in zip(f.target.coords, f.matrix, f.offset):
+        s = Expr.const(c)
+        for m, x in zip(row, xs):
+            s = s + Expr.const(m) * x
+        out[y] = s
+    return out
+
+
+def ref_composed(T, f):
+    """Each entry of the matrix T at F's components, one substitution per entry."""
+    sub = ref_components(f)
+    return [[e.substitute(sub) for e in row] for row in T]
+
+
+def ref_kv_map_residual(f, h1, h2):
+    """R = M H1 M^T - H2 o F."""
+    return [
+        [s - t for s, t in zip(srow, trow)]
+        for srow, trow in zip(ref_congruence(f.matrix, h1.entries), ref_composed(h2.entries, f))
+    ]
+
+
+def ref_tangent_map(f):
+    """TF(x, u) = (M x + c, M u) between the tangent charts."""
+    n, m = f.source.dim, f.target.dim
+    rows = [row + (0,) * n for row in f.matrix] + [(0,) * n + row for row in f.matrix]
+    tc1, tc2 = make_tangent_chart(f.source), make_tangent_chart(f.target)
+    return AffineMap(tc1.chart, tc2.chart, rows, f.offset + (0,) * m)
+
+
+def theorem1_routes(f, h1, h2, g):
+    """The residuals of Theorem 1's tangent-lift, sharp and Hamiltonian characterizations of a K-V map F.
+
+    ``lift`` is diag(M, M) Pi1 diag(M, M)^T - Pi2 o TF for the lifts Pi of
+    ``build_pi``; ``sharps[j]`` is the relatedness residual of the sharps of
+    F* dy_j and dy_j; ``ham`` is the relatedness residual of X_{g o F} and
+    X_g, for the expression g on the target chart.
+    """
+    tf = ref_tangent_map(f)
+    pi1, pi2 = build_pi(h1), build_pi(h2)
+    lift = [
+        [s - t for s, t in zip(srow, trow)]
+        for srow, trow in zip(ref_congruence(tf.matrix, pi1.entries), ref_composed(pi2.entries, tf))
+    ]
+    sharps = []
+    for j in range(f.target.dim):
+        dy = coordinate_form(f.target, j)
+        sharps.append(relatedness_residuals(f, sharp(h1, pullback(f, dy)), sharp(h2, dy)))
+    gF = g.substitute(ref_components(f))
+    ham = relatedness_residuals(f, hamiltonian(h1, ScalarField(f.source, gF)), hamiltonian(h2, ScalarField(f.target, g)))
+    return lift, sharps, ham

@@ -1,6 +1,6 @@
 """Every operator that contracts through ``geometry._dot`` against the plain loop it replaced.
 
-Each reference below, and ``ref_codazzi`` in conftest, starts from zero, runs over the full index range and
+Each reference below, and ``ref_codazzi`` and ``ref_congruence`` in conftest, starts from zero, runs over the full index range and
 skips nothing, so a contraction that leaves out a product it should keep
 shows up as a differing entry.  Inputs are random on R^1..R^4, with zero
 entries and one rational entry whose denominator is linear: the bivector's,
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_stream_spans_table, random_algebra, random_poly, random_scalar, ref_codazzi
+from conftest import assert_stream_spans_table, random_algebra, random_poly, random_scalar, ref_codazzi, ref_congruence
 from kvgeom.algebra import algebra_to_kv
 from kvgeom.geometry import (
     Chart,
@@ -119,20 +119,6 @@ def ref_algebra_to_kv(a, xs):
             for k in range(n):
                 s = s + Expr.const(a.product[i][j][k]) * xs[k]
             out[i][j] = s
-    return out
-
-
-def ref_congruence(M, T):
-    out = []
-    for row_a in M:
-        out_row = []
-        for row_b in M:
-            s = ZERO
-            for i in range(len(T)):
-                for j in range(len(T)):
-                    s = s + Expr.const(row_a[i] * row_b[j]) * T[i][j]
-            out_row.append(s)
-        out.append(out_row)
     return out
 
 
@@ -270,22 +256,18 @@ def random_matrix(rng, rows, cols):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_matvec_and_congruence_equal_the_loops(n):
-    """The congruence reads symmetry from T: of a symmetric T (mirrored entries the same objects, or equal
-    but distinct ones) it folds T_ij and T_ji; of a non-symmetric T or the skew tangent lift it must not."""
+    """The congruence folds T_ji onto T_ij of a symmetric T, whether the mirrored entries are the same objects
+    or equal but distinct ones."""
     for rng, chart, h in cases(n):
-        general = [list(sparse_vector(rng, chart.coords, i == 0)) for i in range(n)]
         mirrored = [[e if i <= j else -(-e) for j, e in enumerate(row)] for i, row in enumerate(h.entries)]
         assert n == 1 or any(mirrored[j][i] is not mirrored[i][j] for i in range(n) for j in range(i))
-        lift = build_pi(h).entries
         for rows in (1, n):
             M = random_matrix(rng, rows, n)
             v = sparse_vector(rng, chart.coords, True)
             want = [ref_pair([Expr.const(c) for c in row], v) for row in M]
             assert_entrywise_equal(_matvec(M, v), want)
-            for T in (h.entries, general, mirrored):
+            for T in (h.entries, mirrored):
                 assert_entrywise_equal(_congruence(M, T), ref_congruence(M, T))
-            M = random_matrix(rng, rows, 2 * n)
-            assert_entrywise_equal(_congruence(M, lift), ref_congruence(M, lift))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

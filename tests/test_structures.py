@@ -5,7 +5,17 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import random_bivector, random_field, random_oneform, random_point, random_poly
+from conftest import (
+    bivector_with_a_rational_entry,
+    random_bivector,
+    random_field,
+    random_oneform,
+    random_point,
+    random_poly,
+    ref_components,
+    ref_kv_map_residual,
+    theorem1_routes,
+)
 import kvgeom.symexpr
 from kvgeom import linalg
 from kvgeom.errors import (
@@ -47,7 +57,6 @@ from kvgeom.structures import (
     product_kv,
     pullback,
     relatedness_residuals,
-    theorem1_equivalences,
     to_adapted_bivector,
 )
 from kvgeom.symexpr import Expr, distinct_sample_points, sample_point
@@ -164,14 +173,39 @@ def test_is_kv_map_rational_null_direction():
     assert is_kv_map(f, h, SymBivector.zero(target))
 
 
-def test_theorem1_four_way_agreement():
-    for lam, mu, expected in ((1, 0, True), (0, 1, True), (1, 1, False), (2, 3, False)):
-        rep = theorem1_equivalences(embedding(lam, mu), H1, H2)
-        assert rep.agree
-        assert rep.direct is expected
-    zero = SymBivector.zero(P)
-    rep = theorem1_equivalences(AffineMap.identity(P), zero, zero)
-    assert rep.agree and rep.direct
+def _theorem1_instances():
+    """The four embeddings, then 30 random maps between charts of dimension 1-4; every other h1 has a rational entry."""
+    yield from ((embedding(lam, mu), H1, H2) for lam, mu in ((1, 0), (0, 1), (1, 1), (2, 3)))
+    rng = random.Random(26)
+    for case in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        S = Chart(f"S{n}", tuple(f"s{i + 1}" for i in range(n)))
+        T = Chart(f"T{m}", tuple(f"t{i + 1}" for i in range(m)))
+        M = [[rng.choice((0, 0, 1, -1, 2, Fr(1, 2), Fr(-2, 3))) for _ in range(n)] for _ in range(m)]
+        f = AffineMap(S, T, M, random_point(rng, m))
+        # a rational entry of h2, composed with F, has a denominator in every variable of S; on one such
+        # map the Hamiltonian route's relatedness residual ran past 25 s in poly_gcd
+        h1 = bivector_with_a_rational_entry(rng, S) if case % 2 else random_bivector(rng, S)
+        yield f, h1, random_bivector(rng, T)
+
+
+def test_theorem1_characterizations_are_one_residual():
+    """With R = M H1 M^T - H2 o F, the tangent-lift residual is [[0, R], [-R, 0]], the sharp relation for
+    dy_j is column j of R, and the Hamiltonian relation for g is R (grad g o F): the identities that let
+    ``check theorem1`` decide all four characterizations from ``kv_map_residuals`` alone."""
+    rng = random.Random(260)
+    for f, h1, h2 in _theorem1_instances():
+        R = ref_kv_map_residual(f, h1, h2)
+        assert [list(row) for row in kv_map_residuals(f, h1, h2)] == R
+        m = f.target.dim
+        g = random_poly(rng, f.target.coords, 3, terms=4)
+        lift, sharps, ham = theorem1_routes(f, h1, h2, g)
+        zero = [Expr.const(0)] * m
+        assert lift == [zero + row for row in R] + [[-e for e in row] + zero for row in R]
+        for j in range(m):
+            assert list(sharps[j]) == [row[j] for row in R]
+        grad_F = [g.diff(v).substitute(ref_components(f)) for v in f.target.coords]
+        assert list(ham) == [sum((r * d for r, d in zip(row, grad_F)), Expr.const(0)) for row in R]
 
 
 def test_kv_map_composition_closure():

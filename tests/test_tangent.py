@@ -11,6 +11,7 @@ from conftest import (
     random_field,
     random_oneform,
     random_poly,
+    ref_codazzi,
     sparse_bivectors,
 )
 from kvgeom.geometry import (
@@ -183,6 +184,22 @@ def test_jacobi_entries_equal_the_unskipped_sum():
         for h in sparse_bivectors(rng, chart):
             pi = build_pi(h)
             assert_stream_spans_table(_jacobi_entries(pi), jacobiator_reference(pi), 3)
+
+
+def test_lift_jacobiator_is_the_codazzi_tensor_reindexed():
+    """On the lift of h over R^n, J(a, n+b, n+c) = T(c, b, a) for every base index a and fiber pair b < c,
+    and every other J(i, j, k), i < j < k, is zero: the lift is Poisson iff h is K-V, entry by entry."""
+    rng = random.Random(26)
+    for n in range(1, 6):
+        chart = Chart(f"R{n}", tuple(f"x{a}" for a in range(1, n + 1)))
+        for h in [random_bivector(rng, chart, 2)] + sparse_bivectors(rng, chart):
+            J = jacobiator_reference(build_pi(h))
+            T = ref_codazzi(chart.coords, h.entries)
+            for i in range(2 * n):
+                for j in range(i + 1, 2 * n):
+                    for k in range(j + 1, 2 * n):
+                        want = T[k - n][j - n][i] if i < n <= j else Expr.const(0)
+                        assert J[i][j][k] == want, (n, i, j, k)
 
 
 def test_poisson_equivalence_on_random_bivectors():
