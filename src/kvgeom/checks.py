@@ -46,7 +46,7 @@ from .structures import (
     preimage_transversal,
 )
 from .symexpr import Expr, _rational_str, distinct_sample_points
-from .tangent import _jacobi_entries, build_pi, lift_propositions_check
+from .tangent import _lift_jacobi_entries, lift_propositions_check
 
 PASS = "pass"
 FAIL = "fail"
@@ -182,7 +182,7 @@ def _run_kv_bracket(env, check, seed, samples):
 def _run_jacobi_tangent(env, check, seed, samples):
     h = env[check.args[0]]
     verdict = _residual_verdict(
-        _jacobi_entries(build_pi(h)),
+        _lift_jacobi_entries(h),
         "tangent-lift bivector satisfies the Jacobi identity",
         "Jacobiator nonzero at {at}",
     )

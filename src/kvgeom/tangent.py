@@ -3,21 +3,21 @@
 The horizontal/vertical splitting is hard-coded to the zero-Christoffel form
 of an affine chart: horizontal directions are the base coordinate directions,
 vertical ones the fiber directions.  The skew bivector built from a symmetric
-bivector pairs base coordinate forms with fiber ones, and its Jacobiator is
-read as a lazy stream of entries from the coordinate formula, contracted
-over the supports of the lift's columns and derivative rows
-(``geometry._dot``).  The stream takes its own derivatives of the lift and
-reads nothing of h's Codazzi stream.  But on a lift its only nonzero
-entries are J(a, n+b, n+c) = T(c, b, a), for a base index a and fiber
-indices b < c: h's Codazzi entries, re-indexed, and summed through the same
-``_dot`` and ``_grad``.  So ``check jacobi_tangent``'s cross-check with
-``is_kv`` compares the same sums, not two formulas.
+bivector h pairs base coordinate forms with fiber ones.  Its base-base and
+fiber-fiber blocks vanish and no entry depends on a fiber coordinate, so its
+only Jacobiator entries J(i,j,k), i < j < k, that can be nonzero are
+J(a, n+b, n+c) = T(c,b,a) = -T(b,c,a), for a base index a and fiber indices
+b < c: h's Codazzi entries, re-indexed, which is why the lift is Poisson
+exactly when h is K-V.  ``check jacobi_tangent`` reads them from h's Codazzi
+memo in lift order (``_lift_jacobi_entries``) and builds no lift.  Its
+cross-check with ``is_kv``, which reads the same memo in Codazzi order, does
+not recompute T: it guards the re-indexing, since an entry the lift order
+skipped would read as a pass on an h that is not K-V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator
 
 from .errors import ChartMismatch
@@ -28,7 +28,6 @@ from .geometry import (
     SymBivector,
     VectorField,
     _dot,
-    _grad,
     _nz,
     differential,
     hamiltonian,
@@ -140,30 +139,31 @@ def pi_sharp(pi: SkewBivector, alpha: OneForm) -> VectorField:
     return VectorField(pi.chart, tuple(_dot(a, _nz(col)) for col in zip(*pi.entries)))
 
 
-def _jacobi_entries(pi: SkewBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
-    """((i, j, k), J(i,j,k)) for i < j < k, in lexicographic order, lazily.
+def _lift_jacobi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
+    """((a, n+b, n+c), J(a, n+b, n+c)) of the lift ``build_pi(h)``, in lexicographic order, lazily.
 
-    J(i,j,k) = sum_l (P_li d_l P_jk + P_lj d_l P_ki + P_lk d_l P_ij), read
-    as sum_l (P_li d_l P_jk - P_lj d_l P_ik + P_lk d_l P_ij) by the
-    antisymmetry of P, so every derivative row is one of d P_ab, a < b.  A
-    column and a derivative row are supports (``_nz``, ``_grad``), each
-    taken when an entry first needs it, so a consumer that stops early pays
-    for what it read, and no product has a zero factor: on a lift the
-    base-base and fiber-fiber blocks vanish, and so does every derivative
-    along a fiber coordinate.  J is totally antisymmetric, so the first
-    nonzero entry of the full table in row-major order is the first nonzero
-    one yielded here.
+    Each entry is -T(b,c,a), read from h's Codazzi memo (``SymBivector.codazzi``),
+    where T(b,c,a) sits at place p*n + a, p the place of (b, c) among the
+    pairs b < c in row-major order.  The memo is extended only as far as the
+    entries read so far need, so T(1,2,1) alone decides a generic h, and an
+    exception the memo holds is raised again here.  Every other J(i,j,k),
+    i < j < k, of the lift is zero, so the first nonzero entry of the full
+    Jacobi table in row-major order is the first nonzero one yielded here.
     """
-    P = pi.entries
-    coords = pi.chart.coords
-    n2 = len(coords)
-    cols = cache(lambda a: _nz([row[a] for row in P]))
-    d = cache(lambda a, b: _grad(P[a][b], coords))
+    n = h.chart.dim
+    stream = h.codazzi()
+    read: list[Expr] = []
 
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            for k in range(j + 1, n2):
-                yield (i, j, k), _dot(cols(i), d(j, k)) - _dot(cols(j), d(i, k)) + _dot(cols(k), d(i, j))
+    def T(at: int) -> Expr:
+        while len(read) <= at:
+            read.append(next(stream)[1])
+        return read[at]
+
+    pairs = [(b, c) for b in range(n) for c in range(b + 1, n)]
+    for a in range(n):
+        for p, (b, c) in enumerate(pairs):
+            t = T(p * n + a)
+            yield (a, n + b, n + c), -t if t.num.terms else t  # -ZERO would build a new zero
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from conftest import (
     random_algebra,
     random_bivector,
     ref_codazzi,
+    sparse_bivectors,
 )
 import kvgeom.geometry
 import kvgeom.tangent
@@ -24,10 +25,11 @@ from kvgeom.algebra import algebra_to_kv
 from kvgeom.checks import CHECKS, _indexed, _residual_verdict
 from kvgeom.cli import run
 from kvgeom.dsl import parse_scenario
-from kvgeom.engine import RunConfig, run_scenario
-from kvgeom.errors import ParseError, SemanticError
-from kvgeom.geometry import Chart
-from kvgeom.tangent import _jacobi_entries, build_pi
+from kvgeom.engine import RunConfig, _find_witness, run_scenario
+from kvgeom.errors import DegreeOverflow, ParseError, SemanticError
+from kvgeom.geometry import Chart, SymBivector
+from kvgeom.symexpr import ZERO, Expr
+from kvgeom.tangent import build_pi
 
 # one object of every declaration kind on M, and a second copy on the chart P
 DECLS = """manifold M { dim 2 coords [x y] }
@@ -220,49 +222,133 @@ def test_lazy_verdicts_stop_at_the_first_nonzero_entry(monkeypatch):
     assert _run("kv_bracket", twin)[:2] == ("fail", "bracket nonzero at (1,2,1)")
     assert len(geometry_calls) == 2 * 4 + 2 + 2 and len(geometry_grads) == 2 + 2  # T(1,2,1) computed
 
-    jacobi_calls = _count(monkeypatch, kvgeom.tangent)
-    jacobi_grads = _count(monkeypatch, kvgeom.tangent, "_grad")
-    read = next(t for t, (_, s) in enumerate(_jacobi_entries(build_pi(h)), 1) if not s.is_zero())
-    jacobi_calls.clear()
-    jacobi_grads.clear()
+    # jacobi_tangent reads J(1,5,6) = -T(1,2,1) from h's memo, which codazzi filled: the check builds no
+    # lift and takes no product and no derivative, in tangent or in geometry; its cross-check with
+    # is_kv replays the same entry
+    assert not hasattr(kvgeom.tangent, "_grad")
+    tangent_calls = _count(monkeypatch, kvgeom.tangent)
     geometry_calls.clear()
+    geometry_grads.clear()
     assert _run("jacobi_tangent", h)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
-    assert read == 16  # (1,5,6) comes after the 15 triples (1, j, k) with j <= 4
-    assert len(jacobi_calls) == 3 * read  # three per triple read; the whole table takes 3 * C(8, 3) = 168
-    # the rows d P_ab, a < b, that the triples read, each once: d P_jk of each triple (1, j, k)
-    # and d P_1k for k = 2..8; 0-based, j <= 3 or (j, k) = (4, 5)
-    rows = {(j, k) for j in range(1, 4) for k in range(j + 1, 8)} | {(4, 5)} | {(0, k) for k in range(1, 8)}
-    assert len(jacobi_grads) == len(rows) == 23
-    assert len(geometry_calls) == 0  # the cross-check with is_kv replays T(1,2,1) from h's memo
+    assert len(tangent_calls) == len(geometry_calls) == len(geometry_grads) == 0
+
+    # on a fresh twin it computes the Codazzi entries that the lift order reads, T(1,2,1) alone
+    _, read = _count_codazzi_reads(monkeypatch)
+    twin = random_bivector(random.Random(5), _chart(4), 2)
+    assert _run("jacobi_tangent", twin)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
+    assert read == [(0, 1, 0)]
+    assert len(tangent_calls) == 0 and len(geometry_calls) == len(geometry_grads) == 2
 
 
-@pytest.mark.parametrize("kv", [True, False], ids=["kv", "not_kv"])
-def test_a_scenario_reads_each_codazzi_entry_once(monkeypatch, kv):
-    # codazzi, kv_bracket's comparison and jacobi_tangent's cross-check all read h's Codazzi stream:
-    # one stream is started, each entry is computed once, and each derivative row d h_bc is taken
-    # once by it and once by the bracket stream
-    started, yielded = [], []
+def _chosen_defect(rng, chart, r, p, q):
+    """diag(c_1, ..., c_n) plus s*x_r at (p, q), for distinct r, p, q with p < q and random nonzero c, s.
+
+    Only d_r h_pq is nonzero, and only h_rr meets it, so the Codazzi defect,
+    for i < j, is nonzero only at the sorted images of T(r,p,q) and T(r,q,p),
+    both c_r*s.  The Codazzi order reads the pair (i, j) first and stops at
+    the pair {r, p}, since p < q; the lift order reads the base index first
+    and stops at a = p, with the pair {r, q}.
+    """
+    n = chart.dim
+    rows = [[Expr.const(rng.choice([-3, -1, 1, 2])) if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows[p][q] = rows[q][p] = Expr.const(rng.choice([-2, 1, 3])) * Expr.var(chart.coords[r])
+    return SymBivector(chart, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_jacobi_verdict_follows_the_lift_order(n):
+    # index, residual and witness of jacobi_tangent equal those of a row-major pass over the plain-loop
+    # Jacobiator of the lift, on random and sparse bivectors, and on bivectors whose Codazzi defect is
+    # nonzero only at chosen entries, where the lift order and the Codazzi order stop at different ones
+    rng = random.Random(2700 + n)
+    chart = _chart(n)
+    chosen = [(r, p, q) for p in range(n) for q in range(p + 1, n) for r in range(n) if r not in (p, q)]
+    chosen = rng.sample(chosen, min(len(chosen), 4))
+    defects = [_chosen_defect(rng, chart, r, p, q) for r, p, q in chosen]
+    for t, h in enumerate([random_bivector(rng, chart, 2)] + sparse_bivectors(rng, chart) + defects):
+        want = _residual_verdict(
+            _indexed(jacobiator_reference(build_pi(h))),
+            "tangent-lift bivector satisfies the Jacobi identity",
+            "Jacobiator nonzero at {at}",
+        )
+        got = _run("jacobi_tangent", h)
+        assert got == want
+        if want[2] is not None:
+            assert _find_witness(got[2], 42 + t) == _find_witness(want[2], 42 + t) is not None
+    for h, (r, p, q) in zip(defects, chosen):
+        i, j = sorted((r, p))
+        b, c = sorted((r, q))
+        assert _run("codazzi", h)[1] == f"defect at indices ({i + 1},{j + 1},{q + 1})"
+        assert _run("jacobi_tangent", h)[1] == f"Jacobiator nonzero at ({p + 1},{n + b + 1},{n + c + 1})"
+
+
+def test_jacobi_tangent_raises_again_what_the_codazzi_memo_holds():
+    # on diag(x, z^(2^30 + 1), z^(2^30 + 1)) over R^3 the one Codazzi entry that is not zero, T(2,3,2),
+    # is the product -z^(2^30 + 1) * d z^(2^30 + 1), past the largest degree; the lift order reaches it
+    # at J(2,5,6), after five zero entries
+    text = "manifold M { dim 3 coords [x y z] }\nbivector h on M { [x, 0, 0; z^1073741825, 0; z^1073741825] }\n"
+    h = parse_scenario(text).env["h"]
+    with pytest.raises(DegreeOverflow):
+        _run("codazzi", h)
+    assert isinstance(h._codazzi.error, DegreeOverflow)
+    for _ in range(2):
+        with pytest.raises(DegreeOverflow):
+            _run("jacobi_tangent", h)
+    twin = parse_scenario(text).env["h"]  # no memo: jacobi_tangent meets the entry first
+    for kind in ("jacobi_tangent", "codazzi"):
+        with pytest.raises(DegreeOverflow):
+            _run(kind, twin)
+    outcomes = run_scenario(parse_scenario(text + "check codazzi h\ncheck jacobi_tangent h\n")).outcomes
+    assert [o.status for o in outcomes] == ["unsupported"] * 2
+
+
+def _count_codazzi_reads(monkeypatch):
+    """The bivectors whose Codazzi streams start from now on, and the indices those streams compute, in order."""
+    started, read = [], []
     original = kvgeom.geometry._codazzi_entries
-    rows = "[x, 0, 0; y, 0; z]" if kv else "[x, y, 0; z, 0; x*y]"
-    text = f"manifold M {{ dim 3 coords [x y z] }}\nbivector h on M {{ {rows} }}\n"
-    fresh = []  # every entry of T when h is K-V, else those up to the first nonzero one, T(1,2,2)
-    for at, t in original(parse_scenario(text).env["h"]):
-        fresh.append(at)
-        if not t.is_zero():
-            break
-    assert fresh == ([(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)] if kv else [(0, 1, 0), (0, 1, 1)])
 
     def counted(h):
         started.append(h)
         for item in original(h):
-            yielded.append(item[0])
+            read.append(item[0])
             yield item
 
     monkeypatch.setattr(kvgeom.geometry, "_codazzi_entries", counted)
+    return started, read
+
+
+@pytest.mark.parametrize("kv", [True, False], ids=["kv", "not_kv"])
+def test_a_scenario_reads_each_codazzi_entry_once(monkeypatch, kv):
+    # codazzi, kv_bracket's comparison, jacobi_tangent's lift order and its cross-check all read h's
+    # Codazzi stream: one stream is started, each entry is computed once, and each derivative row d h_bc
+    # is taken once by it and once by the bracket stream
+    rows = "[x, 0, 0; y, 0; z]" if kv else "[x, y, 0; z, 0; x*y]"
+    text = f"manifold M {{ dim 3 coords [x y z] }}\nbivector h on M {{ {rows} }}\n"
+    stream = [(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)]
+    if kv:
+        want = stream  # every check reads every entry
+    else:
+        # codazzi and kv_bracket stop at the first nonzero entry, T(1,2,2) = -z; jacobi_tangent reads
+        # T(1,2,1), T(1,3,1) and T(2,3,1), at places 0, 3 and 6 of the stream, all zero, before it
+        # stops at J(2,4,5) = -T(1,2,2): the stream is computed up to T(2,3,1)
+        want = stream[:7]
+        nonzero = [at for at, t in kvgeom.geometry._codazzi_entries(parse_scenario(text).env["h"]) if not t.is_zero()]
+        assert nonzero == [(0, 1, 1), (0, 2, 2), (1, 2, 1), (1, 2, 2)]
+
+    started, read = _count_codazzi_reads(monkeypatch)
     grads = _count(monkeypatch, kvgeom.geometry, "_grad")
     scenario = parse_scenario(text + "check codazzi h\ncheck kv_bracket h\ncheck jacobi_tangent h\n")
     outcomes = run_scenario(scenario).outcomes
-    assert [o.status for o in outcomes] == ["pass" if kv else "fail"] * 3
+    if kv:
+        assert [o.status for o in outcomes] == ["pass"] * 3
+    else:
+        assert [(o.status, o.details, o.witness.residual) for o in outcomes] == [
+            ("fail", "defect at indices (1,2,2)", "-z"),
+            ("fail", "bracket nonzero at (1,2,2)", "z"),
+            ("fail", "Jacobiator nonzero at (2,4,5)", "z"),
+        ]
     assert started == [scenario.env["h"]]
-    assert yielded == fresh
-    assert len(grads) == 2 * (6 if kv else 3)
+    assert read == want
+    # the Codazzi stream has taken all six rows d h_bc, b <= c, by T(2,3,1); the bracket stream takes
+    # them all when h is K-V, and d h_12, d h_11 and d h_22 when it stops at B(1,2,2)
+    assert len(grads) == 6 + (6 if kv else 3)

@@ -11,9 +11,11 @@ pair of sparse bivectors under the three tensor checks, one K-V and one
 whose first nonzero Codazzi entry comes near the end of the stream; an R^4
 transversal scenario whose conormal and bordered blocks have
 rational-function entries; a generic R^8 transversal with a 4x4 conormal
-block; an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25; and an
-R^4 K-V map onto a bivector whose denominators are in every variable, under
-``kv_map`` and ``theorem1``.
+block; an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25; an R^4
+K-V map onto a bivector whose denominators are in every variable, under
+``kv_map`` and ``theorem1``; and an R^4 bivector whose lift's Jacobi
+verdict lands on its third base index, at another entry than its Codazzi
+verdict, under the three tensor checks.
 """
 
 from pathlib import Path
