@@ -40,12 +40,9 @@ h_bad = SymBivector(M, ((Expr.const(0), x), (x, Expr.const(0))))
 print("non-Codazzi instance lifts to non-Poisson:", bad.status == "fail")
 print("matching base verdict:", not is_kv(h_bad))
 
-# Hamiltonian lifts: vertical ones are Hamiltonian, horizontal ones preserve
-# the lifted bivector exactly for leafwise-affine functions.
+# Hamiltonian lifts: on a K-V bivector, horizontal ones preserve the lifted
+# bivector exactly for leafwise-affine functions.
 h_line = SymBivector(M, ((x, Expr.const(0)), (Expr.const(0), Expr.const(0))))
 for expr in (y ** 2, x ** 2):
     rep = lift_propositions_check(h_line, ScalarField(M, expr))
-    print(
-        f"f = {expr}: vertical lift Hamiltonian: {rep.hamiltonian_lift_ok}, "
-        f"horizontal lift preserves: {rep.lie_pi_vanishes}, leafwise-affine: {rep.f_in_E}"
-    )
+    print(f"f = {expr}: horizontal lift preserves: {rep.lie_pi_vanishes}, leafwise-affine: {rep.f_in_E}")

@@ -4,9 +4,10 @@ The package decides structural conditions (Codazzi identity, K-V maps and
 submanifolds, transversality, coisotropy) by exact polynomial identity
 testing over the rationals, constructs the derived objects (brackets,
 contravariant connection, Hamiltonian fields, tangent-bundle Poisson lift,
-induced structures, conormal algebroids).  The few residuals that no
-symbolic test decides (the mixed lift residuals of ``lift_props``) are
-evaluated by a deterministic numeric sampling oracle.
+induced structures, conormal algebroids).  Every check decides its
+residuals exactly, so the deterministic numeric sampling oracle, which
+evaluates the residuals a check leaves undecided, has none to evaluate
+today.
 """
 
 from .errors import (

@@ -7,13 +7,10 @@ required options) and the engine (``run``) read this table, and a test holds
 the README's list to it, so a new kind is added here and nowhere else.
 
 ``run(env, check, seed, samples)`` returns ``(status, details,
-witness_or_expr, zero_claims)``: ``witness_or_expr`` is a ready
-``Witness``, a nonzero residual the engine searches a witness point for,
-or None; ``zero_claims`` are residuals that must vanish but that no
-symbolic test decided, which the numeric oracle evaluates.  A residual a
-check has already found zero by ``is_zero()`` is a canonical zero and
-evaluates to 0 everywhere, so it is never handed over: today only
-``lift_props`` has claims, its mixed lift residuals.
+witness_or_expr)``: ``witness_or_expr`` is a ready ``Witness``, a nonzero
+residual the engine searches a witness point for, or None.  Every check
+decides its residuals itself, by ``is_zero()``, so none leaves a claim to
+the numeric oracle.
 """
 
 from __future__ import annotations
@@ -103,8 +100,8 @@ def _residual_verdict(residuals, passed: str, failed: str):
     for idx, e in residuals:
         if not e.is_zero():
             at = "(" + ",".join(str(i + 1) for i in idx) + ")"
-            return FAIL, failed.replace("{at}", at), e, []
-    return PASS, passed, None, []
+            return FAIL, failed.replace("{at}", at), e
+    return PASS, passed, None
 
 
 # --- chart rules ------------------------------------------------------------------
@@ -208,7 +205,7 @@ def _run_theorem1(env, check, seed, samples):
     """
     a = check.args
     common = "K-V map" if is_kv_map(env[a[0]], env[a[1]], env[a[2]]) else "not a K-V map"
-    return PASS, f"all four characterizations agree: {common}", None, []
+    return PASS, f"all four characterizations agree: {common}", None
 
 
 def _kv_note(h) -> str:
@@ -235,15 +232,15 @@ def _run_transversal(env, check, seed, samples):
     if res.verdict == SYMBOLIC_TRUE:
         entries = res.induced.entries  # det D is a constant here, so this divides by a number
         induced = _matrix_str(entries) if entries else "point structure"
-        return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None, []
+        return PASS, f"conormal block determinant is the nonzero constant {res.determinant}; induced {induced}{note}", None
     if res.verdict == POINTWISE_TRUE:
         pts = "; ".join(_point_str(p) for p, _ in res.samples)
-        return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None, []
+        return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None
     singular = [p for p, ok in res.samples if not ok]
     pts = "; ".join(_point_str(p) for p in singular)
     first = singular[0] if singular else ()
     witness = Witness(tuple(_rational_str(q) for q in first), str(res.determinant))
-    return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness, []
+    return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness
 
 
 def _run_coisotropic(env, check, seed, samples):
@@ -268,7 +265,7 @@ def _run_conormal(env, check, seed, samples):
         ok = ok and alg.fiber_associative
     elif alg.anchor_vanishes_at_point is False:
         details.append("anchor does not vanish at the designated point; fiber algebra not examined")
-    return (PASS if ok else FAIL), "; ".join(details), None, []
+    return (PASS if ok else FAIL), "; ".join(details), None
 
 
 def _run_graph(env, check, seed, samples):
@@ -276,8 +273,8 @@ def _run_graph(env, check, seed, samples):
     rep = graph_check(env[a[0]], env[a[1]], env[a[2]])
     details = f"graph coisotropic={rep.coisotropic}, kv_map={rep.kv_map}"
     if rep.agree:
-        return PASS, f"graph characterization agrees: {details}", None, []
-    return FAIL, f"graph characterization disagrees: {details}", None, []
+        return PASS, f"graph characterization agrees: {details}", None
+    return FAIL, f"graph characterization disagrees: {details}", None
 
 
 def _run_preimage_transversal(env, check, seed, samples):
@@ -288,8 +285,8 @@ def _run_preimage_transversal(env, check, seed, samples):
     )
     dims = f"preimage dimension {rep.preimage.dim}"
     if rep.ok:  # the check is exact; "at all samples" is older wording that the report goldens pin
-        return PASS, f"{dims}; induced structures related by the restricted map at all samples", None, []
-    return FAIL, f"{dims}; a pullback check failed", None, []
+        return PASS, f"{dims}; induced structures related by the restricted map at all samples", None
+    return FAIL, f"{dims}; a pullback check failed", None
 
 
 def _run_in_E(env, check, seed, samples):
@@ -302,8 +299,8 @@ def _run_in_E(env, check, seed, samples):
 def _run_special_class(env, check, seed, samples):
     a = check.args
     if special_class_check(env[a[0]], env[a[1]], env[a[2]]):
-        return PASS, "pairing of the two functions stays affine along the leaves", None, []
-    return FAIL, "pairing leaves the leafwise-affine space", None, []
+        return PASS, "pairing of the two functions stays affine along the leaves", None
+    return FAIL, "pairing leaves the leafwise-affine space", None
 
 
 def _run_lie_derivative(env, check, seed, samples):
@@ -321,36 +318,35 @@ def _run_lie_derivative(env, check, seed, samples):
         if got != expected:
             problems.append(f"entry ({i},{j}) is {got}, expected {expected}")
     if problems:
-        return FAIL, "; ".join(problems), None, []
-    return PASS, f"Lie derivative {_matrix_str(lie.entries)}{kv_note}", None, []
+        return FAIL, "; ".join(problems), None
+    return PASS, f"Lie derivative {_matrix_str(lie.entries)}{kv_note}", None
 
 
 def _run_lift_props(env, check, seed, samples):
     rep = lift_propositions_check(env[check.args[0]], env[check.args[1]])
-    claims = [e for row in rep.mixed_residuals for e in row] if rep.ambient_kv else []
-    if not rep.hamiltonian_lift_ok:
-        raise EngineInconsistency("vertical lift of the Hamiltonian field is not the lifted Hamiltonian")
     details = [
-        "vertical lift is Hamiltonian for the lifted function",
+        "vertical lift is Hamiltonian for the lifted function",  # Pi_#(d(f o p)) = (0, X_f) by the lift's blocks
         f"horizontal lift preserves the lifted bivector: {rep.lie_pi_vanishes}",
         f"leafwise-affine: {rep.f_in_E}",
     ]
     if rep.ambient_kv:
-        if rep.agree is False:
-            raise EngineInconsistency("lift invariance disagrees with the leafwise-affine test")
+        # mixed residual (i, j) is -sum_m d_m f T(m,i,j), zero on a K-V h: then block = -hc, and the
+        # lift is invariant iff f is in E
+        if not all(e.is_zero() for row in rep.mixed_residuals for e in row):
+            raise EngineInconsistency("mixed lift residuals do not vanish on a K-V bivector")
     else:
         details.append("ambient bivector is not K-V; equivalence not asserted")
-    return (PASS if rep.lie_pi_vanishes else FAIL), "; ".join(details), None, claims
+    return (PASS if rep.lie_pi_vanishes else FAIL), "; ".join(details), None
 
 
 def _run_algebra(env, check, seed, samples):
     spec = env[check.args[0]]
     rep = validate_algebra(spec)
     if not rep.valid:
-        return FAIL, rep.violation, None, []
+        return FAIL, rep.violation, None
     if not is_kv(algebra_to_kv(spec)):
         raise EngineInconsistency("dual bivector of a valid algebra is not K-V")
-    return PASS, "algebra laws hold; dual bivector is K-V", None, []
+    return PASS, "algebra laws hold; dual bivector is K-V", None
 
 
 def _run_annihilator(env, check, seed, samples):
@@ -383,7 +379,7 @@ def _run_rank(env, check, seed, samples):
             parts.append(f"{_point_str(p)} -> {rank_at(h, p)}")
         except PoleAtPoint:
             parts.append(f"{_point_str(p)} -> pole")
-    return PASS, "sharp rank at sample points: " + "; ".join(parts), None, []
+    return PASS, "sharp rank at sample points: " + "; ".join(parts), None
 
 
 _MAP_PAIR = ("map", "bivector", "bivector")

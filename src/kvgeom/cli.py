@@ -2,9 +2,9 @@
 
 Exit status: 0 all checks pass (pointwise passes count), 1 on a check
 failure, 2 on a parse or semantic error, 3 on an internal inconsistency:
-the numeric oracle found a zero claim nonzero at a sample point, or two
-routes to one verdict disagreed (``EngineInconsistency``,
-``ClosureFailure``).
+two routes to one verdict disagreed (``EngineInconsistency``,
+``ClosureFailure``), or the numeric oracle found a zero claim nonzero at a
+sample point, though no check hands it claims today.
 """
 
 from __future__ import annotations

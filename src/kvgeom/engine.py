@@ -1,12 +1,17 @@
 """Check execution: symbolic verdicts, deterministic numeric cross-checks, reports.
 
-Besides its verdict, a check may hand over zero claims: residuals that must
-vanish but that no symbolic test decided (today the mixed lift residuals of
-``lift_props``).  The oracle evaluates each claim at deterministic
-pseudo-random rational points p/q with p in [-8, 8] and q in [1, 8], so in
-[-8, 8]^n (fixed seed, configurable count).  A nonzero value at a non-pole
-point, like an ``EngineInconsistency`` or ``ClosureFailure`` raised inside a
-check, is an internal inconsistency: the check fails and the run exits 3.
+A ``CheckRecord`` can carry zero claims: residuals that must vanish but
+that no symbolic test decided.  The oracle (``_oracle_verify``) evaluates
+each claim at deterministic pseudo-random rational points p/q with p in
+[-8, 8] and q in [1, 8], so in [-8, 8]^n (fixed seed, configurable count).
+A nonzero value at a non-pole point, like an ``EngineInconsistency`` or
+``ClosureFailure`` raised inside a check, is an internal inconsistency: the
+check fails and the run exits 3.
+
+No check hands claims today: each one decides its residuals exactly, by
+``is_zero()``.  The oracle still runs once per check, on an empty list:
+``perfbench/spans.py`` wraps it by name and reads ``zero_claims``, so both
+can only go with a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ def run_check(env: Environment, check: CheckDirective, seed: int, samples: int) 
     kind = check.kind
     samples = check.options.samples or samples
     try:
-        status, details, witness_expr, claims = CHECKS[kind].run(env, check, seed, samples)
+        status, details, witness_expr = CHECKS[kind].run(env, check, seed, samples)
     except (
         PreconditionViolated, NotCoisotropic, InvalidAlgebra, InvalidSubspace, NotTransverse, ZeroDenominator,
         PoleAtPoint, DegreeOverflow,
@@ -125,7 +130,7 @@ def run_check(env: Environment, check: CheckDirective, seed: int, samples: int) 
                 details = f"{details}; no witness found in {WITNESS_TRIES} tries"
 
     outcome = CheckOutcome(name, kind, status, witness, details)
-    return CheckRecord(outcome, claims)
+    return CheckRecord(outcome)
 
 
 @dataclass

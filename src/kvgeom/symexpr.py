@@ -343,6 +343,8 @@ class Poly:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
+        if not self.terms:
+            return self
         return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -866,6 +868,8 @@ class Expr:
         return Expr._coerce(other) - self
 
     def __neg__(self) -> "Expr":
+        if not self.num.terms:
+            return self
         e = Expr.__new__(Expr)
         e.num = -self.num
         e.den = self.den

@@ -13,6 +13,12 @@ memo in lift order (``_lift_jacobi_entries``) and builds no lift.  Its
 cross-check with ``is_kv``, which reads the same memo in Codazzi order, does
 not recompute T: it guards the re-indexing, since an entry the lift order
 skipped would read as a pass on an h that is not K-V.
+
+The horizontal lift W = (X_f, 0) of a Hamiltonian field depends on no fiber
+coordinate, so L_W Pi vanishes outside its base-fiber block and is minus
+that block's transpose there, and column b of the block is the base-chart
+bracket [X_f, (dx_b)^#].  ``lift_propositions_check`` takes those n brackets
+and builds no lift.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from .geometry import (
     VectorField,
     _dot,
     _nz,
-    differential,
+    coordinate_form,
     hamiltonian,
     hessian_contraction,
     is_kv,
-    lie_derivative_contravariant,
+    lie_bracket,
+    sharp,
 )
 from .symexpr import ZERO, Expr
 
@@ -162,43 +169,27 @@ def _lift_jacobi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int],
     pairs = [(b, c) for b in range(n) for c in range(b + 1, n)]
     for a in range(n):
         for p, (b, c) in enumerate(pairs):
-            t = T(p * n + a)
-            yield (a, n + b, n + c), -t if t.num.terms else t  # -ZERO would build a new zero
+            yield (a, n + b, n + c), -T(p * n + a)
 
 
 @dataclass(frozen=True)
 class LiftPropositionsReport:
     """Outcome of the two Hamiltonian-lift statements for (h, f)."""
 
-    hamiltonian_lift_ok: bool  # X_f^v equals Pi_#(d(f o p)) symbolically
     lie_pi_vanishes: bool  # L_{X_f^h} Pi = 0
     f_in_E: bool
     ambient_kv: bool
-    agree: bool | None  # vanishing iff f in E; only asserted on K-V bivectors
     mixed_residuals: tuple[tuple[Expr, ...], ...]  # L Pi (dx_i^v, dx_j^h) - <nabla_{X_i} df, X_j>
 
 
 def lift_propositions_check(h: SymBivector, f: ScalarField) -> LiftPropositionsReport:
-    tc = make_tangent_chart(h.chart)
-    pi = build_pi(h, tc)
-    n = h.chart.dim
-
+    """L_{X_f^h} Pi read from its base-fiber block, n brackets on h's own chart; the lift is never built."""
+    chart, n = h.chart, h.chart.dim
     X_f = hamiltonian(h, f)
-    lhs = lift_vector(tc, X_f, "vertical")
-    rhs = pi_sharp(pi, differential(lift_scalar(tc, f)))
-    part1 = all(a == b for a, b in zip(lhs.components, rhs.components))
-
-    W = lift_vector(tc, X_f, "horizontal")
-    lie_entries = lie_derivative_contravariant(tc.chart, pi.entries, W.components)
-    vanishes = all(e.is_zero() for row in lie_entries for e in row)
-
+    # block[b][i] = [X_f, (dx_b)^#]_i = (L Pi)(dx_i^h, dx_b^v) = -(L Pi)(dx_b^v, dx_i^h)
+    block = [lie_bracket(X_f, sharp(h, coordinate_form(chart, b))).components for b in range(n)]
+    vanishes = all(e.is_zero() for row in block for e in row)
     hc = hessian_contraction(h, f)
     f_in = all(e.is_zero() for row in hc for e in row)  # in_E, from the contraction computed once
-    kv = is_kv(h)
-    agree = (vanishes == f_in) if kv else None
-
-    mixed = tuple(
-        tuple(lie_entries[n + i][j] - hc[i][j] for j in range(n)) for i in range(n)
-    )
-    return LiftPropositionsReport(part1, vanishes, f_in, kv, agree, mixed)
-
+    mixed = tuple(tuple(-block[i][j] - hc[i][j] for j in range(n)) for i in range(n))
+    return LiftPropositionsReport(vanishes, f_in, is_kv(h), mixed)

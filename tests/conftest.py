@@ -253,6 +253,35 @@ def jacobiator_reference(pi):
     ]
 
 
+def lift_lie_derivative_reference(h, f):
+    """(L_W Pi)^{ij} = W(Pi^{ij}) - Pi^{kj} d_k W^i - Pi^{ik} d_k W^j on ``build_pi(h)``, for every (i, j).
+
+    W = (X_f, 0) is the horizontal lift of X_f, whose components
+    X_f^i = sum_l h_il d_l f are summed here too; every sum runs over all 2n
+    coordinates of the lift, zero factors included.
+    """
+    n, base = h.chart.dim, h.chart.coords
+    X = []
+    for i in range(n):
+        s = ZERO
+        for l, v in enumerate(base):
+            s = s + h.entries[i][l] * f.value.diff(v)
+        X.append(s)
+    W = X + [ZERO] * n
+    pi = build_pi(h)
+    P, coords = pi.entries, pi.chart.coords
+    out = []
+    for i in range(2 * n):
+        row = []
+        for j in range(2 * n):
+            s = ZERO
+            for k, v in enumerate(coords):
+                s = s + W[k] * P[i][j].diff(v) - P[k][j] * W[i].diff(v) - P[i][k] * W[j].diff(v)
+            row.append(s)
+        out.append(row)
+    return out
+
+
 def assert_stream_spans_table(stream, ref, m):
     """``stream``, spread over the n x n x n table by antisymmetry in its first ``m`` slots, is ``ref``.
 

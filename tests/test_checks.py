@@ -154,7 +154,7 @@ def _run(kind, h):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lazy_verdicts_equal_the_verdicts_over_full_tables(n):
-    # status, details, residual and claims: a lazy reader stops at the entry that a
+    # status, details and residual: a lazy reader stops at the entry that a
     # row-major pass over the whole reference table reports, since an antisymmetric
     # image of an i < j (or i < j < k) entry always comes after it
     rng = random.Random(400 + n)

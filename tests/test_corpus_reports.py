@@ -13,9 +13,10 @@ transversal scenario whose conormal and bordered blocks have
 rational-function entries; a generic R^8 transversal with a 4x4 conormal
 block; an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25; an R^4
 K-V map onto a bivector whose denominators are in every variable, under
-``kv_map`` and ``theorem1``; and an R^4 bivector whose lift's Jacobi
-verdict lands on its third base index, at another entry than its Codazzi
-verdict, under the three tensor checks.
+``kv_map`` and ``theorem1``; an R^4 bivector whose lift's Jacobi verdict
+lands on its third base index, at another entry than its Codazzi verdict,
+under the three tensor checks; and an R^3 pair, one K-V bivector and one
+not, under ``lift_props`` with functions that pass and fail.
 """
 
 from pathlib import Path

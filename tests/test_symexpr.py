@@ -9,7 +9,7 @@ import pytest
 from conftest import random_poly, random_rational_function, rational
 from kvgeom.errors import DegreeOverflow, ParseError, PoleAtPoint, ZeroDenominator
 from kvgeom.dsl import parse_expr
-from kvgeom.symexpr import ZERO, Expr, Poly, _exponents, poly_gcd, substitute
+from kvgeom.symexpr import _P_ZERO, ZERO, Expr, Poly, _exponents, poly_gcd, substitute
 
 X = Expr.var("x")
 Y = Expr.var("y")
@@ -59,6 +59,12 @@ def test_normalize_idempotent_and_difference_zero():
         # rebuilding from the canonical parts re-normalizes to the same form
         assert Expr(e.num, e.den) == e
         assert (e - Expr(e.num, e.den)).is_zero()
+
+
+def test_negating_a_zero_returns_that_zero():
+    # a zero is its own negation, so -ZERO builds no new object; nor does ZERO - e when e is zero
+    assert -ZERO is ZERO and ZERO - ZERO is ZERO
+    assert -_P_ZERO is _P_ZERO and -Poly.zero() is Poly.zero()
 
 
 def test_zero_denominator_raises():
