@@ -3,7 +3,9 @@
 The language is whitespace-insensitive and uses '#' comments.  This module
 holds the one parser of the surface syntax, ``_Parser``: it reads scenarios
 (``parse_scenario``) and the expressions inside them, and ``parse_expr``
-reads a standalone expression with the same methods.
+reads a standalone expression with the same methods.  It reads the token
+texts of ``lex.tokenize`` as plain strings, and asks for a token's line and
+column only for an error, a declaration or a check.
 
 A declaration is held once, as the engine object the checks run on: a
 ``Chart``, ``SymBivector``, ``ScalarField``, ``AffineMap``,
@@ -26,15 +28,16 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence, TypeAlias
 
 from .algebra import AlgebraSpec
 from .checks import CHECKS, Witness, _matrix_str
 from .errors import DegreeOverflow, ParseError, SemanticError
 from .geometry import Chart, ScalarField, SymBivector
-from .lex import Token, tokenize
+from .lex import DIGITS, PUNCT, Token, Tokens, tokenize
 from .structures import AffineMap, AffineSubmanifold
-from .symexpr import _DIGITS, Expr, Monomial, _check_degree, _check_product, _packed
+from .symexpr import _DIGITS, Expr, Monomial, Poly, _check_degree, _check_product, _packed
 
 # option keyword -> CheckOptions field
 _OPTION_FIELDS = {
@@ -148,18 +151,25 @@ Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
 # power  := atom ['^' ['-'] INT]
 # atom   := INT | NAME | '(' expr ')'
 #
-# A monomial factor, INT | NAME ['^' INT] with its signs, is read as an
-# integer coefficient and exponents by name (a ``Mono``), and a run of them
-# joined by '*' as one such monomial; a leading run of monomial terms joined
-# by '+' and '-' is one term dict, packed into a ``Poly`` once
-# (``symexpr._packed``).  A factor that is not a monomial (a parenthesis, a
-# negative exponent, a power of an integer) or a '/' ends a run, and from
-# there each operator is applied to ``Expr`` values, left to right
-# (``apply``).  A run refuses what that operator-by-operator reading
-# refuses, at the same token and with the same message: a monomial degree
-# at the guard bit of a packed field is a ParseError at its '*' or '^', and
-# a zero factor makes a product zero with no degree test, as ``Expr``
-# arithmetic does; a monomial factor never passes the size bounds.
+# The parser reads the tokens as plain strings (``lex.Tokens.texts``), and a
+# token's kind from its first character; it asks for a token's line and
+# column only to raise an error or to record where a declaration or a check
+# starts.
+#
+# A monomial factor, INT | NAME ['^' INT] with its signs, is read as a
+# coefficient and exponents by name (a ``Mono``).  A run of them joined by
+# '*', each also divided by an integer literal ('/' INT, the INT not followed
+# by '^'), is one such monomial with a rational coefficient; a leading run of
+# monomial terms joined by '+' and '-' is one term dict, packed into a
+# ``Poly`` once over the lcm of its denominators (``_pack``).  Any other
+# factor (a parenthesis, a negative exponent, a power of an integer) or
+# divisor ends a run, and from there each operator is applied to ``Expr``
+# values, left to right (``apply``).  A run refuses what that
+# operator-by-operator reading refuses, at the same token and with the same
+# message: a monomial degree at the guard bit of a packed field is a
+# ParseError at its '*' or '^', a zero divisor one at its '/', and a zero
+# factor makes a product zero with no degree test, as ``Expr`` arithmetic
+# does; a monomial factor never passes the size bounds.
 #
 # Each parenthesis and each unary sign nests one level deeper.  The cap is
 # fixed, and far below what the interpreter's recursion limit allows, so
@@ -171,10 +181,17 @@ Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
 _MAX_NESTING = 100
 _MAX_DIGITS = 4300
 
-# a monomial as the expression rules read it: integer coefficient, exponents by variable name, total degree
-Mono: TypeAlias = "tuple[int, dict[str, int], int]"
+# a monomial as the expression rules read it: coefficient (an int, or a Fraction whose denominator is not 1),
+# exponents by variable name, total degree
+Mono: TypeAlias = "tuple[int | Fraction, dict[str, int], int]"
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+# the first characters of integer literals; of the tokens that start no atom but '(' (punctuation, and the
+# empty text at the end of input); and of the tokens that are no names
+_INT = frozenset(DIGITS)
+_NO_ATOM = frozenset(PUNCT) | {""}
+_NO_NAME = _INT | _NO_ATOM
 
 
 def _int(text: str) -> int:
@@ -185,95 +202,101 @@ def _int(text: str) -> int:
     return _int(text[:-k]) * 10 ** k + _int(text[-k:])
 
 
+def _pack(run: dict[Monomial, int | Fraction], den: int) -> Poly:
+    """The Poly of the terms ``run``, whose coefficients have denominators that divide ``den``."""
+    if den != 1:
+        run = {m: c * den if type(c) is int else c.numerator * (den // c.denominator) for m, c in run.items()}
+    return _packed(run, den)
+
+
 def _expr(e: "Expr | Mono") -> Expr:
     """``e`` as an Expr; a monomial is packed."""
     if type(e) is not tuple:
         return e
     c, powers, _ = e
-    return Expr(_packed({tuple(sorted(powers.items())): c}))
+    return Expr(_pack({tuple(sorted(powers.items())): c}, 1 if type(c) is int else c.denominator))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
+        self.texts = tokens.texts
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.texts[self.i]
 
-    def next(self) -> Token:
-        t = self.tokens[self.i]
+    def next(self) -> str:
+        t = self.texts[self.i]
         self.i += 1
         return t
 
+    def at_name(self) -> bool:
+        return self.texts[self.i][:1] not in _NO_NAME
+
+    def token(self) -> Token:
+        """The next token, with its position."""
+        return self.tokens.token(self.i)
+
+    def error(self, i: int, message: str, token: str | None = None) -> ParseError:
+        """The ParseError at token ``i``, which shows ``token``, or else the token's text."""
+        t = self.tokens.token(i)
+        return ParseError(t.line, t.col, message, t.text if token is None else token)
+
     def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(t.line, t.col, message, t.text)
+        return self.error(self.i, message)
 
-    def at_punct(self, *texts: str) -> bool:
-        t = self.tokens[self.i]
-        return t.kind == "punct" and t.text in texts
-
-    def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "name" and t.text == word
-
-    def accept(self, *texts: str) -> Token | None:
-        """The next token, consumed, when it is one of the punctuation ``texts``; the expression rules'
-        hot path, so it reads the token list itself."""
-        t = self.tokens[self.i]
-        if t.kind == "punct" and t.text in texts:
+    def accept(self, *texts: str) -> str | None:
+        """The next token, consumed, when it is one of ``texts``."""
+        t = self.texts[self.i]
+        if t in texts:
             self.i += 1
             return t
         return None
 
-    def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+    def expect(self, text: str) -> None:
+        """The next token, a punctuation token or a keyword, consumed; any other is a ParseError."""
+        if self.texts[self.i] != text:
             raise self.fail(f"expected {text!r}")
-        return self.next()
+        self.i += 1
 
-    def expect_name(self, what: str = "name") -> Token:
-        if self.peek().kind != "name":
+    def expect_name(self, what: str = "name") -> str:
+        if not self.at_name():
             raise self.fail(f"expected {what}")
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        if not self.at_keyword(word):
-            raise self.fail(f"expected {word!r}")
         return self.next()
 
     def integer(self, what: str = "integer") -> int:
         """The one reader of integer tokens."""
-        t = self.tokens[self.i]
-        if t.kind != "int":
+        t = self.texts[self.i]
+        if t[:1] not in _INT:
             raise self.fail(f"expected {what}")
-        if len(t.text) > _MAX_DIGITS:
+        if len(t) > _MAX_DIGITS:
             raise self.fail(f"integer literal longer than {_MAX_DIGITS} digits")
         self.i += 1
-        return _int(t.text)
+        return _int(t)
 
     def rational(self) -> Fraction:
         sign = self.accept("-", "+")
         num = self.integer("rational number")
-        if sign is not None and sign.text == "-":
+        if sign == "-":
             num = -num
         if not self.accept("/"):
             return Fraction(num)
-        t = self.peek()
+        at = self.i
         den = self.integer("denominator")
         if den == 0:
-            raise ParseError(t.line, t.col, "zero denominator in rational literal", t.text)
+            raise self.error(at, "zero denominator in rational literal")
         return Fraction(num, den)
 
     def rows(self, item: Callable[[], object]) -> tuple[tuple, ...]:
         """Bracketed rows of ``item``: entries ',' separated, rows ';' separated."""
-        self.expect_punct("[")
+        self.expect("[")
         rows = [[item()]]
         while sep := self.accept(",", ";"):
-            if sep.text == ";":
+            if sep == ";":
                 rows.append([])
             rows[-1].append(item())
-        self.expect_punct("]")
+        self.expect("]")
         return tuple(map(tuple, rows))
 
     def row(self, what: str, at: Token) -> tuple[Fraction, ...]:
@@ -283,48 +306,63 @@ class _Parser:
             raise ParseError(at.line, at.col, f"{what} must be a single row", what)
         return rows[0]
 
-    # --- expressions ---
+    # --- expressions: an operator is passed on as the index of its token ---
 
     def expression(self) -> Expr:
-        self.expr_start = self.peek()
+        self.expr_start = self.i
         return self.sum(0)
 
     def sum(self, depth: int) -> Expr:
         """A leading run of monomial terms is one term dict, packed once; from the first term that is not
         a monomial on, the operators apply left to right."""
-        run: dict[Monomial, int] = {}
-        op = None
+        texts = self.texts
+        run: dict[Monomial, int | Fraction] = {}
+        den = 1  # the lcm of the run's denominators
+        op, at = "+", None  # the operator before the term, and its index
         while type(t := self.term(depth)) is tuple:
             c, powers, _ = t
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
             key = tuple(sorted(powers.items()))
-            run[key] = run.get(key, 0) + (-c if op is not None and op.text == "-" else c)
-            op = self.accept("+", "-")
-            if op is None:
-                return Expr(_packed(run))
-        e = t if op is None else self.apply(op, Expr(_packed(run)), t)
-        while op := self.accept("+", "-"):
-            e = self.apply(op, e, _expr(self.term(depth)))
+            run[key] = run.get(key, 0) + (-c if op == "-" else c)
+            if (op := texts[self.i]) != "+" and op != "-":
+                return Expr(_pack(run, den))
+            at = self.i
+            self.i += 1
+        e = t if at is None else self.apply(at, Expr(_pack(run, den)), t)
+        while (op := texts[self.i]) == "+" or op == "-":
+            at = self.i
+            self.i += 1
+            e = self.apply(at, e, _expr(self.term(depth)))
         return e
 
     def term(self, depth: int) -> Expr | Mono:
-        """A run of monomial factors is one monomial; from the first factor that is not a monomial, or the
-        first '/', on, the operators apply left to right."""
+        """A run of monomial factors and integer divisors is one monomial; from the first factor or divisor
+        that is not, the operators apply left to right."""
+        texts = self.texts
         e = self.unary(depth)
-        while op := self.accept("*", "/"):
+        while (op := texts[self.i]) == "*" or op == "/":
+            at = self.i
+            self.i += 1
+            if op == "/" and type(e) is tuple and texts[self.i][:1] in _INT and texts[self.i + 1] != "^":
+                e = self.over(at, e, self.integer())
+                continue
             rhs = self.unary(depth)
-            if op.text == "*" and type(e) is tuple and type(rhs) is tuple:
-                e = self.times(op, e, rhs)
+            if op == "*" and type(e) is tuple and type(rhs) is tuple:
+                e = self.times(at, e, rhs)
             else:
-                e = self.apply(op, _expr(e), _expr(rhs))
+                e = self.apply(at, _expr(e), _expr(rhs))
         return e
 
     def unary(self, depth: int) -> Expr | Mono:
         """Signs, then a monomial INT | NAME ['^' INT] as a Mono, or else a power; each sign nests one
         level deeper."""
+        texts = self.texts
         negate = False
-        while sign := self.accept("-", "+"):
+        while (sign := texts[self.i]) == "-" or sign == "+":
+            self.i += 1
             depth = self.deeper(depth)
-            negate ^= sign.text == "-"
+            negate ^= sign == "-"
         m = self.monomial()
         if m is None:
             e = self.power(depth)
@@ -333,245 +371,264 @@ class _Parser:
 
     def monomial(self) -> Mono | None:
         """The factor INT | NAME ['^' INT] at the next token, read, or None (nothing read) for any other."""
-        tokens, i = self.tokens, self.i
-        t = tokens[i]
-        if t.kind not in ("int", "name"):
+        texts, i = self.texts, self.i
+        t = texts[i]
+        first = t[:1]
+        if first in _NO_ATOM:
             return None  # a parenthesis, or no factor
-        after = tokens[i + 1]
-        if after.text == "^" and (t.kind == "int" or tokens[i + 2].kind != "int"):
+        after = texts[i + 1]
+        if after == "^" and (first in _INT or texts[i + 2][:1] not in _INT):
             return None  # a power of an integer, a negative exponent, or no exponent
-        if t.kind == "int":
+        if first in _INT:
             return self.integer(), {}, 0
-        if after.text != "^":
+        if after != "^":
             self.i += 1
-            return 1, {t.text: 1}, 1
+            return 1, {t: 1}, 1
         self.i += 2
         k = self.integer("integer exponent")
-        return (1, {t.text: self.degree(after, k)}, k) if k else (1, {}, 0)
+        return (1, {t: self.degree(i + 1, k)}, k) if k else (1, {}, 0)
 
     def power(self, depth: int) -> Expr:
         e = self.atom(depth)
-        op = self.accept("^")
-        if op is None:
+        if self.texts[self.i] != "^":
             return e
+        at = self.i
+        self.i += 1
         sign = -1 if self.accept("-") else 1
         k = sign * self.integer("integer exponent")
         if k < 0 and e.is_zero():
-            raise ParseError(op.line, op.col, "negative power of zero", op.text)
-        return self.apply(op, e, k)
+            raise self.error(at, "negative power of zero")
+        return self.apply(at, e, k)
 
     def atom(self, depth: int) -> Expr:
-        t = self.tokens[self.i]
-        if t.kind == "int":
+        t = self.texts[self.i]
+        if t[:1] in _INT:
             return Expr.const(self.integer())
-        if t.kind == "name":
+        if t[:1] not in _NO_ATOM:
             self.i += 1
-            return Expr.var(t.text)
+            return Expr.var(t)
         if not self.accept("("):
             raise self.fail("expected expression")
         e = self.sum(self.deeper(depth))
-        self.expect_punct(")")
+        self.expect(")")
         return e
 
     def deeper(self, depth: int) -> int:
         if depth >= _MAX_NESTING:
-            t = self.expr_start
-            raise ParseError(t.line, t.col, f"expression nested too deeply (more than {_MAX_NESTING} levels)", t.text)
+            raise self.error(self.expr_start, f"expression nested too deeply (more than {_MAX_NESTING} levels)")
         return depth + 1
 
-    def degree(self, op: Token, deg: int) -> int:
-        """``deg``, the degree of a monomial that ``op`` forms; at the guard bit of a packed field, the
-        ParseError at ``op`` that the same product or power of ``Expr`` raises."""
+    def degree(self, at: int, deg: int) -> int:
+        """``deg``, the degree of a monomial that the operator at ``at`` forms; at the guard bit of a packed
+        field, the ParseError at the operator that the same product or power of ``Expr`` raises."""
         try:
             _check_degree(deg, 0)
         except DegreeOverflow as exc:
-            raise ParseError(op.line, op.col, str(exc), op.text) from None
+            raise self.error(at, str(exc)) from None
         return deg
 
-    def times(self, op: Token, a: Mono, b: Mono) -> Mono:
-        """The product a b at the operator ``op``: a zero factor makes it zero, with no degree test."""
+    def times(self, at: int, a: Mono, b: Mono) -> Mono:
+        """The product a b at the '*' at ``at``: a zero factor makes it zero, with no degree test."""
         (ca, pa, da), (cb, pb, db) = a, b
         if not (ca and cb):
             return 0, {}, 0
         for v, k in pb.items():
             pa[v] = pa.get(v, 0) + k
-        return ca * cb, pa, self.degree(op, da + db)
+        c = ca if cb == 1 else ca * cb
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        return c, pa, self.degree(at, da + db)
 
-    def apply(self, op: Token, a: Expr, b: Expr | int) -> Expr:
-        """The one application of an operator to expressions.
+    def over(self, at: int, m: Mono, d: int) -> Mono:
+        """The quotient m / d at the '/' at ``at``: a zero ``d`` is the ParseError that dividing an ``Expr``
+        by zero raises."""
+        if not d:
+            raise self.error(at, "division by zero expression")
+        c, powers, deg = m
+        q = Fraction(c, d)
+        return q.numerator if q.denominator == 1 else q, powers, deg
+
+    def apply(self, at: int, a: Expr, b: Expr | int) -> Expr:
+        """The one application of an operator, the token at ``at``, to expressions.
 
         A division by zero, a degree past the packed field width, or a
         product or power past the size bounds of ``symexpr`` is a ParseError
-        at ``op``.
+        at the operator.
         """
-        if op.text == "/" and b.is_zero():
-            raise ParseError(op.line, op.col, "division by zero expression", op.text)
+        op = self.texts[at]
+        if op == "/" and b.is_zero():
+            raise self.error(at, "division by zero expression")
         try:
-            if op.text == "*":
+            if op == "*":
                 _check_product(a.num, b.num)
                 _check_product(a.den, b.den)
-            elif op.text == "/":
+            elif op == "/":
                 _check_product(a.num, b.den)
                 _check_product(a.den, b.num)
-            return _OPS[op.text](a, b)
+            return _OPS[op](a, b)
         except DegreeOverflow as exc:
-            raise ParseError(op.line, op.col, str(exc), op.text) from None
+            raise self.error(at, str(exc)) from None
 
     # --- declarations: each returns its first token, its name and the build of its object ---
 
     def manifold(self) -> Queued:
-        t0 = self.expect_keyword("manifold")
-        name = self.expect_name("manifold name").text
-        self.expect_punct("{")
-        self.expect_keyword("dim")
+        t0 = self.token()
+        self.expect("manifold")
+        name = self.expect_name("manifold name")
+        self.expect("{")
+        self.expect("dim")
         dim = self.integer()
-        self.expect_keyword("coords")
-        self.expect_punct("[")
+        self.expect("coords")
+        self.expect("[")
         coords = []
-        while self.peek().kind == "name":
-            coords.append(self.next().text)
-        self.expect_punct("]")
-        self.expect_punct("}")
+        while self.at_name():
+            coords.append(self.next())
+        self.expect("]")
+        self.expect("}")
         return t0, name, lambda env: _chart(name, dim, tuple(coords))
 
     def bivector(self) -> Queued:
-        t0 = self.expect_keyword("bivector")
-        name = self.expect_name("bivector name").text
-        self.expect_keyword("on")
-        mname = self.expect_name("manifold name").text
-        self.expect_punct("{")
+        t0 = self.token()
+        self.expect("bivector")
+        name = self.expect_name("bivector name")
+        self.expect("on")
+        mname = self.expect_name("manifold name")
+        self.expect("{")
         rows = self.rows(self.expression)
-        self.expect_punct("}")
+        self.expect("}")
         entries = _assemble_symmetric(rows, t0)
         return t0, name, lambda env: SymBivector(env.chart(mname, t0), entries)
 
     def scalar(self) -> Queued:
-        t0 = self.expect_keyword("scalar")
-        name = self.expect_name("scalar name").text
-        self.expect_keyword("on")
-        mname = self.expect_name("manifold name").text
-        self.expect_punct("=")
+        t0 = self.token()
+        self.expect("scalar")
+        name = self.expect_name("scalar name")
+        self.expect("on")
+        mname = self.expect_name("manifold name")
+        self.expect("=")
         value = self.expression()
         return t0, name, lambda env: ScalarField(env.chart(mname, t0), value)
 
     def map_decl(self) -> Queued:
-        t0 = self.expect_keyword("map")
-        name = self.expect_name("map name").text
-        self.expect_punct(":")
-        source = self.expect_name("source manifold").text
-        self.expect_punct("->")
-        target = self.expect_name("target manifold").text
-        self.expect_punct("{")
-        self.expect_keyword("matrix")
+        t0 = self.token()
+        self.expect("map")
+        name = self.expect_name("map name")
+        self.expect(":")
+        source = self.expect_name("source manifold")
+        self.expect("->")
+        target = self.expect_name("target manifold")
+        self.expect("{")
+        self.expect("matrix")
         matrix = self.rows(self.rational)
-        self.expect_keyword("offset")
+        self.expect("offset")
         offset = self.row("offset", t0)
-        self.expect_punct("}")
+        self.expect("}")
         return t0, name, lambda env: AffineMap(env.chart(source, t0), env.chart(target, t0), matrix, offset)
 
     def submanifold(self) -> Queued:
-        t0 = self.expect_keyword("submanifold")
-        name = self.expect_name("submanifold name").text
-        self.expect_keyword("in")
-        mname = self.expect_name("manifold name").text
-        self.expect_punct("{")
-        self.expect_keyword("origin")
+        t0 = self.token()
+        self.expect("submanifold")
+        name = self.expect_name("submanifold name")
+        self.expect("in")
+        mname = self.expect_name("manifold name")
+        self.expect("{")
+        self.expect("origin")
         origin = self.row("origin", t0)
         basis: tuple[tuple[Fraction, ...], ...] = ()
-        if self.at_keyword("basis"):
-            self.next()
+        if self.accept("basis"):
             basis = self.rows(self.rational)
-        self.expect_punct("}")
+        self.expect("}")
         return t0, name, lambda env: AffineSubmanifold(env.chart(mname, t0), origin, basis)
 
     def algebra(self) -> Queued:
-        t0 = self.expect_keyword("algebra")
-        name = self.expect_name("algebra name").text
-        self.expect_punct("{")
-        self.expect_keyword("dim")
+        t0 = self.token()
+        self.expect("algebra")
+        name = self.expect_name("algebra name")
+        self.expect("{")
+        self.expect("dim")
         dim = self.integer()
-        self.expect_keyword("product")
+        self.expect("product")
         product = self.table(3, "product")
         cocycle = {}
-        if self.at_keyword("cocycle"):
-            self.next()
+        if self.accept("cocycle"):
             cocycle = self.table(2, "cocycle")
-        self.expect_punct("}")
+        self.expect("}")
         return t0, name, lambda env: AlgebraSpec.from_sparse(
             _dim(dim), _zero_based(product, dim, "product"), _zero_based(cocycle, dim, "cocycle")
         )
 
     def table(self, arity: int, what: str) -> dict[tuple[int, ...], Fraction]:
         """'{' (INT^arity ':' rational)* '}', keyed by the indices with the first two in order."""
-        self.expect_punct("{")
+        self.expect("{")
         table: dict[tuple[int, ...], Fraction] = {}
-        while self.peek().kind == "int":
-            t = self.peek()
+        while self.peek()[:1] in _INT:
+            at = self.i
             i, j, *rest = (self.integer() for _ in range(arity))
-            self.expect_punct(":")
+            self.expect(":")
             q = self.rational()
             key = (min(i, j), max(i, j), *rest)
             if key in table:
-                raise ParseError(t.line, t.col, f"duplicate {what} entry {key}", t.text)
+                raise self.error(at, f"duplicate {what} entry {key}")
             table[key] = q
-        self.expect_punct("}")
+        self.expect("}")
         return table
 
     # --- checks ---
 
     def check(self) -> CheckDirective:
-        t0 = self.expect_keyword("check")
-        kt = self.expect_name("check kind")
-        kind = kt.text
+        t0 = self.token()
+        self.expect("check")
+        at = self.i
+        kind = self.expect_name("check kind")
         if kind not in CHECKS:
-            raise ParseError(kt.line, kt.col, f"unknown check kind {kind!r}", kind)
-        args = tuple(self.expect_name("object name").text for _ in CHECKS[kind].args)
-        options = self.options() if self.at_punct("{") else CheckOptions()
+            raise self.error(at, f"unknown check kind {kind!r}")
+        args = tuple(self.expect_name("object name") for _ in CHECKS[kind].args)
+        options = self.options() if self.peek() == "{" else CheckOptions()
         return CheckDirective(kind, args, options, t0.line, t0.col)
 
     def options(self) -> CheckOptions:
-        self.expect_punct("{")
+        self.expect("{")
         given: dict[str, object] = {}  # CheckOptions field -> value
         entries: list[tuple[int, int, Expr]] = []
-        while not self.at_punct("}"):
-            t = self.peek()
-            if t.kind != "name" or t.text not in _OPTION_FIELDS:
-                raise ParseError(t.line, t.col, "expected a check option", t.text)
-            key = self.next().text
+        while (key := self.peek()) != "}":
+            at = self.i
+            if key not in _OPTION_FIELDS:
+                raise self.fail("expected a check option")
+            self.i += 1
             if key == "entry":  # the one option that may repeat
                 entries.append((self.integer(), self.integer(), self.expression()))
                 continue
             if _OPTION_FIELDS[key] in given:
-                raise ParseError(t.line, t.col, f"repeated option {key!r}", t.text)
+                raise self.error(at, f"repeated option {key!r}")
             if key == "samples":
                 value = self.integer()
                 if value < 1:
-                    raise ParseError(t.line, t.col, "samples must be >= 1", t.text)
+                    raise self.error(at, "samples must be >= 1")
             elif key in ("points", "basis"):
                 value = self.rows(self.rational)
             elif key == "point":
-                value = self.row("point", t)
+                value = self.row("point", self.tokens.token(at))
             else:
                 choices = _OPTION_CHOICES[key]
-                value = self.expect_name(" or ".join(choices)).text
+                value = self.expect_name(" or ".join(choices))
                 if value not in choices:
-                    raise ParseError(t.line, t.col, f"{key} takes {' or '.join(map(repr, choices))}", value)
+                    raise self.error(at, f"{key} takes {' or '.join(map(repr, choices))}", value)
             given[_OPTION_FIELDS[key]] = value
-        self.expect_punct("}")
+        self.expect("}")
         return CheckOptions(entries=tuple(entries), **given)
 
     def scenario(self) -> Scenario:
         queue: list[Queued] = []
         checks: list[CheckDirective] = []
-        while (t := self.peek()).kind != "eof":
-            if t.kind != "name":
+        while t := self.peek():
+            if t[:1] in _NO_NAME:
                 raise self.fail("expected a declaration or check")
-            if t.text == "check":
+            if t == "check":
                 checks.append(self.check())
-            elif t.text in _DECLARATIONS:
-                queue.append(_DECLARATIONS[t.text](self))
+            elif t in _DECLARATIONS:
+                queue.append(_DECLARATIONS[t](self))
             else:
-                raise self.fail(f"unexpected {t.text!r}; expected a declaration or check")
+                raise self.fail(f"unexpected {t!r}; expected a declaration or check")
         return bind_scenario(queue, checks)
 
 
@@ -619,7 +676,7 @@ def parse_expr(text: str) -> Expr:
     """Parse a standalone expression in the surface syntax."""
     p = _Parser(tokenize(text))
     e = p.expression()
-    if p.peek().kind != "eof":
+    if p.peek():
         raise p.fail("trailing input after expression")
     return e
 

@@ -40,7 +40,9 @@ def matvec(a: Mat, v: Sequence) -> Vec:
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column indices)."""
+    """Reduced row echelon form in place; returns (rows, pivot column indices).
+
+    A pivot row is divided only when its pivot is not 1, and subtracted only over its nonzero columns."""
     if not rows:
         return rows, []
     n_rows, n_cols = len(rows), len(rows[0])
@@ -54,11 +56,15 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and (f := row[c]):
+                for j, b in nonzero:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
     return rows, pivots

@@ -984,24 +984,30 @@ def _rational_str(q: Scalar) -> str:
     return digits if q.denominator == 1 else f"{digits}/{_decimal(q.denominator)}"
 
 
-def _term_str(vars: tuple[str, ...], k: int, c: Fraction) -> str:
-    mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, len(vars))) if e)
-    a = abs(c)
-    if mono and a == 1:
-        return mono
-    digits = _rational_str(a)
-    return f"{digits}*{mono}" if mono else digits
-
-
 def _poly_str(p: Poly) -> str:
+    """``p`` in descending key order, each term as its coefficient prints in lowest terms, then its
+    monomial; a coefficient of 1 is left out."""
     if p.is_zero():
         return "0"
+    vars, terms, den = p.vars, p.terms, p.den
+    n = len(vars)
     out = []
-    for i, k in enumerate(sorted(p.terms, reverse=True)):
-        c = Fraction(p.terms[k], p.den)
-        body = _term_str(p.vars, k, c)
-        if i == 0:
-            out.append(f"-{body}" if c < 0 else body)
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        if c < 0:
+            out.append(" - ")
+            c = -c
         else:
-            out.append(f" - {body}" if c < 0 else f" + {body}")
+            out.append(" + ")
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(vars, _exponents(k, n)) if e)
+        d = den
+        if d != 1 and (g := gcd(c, d)) != 1:
+            c //= g
+            d //= g
+        if c == 1 and d == 1 and mono:
+            out.append(mono)
+        else:
+            digits = _decimal(c) if d == 1 else f"{_decimal(c)}/{_decimal(d)}"
+            out.append(f"{digits}*{mono}" if mono else digits)
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)

@@ -15,8 +15,11 @@ block; an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25; an R^4
 K-V map onto a bivector whose denominators are in every variable, under
 ``kv_map`` and ``theorem1``; an R^4 bivector whose lift's Jacobi verdict
 lands on its third base index, at another entry than its Codazzi verdict,
-under the three tensor checks; and an R^3 pair, one K-V bivector and one
-not, under ``lift_props`` with functions that pass and fail.
+under the three tensor checks; an R^3 pair, one K-V bivector and one
+not, under ``lift_props`` with functions that pass and fail; and an R^3
+text that exercises the reader: CRLF line ends, tabs, comments in the middle
+and at the end of lines, the last one trailing with no final newline,
+non-ASCII coordinate names and rational-coefficient entries.
 """
 
 from pathlib import Path

@@ -15,7 +15,7 @@ import pytest
 
 from kvgeom.dsl import _Parser
 from kvgeom.errors import DegreeOverflow, KVError, ParseError
-from kvgeom.lex import tokenize
+from kvgeom.lex import kind, tokenize
 from kvgeom.symexpr import Expr, _check_product
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
@@ -26,17 +26,19 @@ class PerAtomParser(_Parser):
 
     def sum(self, depth):
         e = self.term(depth)
-        while op := self.accept("+", "-"):
-            e = self.apply(op, e, self.term(depth))
+        while self.accept("+", "-"):
+            at = self.i - 1
+            e = self.apply(at, e, self.term(depth))
         return e
 
     def term(self, depth):
         e = self.unary(depth)
         while op := self.accept("*", "/"):
+            at = self.i - 1
             rhs = self.unary(depth)
-            if op.text == "/" and rhs.is_zero():
-                raise ParseError(op.line, op.col, "division by zero expression", op.text)
-            e = self.apply(op, e, rhs)
+            if op == "/" and rhs.is_zero():
+                raise self.error(at, "division by zero expression")
+            e = self.apply(at, e, rhs)
         return e
 
     def unary(self, depth):
@@ -44,43 +46,44 @@ class PerAtomParser(_Parser):
         if sign is None:
             return self.power(depth)
         e = self.unary(self.deeper(depth))
-        return -e if sign.text == "-" else e
+        return -e if sign == "-" else e
 
     def power(self, depth):
         e = self.atom(depth)
-        op = self.accept("^")
-        if op is None:
+        if not self.accept("^"):
             return e
+        at = self.i - 1
         sign = -1 if self.accept("-") else 1
         k = sign * self.integer("integer exponent")
         if k < 0 and e.is_zero():
-            raise ParseError(op.line, op.col, "negative power of zero", op.text)
-        return self.apply(op, e, k)
+            raise self.error(at, "negative power of zero")
+        return self.apply(at, e, k)
 
     def atom(self, depth):
-        t = self.tokens[self.i]
-        if t.kind == "int":
+        t = self.peek()
+        if kind(t) == "int":
             return Expr.const(self.integer())
-        if t.kind == "name":
+        if kind(t) == "name":
             self.i += 1
-            return Expr.var(t.text)
+            return Expr.var(t)
         if not self.accept("("):
             raise self.fail("expected expression")
         e = self.sum(self.deeper(depth))
-        self.expect_punct(")")
+        self.expect(")")
         return e
 
-    def apply(self, op, a, b):
+    def apply(self, at, a, b):
+        op = self.texts[at]
         try:
-            if op.text == "*":
+            if op == "*":
                 _check_product(a.num, b.num)
                 _check_product(a.den, b.den)
-            elif op.text == "/":
+            elif op == "/":
                 _check_product(a.num, b.den)
                 _check_product(a.den, b.num)
-            return _OPS[op.text](a, b)
+            return _OPS[op](a, b)
         except DegreeOverflow as exc:
-            raise ParseError(op.line, op.col, str(exc), op.text) from None
+            raise self.error(at, str(exc)) from None
 
 
 def outcome(parser, text: str) -> tuple:
@@ -137,7 +140,30 @@ LISTED = [
     "2^-1*x",
     "(x-x)^-1",
     "x^2^3",
-    # division ends a run
+    # an integer divisor stays in a run, any other divisor ends it
+    "1/2*x*y",
+    "x/3",
+    "-2/3*x^2 + y/5",
+    "0/0*x",
+    "1/2/3*x",
+    "2/3^2*x",
+    f"x^{BIG}/2*x",
+    f"x^{HALF}/2*x^{HALF}/3",
+    f"0/5*x^{BIG}*x",
+    "x/3*y/4 - x*y/12",
+    "1/2*x + 1/2*x - x",
+    "x/2 + y/3 + 1/6",
+    "4/2*x",
+    "-x/-3",
+    "x/+3",
+    "x/3^-1",
+    "x/(3)*y",
+    "x/" + "9" * 4300 + "*y",
+    "x/" + "9" * 4301,
+    "x/",
+    "x/*y",
+    "2/3",
+    "-0/1",
     "a/b*c",
     "a*b/c*d",
     "x/0",
@@ -217,8 +243,8 @@ def test_the_listed_texts_cover_both_outcomes():
 def _random_text(rng: random.Random, depth: int = 0) -> str:
     """A random expression text of small degree: sums of products of signed atoms, powers and groups.
 
-    A group is one level deep and has neither '/' nor a negative power, so
-    that no gcd the text needs is large.
+    A group is one level deep and has neither a negative power nor a '/'
+    but one by an integer, so that no gcd the text needs is large.
     """
     names = ("x", "y", "z", "x1") if depth == 0 else ("x", "y")
     exponents = ("0", "1", "2", "3", "-1", "-2") if depth == 0 else ("0", "1", "2")
@@ -239,7 +265,10 @@ def _random_text(rng: random.Random, depth: int = 0) -> str:
     def term() -> str:
         out = factor()
         for _ in range(rng.choice((0, 1, 1, 2, 3))):
-            out += rng.choice(("*", "*", "*", "/" if depth == 0 else "*")) + factor()
+            if rng.random() < 0.2:  # an integer divisor, which leaves the gcds as they are
+                out += "/" + rng.choice(("2", "3", "3", "12", "1", "0", "2^2", "123456789012345678901234567890"))
+            else:
+                out += rng.choice(("*", "*", "*", "/" if depth == 0 else "*")) + factor()
         return out
 
     out = term()
@@ -250,7 +279,7 @@ def _random_text(rng: random.Random, depth: int = 0) -> str:
 
 def _mutated(rng: random.Random, text: str) -> str:
     """``text`` with one token dropped, repeated or replaced, so that some texts do not parse."""
-    tokens = [t.text for t in tokenize(text)[:-1]]
+    tokens = tokenize(text).texts[:-1]
     i = rng.randrange(len(tokens))
     action = rng.choice(("drop", "repeat", "replace"))
     if action == "drop":
