@@ -9,17 +9,20 @@ column only for an error, a declaration or a check.
 
 A declaration is held once, as the engine object the checks run on: a
 ``Chart``, ``SymBivector``, ``ScalarField``, ``AffineMap``,
-``AffineSubmanifold`` or ``AlgebraSpec``.  Each declaration method of the
-parser queues its name and a build of that object; once the last token has
-parsed, ``bind_scenario`` runs the builds in declaration order into one name
-table, the ``Environment``.  So a syntax error anywhere is a positioned
+``AffineSubmanifold`` or ``AlgebraSpec``.  Each declaration kind is one row
+of ``_DECLARATIONS``, under the keyword that is also its kind: the type of
+its object, a reader of what follows the name, which returns a build of that
+object, and a printer.  The parser queues each name and build; once the last
+token has parsed, ``bind_scenario`` runs the builds in declaration order into
+one name table, the ``Environment``.  So a syntax error anywhere is a positioned
 ParseError, reported before any SemanticError but one: a bivector matrix that
 is neither symmetric nor an upper triangle is refused as it is read.  The
 other positioned SemanticErrors come after the last token: a taken or
 reserved name, an unknown manifold, an object its constructor refuses, or a
-check whose arguments do not fit.  ``serialize`` prints the table and the
-checks in a canonical text form that round-trips, printing matrices through
-``checks._matrix_str`` as reports do.
+check whose arguments do not fit.  Each check option is one row of
+``_OPTIONS``: its ``CheckOptions`` field, reader and printer.  ``serialize``
+prints the table and the checks through those rows, in a canonical text form
+that round-trips, printing matrices through ``checks._matrix_str`` as reports do.
 """
 
 from __future__ import annotations
@@ -39,21 +42,6 @@ from .lex import DIGITS, PUNCT, Token, Tokens, tokenize
 from .structures import AffineMap, AffineSubmanifold
 from .symexpr import _DIGITS, Expr, Monomial, Poly, _check_degree, _check_product, _packed
 
-# option keyword -> CheckOptions field
-_OPTION_FIELDS = {
-    "samples": "samples",
-    "points": "points",
-    "expect": "expect",
-    "entry": "entries",
-    "kind": "subspace_kind",
-    "basis": "basis",
-    "point": "point",
-}
-
-# option keyword -> the names it takes
-_OPTION_CHOICES = {"expect": ("pass", "fail"), "kind": ("subalgebra", "ideal")}
-
-
 @dataclass(frozen=True)
 class CheckOptions:
     samples: int | None = None
@@ -63,9 +51,6 @@ class CheckOptions:
     subspace_kind: str | None = None  # "subalgebra" | "ideal"
     basis: tuple[tuple[Fraction, ...], ...] | None = None
     point: tuple[Fraction, ...] | None = None
-
-    def is_default(self) -> bool:
-        return self == CheckOptions()
 
 
 @dataclass(frozen=True)
@@ -92,16 +77,6 @@ class Environment(dict):
         return chart
 
 
-_KINDS = {
-    Chart: "manifold",
-    SymBivector: "bivector",
-    ScalarField: "scalar",
-    AffineMap: "map",
-    AffineSubmanifold: "submanifold",
-    AlgebraSpec: "algebra",
-}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """The declared objects and the checks that run on them; building one binds each check to ``env``,
@@ -124,7 +99,7 @@ class Scenario:
             message = spec.chart_rule(self.env, check) if spec.chart_rule else None
             if message is not None:
                 raise SemanticError(check.line, check.col, message, check.kind)
-            if any(getattr(check.options, _OPTION_FIELDS[key]) is None for key in spec.needs):
+            if any(getattr(check.options, _OPTIONS[key][0]) is None for key in spec.needs):
                 needed = " and ".join(f"'{key}'" for key in spec.needs)
                 raise SemanticError(check.line, check.col, f"{check.kind} check needs {needed} options", check.kind)
 
@@ -134,10 +109,11 @@ class Scenario:
         return list(self.env.items()) == list(other.env.items()) and self.checks == other.checks
 
 
-# a declaration as the parser queues it: its first token, its name, and the build of its object from
-# the objects declared before it; a string, since a subscripted typing.Callable is cached process-wide
-# and would keep this module alive after it is unloaded
-Queued: TypeAlias = "tuple[Token, str, Callable[[Environment], object]]"
+# the build of a declared object from the objects declared before it, and a declaration as the parser queues
+# it: its first token, its name and its build; strings, since a subscripted typing.Callable is cached
+# process-wide and would keep this module alive after it is unloaded
+Build: TypeAlias = "Callable[[Environment], object]"
+Queued: TypeAlias = "tuple[Token, str, Build]"
 
 
 # --- parser -------------------------------------------------------------------
@@ -469,12 +445,9 @@ class _Parser:
         except DegreeOverflow as exc:
             raise self.error(at, str(exc)) from None
 
-    # --- declarations: each returns its first token, its name and the build of its object ---
+    # --- declarations: each is handed its first token and its name, read, and returns the build of its object ---
 
-    def manifold(self) -> Queued:
-        t0 = self.token()
-        self.expect("manifold")
-        name = self.expect_name("manifold name")
+    def manifold(self, t0: Token, name: str) -> Build:
         self.expect("{")
         self.expect("dim")
         dim = self.integer()
@@ -485,34 +458,25 @@ class _Parser:
             coords.append(self.next())
         self.expect("]")
         self.expect("}")
-        return t0, name, lambda env: _chart(name, dim, tuple(coords))
+        return lambda env: _chart(name, dim, tuple(coords))
 
-    def bivector(self) -> Queued:
-        t0 = self.token()
-        self.expect("bivector")
-        name = self.expect_name("bivector name")
+    def bivector(self, t0: Token, name: str) -> Build:
         self.expect("on")
         mname = self.expect_name("manifold name")
         self.expect("{")
         rows = self.rows(self.expression)
         self.expect("}")
         entries = _assemble_symmetric(rows, t0)
-        return t0, name, lambda env: SymBivector(env.chart(mname, t0), entries)
+        return lambda env: SymBivector(env.chart(mname, t0), entries)
 
-    def scalar(self) -> Queued:
-        t0 = self.token()
-        self.expect("scalar")
-        name = self.expect_name("scalar name")
+    def scalar(self, t0: Token, name: str) -> Build:
         self.expect("on")
         mname = self.expect_name("manifold name")
         self.expect("=")
         value = self.expression()
-        return t0, name, lambda env: ScalarField(env.chart(mname, t0), value)
+        return lambda env: ScalarField(env.chart(mname, t0), value)
 
-    def map_decl(self) -> Queued:
-        t0 = self.token()
-        self.expect("map")
-        name = self.expect_name("map name")
+    def map_decl(self, t0: Token, name: str) -> Build:
         self.expect(":")
         source = self.expect_name("source manifold")
         self.expect("->")
@@ -523,12 +487,9 @@ class _Parser:
         self.expect("offset")
         offset = self.row("offset", t0)
         self.expect("}")
-        return t0, name, lambda env: AffineMap(env.chart(source, t0), env.chart(target, t0), matrix, offset)
+        return lambda env: AffineMap(env.chart(source, t0), env.chart(target, t0), matrix, offset)
 
-    def submanifold(self) -> Queued:
-        t0 = self.token()
-        self.expect("submanifold")
-        name = self.expect_name("submanifold name")
+    def submanifold(self, t0: Token, name: str) -> Build:
         self.expect("in")
         mname = self.expect_name("manifold name")
         self.expect("{")
@@ -538,12 +499,9 @@ class _Parser:
         if self.accept("basis"):
             basis = self.rows(self.rational)
         self.expect("}")
-        return t0, name, lambda env: AffineSubmanifold(env.chart(mname, t0), origin, basis)
+        return lambda env: AffineSubmanifold(env.chart(mname, t0), origin, basis)
 
-    def algebra(self) -> Queued:
-        t0 = self.token()
-        self.expect("algebra")
-        name = self.expect_name("algebra name")
+    def algebra(self, t0: Token, name: str) -> Build:
         self.expect("{")
         self.expect("dim")
         dim = self.integer()
@@ -553,7 +511,7 @@ class _Parser:
         if self.accept("cocycle"):
             cocycle = self.table(2, "cocycle")
         self.expect("}")
-        return t0, name, lambda env: AlgebraSpec.from_sparse(
+        return lambda env: AlgebraSpec.from_sparse(
             _dim(dim), _zero_based(product, dim, "product"), _zero_based(cocycle, dim, "cocycle")
         )
 
@@ -588,57 +546,100 @@ class _Parser:
 
     def options(self) -> CheckOptions:
         self.expect("{")
-        given: dict[str, object] = {}  # CheckOptions field -> value
-        entries: list[tuple[int, int, Expr]] = []
+        given: dict[str, object] = {"entries": ()}  # CheckOptions field -> value
         while (key := self.peek()) != "}":
             at = self.i
-            if key not in _OPTION_FIELDS:
+            if key not in _OPTIONS:
                 raise self.fail("expected a check option")
+            name, read, _ = _OPTIONS[key]
             self.i += 1
             if key == "entry":  # the one option that may repeat
-                entries.append((self.integer(), self.integer(), self.expression()))
-                continue
-            if _OPTION_FIELDS[key] in given:
+                given[name] += (read(self, at),)
+            elif name in given:
                 raise self.error(at, f"repeated option {key!r}")
-            if key == "samples":
-                value = self.integer()
-                if value < 1:
-                    raise self.error(at, "samples must be >= 1")
-            elif key in ("points", "basis"):
-                value = self.rows(self.rational)
-            elif key == "point":
-                value = self.row("point", self.tokens.token(at))
             else:
-                choices = _OPTION_CHOICES[key]
-                value = self.expect_name(" or ".join(choices))
-                if value not in choices:
-                    raise self.error(at, f"{key} takes {' or '.join(map(repr, choices))}", value)
-            given[_OPTION_FIELDS[key]] = value
+                given[name] = read(self, at)
         self.expect("}")
-        return CheckOptions(entries=tuple(entries), **given)
+        return CheckOptions(**given)
+
+    # --- option values: each is handed the index of its keyword, where an error in the value is reported ---
+
+    def samples(self, at: int) -> int:
+        value = self.integer()
+        if value < 1:
+            raise self.error(at, "samples must be >= 1")
+        return value
+
+    def choice(self, at: int, *choices: str) -> str:
+        value = self.expect_name(" or ".join(choices))
+        if value not in choices:
+            raise self.error(at, f"{self.texts[at]} takes {' or '.join(map(repr, choices))}", value)
+        return value
+
+    # --- a scenario: declarations and checks, in any order ---
 
     def scenario(self) -> Scenario:
         queue: list[Queued] = []
         checks: list[CheckDirective] = []
         while t := self.peek():
-            if t[:1] in _NO_NAME:
-                raise self.fail("expected a declaration or check")
             if t == "check":
                 checks.append(self.check())
             elif t in _DECLARATIONS:
-                queue.append(_DECLARATIONS[t](self))
+                t0 = self.token()
+                self.i += 1
+                name = self.expect_name(f"{t} name")
+                _, read, _ = _DECLARATIONS[t]
+                queue.append((t0, name, read(self, t0, name)))
+            elif t[:1] in _NO_NAME:
+                raise self.fail("expected a declaration or check")
             else:
                 raise self.fail(f"unexpected {t!r}; expected a declaration or check")
         return bind_scenario(queue, checks)
 
 
+def _algebra_text(d: AlgebraSpec) -> str:
+    """An algebra's nonzero product and cocycle entries, 1-based."""
+    n = range(d.dim)
+    prod = " ".join(
+        f"{i + 1} {j + 1} {k + 1} : {q}" for i in n for j in n[i:] for k, q in enumerate(d.product[i][j]) if q
+    )
+    coc = " ".join(f"{i + 1} {j + 1} : {d.cocycle[i][j]}" for i in n for j in n[i:] if d.cocycle[i][j])
+    text = f"{{ dim {d.dim} product {{ {prod} }}".replace("{  }", "{ }")
+    return text + (f" cocycle {{ {coc} }}" if coc else "") + " }"
+
+
+# declaration keyword -> (the type of the object it declares, its reader, the printer of what follows its name);
+# the keyword is the kind of the object that a check asks for
 _DECLARATIONS = {
-    "manifold": _Parser.manifold,
-    "bivector": _Parser.bivector,
-    "scalar": _Parser.scalar,
-    "map": _Parser.map_decl,
-    "submanifold": _Parser.submanifold,
-    "algebra": _Parser.algebra,
+    "manifold": (Chart, _Parser.manifold, lambda d: f"{{ dim {d.dim} coords [{' '.join(d.coords)}] }}"),
+    "bivector": (SymBivector, _Parser.bivector, lambda d: f"on {d.chart.name} {{ {_matrix_str(d.entries)} }}"),
+    "scalar": (ScalarField, _Parser.scalar, lambda d: f"on {d.chart.name} = {d.value}"),
+    "map": (AffineMap, _Parser.map_decl, lambda d: (
+        f": {d.source.name} -> {d.target.name} {{ matrix {_matrix_str(d.matrix)} offset {_matrix_str([d.offset])} }}"
+    )),
+    "submanifold": (AffineSubmanifold, _Parser.submanifold, lambda d: (
+        f"in {d.ambient.name} {{ origin {_matrix_str([d.origin])}"
+        + (f" basis {_matrix_str(d.basis)}" if d.basis else "") + " }"
+    )),
+    "algebra": (AlgebraSpec, _Parser.algebra, _algebra_text),
+}
+
+_KINDS = {cls: kind for kind, (cls, _, _) in _DECLARATIONS.items()}
+
+# check option keyword -> (its CheckOptions field, its reader, the printer of its value), in print order;
+# ``entry``, the one option that may repeat, holds a tuple of values, printed with the keyword between them
+_OPTIONS = {
+    "samples": ("samples", _Parser.samples, str),
+    "points": ("points", lambda p, at: p.rows(p.rational), _matrix_str),
+    "expect": ("expect", lambda p, at: p.choice(at, "pass", "fail"), str),
+    "entry": (
+        "entries",
+        lambda p, at: (p.integer(), p.integer(), p.expression()),
+        lambda entries: " entry ".join(f"{i} {j} {e}" for i, j, e in entries),
+    ),
+    "kind": ("subspace_kind", lambda p, at: p.choice(at, "subalgebra", "ideal"), str),
+    "basis": ("basis", lambda p, at: p.rows(p.rational), _matrix_str),
+    "point": ("point", lambda p, at: p.row("point", p.tokens.token(at)), lambda row: _matrix_str([row])),
 }
 
 _KEYWORDS = {
@@ -734,51 +735,13 @@ def serialize(scenario: Scenario) -> str:
     algebra prints its nonzero entries only."""
     out: list[str] = []
     for name, d in scenario.env.items():
-        if isinstance(d, Chart):
-            out.append(f"manifold {name} {{ dim {d.dim} coords [{' '.join(d.coords)}] }}")
-        elif isinstance(d, SymBivector):
-            out.append(f"bivector {name} on {d.chart.name} {{ {_matrix_str(d.entries)} }}")
-        elif isinstance(d, ScalarField):
-            out.append(f"scalar {name} on {d.chart.name} = {d.value}")
-        elif isinstance(d, AffineMap):
-            out.append(
-                f"map {name} : {d.source.name} -> {d.target.name} "
-                f"{{ matrix {_matrix_str(d.matrix)} offset {_matrix_str([d.offset])} }}"
-            )
-        elif isinstance(d, AffineSubmanifold):
-            basis = f" basis {_matrix_str(d.basis)}" if d.basis else ""
-            out.append(f"submanifold {name} in {d.ambient.name} {{ origin {_matrix_str([d.origin])}{basis} }}")
-        else:  # AlgebraSpec
-            n = range(d.dim)
-            prod = " ".join(
-                f"{i + 1} {j + 1} {k + 1} : {q}" for i in n for j in n[i:] for k, q in enumerate(d.product[i][j]) if q
-            )
-            line = f"algebra {name} {{ dim {d.dim} product {{ {prod} }}".replace("{  }", "{ }")
-            coc = " ".join(f"{i + 1} {j + 1} : {d.cocycle[i][j]}" for i in n for j in n[i:] if d.cocycle[i][j])
-            if coc:
-                line += f" cocycle {{ {coc} }}"
-            out.append(line + " }")
+        kind = _KINDS[type(d)]
+        _, _, show = _DECLARATIONS[kind]
+        out.append(f"{kind} {name} {show(d)}")
     for c in scenario.checks:
-        line = f"check {c.kind} {' '.join(c.args)}"
-        o = c.options
-        if not o.is_default():
-            parts = []
-            if o.samples is not None:
-                parts.append(f"samples {o.samples}")
-            if o.points is not None:
-                parts.append(f"points {_matrix_str(o.points)}")
-            if o.expect is not None:
-                parts.append(f"expect {o.expect}")
-            for i, j, e in o.entries:
-                parts.append(f"entry {i} {j} {e}")
-            if o.subspace_kind is not None:
-                parts.append(f"kind {o.subspace_kind}")
-            if o.basis is not None:
-                parts.append(f"basis {_matrix_str(o.basis)}")
-            if o.point is not None:
-                parts.append(f"point {_matrix_str([o.point])}")
-            line += " { " + " ".join(parts) + " }"
-        out.append(line)
+        given = [(key, show, getattr(c.options, name)) for key, (name, _, show) in _OPTIONS.items()]
+        options = " ".join(f"{key} {show(v)}" for key, show, v in given if v is not None and v != ())
+        out.append(f"check {c.kind} {' '.join(c.args)}" + (f" {{ {options} }}" if options else ""))
     return "\n".join(out) + "\n"
 
 

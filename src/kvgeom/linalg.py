@@ -8,13 +8,15 @@ from typing import Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def to_mat(rows: Sequence[Sequence]) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
 
 
 def transpose(a: Mat) -> Mat:
@@ -116,11 +118,11 @@ def complete_frame(vectors: Sequence[Sequence], n: int) -> tuple[Mat, Mat] | Non
     reduce them to I, read off its last n columns, are C^{-1}.
     """
     k = len(vectors)
-    rows = [[Fraction(v[i]) for v in vectors] + list(e) for i, e in enumerate(identity(n))]
-    rows, pivots = _rref(rows)
+    vt = [tuple(Fraction(v[i]) for v in vectors) for i in range(n)]  # the rows of V, each entry converted once
+    rows, pivots = _rref([list(v + e) for v, e in zip(vt, identity(n))])
     if pivots[:k] != list(range(k)):
         return None
-    C = tuple(tuple(Fraction(v[i]) for v in vectors) + tuple(Fraction(i == p - k) for p in pivots[k:]) for i in range(n))
+    C = tuple(vt[i] + tuple(_ONE if i == p - k else _ZERO for p in pivots[k:]) for i in range(n))
     return C, tuple(tuple(row[k:]) for row in rows)
 
 

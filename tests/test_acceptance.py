@@ -265,8 +265,8 @@ def test_criterion_09_leafwise_affine_space_and_special_class():
             assert tested > 0
 
 
-def test_criterion_10_oracle_coherence_across_corpus():
-    with criterion(10, 60.0, "numeric oracle agrees with every zero claim across the corpus"):
+def test_criterion_10_every_builtin_entry_runs_consistently_and_exits_0():
+    with criterion(10, 60.0, "every built-in entry runs at samples 20 with no engine inconsistency, and exits 0"):
         for name, entry in BUILTIN_SCENARIOS.items():
             res = run_scenario(parse_scenario(entry.text), seed=42, samples=20)
             assert not res.any_inconsistency, name

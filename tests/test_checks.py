@@ -24,7 +24,7 @@ import kvgeom.tangent
 from kvgeom.algebra import algebra_to_kv
 from kvgeom.checks import CHECKS, _indexed, _residual_verdict
 from kvgeom.cli import run
-from kvgeom.dsl import parse_scenario
+from kvgeom.dsl import _OPTIONS, parse_scenario
 from kvgeom.engine import RunConfig, _find_witness, run_scenario
 from kvgeom.errors import DegreeOverflow, ParseError, SemanticError
 from kvgeom.geometry import Chart, SymBivector
@@ -139,6 +139,13 @@ def test_readme_lists_every_check_kind_in_table_order():
     listing = re.search(r"Check kinds:(.*?)\.\n", readme, re.DOTALL)
     assert listing is not None
     assert re.findall(r"`([^`]+)`", listing.group(1)) == list(CHECKS)
+
+
+def test_readme_lists_every_check_option_in_table_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Options \(in `\{ \.\.\. \}` after a check\):(.*?)\.\s", readme, re.DOTALL)
+    assert listing is not None
+    assert [item.split()[0] for item in re.findall(r"`([^`]+)`", listing.group(1))] == list(_OPTIONS)
 
 
 # --- lazy verdicts ------------------------------------------------------------------

@@ -3,23 +3,8 @@
 The eight benchmark entries are compared with the benchmark's own golden
 reports (``perfbench/golden``); ``worked_examples``, which runs every check
 kind, is compared with ``tests/golden`` in both output formats.  So is every
-scenario in ``tests/data``: two R^6 tensor scenarios, one K-V diagonal
-profile and one generic quadratic bivector that fails every check, as the
-benchmark's ``tensor_scaling`` workload generates them; an R^3 pair, one
-K-V and one not, on which a self-bracket with a wrong term shows; an R^8
-pair of sparse bivectors under the three tensor checks, one K-V and one
-whose first nonzero Codazzi entry comes near the end of the stream; an R^4
-transversal scenario whose conormal and bordered blocks have
-rational-function entries; a generic R^8 transversal with a 4x4 conormal
-block; an R^1 bivector whose one entry is 1/(x+1)^25 + 1/(x-1)^25; an R^4
-K-V map onto a bivector whose denominators are in every variable, under
-``kv_map`` and ``theorem1``; an R^4 bivector whose lift's Jacobi verdict
-lands on its third base index, at another entry than its Codazzi verdict,
-under the three tensor checks; an R^3 pair, one K-V bivector and one
-not, under ``lift_props`` with functions that pass and fail; and an R^3
-text that exercises the reader: CRLF line ends, tabs, comments in the middle
-and at the end of lines, the last one trailing with no final newline,
-non-ASCII coordinate names and rational-coefficient entries.
+scenario in ``tests/data``; the ``#`` header of each file says what it is
+there to show.
 """
 
 from pathlib import Path

@@ -10,6 +10,7 @@ import pytest
 
 from kvgeom.algebra import AlgebraSpec
 from kvgeom.dsl import (
+    _OPTIONS,
     CheckDirective,
     CheckOptions,
     CheckOutcome,
@@ -92,6 +93,8 @@ def test_semantic_errors():
 
 def test_malformed_fixtures_all_raise_positioned_errors():
     P, S = ParseError, SemanticError
+    X, K = "expect takes 'pass' or 'fail'", "kind takes 'subalgebra' or 'ideal'"
+    R, N = "point must be a single row", "expected submanifold name"
     fixtures = [  # text, then the error's class, line, column, message and token
         ("manifold", P, 1, 9, "expected manifold name", ""),
         ("manifold M", P, 1, 11, "expected '{'", ""),
@@ -110,6 +113,15 @@ def test_malformed_fixtures_all_raise_positioned_errors():
         ("manifold M { dim 2 coords [x y] } bivector h on M { [x, ; 0, y] }", P, 1, 57, "expected expression", ";"),
         ("manifold M { dim 2 coords [x y] } check rank h { samples 0 }", P, 1, 50, "samples must be >= 1", "samples"),
         ("manifold M { dim 2 coords [x y] } check rank h { bogus 1 }", P, 1, 50, "expected a check option", "bogus"),
+        ("manifold M { dim 2 coords [x y] } check rank h { expect maybe }", P, 1, 50, X, "maybe"),
+        ("manifold M { dim 2 coords [x y] } check rank h { kind normal }", P, 1, 50, K, "normal"),
+        ("manifold M { dim 2 coords [x y] } check rank h { point [1, 2; 3, 4] }", P, 1, 50, R, "point"),
+        ("bivector { [x] }", P, 1, 10, "expected bivector name", "{"),
+        ("scalar = x", P, 1, 8, "expected scalar name", "="),
+        ("map : A -> B { matrix [1] offset [0] }", P, 1, 5, "expected map name", ":"),
+        ("submanifold", P, 1, 12, "expected submanifold name", ""),
+        ("manifold M { dim 2 coords [x y] }\nsubmanifold 2 in M { origin [0, 0] }", P, 2, 13, N, "2"),
+        ("algebra { dim 1 product { } }", P, 1, 9, "expected algebra name", "{"),
         ("manifold M { dim 1 coords [x] } bivector h on M { [x^y] }", P, 1, 54, "expected integer exponent", "y"),
         ("manifold M { dim 1 coords [x] } bivector h on M { [3/0*x] }", P, 1, 53, "division by zero expression", "/"),
         # a digit to str.isdigit, but not to int()
@@ -160,11 +172,16 @@ def test_scenarios_with_reordered_declarations_differ():
 
 def test_a_repeated_check_option_is_an_error_at_its_second_occurrence():
     head = "manifold M { dim 2 coords [x y] } bivector h on M { [x, 0; 0, y] }\n"
-    for options, key in (
+    cases = (
         ("points [1, 2] points [3, 4]", "points"),
         ("samples 3 samples 4", "samples"),
         ("expect pass samples 2 expect fail", "expect"),
-    ):
+        ("kind ideal entry 1 1 x kind subalgebra", "kind"),
+        ("basis [1, 0] points [1, 2] basis [0, 1]", "basis"),
+        ("point [1, 2] point [3, 4]", "point"),
+    )
+    assert {key for _, key in cases} == set(_OPTIONS) - {"entry"}
+    for options, key in cases:
         line = f"check rank h {{ {options} }}"
         with pytest.raises(ParseError) as exc:
             parse_scenario(head + line)
@@ -346,11 +363,23 @@ def test_options_round_trip():
         "scalar f on M = x "
         "submanifold N in M { origin [0, 0] basis [1, 0] } "
         "check transversal N h { samples 3 points [1, 0; 1/2, 0] expect pass } "
-        "check lie_derivative h f { entry 1 1 -x } "
+        "check lie_derivative h f { entry 1 1 -x entry 2 2 y } "
+        "check conormal N h { point [1/2, -3] expect fail } "
         "algebra A { dim 2 product { 1 1 1 : 1 } cocycle { 2 2 : -1/3 } } "
         "check annihilator A { kind ideal basis [0, 1] }"
     )
     s = parse_scenario(text)
+    assert serialize(s) == (
+        "manifold M { dim 2 coords [x y] }\n"
+        "bivector h on M { [x, 0; 0, y] }\n"
+        "scalar f on M = x\n"
+        "submanifold N in M { origin [0, 0] basis [1, 0] }\n"
+        "algebra A { dim 2 product { 1 1 1 : 1 } cocycle { 2 2 : -1/3 } }\n"
+        "check transversal N h { samples 3 points [1, 0; 1/2, 0] expect pass }\n"
+        "check lie_derivative h f { entry 1 1 -x entry 2 2 y }\n"
+        "check conormal N h { expect fail point [1/2, -3] }\n"
+        "check annihilator A { kind ideal basis [0, 1] }\n"
+    )
     assert parse_scenario(serialize(s)) == s
     opts = s.checks[0].options
     assert opts.samples == 3 and opts.points == ((Fr(1), Fr(0)), (Fr(1, 2), Fr(0)))
