@@ -1,13 +1,14 @@
 """Exact symbolic verification of Koszul-Vinberg geometry on affine charts.
 
 The package decides structural conditions (Codazzi identity, K-V maps and
-submanifolds, transversality, coisotropy) by exact polynomial identity
-testing over the rationals, constructs the derived objects (brackets,
-contravariant connection, Hamiltonian fields, tangent-bundle Poisson lift,
-induced structures, conormal algebroids).  Every check decides its
-residuals exactly, so the deterministic numeric sampling oracle, which
-evaluates the residuals a check leaves undecided, has none to evaluate
-today.
+submanifolds, transversality, coisotropy, whether the tangent-bundle lift
+is Poisson) by exact polynomial identity testing over the rationals, and
+constructs the derived objects (brackets, contravariant connection,
+Hamiltonian fields, induced structures, conormal algebroids).  The
+tangent-bundle lift is decided on the base chart and never constructed.
+Every check decides its residuals exactly, so the deterministic numeric
+sampling oracle, which evaluates the residuals a check leaves undecided,
+has none to evaluate today.
 """
 
 from .errors import (
@@ -48,20 +49,11 @@ from .geometry import (
     sharp,
     special_class_check,
 )
-from .tangent import (
-    SkewBivector,
-    TangentChart,
-    build_pi,
-    lift_propositions_check,
-    lift_vector,
-    make_tangent_chart,
-    pi_sharp,
-)
+from .tangent import lift_propositions_check
 from .structures import (
     AffineMap,
     AffineSubmanifold,
     ConormalAlgebroid,
-    are_F_related,
     conormal_algebroid,
     graph_check,
     is_coisotropic,

@@ -51,12 +51,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def index(self, v: str) -> int:
-        try:
-            return self.coords.index(v)
-        except ValueError:
-            raise UnknownVariable(f"{v!r} is not a coordinate of chart {self.name}") from None
-
 
 def _check_scope(chart: Chart, e: Expr) -> Expr:
     extra = e.variables() - set(chart.coords)

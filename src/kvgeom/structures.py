@@ -187,14 +187,10 @@ def pullback(f: AffineMap, alpha: OneForm) -> OneForm:
     return OneForm(f.source, tuple(_matvec(Mt, pulled)))
 
 
-def are_F_related(f: AffineMap, X: VectorField, Y: VectorField) -> bool:
-    """TF(X) = Y o F, i.e. M X(x) - Y(F(x)) = 0 componentwise."""
+def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple[Expr, ...]:
+    """M X(x) - Y(F(x)) componentwise: X and Y are F-related iff every entry is zero."""
     if X.chart != f.source or Y.chart != f.target:
         raise ChartMismatch("relatedness needs fields on the source and target charts")
-    return all(r.is_zero() for r in relatedness_residuals(f, X, Y))
-
-
-def relatedness_residuals(f: AffineMap, X: VectorField, Y: VectorField) -> tuple[Expr, ...]:
     return tuple(s - y for s, y in zip(_matvec(f.matrix, X.components), substitute(Y.components, f.substitution())))
 
 

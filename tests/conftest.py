@@ -11,7 +11,6 @@ from kvgeom.algebra import AlgebraSpec
 from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField, coordinate_form, hamiltonian, sharp
 from kvgeom.structures import AffineMap, pullback, relatedness_residuals
 from kvgeom.symexpr import ZERO, Expr
-from kvgeom.tangent import build_pi, make_tangent_chart
 
 
 def rational(rng: random.Random, scale: int = 2) -> Fraction:
@@ -232,10 +231,26 @@ def kv_bracket_reference(h):
     ]
 
 
-def jacobiator_reference(pi):
-    """J(i,j,k) summed over every l for every (i, j, k), zero factors included."""
-    P = pi.entries
-    coords = pi.chart.coords
+def ref_lift_chart(chart):
+    """The chart (x, u) of the tangent bundle over ``chart``: its coordinates, then one fiber coordinate u_<c> each."""
+    return Chart(f"T_{chart.name}", chart.coords + tuple(f"u_{c}" for c in chart.coords))
+
+
+def ref_lift(h):
+    """The skew lift Pi = [[0, H], [-H, 0]] of h on ``ref_lift_chart(h.chart)``, as a 2n x 2n list of rows."""
+    n, H = h.chart.dim, h.entries
+    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][n + j] = H[i][j]
+            rows[n + i][j] = -H[i][j]
+    return rows
+
+
+def jacobiator_reference(h):
+    """J(i,j,k) of ``ref_lift(h)``, summed over every l for every (i, j, k), zero factors included."""
+    P = ref_lift(h)
+    coords = ref_lift_chart(h.chart).coords
     n2 = len(coords)
 
     def term(l, a, b, c):
@@ -254,7 +269,7 @@ def jacobiator_reference(pi):
 
 
 def lift_lie_derivative_reference(h, f):
-    """(L_W Pi)^{ij} = W(Pi^{ij}) - Pi^{kj} d_k W^i - Pi^{ik} d_k W^j on ``build_pi(h)``, for every (i, j).
+    """(L_W Pi)^{ij} = W(Pi^{ij}) - Pi^{kj} d_k W^i - Pi^{ik} d_k W^j on ``ref_lift(h)``, for every (i, j).
 
     W = (X_f, 0) is the horizontal lift of X_f, whose components
     X_f^i = sum_l h_il d_l f are summed here too; every sum runs over all 2n
@@ -268,8 +283,7 @@ def lift_lie_derivative_reference(h, f):
             s = s + h.entries[i][l] * f.value.diff(v)
         X.append(s)
     W = X + [ZERO] * n
-    pi = build_pi(h)
-    P, coords = pi.entries, pi.chart.coords
+    P, coords = ref_lift(h), ref_lift_chart(h.chart).coords
     out = []
     for i in range(2 * n):
         row = []
@@ -360,23 +374,21 @@ def ref_tangent_map(f):
     """TF(x, u) = (M x + c, M u) between the tangent charts."""
     n, m = f.source.dim, f.target.dim
     rows = [row + (0,) * n for row in f.matrix] + [(0,) * n + row for row in f.matrix]
-    tc1, tc2 = make_tangent_chart(f.source), make_tangent_chart(f.target)
-    return AffineMap(tc1.chart, tc2.chart, rows, f.offset + (0,) * m)
+    return AffineMap(ref_lift_chart(f.source), ref_lift_chart(f.target), rows, f.offset + (0,) * m)
 
 
 def theorem1_routes(f, h1, h2, g):
     """The residuals of Theorem 1's tangent-lift, sharp and Hamiltonian characterizations of a K-V map F.
 
     ``lift`` is diag(M, M) Pi1 diag(M, M)^T - Pi2 o TF for the lifts Pi of
-    ``build_pi``; ``sharps[j]`` is the relatedness residual of the sharps of
+    ``ref_lift``; ``sharps[j]`` is the relatedness residual of the sharps of
     F* dy_j and dy_j; ``ham`` is the relatedness residual of X_{g o F} and
     X_g, for the expression g on the target chart.
     """
     tf = ref_tangent_map(f)
-    pi1, pi2 = build_pi(h1), build_pi(h2)
     lift = [
         [s - t for s, t in zip(srow, trow)]
-        for srow, trow in zip(ref_congruence(tf.matrix, pi1.entries), ref_composed(pi2.entries, tf))
+        for srow, trow in zip(ref_congruence(tf.matrix, ref_lift(h1)), ref_composed(ref_lift(h2), tf))
     ]
     sharps = []
     for j in range(f.target.dim):

@@ -29,7 +29,6 @@ from kvgeom.engine import RunConfig, _find_witness, run_scenario
 from kvgeom.errors import DegreeOverflow, ParseError, SemanticError
 from kvgeom.geometry import Chart, SymBivector
 from kvgeom.symexpr import ZERO, Expr
-from kvgeom.tangent import build_pi
 
 # one object of every declaration kind on M, and a second copy on the chart P
 DECLS = """manifold M { dim 2 coords [x y] }
@@ -181,7 +180,7 @@ def test_lazy_verdicts_equal_the_verdicts_over_full_tables(n):
             "defect at indices {at}",
         )
         jacobi = _residual_verdict(
-            _indexed(jacobiator_reference(build_pi(h))),
+            _indexed(jacobiator_reference(h)),
             "tangent-lift bivector satisfies the Jacobi identity",
             "Jacobiator nonzero at {at}",
         )
@@ -232,19 +231,18 @@ def test_lazy_verdicts_stop_at_the_first_nonzero_entry(monkeypatch):
     # jacobi_tangent reads J(1,5,6) = -T(1,2,1) from h's memo, which codazzi filled: the check builds no
     # lift and takes no product and no derivative, in tangent or in geometry; its cross-check with
     # is_kv replays the same entry
-    assert not hasattr(kvgeom.tangent, "_grad")
-    tangent_calls = _count(monkeypatch, kvgeom.tangent)
+    assert not hasattr(kvgeom.tangent, "_grad") and not hasattr(kvgeom.tangent, "_dot")
     geometry_calls.clear()
     geometry_grads.clear()
     assert _run("jacobi_tangent", h)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
-    assert len(tangent_calls) == len(geometry_calls) == len(geometry_grads) == 0
+    assert len(geometry_calls) == len(geometry_grads) == 0
 
     # on a fresh twin it computes the Codazzi entries that the lift order reads, T(1,2,1) alone
     _, read = _count_codazzi_reads(monkeypatch)
     twin = random_bivector(random.Random(5), _chart(4), 2)
     assert _run("jacobi_tangent", twin)[:2] == ("fail", "Jacobiator nonzero at (1,5,6)")
     assert read == [(0, 1, 0)]
-    assert len(tangent_calls) == 0 and len(geometry_calls) == len(geometry_grads) == 2
+    assert len(geometry_calls) == len(geometry_grads) == 2
 
 
 def _chosen_defect(rng, chart, r, p, q):
@@ -274,7 +272,7 @@ def test_the_jacobi_verdict_follows_the_lift_order(n):
     defects = [_chosen_defect(rng, chart, r, p, q) for r, p, q in chosen]
     for t, h in enumerate([random_bivector(rng, chart, 2)] + sparse_bivectors(rng, chart) + defects):
         want = _residual_verdict(
-            _indexed(jacobiator_reference(build_pi(h))),
+            _indexed(jacobiator_reference(h)),
             "tangent-lift bivector satisfies the Jacobi identity",
             "Jacobiator nonzero at {at}",
         )

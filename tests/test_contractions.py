@@ -31,7 +31,6 @@ from kvgeom.geometry import (
 )
 from kvgeom.structures import _algebroid_associator_residuals, _congruence, _matvec
 from kvgeom.symexpr import ZERO, Expr
-from kvgeom.tangent import build_pi, make_tangent_chart, pi_sharp
 
 DIMS = [1, 2, 3, 4]
 
@@ -230,15 +229,6 @@ def test_lie_derivative_and_hessian_contraction_equal_the_loops(n):
         X = ref_sharp(h.entries, differential(f).components)
         assert_entrywise_equal(lie_derivative_h(h, f).entries, ref_lie_derivative(chart.coords, h.entries, X))
         assert_entrywise_equal(hessian_contraction(h, f), ref_hessian_contraction(chart.coords, h.entries, f.value))
-
-
-@pytest.mark.parametrize("n", DIMS)
-def test_pi_sharp_equals_the_loop(n):
-    for rng, chart, h in cases(n):  # the rational entry is h's
-        tc = make_tangent_chart(chart)
-        a = sparse_vector(rng, tc.chart.coords)
-        pi = build_pi(h, tc)
-        assert_entrywise_equal(pi_sharp(pi, OneForm(tc.chart, a)).components, ref_sharp(pi.entries, a))
 
 
 @pytest.mark.parametrize("n", DIMS)
