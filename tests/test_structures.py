@@ -83,6 +83,16 @@ def test_pullback_and_relatedness_basics():
     assert all(c.is_zero() for c in pullback(incl, dy).components)
 
 
+def test_relatedness_needs_fields_on_the_source_and_target_charts():
+    t = Expr.var("t")
+    incl = embedding(1, 2)
+    X, Y = VectorField(L, (t,)), VectorField(P, (X_, Y_))
+    assert relatedness_residuals(incl, X, Y) == (t - t, 2 * t - 2 * t)
+    for a, b in ((Y, Y), (X, X), (Y, X)):
+        with pytest.raises(ChartMismatch):
+            relatedness_residuals(incl, a, b)
+
+
 def _matmul(a, b, rows: int, cols: int):
     """linalg.matmul, or the rows x cols zero matrix when a dimension is 0 and it returns ()."""
     return linalg.matmul(a, b) or tuple((Fr(0),) * cols for _ in range(rows))
@@ -299,6 +309,59 @@ def test_full_dimension_submanifold_is_open_subset_case():
     skew = AffineSubmanifold(P, (1, 2), ((1, 1), (0, 1)))
     res2 = is_kv_submanifold(skew, H2)
     assert res2.ok  # open subset in skew affine coordinates is still K-V
+
+
+def _full_chart(n):
+    return Chart(f"R{n}", tuple(f"x{i + 1}" for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_full_dimension_shortcut_equals_the_adapted_route(monkeypatch, n):
+    """N = M in M's own coordinates returns h as is; the adapted route gives h again, in y1..yn."""
+    chart = _full_chart(n)
+    h = random_bivector(random.Random(3300 + n), chart, 2)
+    whole = AffineSubmanifold(chart, (0,) * n, linalg.identity(n))
+    sub, tr = is_kv_submanifold(whole, h), is_transversal(whole, h)
+    assert whole.is_identity
+    assert sub.ok and sub.induced is h and sub.residuals == ()
+    assert tr.verdict == SYMBOLIC_TRUE and tr.determinant == Expr.const(1) and tr.induced == h
+
+    monkeypatch.setattr(AffineSubmanifold, "is_identity", property(lambda self: False))
+    sub2, tr2 = is_kv_submanifold(whole, h), is_transversal(whole, h)
+    ambient = {y: Expr.var(x) for y, x in zip(whole.chart.coords, chart.coords)}
+
+    def renamed(b):
+        return tuple(tuple(e.substitute(ambient) for e in row) for row in b.entries)
+
+    assert sub2.ok and sub2.residuals == () and renamed(sub2.induced) == h.entries
+    assert tr2.verdict == SYMBOLIC_TRUE and tr2.determinant == Expr.const(1) and renamed(tr2.induced) == h.entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_full_dimension_frame_induces_h_in_its_coordinates(n):
+    """N = M through a shifted origin with a mixed basis: both routes induce P H(C y + o) P^T, P = C^{-1}."""
+    rng = random.Random(3400 + n)
+    chart = _full_chart(n)
+    h = random_bivector(rng, chart, 2)
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(basis) == n:
+            break
+    origin = random_point(rng, n)
+    n_sub = AffineSubmanifold(chart, origin, basis)
+    sub, tr = is_kv_submanifold(n_sub, h), is_transversal(n_sub, h)
+    assert not n_sub.is_identity
+    assert sub.ok and sub.residuals == () and tr.verdict == SYMBOLIC_TRUE
+    C = linalg.transpose(linalg.to_mat(basis))  # the basis vectors as columns
+    Pm = linalg.inverse(C)
+    for _ in range(3):
+        y = random_point(rng, n)
+        x = [c + o for c, o in zip(linalg.matvec(C, y), origin)]
+        Hx = [[e.eval_at(dict(zip(chart.coords, x))) for e in row] for row in h.entries]
+        want = [list(row) for row in linalg.matmul(linalg.matmul(Pm, Hx), linalg.transpose(Pm))]
+        env = dict(zip(n_sub.chart.coords, y))
+        for induced in (sub.induced, tr.induced):
+            assert [[e.eval_at(env) for e in row] for row in induced.entries] == want
 
 
 def test_kv_submanifold_squares_instance():
