@@ -5,13 +5,14 @@ affine subspaces of a chart, so every structural condition reduces to a
 polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
 determinant restricts to a nonzero constant, pointwise otherwise.  The
-verdict eliminates the conormal block D alone.  A transversal result keeps
-det D and the adapted entries; the bordered block det D * (A - B D^{-1} B^T)
-is built from them when it is first read, and the induced structure divides
-the one by the other when it is read, so no verdict divides a rational
-function or builds a block it does not read (of a rational h, each output
-is normalized once).  ``preimage_transversal`` decides the pullback claim on
-these blocks with their denominators cleared, so it neither divides nor samples.
+verdict builds and eliminates the conormal block D alone.  A transversal
+result keeps det D and a way to the adapted entries; the bordered block
+det D * (A - B D^{-1} B^T) is built from them when it is first read, and the
+induced structure divides the one by the other when it is read, so no
+verdict divides a rational function or builds a block it does not read (of
+a rational h, each output is normalized once).  ``preimage_transversal``
+decides the pullback claim on these blocks with their denominators cleared,
+so it neither divides nor samples.
 
 Each construction is written once: every sum of products goes through
 ``geometry._dot``, the one contraction of the tensor layer, over the
@@ -37,12 +38,24 @@ every chart change reads them: ``parameters_of`` is y = P(x - o), N's
 ``parametrization`` is x = C (y_1..y_k, 0) + o, and a map F restricts to
 y_2 = P_2 (F(x_1(y_1)) - o_2) through ``compose``.  Restriction to N is the
 pullback along the parametrization, so the adapted bivector
-P H(x(y)) P^T of ``to_adapted_bivector`` holds N's coordinates only, and
-the K-V submanifold, transversal, coisotropy and conormal tests read its
-blocks.  N builds it once per bivector (``AffineSubmanifold.adapted``), so
-checks that share N and h in one scenario share one build.  The conormal
-algebroid differentiates H along the frame vectors c_j, the columns of C,
-which is d/dy_j, and pulls those derivatives back along N the same way.
+P H(x(y)) P^T of ``to_adapted_bivector`` holds N's coordinates only.  The
+transversal and coisotropy verdicts read only its conormal-conormal block
+D = P[k:] H(x(y)) P[k:]^T, which ``to_conormal_block`` builds alone from the
+columns S where the conormal rows are nonzero: H on S x S is substituted,
+then congruence, so sums are formed in N's k variables.  S is smaller than
+all n columns only on a coordinate subspace, and the rational entries of H
+outside S x S are substituted as well, so a pole of h along N is found as a
+full build finds it.  The K-V submanifold and conormal tests, and the first
+read of a transversal's bordered block, build the whole adapted bivector.
+N keeps what it builds per bivector (``AffineSubmanifold.adapted`` and
+``conormal_block``), and the entries of H(x(y)) that it has substituted
+(``AffineSubmanifold.pulled``): checks that share N and h in one scenario
+share one build of each, a full build after D substitutes only the entries
+D did not, and a D after a full build is read from it.  N builds the
+substitution x(y) once for all of these pulls.  The conormal algebroid
+differentiates H along the frame vectors c_j, the columns of C, which is
+d/dy_j, and pulls all those derivatives back along N the same way, in one
+``substitute`` call.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import (
@@ -271,8 +284,9 @@ class AffineSubmanifold:
     The adapted frame is built once, here: the frame C has the basis vectors,
     then the standard vectors that complete them, as columns, and the change
     P = C^{-1} gives the adapted coordinates y = P(x - origin), in which N is
-    {y_{k+1} = ... = y_n = 0}.  ``adapted(h)`` keeps each adapted bivector
-    it builds, for as long as N lives.
+    {y_{k+1} = ... = y_n = 0}.  ``adapted(h)`` and ``conormal_block(h)``
+    keep each adapted bivector and conormal block they build, and
+    ``pulled(h, idx)`` each entry of H(x(y)), for as long as N lives.
     """
 
     ambient: Chart
@@ -280,9 +294,9 @@ class AffineSubmanifold:
     basis: tuple[tuple[Fraction, ...], ...]
     frame: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # C
     change: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # P = C^{-1}
-    # id(h) -> (h, adapted bivector); holding h keeps its id from being reused, and a
-    # lookup by id hashes no entries
-    _adapted: dict = field(init=False, repr=False, compare=False)
+    # id(h) -> _Along(h); holding h keeps its id from being reused, and a lookup by id
+    # hashes no entries
+    _along: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient.dim
@@ -297,14 +311,58 @@ class AffineSubmanifold:
             raise DegenerateBasis("basis vectors are linearly dependent")
         object.__setattr__(self, "frame", frame[0])
         object.__setattr__(self, "change", frame[1])
-        object.__setattr__(self, "_adapted", {})
+        object.__setattr__(self, "_along", {})
+
+    def _built(self, h: SymBivector) -> _Along:
+        """What N has built of h, empty on the first call for h."""
+        hit = self._along.get(id(h))
+        if hit is None:
+            if h.chart != self.ambient:
+                raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
+            hit = self._along[id(h)] = _Along(h, self.ambient.dim)
+        return hit
+
+    def pulled(self, h: SymBivector, idx: Sequence[int], also: Sequence[tuple[int, int]] = ()) -> list[list[Expr]]:
+        """H(x(y)) on the rows and columns idx (ascending).
+
+        Each entry i <= j is substituted on its first request for h, in one
+        ``substitute`` call for all the new ones, and kept.  The entries
+        ``also`` (pairs i <= j) are substituted and kept in the same call.
+        """
+        T, H = self._built(h).pulled, h.entries
+        new = [(i, j) for a, i in enumerate(idx) for j in idx[a:] if T[i][j] is None]
+        new += [(i, j) for i, j in also if T[i][j] is None]
+        if new:
+            for (i, j), e in zip(new, substitute([H[i][j] for i, j in new], self._to_ambient)):
+                T[i][j] = T[j][i] = e
+        return [[T[i][j] for j in idx] for i in idx]
+
+    @cached_property
+    def _to_ambient(self) -> dict[str, Expr]:
+        """The substitution of ``parametrization()``, built once for every bivector's pulls."""
+        return self.parametrization().substitution()
 
     def adapted(self, h: SymBivector) -> SymBivector:
         """``to_adapted_bivector(self, h)``, built on the first call for h and kept for the later ones."""
-        hit = self._adapted.get(id(h))
-        if hit is None:
-            hit = self._adapted[id(h)] = (h, to_adapted_bivector(self, h))
-        return hit[1]
+        along = self._built(h)
+        if along.adapted is None:
+            along.adapted = to_adapted_bivector(self, h)
+        return along.adapted
+
+    def conormal_block(self, h: SymBivector) -> Sequence[Sequence[Expr]]:
+        """D, the trailing (n-k) x (n-k) block of ``adapted(h)``, kept for the later calls.
+
+        It is read from ``adapted(h)`` when that is built, else built alone by
+        ``to_conormal_block(self, h)``.
+        """
+        along = self._built(h)
+        if along.block is None:
+            k = self.dim
+            if along.adapted is None:
+                along.block = to_conormal_block(self, h)
+            else:
+                along.block = [row[k:] for row in along.adapted.entries[k:]]
+        return along.block
 
     @property
     def dim(self) -> int:
@@ -341,16 +399,48 @@ class AffineSubmanifold:
         return None if any(y[self.dim:]) else y[:self.dim]
 
 
+class _Along:
+    """What N has built of one bivector h: H(x(y)) (None where not yet substituted), D and the adapted bivector."""
+
+    __slots__ = ("h", "pulled", "block", "adapted")
+
+    def __init__(self, h: SymBivector, n: int):
+        self.h = h
+        self.pulled: list[list[Expr | None]] = [[None] * n for _ in range(n)]
+        self.block: Sequence[Sequence[Expr]] | None = None
+        self.adapted: SymBivector | None = None
+
+
 def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
     """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
 
     Restriction to N is the pullback along this parametrization, so the
-    entries depend on y_1..y_k only.
+    entries depend on y_1..y_k only.  H(x(y)) comes from ``n_sub.pulled``, so
+    the entries of H that a conormal block build substituted are not
+    substituted again.
     """
-    if h.chart != n_sub.ambient:
-        raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-    adapted = _congruence(n_sub.change, _pulled(n_sub.parametrization(), h.entries))
+    adapted = _congruence(n_sub.change, n_sub.pulled(h, range(n_sub.ambient.dim)))
     return SymBivector(n_sub.adapted_chart, tuple(map(tuple, adapted)))
+
+
+def to_conormal_block(n_sub: AffineSubmanifold, h: SymBivector) -> list[list[Expr]]:
+    """D = P[k:] H(x(y)) P[k:]^T, the conormal-conormal block of ``to_adapted_bivector``, alone.
+
+    The conormal rows P[k:] are nonzero only in the columns S, so D reads H
+    on S x S alone: those entries are substituted (``n_sub.pulled``), and the
+    congruence by P[k:] restricted to S adds them in N's k variables.  S is
+    smaller than all n columns only when N is a coordinate subspace (up to
+    its origin); on a generic N, D substitutes all of H.  The rational
+    entries of H outside S x S are substituted too, though D does not read
+    them: h is defined on N only if no denominator vanishes identically
+    there, and ``substitute`` raises ``ZeroDenominator`` when one does, as
+    the whole adapted bivector's build would.
+    """
+    n, H, W = n_sub.ambient.dim, h.entries, n_sub.change[n_sub.dim:]
+    S = [j for j in range(n) if any(row[j] for row in W)]
+    inside = set(S)
+    poles = [(i, j) for i in range(n) for j in range(i, n) if H[i][j].den is not _P_ONE and not {i, j} <= inside]
+    return _congruence([[row[j] for j in S] for row in W], n_sub.pulled(h, S, poles))
 
 
 # --- K-V submanifolds ---------------------------------------------------------
@@ -389,16 +479,21 @@ FALSE = "false"
 class TransversalResult:
     """A transversality verdict, det D, and the block it builds when read.
 
-    The verdict reads det D alone.  The bordered block det D (A - B D^{-1} B^T)
-    is built from the adapted entries that the result keeps, on its first
-    read, and kept from then on; ``induced`` divides it by det D on every read.
+    The verdict reads det D alone, so it builds D alone.  The bordered block
+    det D (A - B D^{-1} B^T) is built on its first read, from the adapted
+    entries, which that read asks N for (``AffineSubmanifold.adapted``, which
+    builds them the first time for this N and h), and kept from then on;
+    ``induced`` divides it by det D on every read.
     """
 
     verdict: str  # SYMBOLIC_TRUE | POINTWISE_TRUE | FALSE
     determinant: Expr  # det of the conormal-conormal block restricted to N
     samples: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (parameter point, nonsingular)
-    # (the block's chart, adapted entries of h, k) the bordered block is built from; None when not transversal
-    adapted: tuple[Chart, tuple[tuple[Expr, ...], ...], int] | None = field(default=None, repr=False, compare=False)
+    # (the block's chart, a call that returns the adapted entries of h, k) the bordered block is
+    # built from; None when not transversal
+    adapted: tuple[Chart, Callable[[], Sequence[Sequence[Expr]]], int] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -409,7 +504,8 @@ class TransversalResult:
         """det D times the induced structure, on N's chart: one Bareiss pass over [[D, B^T], [B, A]]."""
         if self.adapted is None:
             return None
-        chart, hy, k = self.adapted
+        chart, entries, k = self.adapted
+        hy = entries()
         # conormal rows and columns first
         _, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], len(hy) - k)
         return SymBivector(chart, tuple(map(tuple, trailing)))
@@ -475,13 +571,15 @@ def is_transversal(
 ) -> TransversalResult:
     """Transversal iff the conormal-conormal block D is invertible along N.
 
-    The verdict reads det D only, so ``expr_det`` eliminates D alone.  The
-    induced structure is the Schur complement A - B D^{-1} B^T restricted to
-    N, with rational-function entries.  By Sylvester's identity its (i, j)
-    entry is det [[D, B_j^T], [B_i, A_ij]] / det D; the result keeps the
-    adapted entries, and one Bareiss pass over [[D, B^T], [B, A]] builds
-    these bordered determinants when ``bordered`` or ``induced`` is first
-    read.  Points sampled for a pointwise verdict are distinct.
+    The verdict reads det D only, so it takes D alone from N
+    (``AffineSubmanifold.conormal_block``, which builds no adapted bivector),
+    and ``expr_det`` eliminates it.  The induced structure is the Schur
+    complement A - B D^{-1} B^T restricted to N, with rational-function
+    entries.  By Sylvester's identity its (i, j) entry is
+    det [[D, B_j^T], [B_i, A_ij]] / det D; one Bareiss pass over
+    [[D, B^T], [B, A]] builds these bordered determinants when ``bordered``
+    or ``induced`` is first read, and only that read builds the adapted
+    bivector.  Points sampled for a pointwise verdict are distinct.
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
@@ -489,9 +587,8 @@ def is_transversal(
         at = ", ".join(_rational_str(q) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
     if k == n and n_sub.is_identity:
-        return TransversalResult(SYMBOLIC_TRUE, ONE, (), (h.chart, h.entries, n))
-    hy = n_sub.adapted(h).entries
-    det, _ = expr_det([row[k:] for row in hy[k:]], n - k)
+        return TransversalResult(SYMBOLIC_TRUE, ONE, (), (h.chart, lambda: h.entries, n))
+    det, _ = expr_det(n_sub.conormal_block(h), n - k)
 
     if det.is_zero():
         pts = given if given is not None else [tuple(Fraction(0) for _ in range(k))]
@@ -505,16 +602,21 @@ def is_transversal(
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
 
-    return TransversalResult(verdict, det, sample_report, None if verdict == FALSE else (n_sub.chart, hy, k))
+    if verdict == FALSE:
+        return TransversalResult(verdict, det, sample_report)
+    return TransversalResult(verdict, det, sample_report, (n_sub.chart, lambda: n_sub.adapted(h).entries, k))
 
 
 # --- coisotropic submanifolds and the conormal algebroid ----------------------
 
 
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
-    """The conormal-conormal block of h in adapted coordinates, restricted to N."""
-    k = n_sub.dim
-    return tuple(e for row in n_sub.adapted(h).entries[k:] for e in row[k:])
+    """The conormal-conormal block D of h in adapted coordinates, restricted to N, row by row.
+
+    It reads D alone (``AffineSubmanifold.conormal_block``), so it builds no
+    adapted bivector unless one is already built for N and h.
+    """
+    return tuple(e for row in n_sub.conormal_block(h) for e in row)
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -597,10 +699,12 @@ def conormal_algebroid(
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = n_sub.chart
 
-    # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii'
-    Ct, x, to_n = linalg.transpose(n_sub.frame), n_sub.ambient.coords, n_sub.parametrization()
+    # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii', then at x(y), in one substitute call
+    Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
     along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    blocks = [_congruence(n_sub.change[k:], _pulled(to_n, [[e[j] for e in r] for r in along])) for j in range(n)]
+    images = iter(substitute([d for row in along for ds in row for d in ds], n_sub._to_ambient))
+    along = [[[next(images) for _ in ds] for ds in row] for row in along]
+    blocks = [_congruence(n_sub.change[k:], [[ds[j] for ds in row] for row in along]) for j in range(n)]
 
     for a, b, j in product(range(m), range(m), range(k)):
         if not blocks[j][a][b].is_zero():

@@ -97,6 +97,25 @@ def test_pole_along_submanifold_is_unsupported_and_later_checks_run():
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "entries",
+    ["[y^2 + 1, 0; 0, 1/x]", "[0, 0; 0, 1/x]", "[y^2 + 1, 1/x; 1/x, 0]"],
+    ids=["tangent-pointwise", "tangent-zero-block", "mixed"],
+)
+def test_a_pole_outside_the_conormal_block_is_unsupported(entries):
+    # N = {x = 0}: D reads h_xx alone, which is defined on N, but h is not; a verdict needs h defined on N
+    text = (
+        "manifold M { dim 2 coords [x y] } "
+        f"bivector h on M {{ {entries} }} "
+        "submanifold N in M { origin [0, 0] basis [0, 1] } "
+        "check transversal N h check coisotropic N h check submanifold N h"
+    )
+    res = run_text(text)
+    assert [o.status for o in res.outcomes] == ["unsupported"] * 3
+    assert all(o.details == "substitution makes the denominator identically zero" for o in res.outcomes)
+    assert res.exit_code == 1
+
+
 def test_identically_singular_transversal_names_the_given_points():
     head = (
         "manifold M { dim 2 coords [x y] } bivector h on M { [1, 0; 0, 0] } "
@@ -330,15 +349,33 @@ def test_cli_run_binds_each_scenario_once(monkeypatch):
     assert len(bound) == 2 and bound[0] != bound[1]
 
 
-def test_each_adapted_bivector_is_built_once_per_scenario(monkeypatch, tmp_path):
-    built = []
-    original = kvgeom.structures.to_adapted_bivector
+def _count_builds(monkeypatch):
+    """Record the bivector of each conormal block and adapted bivector build, and the distinct entries of each
+    ``substitute`` call in ``structures`` under its bindings (an affine map's, e.g. N's parametrization)."""
+    blocks, full, substituted = [], [], {}
 
-    def counted(n_sub, h):
-        built.append(h)
-        return original(n_sub, h)
+    def logged(build, log):
+        def counted(n_sub, h):
+            log.append(h)
+            return build(n_sub, h)
 
-    monkeypatch.setattr(kvgeom.structures, "to_adapted_bivector", counted)
+        return counted
+
+    monkeypatch.setattr(kvgeom.structures, "to_conormal_block", logged(kvgeom.structures.to_conormal_block, blocks))
+    monkeypatch.setattr(kvgeom.structures, "to_adapted_bivector", logged(kvgeom.structures.to_adapted_bivector, full))
+    substitute = kvgeom.structures.substitute
+
+    def recorded(exprs, bindings):
+        key = tuple(sorted((v, str(e)) for v, e in bindings.items()))
+        substituted.setdefault(key, []).append({str(e) for e in exprs})
+        return substitute(exprs, bindings)
+
+    monkeypatch.setattr(kvgeom.structures, "substitute", recorded)
+    return blocks, full, substituted
+
+
+def test_a_pointwise_transversal_and_coisotropy_build_one_conormal_block(monkeypatch, tmp_path):
+    blocks, full, _ = _count_builds(monkeypatch)
     head = (
         "manifold M { dim 2 coords [x y] }\n"
         "bivector h on M { [1, 0; 0, x^2 + 1] }\n"
@@ -349,16 +386,66 @@ def test_each_adapted_bivector_is_built_once_per_scenario(monkeypatch, tmp_path)
     path = tmp_path / "one.kvs"
     path.write_text(head)
     code, report = run(RunConfig(scenarios=(str(path),), format="json"))
-    assert code == 1 and len(built) == 1
+    # det D = x^2 + 1 on N is not constant: a pointwise verdict, which reads det D alone
+    assert code == 1 and len(blocks) == 1 and full == []
     assert [c["status"] for c in json.loads(report)["checks"]] == ["pointwise-pass", "fail"]
-    built.clear()
+    blocks.clear()
     path.write_text(head + "check transversal N h2\ncheck coisotropic N h2\n")
     code, report = run(RunConfig(scenarios=(str(path),), format="json"))
-    assert code == 1 and len(built) == 2 and built[0] != built[1]
+    # two bivectors on one N: a build each
+    assert code == 1 and len(blocks) == 2 and blocks[0] != blocks[1] and full == []
     checks = json.loads(report)["checks"]
     assert [c["status"] for c in checks] == ["pointwise-pass", "fail", "fail", "pass"]
     assert checks[1]["witness"]["residual"] == "y1^2 + 1"
     assert checks[2]["details"].startswith("conormal block determinant vanishes on the submanifold")
+
+
+# Every entry of each h below is distinct from its other entries and from their derivatives, so an
+# entry substituted twice under one N's parametrization shows up as one value in two substitute calls.
+# N6's order: a coisotropic line {x = 0} builds D, then its conormal algebroid builds the adapted bivector.
+_COISOTROPIC_THEN_CONORMAL = (
+    "manifold M { dim 2 coords [x y] }\n"
+    "bivector h on M { [x, y + 2; y + 2, y^2 + 3] }\n"
+    "submanifold N in M { origin [0, 0] basis [0, 1] }\n",
+    ("check coisotropic N h\n", "check conormal N h { point [0, 0] }\n"),
+    ("x", "y + 2", "y^2 + 3"),
+    {False: (1, 1), True: (0, 1)},  # (D builds, adapted bivector builds) in order and reversed
+)
+# N7's order: a symbolic-true transversal N of hT builds D, and its report line the adapted bivector; the
+# preimage check then reads both for N again, and builds D and the bordered block for the preimage of N
+_TRANSVERSAL_THEN_PREIMAGE = (
+    "manifold M { dim 2 coords [x y] }\n"
+    "manifold T { dim 2 coords [u v] }\n"
+    "bivector h on M { [x^2 + 1, x; x, y + 3] }\n"
+    "bivector hT on T { [u^2 + 1, u; u, v + 3] }\n"
+    "map Q : M -> T { matrix [1, 0; 0, 1] offset [0, 0] }\n"
+    "submanifold N in T { origin [0, 0] basis [1, 0] }\n",
+    ("check transversal N hT\n", "check preimage_transversal Q h hT N\n"),
+    ("x^2 + 1", "x", "y + 3", "u^2 + 1", "u", "v + 3"),
+    {False: (2, 2), True: (2, 2)},
+)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in order", "reversed"])
+@pytest.mark.parametrize(
+    "case",
+    [_COISOTROPIC_THEN_CONORMAL, _TRANSVERSAL_THEN_PREIMAGE],
+    ids=["coisotropic-conormal", "transversal-preimage"],
+)
+def test_no_entry_of_h_is_substituted_twice_along_one_submanifold(monkeypatch, tmp_path, case, reverse):
+    head, checks, entries, builds = case
+    blocks, full, substituted = _count_builds(monkeypatch)
+    path = tmp_path / "one.kvs"
+    path.write_text(head + "".join(checks[::-1] if reverse else checks))
+    code, report = run(RunConfig(scenarios=(str(path),), format="json"))
+    assert code == 0, report
+    # a D built before the adapted bivector shares its pulled entries; one built after it is read from it
+    assert (len(blocks), len(full)) == builds[reverse]
+    for key, calls in substituted.items():
+        for e in entries:
+            assert sum(e in call for call in calls) <= 1, (key, e)
+    # each entry was substituted along some submanifold
+    assert all(any(e in call for calls in substituted.values() for call in calls) for e in entries)
 
 
 def test_annihilator_of_an_invalid_algebra_or_subspace_is_unsupported(tmp_path):

@@ -157,6 +157,36 @@ def test_to_adapted_bivector_matches_linalg(n):
             assert _at(hy.entries, dict(zip(n_sub.adapted_chart.coords, y))) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_conormal_block_is_the_trailing_block_of_the_adapted_bivector(n):
+    """D, built alone from the conormal rows P[k:] and the columns where they are nonzero, equals the trailing
+    (n-k) x (n-k) block of ``to_adapted_bivector`` entry by entry, and N keeps it.
+
+    Coordinate planes (a permutation frame, so D reads n-k columns of H) and generic integer bases, every k < n,
+    and a (linear) / (v^2 + c) entry in every other h.
+    """
+    rng = random.Random(500 + n)
+    chart = Chart("R", tuple(f"x{i + 1}" for i in range(n)))
+    cases = 0
+    for k in range(n):
+        for coordinate in (True, False):
+            for _ in range(3):
+                if coordinate:
+                    basis = [[int(i == a) for i in range(n)] for a in rng.sample(range(n), k)]
+                else:
+                    basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+                    while linalg.rank(basis) < k:
+                        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+                origin = random_point(rng, n)
+                h = bivector_with_a_rational_entry(rng, chart) if cases % 2 else random_bivector(rng, chart)
+                cases += 1
+                alone, full = AffineSubmanifold(chart, origin, basis), AffineSubmanifold(chart, origin, basis)
+                hy = to_adapted_bivector(full, h).entries
+                D = alone.conormal_block(h)
+                assert [list(row) for row in D] == [list(row[k:]) for row in hy[k:]]
+                assert alone.conormal_block(h) is D
+
+
 def test_relatedness_of_hamiltonian_fields_on_kv_maps():
     f10 = embedding(1, 0)
     for fexpr in (X_, X_ * Y_, X_ ** 2 + Y_):
