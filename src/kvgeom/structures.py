@@ -5,12 +5,12 @@ affine subspaces of a chart, so every structural condition reduces to a
 polynomial identity in adapted coordinates.  Transversality (an open
 condition) gets a three-valued verdict instead: symbolic when the relevant
 determinant restricts to a nonzero constant, pointwise otherwise.  The
-verdict builds and eliminates the conormal block D alone.  A transversal
-result keeps det D and a way to the adapted entries; the bordered block
-det D * (A - B D^{-1} B^T) is built from them when it is first read, and the
-induced structure divides the one by the other when it is read, so no
-verdict divides a rational function or builds a block it does not read (of
-a rational h, each output is normalized once).  ``preimage_transversal``
+verdict builds and eliminates the conormal block D alone.  N's record of
+h keeps det D and, from its first read, the bordered block
+det D * (A - B D^{-1} B^T); a transversal result reads both from the record,
+and the induced structure divides the one by the other when it is read, so
+no verdict divides a rational function or builds a block it does not read
+(of a rational h, each output is normalized once).  ``preimage_transversal``
 decides the pullback claim on these blocks with their denominators cleared,
 so it neither divides nor samples.
 
@@ -47,15 +47,16 @@ all n columns only on a coordinate subspace, and the rational entries of H
 outside S x S are substituted as well, so a pole of h along N is found as a
 full build finds it.  The K-V submanifold and conormal tests, and the first
 read of a transversal's bordered block, build the whole adapted bivector.
-N keeps what it builds per bivector (``AffineSubmanifold.adapted`` and
-``conormal_block``), and the entries of H(x(y)) that it has substituted
-(``AffineSubmanifold.pulled``): checks that share N and h in one scenario
-share one build of each, a full build after D substitutes only the entries
-D did not, and a D after a full build is read from it.  N builds the
-substitution x(y) once for all of these pulls.  The conormal algebroid
-differentiates H along the frame vectors c_j, the columns of C, which is
-d/dy_j, and pulls all those derivatives back along N the same way, in one
-``substitute`` call.
+N keeps one record per bivector (``AffineSubmanifold.along(h)``) that
+holds each build from its first read: the entries of H(x(y)) substituted
+so far, D, det D, the adapted bivector and the bordered block.  Checks that
+share N and h in one scenario share one build of each (so one ``expr_det``
+pass for det D, and at most one for the bordered block); a full build after
+D substitutes only the entries D did not, and a D after a full build is
+read from it.  N builds the substitution x(y) once for all of these pulls.
+The conormal algebroid differentiates H along the frame vectors c_j, the
+columns of C, which is d/dy_j, and pulls all those derivatives back along
+N the same way, in one ``substitute`` call.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from functools import cached_property
 from itertools import product
 from math import prod
 from random import Random
-from typing import Callable, Sequence
+from typing import Sequence
+from weakref import ref
 
 from . import linalg
 from .errors import (
@@ -284,9 +286,8 @@ class AffineSubmanifold:
     The adapted frame is built once, here: the frame C has the basis vectors,
     then the standard vectors that complete them, as columns, and the change
     P = C^{-1} gives the adapted coordinates y = P(x - origin), in which N is
-    {y_{k+1} = ... = y_n = 0}.  ``adapted(h)`` and ``conormal_block(h)``
-    keep each adapted bivector and conormal block they build, and
-    ``pulled(h, idx)`` each entry of H(x(y)), for as long as N lives.
+    {y_{k+1} = ... = y_n = 0}.  ``along(h)`` is N's record of a bivector h,
+    which keeps what N builds of h for as long as N lives.
     """
 
     ambient: Chart
@@ -294,7 +295,7 @@ class AffineSubmanifold:
     basis: tuple[tuple[Fraction, ...], ...]
     frame: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # C
     change: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)  # P = C^{-1}
-    # id(h) -> _Along(h); holding h keeps its id from being reused, and a lookup by id
+    # id(h) -> along(h); holding h keeps its id from being reused, and a lookup by id
     # hashes no entries
     _along: dict = field(init=False, repr=False, compare=False)
 
@@ -313,56 +314,19 @@ class AffineSubmanifold:
         object.__setattr__(self, "change", frame[1])
         object.__setattr__(self, "_along", {})
 
-    def _built(self, h: SymBivector) -> _Along:
-        """What N has built of h, empty on the first call for h."""
+    def along(self, h: SymBivector) -> _Along:
+        """N's record of h, made on the first call for h and kept for as long as N lives."""
         hit = self._along.get(id(h))
         if hit is None:
             if h.chart != self.ambient:
                 raise ChartMismatch("bivector does not live on the submanifold's ambient chart")
-            hit = self._along[id(h)] = _Along(h, self.ambient.dim)
+            hit = self._along[id(h)] = _Along(self, h)
         return hit
-
-    def pulled(self, h: SymBivector, idx: Sequence[int], also: Sequence[tuple[int, int]] = ()) -> list[list[Expr]]:
-        """H(x(y)) on the rows and columns idx (ascending).
-
-        Each entry i <= j is substituted on its first request for h, in one
-        ``substitute`` call for all the new ones, and kept.  The entries
-        ``also`` (pairs i <= j) are substituted and kept in the same call.
-        """
-        T, H = self._built(h).pulled, h.entries
-        new = [(i, j) for a, i in enumerate(idx) for j in idx[a:] if T[i][j] is None]
-        new += [(i, j) for i, j in also if T[i][j] is None]
-        if new:
-            for (i, j), e in zip(new, substitute([H[i][j] for i, j in new], self._to_ambient)):
-                T[i][j] = T[j][i] = e
-        return [[T[i][j] for j in idx] for i in idx]
 
     @cached_property
     def _to_ambient(self) -> dict[str, Expr]:
         """The substitution of ``parametrization()``, built once for every bivector's pulls."""
         return self.parametrization().substitution()
-
-    def adapted(self, h: SymBivector) -> SymBivector:
-        """``to_adapted_bivector(self, h)``, built on the first call for h and kept for the later ones."""
-        along = self._built(h)
-        if along.adapted is None:
-            along.adapted = to_adapted_bivector(self, h)
-        return along.adapted
-
-    def conormal_block(self, h: SymBivector) -> Sequence[Sequence[Expr]]:
-        """D, the trailing (n-k) x (n-k) block of ``adapted(h)``, kept for the later calls.
-
-        It is read from ``adapted(h)`` when that is built, else built alone by
-        ``to_conormal_block(self, h)``.
-        """
-        along = self._built(h)
-        if along.block is None:
-            k = self.dim
-            if along.adapted is None:
-                along.block = to_conormal_block(self, h)
-            else:
-                along.block = [row[k:] for row in along.adapted.entries[k:]]
-        return along.block
 
     @property
     def dim(self) -> int:
@@ -400,26 +364,76 @@ class AffineSubmanifold:
 
 
 class _Along:
-    """What N has built of one bivector h: H(x(y)) (None where not yet substituted), D and the adapted bivector."""
+    """What N builds of one bivector h, each piece on its first read, kept for as long as N lives.
 
-    __slots__ = ("h", "pulled", "block", "adapted")
+    When N is the whole chart in its own coordinates, D is empty, det D is 1
+    and the bordered block is h itself, and neither runs ``expr_det``.
+    """
 
-    def __init__(self, h: SymBivector, n: int):
-        self.h = h
-        self.pulled: list[list[Expr | None]] = [[None] * n for _ in range(n)]
-        self.block: Sequence[Sequence[Expr]] | None = None
-        self.adapted: SymBivector | None = None
+    def __init__(self, n_sub: AffineSubmanifold, h: SymBivector):
+        n = n_sub.ambient.dim
+        # weak: N holds this record, and a cycle would leave N and its builds to the garbage collector
+        self._n_sub, self.h = ref(n_sub), h
+        self._pulled: list[list[Expr | None]] = [[None] * n for _ in range(n)]
+
+    def pulled(self, idx: Sequence[int], also: Sequence[tuple[int, int]] = ()) -> list[list[Expr]]:
+        """H(x(y)) on the rows and columns idx (ascending).
+
+        Each entry i <= j is substituted on its first request, in one
+        ``substitute`` call for all the new ones, and kept.  The entries
+        ``also`` (pairs i <= j) are substituted and kept in the same call.
+        """
+        T, H = self._pulled, self.h.entries
+        new = [(i, j) for a, i in enumerate(idx) for j in idx[a:] if T[i][j] is None]
+        new += [(i, j) for i, j in also if T[i][j] is None]
+        if new:
+            for (i, j), e in zip(new, substitute([H[i][j] for i, j in new], self.n_sub._to_ambient)):
+                T[i][j] = T[j][i] = e
+        return [[T[i][j] for j in idx] for i in idx]
+
+    @property
+    def n_sub(self) -> AffineSubmanifold:
+        return self._n_sub()
+
+    @property
+    def _whole(self) -> bool:
+        return self.n_sub.dim == self.n_sub.ambient.dim and self.n_sub.is_identity
+
+    @cached_property
+    def adapted(self) -> SymBivector:
+        return to_adapted_bivector(self.n_sub, self.h)
+
+    @cached_property
+    def block(self) -> Sequence[Sequence[Expr]]:
+        """D: the trailing (n-k) x (n-k) block of ``adapted`` once that is built, else ``to_conormal_block`` alone."""
+        if "adapted" in vars(self):
+            k = self.n_sub.dim
+            return [row[k:] for row in self.adapted.entries[k:]]
+        return to_conormal_block(self.n_sub, self.h)
+
+    @cached_property
+    def det(self) -> Expr:
+        return ONE if self._whole else expr_det(self.block, len(self.block))[0]
+
+    @cached_property
+    def bordered(self) -> SymBivector:
+        """One Bareiss pass over [[D, B^T], [B, A]], the conormal rows and columns first."""
+        if self._whole:
+            return self.h
+        k, hy = self.n_sub.dim, self.adapted.entries
+        _, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], len(hy) - k)
+        return SymBivector(self.n_sub.chart, tuple(map(tuple, trailing)))
 
 
 def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
     """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
 
     Restriction to N is the pullback along this parametrization, so the
-    entries depend on y_1..y_k only.  H(x(y)) comes from ``n_sub.pulled``, so
+    entries depend on y_1..y_k only.  H(x(y)) comes from N's record of h, so
     the entries of H that a conormal block build substituted are not
     substituted again.
     """
-    adapted = _congruence(n_sub.change, n_sub.pulled(h, range(n_sub.ambient.dim)))
+    adapted = _congruence(n_sub.change, n_sub.along(h).pulled(range(n_sub.ambient.dim)))
     return SymBivector(n_sub.adapted_chart, tuple(map(tuple, adapted)))
 
 
@@ -427,7 +441,7 @@ def to_conormal_block(n_sub: AffineSubmanifold, h: SymBivector) -> list[list[Exp
     """D = P[k:] H(x(y)) P[k:]^T, the conormal-conormal block of ``to_adapted_bivector``, alone.
 
     The conormal rows P[k:] are nonzero only in the columns S, so D reads H
-    on S x S alone: those entries are substituted (``n_sub.pulled``), and the
+    on S x S alone: those entries are substituted (N's record of h), and the
     congruence by P[k:] restricted to S adds them in N's k variables.  S is
     smaller than all n columns only when N is a coordinate subspace (up to
     its origin); on a generic N, D substitutes all of H.  The rational
@@ -440,7 +454,7 @@ def to_conormal_block(n_sub: AffineSubmanifold, h: SymBivector) -> list[list[Exp
     S = [j for j in range(n) if any(row[j] for row in W)]
     inside = set(S)
     poles = [(i, j) for i in range(n) for j in range(i, n) if H[i][j].den is not _P_ONE and not {i, j} <= inside]
-    return _congruence([[row[j] for j in S] for row in W], n_sub.pulled(h, S, poles))
+    return _congruence([[row[j] for j in S] for row in W], n_sub.along(h).pulled(S, poles))
 
 
 # --- K-V submanifolds ---------------------------------------------------------
@@ -458,7 +472,7 @@ def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldRe
     k, n = n_sub.dim, n_sub.ambient.dim
     if k == n and n_sub.is_identity:
         return SubmanifoldResult(True, h, ())
-    hy = n_sub.adapted(h).entries
+    hy = n_sub.along(h).adapted.entries
     residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
@@ -477,38 +491,28 @@ FALSE = "false"
 
 @dataclass(frozen=True)
 class TransversalResult:
-    """A transversality verdict, det D, and the block it builds when read.
+    """A transversality verdict, det D, and N's record of h, which holds the bordered block.
 
-    The verdict reads det D alone, so it builds D alone.  The bordered block
-    det D (A - B D^{-1} B^T) is built on its first read, from the adapted
-    entries, which that read asks N for (``AffineSubmanifold.adapted``, which
-    builds them the first time for this N and h), and kept from then on;
-    ``induced`` divides it by det D on every read.
+    The verdict reads det D alone, so it builds D alone.  ``bordered`` reads
+    the record's bordered block det D (A - B D^{-1} B^T), which the record
+    builds from the adapted entries on the first read for this N and h, and
+    keeps; ``induced`` divides it by det D on every read.
     """
 
     verdict: str  # SYMBOLIC_TRUE | POINTWISE_TRUE | FALSE
     determinant: Expr  # det of the conormal-conormal block restricted to N
     samples: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (parameter point, nonsingular)
-    # (the block's chart, a call that returns the adapted entries of h, k) the bordered block is
-    # built from; None when not transversal
-    adapted: tuple[Chart, Callable[[], Sequence[Sequence[Expr]]], int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    along: _Along = field(repr=False, compare=False)
+    submanifold: AffineSubmanifold = field(repr=False, compare=False)  # N, which ``along`` refers to weakly
 
     @property
     def ok(self) -> bool:
         return self.verdict in (SYMBOLIC_TRUE, POINTWISE_TRUE)
 
-    @cached_property
+    @property
     def bordered(self) -> SymBivector | None:
-        """det D times the induced structure, on N's chart: one Bareiss pass over [[D, B^T], [B, A]]."""
-        if self.adapted is None:
-            return None
-        chart, entries, k = self.adapted
-        hy = entries()
-        # conormal rows and columns first
-        _, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], len(hy) - k)
-        return SymBivector(chart, tuple(map(tuple, trailing)))
+        """det D times the induced structure, on N's chart; None when not transversal."""
+        return self.along.bordered if self.ok else None
 
     @property
     def induced(self) -> SymBivector | None:
@@ -571,40 +575,34 @@ def is_transversal(
 ) -> TransversalResult:
     """Transversal iff the conormal-conormal block D is invertible along N.
 
-    The verdict reads det D only, so it takes D alone from N
-    (``AffineSubmanifold.conormal_block``, which builds no adapted bivector),
-    and ``expr_det`` eliminates it.  The induced structure is the Schur
-    complement A - B D^{-1} B^T restricted to N, with rational-function
-    entries.  By Sylvester's identity its (i, j) entry is
-    det [[D, B_j^T], [B_i, A_ij]] / det D; one Bareiss pass over
-    [[D, B^T], [B, A]] builds these bordered determinants when ``bordered``
-    or ``induced`` is first read, and only that read builds the adapted
-    bivector.  Points sampled for a pointwise verdict are distinct.
+    The verdict reads det D only, from N's record of h (``along(h)``), which
+    builds D alone and eliminates it by ``expr_det`` once for every verdict
+    on this N and h.  The induced structure is the Schur complement
+    A - B D^{-1} B^T restricted to N, with rational-function entries.  By
+    Sylvester's identity its (i, j) entry is det [[D, B_j^T], [B_i, A_ij]] / det D;
+    one Bareiss pass over [[D, B^T], [B, A]] builds these bordered
+    determinants when ``bordered`` or ``induced`` is first read for this N
+    and h, and only that read builds the adapted bivector.  Points sampled
+    for a pointwise verdict are distinct.
     """
-    k, n = n_sub.dim, n_sub.ambient.dim
+    k = n_sub.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
     if given is not None and None in given:
         at = ", ".join(_rational_str(q) for q in sample_points[given.index(None)])
         raise PreconditionViolated(f"sample point ({at}) does not lie on the submanifold")
-    if k == n and n_sub.is_identity:
-        return TransversalResult(SYMBOLIC_TRUE, ONE, (), (h.chart, lambda: h.entries, n))
-    det, _ = expr_det(n_sub.conormal_block(h), n - k)
-
+    along = n_sub.along(h)
+    det = along.det
     if det.is_zero():
         pts = given if given is not None else [tuple(Fraction(0) for _ in range(k))]
-        return TransversalResult(FALSE, det, tuple((tuple(p), False) for p in pts))
-
-    if det.is_const():
+        verdict, sample_report = FALSE, tuple((tuple(p), False) for p in pts)
+    elif det.is_const():
         verdict, sample_report = SYMBOLIC_TRUE, ()
     else:
         pts = given if given is not None else distinct_sample_points(Random(seed), k, samples)
         coords = n_sub.chart.coords
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
-
-    if verdict == FALSE:
-        return TransversalResult(verdict, det, sample_report)
-    return TransversalResult(verdict, det, sample_report, (n_sub.chart, lambda: n_sub.adapted(h).entries, k))
+    return TransversalResult(verdict, det, sample_report, along, n_sub)
 
 
 # --- coisotropic submanifolds and the conormal algebroid ----------------------
@@ -613,10 +611,10 @@ def is_transversal(
 def coisotropy_residuals(n_sub: AffineSubmanifold, h: SymBivector) -> tuple[Expr, ...]:
     """The conormal-conormal block D of h in adapted coordinates, restricted to N, row by row.
 
-    It reads D alone (``AffineSubmanifold.conormal_block``), so it builds no
+    It reads D alone (N's record of h), so it builds no
     adapted bivector unless one is already built for N and h.
     """
-    return tuple(e for row in n_sub.conormal_block(h) for e in row)
+    return tuple(e for row in n_sub.along(h).block for e in row)
 
 
 def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
@@ -694,7 +692,7 @@ def conormal_algebroid(
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
-    hy = n_sub.adapted(h).entries
+    hy = n_sub.along(h).adapted.entries
     if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = n_sub.chart

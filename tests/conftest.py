@@ -1,11 +1,15 @@
-"""Shared deterministic generators for the test suite."""
+"""Shared deterministic generators, references and build counters for the test suite."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
+import kvgeom.structures
 from kvgeom import linalg
 from kvgeom.algebra import AlgebraSpec
 from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField, coordinate_form, hamiltonian, sharp
@@ -397,3 +401,52 @@ def theorem1_routes(f, h1, h2, g):
     gF = g.substitute(ref_components(f))
     ham = relatedness_residuals(f, hamiltonian(h1, ScalarField(f.source, gF)), hamiltonian(h2, ScalarField(f.target, g)))
     return lift, sharps, ham
+
+
+# --- what structures builds ----------------------------------------------------
+
+
+@dataclass
+class Builds:
+    """What ``structures`` builds while a test runs.
+
+    ``blocks`` and ``full`` hold the bivector of each conormal block build
+    (``to_conormal_block``) and each adapted bivector build
+    (``to_adapted_bivector``); ``substituted`` maps the bindings of each
+    ``substitute`` call (an affine map's, e.g. N's parametrization) to the
+    distinct entries of each call under them; ``det`` holds (matrix size,
+    eliminated columns) of each ``expr_det`` pass.
+    """
+
+    blocks: list = field(default_factory=list)
+    full: list = field(default_factory=list)
+    substituted: dict = field(default_factory=dict)
+    det: list = field(default_factory=list)
+
+
+@pytest.fixture
+def builds(monkeypatch) -> Builds:
+    """A ``Builds`` that records every build ``structures`` makes in the test."""
+    out, structures = Builds(), kvgeom.structures
+
+    def logged(build, log):
+        def counted(n_sub, h):
+            log.append(h)
+            return build(n_sub, h)
+
+        return counted
+
+    def recorded(exprs, bindings, substitute=structures.substitute):
+        key = tuple(sorted((v, str(e)) for v, e in bindings.items()))
+        out.substituted.setdefault(key, []).append({str(e) for e in exprs})
+        return substitute(exprs, bindings)
+
+    def eliminated(mat, m, expr_det=structures.expr_det):
+        out.det.append((len(mat), m))
+        return expr_det(mat, m)
+
+    monkeypatch.setattr(structures, "to_conormal_block", logged(structures.to_conormal_block, out.blocks))
+    monkeypatch.setattr(structures, "to_adapted_bivector", logged(structures.to_adapted_bivector, out.full))
+    monkeypatch.setattr(structures, "substitute", recorded)
+    monkeypatch.setattr(structures, "expr_det", eliminated)
+    return out

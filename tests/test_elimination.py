@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-import kvgeom.structures
 from conftest import random_bivector, random_point, random_poly
 from kvgeom import linalg
 from kvgeom.geometry import Chart, SymBivector
@@ -197,38 +196,25 @@ def test_transversal_singular_and_swapped_blocks():
     check_transversal(rng, line, h)
 
 
-def counted_expr_det(monkeypatch) -> list[tuple[int, int]]:
-    """Record (matrix size, eliminated columns) of every ``expr_det`` call that structures makes."""
-    calls = []
-    real = kvgeom.structures.expr_det
-
-    def counted(mat, m):
-        calls.append((len(mat), m))
-        return real(mat, m)
-
-    monkeypatch.setattr(kvgeom.structures, "expr_det", counted)
-    return calls
-
-
-def test_a_pointwise_verdict_eliminates_the_conormal_block_alone(monkeypatch):
+def test_a_pointwise_verdict_eliminates_the_conormal_block_alone(builds):
     R4 = Chart("R4", ("x1", "x2", "x3", "x4"))
     line = AffineSubmanifold(R4, (1, -1, 1, 1), ((1, 0, 0, 0),))
     rng = random.Random(17)
-    calls = counted_expr_det(monkeypatch)
-    while True:
-        calls.clear()
+    for _ in range(200):
+        builds.det.clear()
         res = is_transversal(line, random_bivector(rng, R4))
         if res.verdict == POINTWISE_TRUE:
             break
-    assert calls == [(3, 3)]  # det D of the 3 x 3 conormal block, nothing more
+    else:
+        pytest.fail("no pointwise-true verdict in 200 random bivectors")
+    assert builds.det == [(3, 3)]  # det D of the 3 x 3 conormal block, nothing more
     block = res.bordered
-    assert calls == [(3, 3), (4, 3)] and len(block.entries) == 1
+    assert builds.det == [(3, 3), (4, 3)] and len(block.entries) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_the_bordered_block_is_built_once_and_equals_the_eager_pass(monkeypatch, seed):
+def test_the_bordered_block_is_built_once_and_equals_the_eager_pass(builds, seed):
     rng = random.Random(2000 + seed)
-    calls = counted_expr_det(monkeypatch)
     read = 0
     for n in (1, 2, 3):
         chart = Chart(f"R{n}", tuple(f"x{i + 1}" for i in range(n)))
@@ -240,18 +226,20 @@ def test_the_bordered_block_is_built_once_and_equals_the_eager_pass(monkeypatch,
             h = SymBivector(chart, tuple(map(tuple, entries)))
             n_sub = random_submanifold(rng, chart, k)
             res = is_transversal(n_sub, h)
-            calls.clear()
+            builds.det.clear()
             first, second = res.bordered, res.bordered
             if res.verdict == FALSE:
-                assert first is None and not calls
+                assert first is None and not builds.det
                 continue
-            assert second is first and calls == [(n, n - k)]
+            assert second is first
             read += 1
             if k == n and n_sub.is_identity:
-                assert first == h
+                # N is the whole chart in its own coordinates: the block is h, with no pass
+                assert first is h and not builds.det
                 continue
+            assert builds.det == [(n, n - k)]
             # the pass the verdict used to make: [[D, B^T], [B, A]] with the conormal rows first
-            hy = n_sub.adapted(h).entries
+            hy = n_sub.along(h).adapted.entries
             det, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], n - k)
             assert det == res.determinant
             assert first == SymBivector(n_sub.chart, tuple(map(tuple, trailing)))

@@ -193,8 +193,8 @@ def test_preimage_transversal_fails_on_a_nonzero_residual(monkeypatch):
         if n_sub.ambient.name != "M":
             return t
         b = t.bordered
-        # ``bordered`` is a cached property: setting it on the instance stands in for the built block
-        object.__setattr__(t, "bordered", type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries)))
+        # the record of (N, h) keeps the bordered block: the doubled one planted there is what later reads see
+        t.along.bordered = type(b)(b.chart, tuple(tuple(2 * e for e in r) for r in b.entries))
         return t
 
     monkeypatch.setattr(kvgeom.structures, "is_transversal", doubled)
@@ -349,33 +349,8 @@ def test_cli_run_binds_each_scenario_once(monkeypatch):
     assert len(bound) == 2 and bound[0] != bound[1]
 
 
-def _count_builds(monkeypatch):
-    """Record the bivector of each conormal block and adapted bivector build, and the distinct entries of each
-    ``substitute`` call in ``structures`` under its bindings (an affine map's, e.g. N's parametrization)."""
-    blocks, full, substituted = [], [], {}
-
-    def logged(build, log):
-        def counted(n_sub, h):
-            log.append(h)
-            return build(n_sub, h)
-
-        return counted
-
-    monkeypatch.setattr(kvgeom.structures, "to_conormal_block", logged(kvgeom.structures.to_conormal_block, blocks))
-    monkeypatch.setattr(kvgeom.structures, "to_adapted_bivector", logged(kvgeom.structures.to_adapted_bivector, full))
-    substitute = kvgeom.structures.substitute
-
-    def recorded(exprs, bindings):
-        key = tuple(sorted((v, str(e)) for v, e in bindings.items()))
-        substituted.setdefault(key, []).append({str(e) for e in exprs})
-        return substitute(exprs, bindings)
-
-    monkeypatch.setattr(kvgeom.structures, "substitute", recorded)
-    return blocks, full, substituted
-
-
-def test_a_pointwise_transversal_and_coisotropy_build_one_conormal_block(monkeypatch, tmp_path):
-    blocks, full, _ = _count_builds(monkeypatch)
+def test_a_pointwise_transversal_and_coisotropy_build_one_conormal_block(builds, tmp_path):
+    blocks, full = builds.blocks, builds.full
     head = (
         "manifold M { dim 2 coords [x y] }\n"
         "bivector h on M { [1, 0; 0, x^2 + 1] }\n"
@@ -411,8 +386,9 @@ _COISOTROPIC_THEN_CONORMAL = (
     ("x", "y + 2", "y^2 + 3"),
     {False: (1, 1), True: (0, 1)},  # (D builds, adapted bivector builds) in order and reversed
 )
-# N7's order: a symbolic-true transversal N of hT builds D, and its report line the adapted bivector; the
-# preimage check then reads both for N again, and builds D and the bordered block for the preimage of N
+# N7's order: a symbolic-true transversal N of hT builds D, and its report line the adapted bivector and the
+# bordered block; the preimage check reads det D and the bordered block of N from N's record of hT, and
+# builds D, the adapted bivector and the bordered block for the preimage of N
 _TRANSVERSAL_THEN_PREIMAGE = (
     "manifold M { dim 2 coords [x y] }\n"
     "manifold T { dim 2 coords [u v] }\n"
@@ -432,20 +408,37 @@ _TRANSVERSAL_THEN_PREIMAGE = (
     [_COISOTROPIC_THEN_CONORMAL, _TRANSVERSAL_THEN_PREIMAGE],
     ids=["coisotropic-conormal", "transversal-preimage"],
 )
-def test_no_entry_of_h_is_substituted_twice_along_one_submanifold(monkeypatch, tmp_path, case, reverse):
-    head, checks, entries, builds = case
-    blocks, full, substituted = _count_builds(monkeypatch)
+def test_no_entry_of_h_is_substituted_twice_along_one_submanifold(builds, tmp_path, case, reverse):
+    head, checks, entries, counts = case
     path = tmp_path / "one.kvs"
     path.write_text(head + "".join(checks[::-1] if reverse else checks))
     code, report = run(RunConfig(scenarios=(str(path),), format="json"))
     assert code == 0, report
     # a D built before the adapted bivector shares its pulled entries; one built after it is read from it
-    assert (len(blocks), len(full)) == builds[reverse]
-    for key, calls in substituted.items():
+    assert (len(builds.blocks), len(builds.full)) == counts[reverse]
+    for key, calls in builds.substituted.items():
         for e in entries:
             assert sum(e in call for call in calls) <= 1, (key, e)
     # each entry was substituted along some submanifold
-    assert all(any(e in call for calls in substituted.values() for call in calls) for e in entries)
+    assert all(any(e in call for calls in builds.substituted.values() for call in calls) for e in entries)
+
+
+def test_verdicts_on_one_submanifold_and_bivector_eliminate_once(builds, tmp_path):
+    """Two transversal checks of N and hT, then a preimage check through N, make one det D pass and one
+    bordered pass for (N, hT): both are kept in N's record of hT."""
+    head, (transversal, preimage), _, _ = _TRANSVERSAL_THEN_PREIMAGE
+    path = tmp_path / "one.kvs"
+    # D of N is 1 x 1 and its bordered block 2 x 2, as are those of the preimage of N
+    for checks, passes in (
+        (2 * transversal, [(1, 1), (2, 1)]),  # det D, then the bordered block of the symbolic-true report line
+        (preimage, [(1, 1), (1, 1), (2, 1), (2, 1)]),  # det D of N, of its preimage, then their blocks
+        (2 * transversal + preimage, [(1, 1), (2, 1), (1, 1), (2, 1)]),  # the preimage's two alone
+    ):
+        builds.det.clear()
+        path.write_text(head + checks)
+        code, report = run(RunConfig(scenarios=(str(path),), format="json"))
+        assert code == 0, report
+        assert builds.det == passes, checks
 
 
 def test_annihilator_of_an_invalid_algebra_or_subspace_is_unsupported(tmp_path):

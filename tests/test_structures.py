@@ -1,6 +1,8 @@
 """Maps and submanifolds: K-V maps, induced structures, coisotropy, graphs, preimages."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as Fr
 
 import pytest
@@ -182,9 +184,30 @@ def test_the_conormal_block_is_the_trailing_block_of_the_adapted_bivector(n):
                 cases += 1
                 alone, full = AffineSubmanifold(chart, origin, basis), AffineSubmanifold(chart, origin, basis)
                 hy = to_adapted_bivector(full, h).entries
-                D = alone.conormal_block(h)
+                D = alone.along(h).block
                 assert [list(row) for row in D] == [list(row[k:]) for row in hy[k:]]
-                assert alone.conormal_block(h) is D
+                assert alone.along(h).block is D
+
+
+def test_a_submanifold_and_what_it_built_are_freed_without_the_garbage_collector():
+    """N's record of h refers to N weakly, so N, the record and its builds go with their last reference.
+
+    A strong reference back would make a cycle, which only the garbage collector frees.  A transversal
+    result keeps N alive for as long as it may still read the record's bordered block.
+    """
+    h = SymBivector(P, ((X_, Y_), (Y_, Y_ + 3)))  # D = 3 on the x-axis, and A - B D^{-1} B^T = y1
+    gc.disable()
+    try:
+        n_sub = AffineSubmanifold(P, (0, 0), ((1, 0),))
+        tr = is_transversal(n_sub, h)
+        assert tr.verdict == SYMBOLIC_TRUE and is_kv_submanifold(n_sub, h).residuals and not is_coisotropic(n_sub, h)
+        gone = weakref.ref(n_sub), weakref.ref(n_sub.along(h)), weakref.ref(n_sub.along(h).adapted)
+        del n_sub
+        assert tr.induced.entries == ((Expr.var("y1"),),)  # N's record of h is still read through the result
+        del tr
+        assert [r() for r in gone] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_relatedness_of_hamiltonian_fields_on_kv_maps():
@@ -357,6 +380,8 @@ def test_the_full_dimension_shortcut_equals_the_adapted_route(monkeypatch, n):
     assert tr.verdict == SYMBOLIC_TRUE and tr.determinant == Expr.const(1) and tr.induced == h
 
     monkeypatch.setattr(AffineSubmanifold, "is_identity", property(lambda self: False))
+    # a new N: the first one keeps the shortcut's det D and bordered block in its record of h
+    whole = AffineSubmanifold(chart, (0,) * n, linalg.identity(n))
     sub2, tr2 = is_kv_submanifold(whole, h), is_transversal(whole, h)
     ambient = {y: Expr.var(x) for y, x in zip(whole.chart.coords, chart.coords)}
 
@@ -591,17 +616,8 @@ def test_conormal_algebroid_subalgebra_annihilator():
         conormal_algebroid(AffineSubmanifold(P, (1, 0), ((0, 1),)), h_line)
 
 
-def test_conormal_algebroid_builds_the_adapted_bivector_once(monkeypatch):
-    import kvgeom.structures as structures
-
-    calls = []
-    original = structures.to_adapted_bivector
-
-    def counted(frame, h):
-        calls.append(h)
-        return original(frame, h)
-
-    monkeypatch.setattr(structures, "to_adapted_bivector", counted)
+def test_conormal_algebroid_builds_the_adapted_bivector_once(builds):
+    calls = builds.full
     h_line = SymBivector(P, ((X_, Expr.const(0)), (Expr.const(0), Expr.const(0))))
     alg = conormal_algebroid(AffineSubmanifold(P, (0, 0), ((0, 1),)), h_line)
     assert alg.left_symmetric_ok
