@@ -238,9 +238,8 @@ def _run_transversal(env, check, seed, samples):
         return POINTWISE_PASS, f"determinant {res.determinant} nonzero at sampled points {pts}{note}", None
     singular = [p for p, ok in res.samples if not ok]
     pts = "; ".join(_point_str(p) for p in singular)
-    first = singular[0] if singular else ()
-    witness = Witness(tuple(_rational_str(q) for q in first), str(res.determinant))
-    return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts or 'all points'}){note}", witness
+    witness = Witness(tuple(_rational_str(q) for q in singular[0]), str(res.determinant))
+    return FAIL, f"conormal block determinant vanishes on the submanifold (at {pts}){note}", witness
 
 
 def _run_coisotropic(env, check, seed, samples):

@@ -87,8 +87,8 @@ class SymBivector:
                 if ent[i][j] != ent[j][i]:
                     raise ValueError(f"bivector entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ")
 
-    def codazzi(self) -> Iterator[tuple[tuple[int, int, int], Expr]]:
-        """The entries of ``_codazzi_entries(self)``, each computed once for this bivector.
+    def codazzi(self) -> "_Replay":
+        """The entries of ``_codazzi_entries(self)``, each computed once for this bivector, read by index.
 
         Every reader replays the entries read before it and extends the
         stream only as far as it reads, so a reader still stops at the first
@@ -96,7 +96,7 @@ class SymBivector:
         """
         if self._codazzi is None:
             object.__setattr__(self, "_codazzi", _Replay(_codazzi_entries(self)))
-        return iter(self._codazzi)
+        return self._codazzi
 
     @classmethod
     def zero(cls, chart: Chart) -> "SymBivector":
@@ -191,12 +191,13 @@ def _grad(e: Expr, coords: Sequence[str]) -> dict[int, Expr]:
 
 
 class _Replay:
-    """A lazy stream read once and replayed to every reader.
+    """A lazy stream read once and replayed to every reader, by index.
 
-    ``seen`` holds the items read so far; a reader past its end takes the
-    next item from ``rest``.  An exception out of ``rest`` ends that
-    generator, so it is kept and raised again to every later reader that
-    gets that far: a broken stream never reads as a finished one.
+    ``seen`` holds the items read so far; an index past its end takes items
+    from ``rest`` up to it, and past the end of ``rest`` is an
+    ``IndexError``, which ends a ``for`` loop.  An exception out of ``rest``
+    ends that generator, so it is kept and raised again to every later
+    reader that gets that far: a broken stream never reads as a finished one.
     """
 
     __slots__ = ("seen", "rest", "error")
@@ -206,24 +207,19 @@ class _Replay:
         self.rest = rest
         self.error: BaseException | None = None
 
-    def _extend(self) -> bool:
-        if self.error is not None:
-            raise self.error
-        try:
-            self.seen.append(next(self.rest))
-        except StopIteration:
-            return False
-        except BaseException as exc:  # an interrupt ends the generator too; kept, and raised again later
-            self.error = exc
-            raise
-        return True
-
-    def __iter__(self) -> Iterator:
+    def __getitem__(self, i: int):
         seen = self.seen
-        i = 0
-        while i < len(seen) or self._extend():
-            yield seen[i]
-            i += 1
+        while len(seen) <= i:
+            if self.error is not None:
+                raise self.error
+            try:
+                seen.append(next(self.rest))
+            except StopIteration:
+                raise IndexError(i) from None
+            except BaseException as exc:  # an interrupt ends the generator too; kept, and raised again later
+                self.error = exc
+                raise
+        return seen[i]
 
 
 def _symmetric(n: int, entry) -> list[list]:

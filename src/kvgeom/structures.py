@@ -48,12 +48,14 @@ outside S x S are substituted as well, so a pole of h along N is found as a
 full build finds it.  The K-V submanifold and conormal tests, and the first
 read of a transversal's bordered block, build the whole adapted bivector.
 N keeps one record per bivector (``AffineSubmanifold.along(h)``) that
-holds each build from its first read: the entries of H(x(y)) substituted
-so far, D, det D, the adapted bivector and the bordered block.  Checks that
-share N and h in one scenario share one build of each (so one ``expr_det``
-pass for det D, and at most one for the bordered block); a full build after
-D substitutes only the entries D did not, and a D after a full build is
-read from it.  N builds the substitution x(y) once for all of these pulls.
+copies N's frame when it is made (k, P, N's charts and the substitution
+x(y), which N builds once for all its bivectors) and holds each build from
+its first read: the entries of H(x(y)) substituted so far, D, det D, the
+adapted bivector and the bordered block.  The builders take the record
+alone, which does not refer back to N.  Checks that share N and h in one
+scenario share one build of each (so one ``expr_det`` pass for det D, and
+at most one for the bordered block); a full build after D substitutes only
+the entries D did not, and a D after a full build is read from it.
 The conormal algebroid differentiates H along the frame vectors c_j, the
 columns of C, which is d/dy_j, and pulls all those derivatives back along
 N the same way, in one ``substitute`` call.
@@ -68,7 +70,6 @@ from itertools import product
 from math import prod
 from random import Random
 from typing import Sequence
-from weakref import ref
 
 from . import linalg
 from .errors import (
@@ -286,8 +287,9 @@ class AffineSubmanifold:
     The adapted frame is built once, here: the frame C has the basis vectors,
     then the standard vectors that complete them, as columns, and the change
     P = C^{-1} gives the adapted coordinates y = P(x - origin), in which N is
-    {y_{k+1} = ... = y_n = 0}.  ``along(h)`` is N's record of a bivector h,
-    which keeps what N builds of h for as long as N lives.
+    {y_{k+1} = ... = y_n = 0}.  ``along(h)`` is N's record of a bivector h:
+    it copies N's frame and keeps what is built of h along N, for as long as
+    N or a transversal result holds it.
     """
 
     ambient: Chart
@@ -364,16 +366,20 @@ class AffineSubmanifold:
 
 
 class _Along:
-    """What N builds of one bivector h, each piece on its first read, kept for as long as N lives.
+    """What is built of one bivector h along N, each piece on its first read, and N's frame, copied.
 
-    When N is the whole chart in its own coordinates, D is empty, det D is 1
-    and the bordered block is h itself, and neither runs ``expr_det``.
+    The record copies what its builds read of N when it is made: k, P, N's
+    two charts and the substitution x(y).  It does not refer to N, so N
+    holding it makes no cycle.  ``whole`` says that N is the whole chart in
+    its own coordinates: then D is empty, det D is 1 and the bordered block
+    is h itself, and neither runs ``expr_det``.
     """
 
     def __init__(self, n_sub: AffineSubmanifold, h: SymBivector):
-        n = n_sub.ambient.dim
-        # weak: N holds this record, and a cycle would leave N and its builds to the garbage collector
-        self._n_sub, self.h = ref(n_sub), h
+        n, self.k, self.h = n_sub.ambient.dim, n_sub.dim, h
+        self.change, self.chart, self.adapted_chart = n_sub.change, n_sub.chart, n_sub.adapted_chart
+        self.to_ambient = n_sub._to_ambient
+        self.whole = self.k == n and n_sub.is_identity
         self._pulled: list[list[Expr | None]] = [[None] * n for _ in range(n)]
 
     def pulled(self, idx: Sequence[int], also: Sequence[tuple[int, int]] = ()) -> list[list[Expr]]:
@@ -387,45 +393,37 @@ class _Along:
         new = [(i, j) for a, i in enumerate(idx) for j in idx[a:] if T[i][j] is None]
         new += [(i, j) for i, j in also if T[i][j] is None]
         if new:
-            for (i, j), e in zip(new, substitute([H[i][j] for i, j in new], self.n_sub._to_ambient)):
+            for (i, j), e in zip(new, substitute([H[i][j] for i, j in new], self.to_ambient)):
                 T[i][j] = T[j][i] = e
         return [[T[i][j] for j in idx] for i in idx]
 
-    @property
-    def n_sub(self) -> AffineSubmanifold:
-        return self._n_sub()
-
-    @property
-    def _whole(self) -> bool:
-        return self.n_sub.dim == self.n_sub.ambient.dim and self.n_sub.is_identity
-
     @cached_property
     def adapted(self) -> SymBivector:
-        return to_adapted_bivector(self.n_sub, self.h)
+        return to_adapted_bivector(self)
 
     @cached_property
     def block(self) -> Sequence[Sequence[Expr]]:
         """D: the trailing (n-k) x (n-k) block of ``adapted`` once that is built, else ``to_conormal_block`` alone."""
         if "adapted" in vars(self):
-            k = self.n_sub.dim
+            k = self.k
             return [row[k:] for row in self.adapted.entries[k:]]
-        return to_conormal_block(self.n_sub, self.h)
+        return to_conormal_block(self)
 
     @cached_property
     def det(self) -> Expr:
-        return ONE if self._whole else expr_det(self.block, len(self.block))[0]
+        return ONE if self.whole else expr_det(self.block, len(self.block))[0]
 
     @cached_property
     def bordered(self) -> SymBivector:
         """One Bareiss pass over [[D, B^T], [B, A]], the conormal rows and columns first."""
-        if self._whole:
+        if self.whole:
             return self.h
-        k, hy = self.n_sub.dim, self.adapted.entries
+        k, hy = self.k, self.adapted.entries
         _, trailing = expr_det([row[k:] + row[:k] for row in hy[k:] + hy[:k]], len(hy) - k)
-        return SymBivector(self.n_sub.chart, tuple(map(tuple, trailing)))
+        return SymBivector(self.chart, tuple(map(tuple, trailing)))
 
 
-def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector:
+def to_adapted_bivector(along: _Along) -> SymBivector:
     """h along N in adapted coordinates: P H(x(y)) P^T with x(y) = C (y_1..y_k, 0) + o.
 
     Restriction to N is the pullback along this parametrization, so the
@@ -433,11 +431,11 @@ def to_adapted_bivector(n_sub: AffineSubmanifold, h: SymBivector) -> SymBivector
     the entries of H that a conormal block build substituted are not
     substituted again.
     """
-    adapted = _congruence(n_sub.change, n_sub.along(h).pulled(range(n_sub.ambient.dim)))
-    return SymBivector(n_sub.adapted_chart, tuple(map(tuple, adapted)))
+    adapted = _congruence(along.change, along.pulled(range(len(along.change))))
+    return SymBivector(along.adapted_chart, tuple(map(tuple, adapted)))
 
 
-def to_conormal_block(n_sub: AffineSubmanifold, h: SymBivector) -> list[list[Expr]]:
+def to_conormal_block(along: _Along) -> list[list[Expr]]:
     """D = P[k:] H(x(y)) P[k:]^T, the conormal-conormal block of ``to_adapted_bivector``, alone.
 
     The conormal rows P[k:] are nonzero only in the columns S, so D reads H
@@ -450,11 +448,11 @@ def to_conormal_block(n_sub: AffineSubmanifold, h: SymBivector) -> list[list[Exp
     there, and ``substitute`` raises ``ZeroDenominator`` when one does, as
     the whole adapted bivector's build would.
     """
-    n, H, W = n_sub.ambient.dim, h.entries, n_sub.change[n_sub.dim:]
+    n, H, W = len(along.change), along.h.entries, along.change[along.k:]
     S = [j for j in range(n) if any(row[j] for row in W)]
     inside = set(S)
     poles = [(i, j) for i in range(n) for j in range(i, n) if H[i][j].den is not _P_ONE and not {i, j} <= inside]
-    return _congruence([[row[j] for j in S] for row in W], n_sub.along(h).pulled(S, poles))
+    return _congruence([[row[j] for j in S] for row in W], along.pulled(S, poles))
 
 
 # --- K-V submanifolds ---------------------------------------------------------
@@ -469,10 +467,10 @@ class SubmanifoldResult:
 
 def is_kv_submanifold(n_sub: AffineSubmanifold, h: SymBivector) -> SubmanifoldResult:
     """N is K-V iff every conormal row of h vanishes on N (adapted coordinates)."""
-    k, n = n_sub.dim, n_sub.ambient.dim
-    if k == n and n_sub.is_identity:
+    along, k = n_sub.along(h), n_sub.dim
+    if along.whole:
         return SubmanifoldResult(True, h, ())
-    hy = n_sub.along(h).adapted.entries
+    hy = along.adapted.entries
     residuals = tuple(e for row in hy[k:] for e in row)
     ok = all(e.is_zero() for e in residuals)
     induced = None
@@ -496,14 +494,14 @@ class TransversalResult:
     The verdict reads det D alone, so it builds D alone.  ``bordered`` reads
     the record's bordered block det D (A - B D^{-1} B^T), which the record
     builds from the adapted entries on the first read for this N and h, and
-    keeps; ``induced`` divides it by det D on every read.
+    keeps; ``induced`` divides it by det D on every read.  The record copies
+    N's frame, so the result reads it after N is gone.
     """
 
     verdict: str  # SYMBOLIC_TRUE | POINTWISE_TRUE | FALSE
     determinant: Expr  # det of the conormal-conormal block restricted to N
     samples: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (parameter point, nonsingular)
     along: _Along = field(repr=False, compare=False)
-    submanifold: AffineSubmanifold = field(repr=False, compare=False)  # N, which ``along`` refers to weakly
 
     @property
     def ok(self) -> bool:
@@ -583,8 +581,11 @@ def is_transversal(
     one Bareiss pass over [[D, B^T], [B, A]] builds these bordered
     determinants when ``bordered`` or ``induced`` is first read for this N
     and h, and only that read builds the adapted bivector.  Points sampled
-    for a pointwise verdict are distinct.
+    for a pointwise verdict are distinct; a verdict needs at least one point,
+    given or sampled.
     """
+    if (samples if sample_points is None else len(sample_points)) < 1:
+        raise ValueError("a transversality verdict needs at least one sample point")
     k = n_sub.dim
     given = None if sample_points is None else [n_sub.parameters_of(p) for p in sample_points]
     if given is not None and None in given:
@@ -602,7 +603,7 @@ def is_transversal(
         coords = n_sub.chart.coords
         sample_report = tuple((tuple(p), det.eval_at(dict(zip(coords, p))) != 0) for p in pts)
         verdict = POINTWISE_TRUE if all(ok for _, ok in sample_report) else FALSE
-    return TransversalResult(verdict, det, sample_report, along, n_sub)
+    return TransversalResult(verdict, det, sample_report, along)
 
 
 # --- coisotropic submanifolds and the conormal algebroid ----------------------
@@ -692,7 +693,8 @@ def conormal_algebroid(
     """
     k, n = n_sub.dim, n_sub.ambient.dim
     m = n - k
-    hy = n_sub.along(h).adapted.entries
+    record = n_sub.along(h)
+    hy = record.adapted.entries
     if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
     chart = n_sub.chart
@@ -700,7 +702,7 @@ def conormal_algebroid(
     # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii', then at x(y), in one substitute call
     Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
     along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    images = iter(substitute([d for row in along for ds in row for d in ds], n_sub._to_ambient))
+    images = iter(substitute([d for row in along for ds in row for d in ds], record.to_ambient))
     along = [[[next(images) for _ in ds] for ds in row] for row in along]
     blocks = [_congruence(n_sub.change[k:], [[ds[j] for ds in row] for row in along]) for j in range(n)]
 

@@ -41,27 +41,20 @@ from .symexpr import Expr
 def _lift_jacobi_entries(h: SymBivector) -> Iterator[tuple[tuple[int, int, int], Expr]]:
     """((a, n+b, n+c), J(a, n+b, n+c)) of the lift of h, in lexicographic order, lazily.
 
-    Each entry is -T(b,c,a), read from h's Codazzi memo (``SymBivector.codazzi``),
-    where T(b,c,a) sits at place p*n + a, p the place of (b, c) among the
-    pairs b < c in row-major order.  The memo is extended only as far as the
-    entries read so far need, so T(1,2,1) alone decides a generic h, and an
-    exception the memo holds is raised again here.  Every other J(i,j,k),
-    i < j < k, of the lift is zero, so the first nonzero entry of the full
-    Jacobi table in row-major order is the first nonzero one yielded here.
+    Each entry is -T(b,c,a), read by index from h's Codazzi memo
+    (``SymBivector.codazzi``), where T(b,c,a) sits at place p*n + a, p the
+    place of (b, c) among the pairs b < c in row-major order.  The memo is
+    extended only as far as the entries read so far need, so T(1,2,1) alone
+    decides a generic h, and an exception the memo holds is raised again
+    here.  Every other J(i,j,k), i < j < k, of the lift is zero, so the
+    first nonzero entry of the full Jacobi table in row-major order is the
+    first nonzero one yielded here.
     """
-    n = h.chart.dim
-    stream = h.codazzi()
-    read: list[Expr] = []
-
-    def T(at: int) -> Expr:
-        while len(read) <= at:
-            read.append(next(stream)[1])
-        return read[at]
-
+    n, T = h.chart.dim, h.codazzi()
     pairs = [(b, c) for b in range(n) for c in range(b + 1, n)]
     for a in range(n):
         for p, (b, c) in enumerate(pairs):
-            yield (a, n + b, n + c), -T(p * n + a)
+            yield (a, n + b, n + c), -T[p * n + a][1]
 
 
 @dataclass(frozen=True)

@@ -430,9 +430,9 @@ def builds(monkeypatch) -> Builds:
     out, structures = Builds(), kvgeom.structures
 
     def logged(build, log):
-        def counted(n_sub, h):
-            log.append(h)
-            return build(n_sub, h)
+        def counted(along):
+            log.append(along.h)
+            return build(along)
 
         return counted
 

@@ -209,4 +209,4 @@ def test_the_pullback_along_n_is_substitute_entry_by_entry(basis):
         [sum((Expr.const(P[a][i] * P[b][j]) * pulled[i][j] for i in range(3) for j in range(3)), Expr.const(0)) for b in range(3)]
         for a in range(3)
     ]
-    assert [list(row) for row in to_adapted_bivector(n_sub, h).entries] == want
+    assert [list(row) for row in to_adapted_bivector(n_sub.along(h)).entries] == want

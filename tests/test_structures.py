@@ -149,7 +149,7 @@ def test_to_adapted_bivector_matches_linalg(n):
                 break
         n_sub = AffineSubmanifold(chart, random_point(rng, n), basis)
         h = random_bivector(rng, chart)
-        hy = to_adapted_bivector(n_sub, h)
+        hy = to_adapted_bivector(n_sub.along(h))
         C, P_ = n_sub.frame, n_sub.change
         for _ in range(3):
             y = random_point(rng, k) + (Fr(0),) * (n - k)
@@ -183,17 +183,18 @@ def test_the_conormal_block_is_the_trailing_block_of_the_adapted_bivector(n):
                 h = bivector_with_a_rational_entry(rng, chart) if cases % 2 else random_bivector(rng, chart)
                 cases += 1
                 alone, full = AffineSubmanifold(chart, origin, basis), AffineSubmanifold(chart, origin, basis)
-                hy = to_adapted_bivector(full, h).entries
+                hy = to_adapted_bivector(full.along(h)).entries
                 D = alone.along(h).block
                 assert [list(row) for row in D] == [list(row[k:]) for row in hy[k:]]
                 assert alone.along(h).block is D
 
 
 def test_a_submanifold_and_what_it_built_are_freed_without_the_garbage_collector():
-    """N's record of h refers to N weakly, so N, the record and its builds go with their last reference.
+    """N's record of h copies N's frame and does not refer to N, so N, the record and its builds go with their
+    last reference.
 
-    A strong reference back would make a cycle, which only the garbage collector frees.  A transversal
-    result keeps N alive for as long as it may still read the record's bordered block.
+    A reference back to N would make a cycle, which only the garbage collector frees.  A transversal result
+    keeps the record alive, and reads its bordered block, after N is gone.
     """
     h = SymBivector(P, ((X_, Y_), (Y_, Y_ + 3)))  # D = 3 on the x-axis, and A - B D^{-1} B^T = y1
     gc.disable()
@@ -349,7 +350,7 @@ def test_adapted_frame_examples():
     for wrong in ((1,), (1, 1, 1)):  # zip would cut a wrong-length point to fit
         with pytest.raises(ValueError):
             diag.parameters_of(wrong)
-    hy = to_adapted_bivector(diag, SymBivector.standard(P))
+    hy = to_adapted_bivector(diag.along(SymBivector.standard(P)))
     assert hy.chart.coords == ("y1", "y2")
     with pytest.raises(DegenerateBasis):
         AffineSubmanifold(P, (0, 0), ((1, 1), (2, 2)))
@@ -390,6 +391,28 @@ def test_the_full_dimension_shortcut_equals_the_adapted_route(monkeypatch, n):
 
     assert sub2.ok and sub2.residuals == () and renamed(sub2.induced) == h.entries
     assert tr2.verdict == SYMBOLIC_TRUE and tr2.determinant == Expr.const(1) and renamed(tr2.induced) == h.entries
+
+
+def test_a_whole_chart_submanifold_refuses_a_bivector_on_another_chart():
+    """N = R^2 in its own coordinates and h on another chart: every verdict raises, the K-V test's shortcut too."""
+    S = Chart("S", ("u", "v"))
+    h = SymBivector.diagonal(S, [Expr.var("u"), Expr.var("v")])
+    whole = AffineSubmanifold(P, (0, 0), ((1, 0), (0, 1)))
+    for verdict in (is_kv_submanifold, is_transversal, is_coisotropic):
+        with pytest.raises(ChartMismatch):
+            verdict(whole, h)
+
+
+def test_a_transversality_verdict_needs_a_point():
+    """det D = y1 of diag(x, x) on the x-axis vanishes at 0; an empty point list or no samples evaluate it nowhere."""
+    h = SymBivector.diagonal(P, [X_, X_])
+    axis = AffineSubmanifold(P, (0, 0), ((1, 0),))
+    assert is_transversal(axis, h, sample_points=[(0, 0)]).verdict == FALSE
+    for given in ({"sample_points": []}, {"samples": 0}):
+        with pytest.raises(ValueError):
+            is_transversal(axis, h, **given)
+    with pytest.raises(ValueError):
+        preimage_transversal(AffineMap.identity(P), h, h, axis, samples=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
