@@ -56,9 +56,10 @@ alone, which does not refer back to N.  Checks that share N and h in one
 scenario share one build of each (so one ``expr_det`` pass for det D, and
 at most one for the bordered block); a full build after D substitutes only
 the entries D did not, and a D after a full build is read from it.
-The conormal algebroid differentiates H along the frame vectors c_j, the
-columns of C, which is d/dy_j, and pulls all those derivatives back along
-N the same way, in one ``substitute`` call.
+The conormal algebroid is gated by ``is_coisotropic``, reads its product
+from ``geometry.contravariant_D`` on the conormal rows P[k:], takes each
+product to the adapted coframe by C^T, and restricts all of them along N
+in one ``substitute`` call.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ from .geometry import (
     _grad,
     _nz,
     _symmetric,
+    contravariant_D,
 )
 from .symexpr import (
     _P_ONE,
@@ -625,23 +627,18 @@ def is_coisotropic(n_sub: AffineSubmanifold, h: SymBivector) -> bool:
 
 @dataclass(frozen=True)
 class ConormalAlgebroid:
-    """Left-symmetric algebroid on the conormal bundle of a coisotropic submanifold.
+    """Left-symmetric algebroid on the conormal bundle of a coisotropic submanifold, on N's chart.
 
     table[a][b][c] is the dy_{k+c} coefficient of dy_{k+a} • dy_{k+b}; the
     anchor rows are the tangent components of sharp on the conormal frame.
-    table[a][b] is table[b][a] by construction, so the fiber algebra is
-    commutative and ``fiber_associative`` alone decides whether it is one.
+    table[a][b] is table[b][a] by construction, so the fiber algebra at a
+    point where the anchor vanishes is commutative, and an algebra exactly
+    when it is associative.
     """
 
-    submanifold: AffineSubmanifold
-    chart: Chart  # induced chart of N (tangent coordinates)
     table: tuple[tuple[tuple[Expr, ...], ...], ...]
     anchor: tuple[tuple[Expr, ...], ...]  # (n-k) x k
     left_symmetric_ok: bool
-    fiber_point: tuple[Fraction, ...] | None  # parameters of the designated point
-    anchor_vanishes_at_point: bool | None
-    fiber_product: tuple[tuple[tuple[Fraction, ...], ...], ...] | None
-    fiber_associative: bool | None
 
     @property
     def conormal_dim(self) -> int:
@@ -677,74 +674,31 @@ def _algebroid_associator_residuals(
     return residuals
 
 
-def conormal_algebroid(
-    n_sub: AffineSubmanifold,
-    h: SymBivector,
-    point: Sequence[Rational] | None = None,
-) -> ConormalAlgebroid:
-    """Product dy_a • dy_b = D_{dy_a} dy_b restricted to the conormal frame.
+def conormal_algebroid(n_sub: AffineSubmanifold, h: SymBivector) -> ConormalAlgebroid:
+    """Product dy_a • dy_b = D_{dy_a} dy_b (``contravariant_D``) on the conormal frame, restricted to N.
 
-    In adapted coordinates the product of constant conormal coordinate forms is
-    sum_j (d h_ab / d y_j) dy_j.  Since x = C y + o, d/dy_j is the derivative
-    along the frame vector c_j (column j of C), so along N the derivative of
-    the conormal block is P[k:] ((c_j . d)H)(x(y)) P[k:]^T.  Coisotropy makes
-    the tangential part (j <= k) vanish on N, so the table collects the
-    conormal coefficients (j > k).
+    The conormal forms dy_{k+a} are the rows P[k:] in the ambient coframe.
+    Since dx = C dy, a form with ambient components w has the adapted
+    components C^T w, and all products are restricted along N in one
+    ``substitute`` call.  Coisotropy makes the tangential part (j <= k)
+    vanish on N, so the table collects the conormal coefficients (j > k).
     """
-    k, n = n_sub.dim, n_sub.ambient.dim
-    m = n - k
-    record = n_sub.along(h)
-    hy = record.adapted.entries
-    if not all(e.is_zero() for row in hy[k:] for e in row[k:]):
+    along, k = n_sub.along(h), n_sub.dim
+    anchor = tuple(row[:k] for row in along.adapted.entries[k:])  # built first, so the gate reads D from it
+    if not is_coisotropic(n_sub, h):
         raise NotCoisotropic("submanifold is not coisotropic for this bivector")
-    chart = n_sub.chart
-
-    # (c_j . d)h_ii' for every frame vector c_j at once: C^T grad h_ii', then at x(y), in one substitute call
-    Ct, x = linalg.transpose(n_sub.frame), n_sub.ambient.coords
-    along = _symmetric(n, lambda i, i2: _matvec(Ct, [h.entries[i][i2].diff(v) for v in x]))
-    images = iter(substitute([d for row in along for ds in row for d in ds], record.to_ambient))
-    along = [[[next(images) for _ in ds] for ds in row] for row in along]
-    blocks = [_congruence(n_sub.change[k:], [[ds[j] for ds in row] for row in along]) for j in range(n)]
+    forms = [OneForm(h.chart, row) for row in along.change[k:]]
+    Ct, m = linalg.transpose(n_sub.frame), len(forms)
+    products = _symmetric(m, lambda a, b: _matvec(Ct, contravariant_D(h, forms[a], forms[b]).components))
+    images = iter(substitute([e for row in products for form in row for e in form], along.to_ambient))
+    products = [[[next(images) for _ in form] for form in row] for row in products]
 
     for a, b, j in product(range(m), range(m), range(k)):
-        if not blocks[j][a][b].is_zero():
+        if not products[a][b][j].is_zero():
             raise ClosureFailure(f"conormal product left the conormal module at ({a + 1},{b + 1}) along y{j + 1}")
-    table = tuple(tuple(tuple(blocks[k + c][a][b] for c in range(m)) for b in range(m)) for a in range(m))
-    anchor = tuple(row[:k] for row in hy[k:])
-
-    left_ok = all(e.is_zero() for e in _algebroid_associator_residuals(chart, table, anchor))
-
-    fiber_params = None
-    anchor_zero = None
-    fiber_product = None
-    fiber_assoc = None
-    if m > 0:
-        if point is None:
-            fiber_params = tuple(Fraction(0) for _ in range(k))
-        else:
-            fiber_params = n_sub.parameters_of(point)
-            if fiber_params is None:
-                raise PreconditionViolated("designated point does not lie on the submanifold")
-        env = dict(zip(chart.coords, fiber_params))
-        anchor_zero = all(e.eval_at(env) == 0 for row in anchor for e in row)
-        if anchor_zero:
-            F = fiber_product = tuple(tuple(tuple(e.eval_at(env) for e in row) for row in plane) for plane in table)
-            idx = range(m)
-            fiber_assoc = all(
-                sum(F[a][b][e] * F[e][c][d] for e in idx) == sum(F[b][c][e] * F[a][e][d] for e in idx)
-                for a, b, c, d in product(idx, repeat=4)
-            )
-    return ConormalAlgebroid(
-        n_sub,
-        chart,
-        table,
-        anchor,
-        left_ok,
-        fiber_params,
-        anchor_zero,
-        fiber_product,
-        fiber_assoc,
-    )
+    table = tuple(tuple(tuple(form[k:]) for form in row) for row in products)
+    left_ok = all(e.is_zero() for e in _algebroid_associator_residuals(along.chart, table, anchor))
+    return ConormalAlgebroid(table, anchor, left_ok)
 
 
 # --- graphs and preimages ------------------------------------------------------

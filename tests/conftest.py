@@ -6,12 +6,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 import kvgeom.structures
 from kvgeom import linalg
 from kvgeom.algebra import AlgebraSpec
+from kvgeom.checks import CHECKS
 from kvgeom.geometry import Chart, OneForm, ScalarField, SymBivector, VectorField, coordinate_form, hamiltonian, sharp
 from kvgeom.structures import AffineMap, pullback, relatedness_residuals
 from kvgeom.symexpr import ZERO, Expr
@@ -401,6 +403,25 @@ def theorem1_routes(f, h1, h2, g):
     gF = g.substitute(ref_components(f))
     ham = relatedness_residuals(f, hamiltonian(h1, ScalarField(f.source, gF)), hamiltonian(h2, ScalarField(f.target, g)))
     return lift, sharps, ham
+
+
+# --- the conormal check ----------------------------------------------------------
+
+
+def conormal_check(n_sub, h, point=None) -> tuple[str, str]:
+    """(status, details) of ``check conormal`` on N and h; without ``point`` the designated point is N's origin."""
+    check = SimpleNamespace(args=("N", "h"), options=SimpleNamespace(point=point))
+    status, details, _ = CHECKS["conormal"].run({"N": n_sub, "h": h}, check, 42, 8)
+    return status, details
+
+
+def fiber_associative_reference(F) -> bool:
+    """Whether e_a e_b = sum_c F[a][b][c] e_c is associative, (ab)c = a(bc), by the plain four-index loop."""
+    idx = range(len(F))
+    return all(
+        sum(F[a][b][e] * F[e][c][d] for e in idx) == sum(F[b][c][e] * F[a][e][d] for e in idx)
+        for a, b, c, d in product(idx, repeat=4)
+    )
 
 
 # --- what structures builds ----------------------------------------------------

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import (
     bivector_with_a_rational_entry,
+    conormal_check,
     diagonal_profile,
+    fiber_associative_reference,
     jacobiator_reference,
     kv_bracket_reference,
     random_algebra,
@@ -28,6 +30,7 @@ from kvgeom.dsl import _OPTIONS, parse_scenario
 from kvgeom.engine import RunConfig, _find_witness, run_scenario
 from kvgeom.errors import DegreeOverflow, ParseError, SemanticError
 from kvgeom.geometry import Chart, SymBivector
+from kvgeom.structures import AffineSubmanifold
 from kvgeom.symexpr import ZERO, Expr
 
 # one object of every declaration kind on M, and a second copy on the chart P
@@ -357,3 +360,28 @@ def test_a_scenario_reads_each_codazzi_entry_once(monkeypatch, kv):
     # the Codazzi stream has taken all six rows d h_bc, b <= c, by T(2,3,1); the bracket stream takes
     # them all when h is K-V, and d h_12, d h_11 and d h_22 when it stops at B(1,2,2)
     assert len(grads) == 6 + (6 if kv else 3)
+
+
+def test_the_conormal_fiber_verdict_is_the_four_index_associativity_loop():
+    # h_ab = sum_c F_abc x_c vanishes at the origin of R^2, a point, so its conormal bundle is all of
+    # T*R^2 there, with no anchor, and dx_a • dx_b = dh_ab: the fiber algebra is the random commutative
+    # table F itself. Commutative and left-symmetric is associative, so the status follows the fiber
+    rng = random.Random(35)
+    chart = _chart(2)
+    origin = AffineSubmanifold(chart, (0, 0), ())
+    xs = [Expr.var(v) for v in chart.coords]
+    verdicts = []
+    for _ in range(600):
+        F = [[None, None], [None, None]]
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            F[a][b] = F[b][a] = [rng.choice((0, 0, 0, 1, -1)) for _ in range(2)]  # sparse, so both verdicts are common
+        h = SymBivector(chart, tuple(
+            tuple(sum((Expr.const(c) * x for c, x in zip(F[a][b], xs)), ZERO) for b in range(2)) for a in range(2)
+        ))
+        status, details = conormal_check(origin, h)
+        associative = fiber_associative_reference(F)
+        fiber = "commutative and associative" if associative else "NOT an algebra"
+        assert details.endswith(f"fiber algebra at the designated point is {fiber}")
+        assert status == ("pass" if associative else "fail")
+        verdicts.append(associative)
+    assert 100 < sum(verdicts) < 500

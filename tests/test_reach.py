@@ -24,11 +24,10 @@ UNREACHED = {
     # ParseError and SemanticError
     "error path": ["dsl._Parser.error", "dsl._Parser.fail", "errors._PositionedError.__init__"],
     # the round trip parse_scenario(serialize(s)) == s, the constructors of the tour and the demos, and the
-    # paper's bracket of one-forms and contravariant connection, which demo 01 walks through
+    # paper's bracket of one-forms and pairing, which demo 01 walks through
     "README/demo API": [
         "dsl.Scenario.__eq__", "dsl._algebra_text", "dsl.parse_expr", "dsl.serialize",
-        "geometry.SymBivector.diagonal", "geometry.SymBivector.standard",
-        "geometry.bracket_h", "geometry.contravariant_D", "geometry.nabla_form", "geometry.pair",
+        "geometry.SymBivector.diagonal", "geometry.SymBivector.standard", "geometry.bracket_h", "geometry.pair",
     ],
     # fixtures, assertion messages, and the references of tests/conftest.py (Theorem 1's routes, one
     # substitution per entry, the conjugated random algebras)
